@@ -463,11 +463,16 @@ def _spectrum_for(n: int) -> Spectrum:
 
 
 def _charts_for(n: int, rng, cap: int = 12):
-    perms = Permutation.all(n)
-    if len(perms) <= cap:
-        return perms
-    picks = rng.choice(len(perms), size=cap, replace=False)
-    return [perms[int(i)] for i in sorted(picks)]
+    """Every chart when there are at most cap, else cap distinct random ones.
+
+    Drawn one permutation at a time, so the cost does not grow as n!.
+    """
+    if math.factorial(n) <= cap:
+        return Permutation.all(n)
+    picks = set()
+    while len(picks) < cap:
+        picks.add(tuple(int(v) + 1 for v in rng.permutation(n)))
+    return [Permutation(p) for p in sorted(picks)]
 
 
 def factor_suite(n: int = 3, seed: int = 0) -> list:
@@ -786,9 +791,11 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
     reports.append(
         fiber_experiment(Permutation.identity(n), h, samples=5, rng=rng)
     )
-    reports.append(
-        fiber_experiment(random_permutation(n, rng), h, samples=5, rng=rng)
-    )
+    # a second identity would give a second report of the same name
+    sigma = random_permutation(n, rng)
+    while sigma == Permutation.identity(n):
+        sigma = random_permutation(n, rng)
+    reports.append(fiber_experiment(sigma, h, samples=5, rng=rng))
     reports.append(sym_linearization_spectrum(h))
     reports.append(example4_frame_check())
     return reports

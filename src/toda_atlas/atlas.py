@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ChartDomainError
-from .factorizations import trailing_minors, unbar_factorize, unit_lower_inverse, f_inverse
+from .errors import ChartDomainError, FactorizationError
+from .factorizations import unbar_factorize, unit_lower_inverse, f_inverse
 from .linalg_core import Spectrum, as_matrix, symmetric_eigen
 from .weyl_profiles import Permutation, InversionSets, inversion_sets, lower_pairs, perm_matrix
 
@@ -104,7 +104,7 @@ def h_conjugate(h: Spectrum, w: Permutation) -> np.ndarray:
 def nbar_from_affine(b, w: Permutation, h: Spectrum) -> np.ndarray:
     """Unit lower triangular g with g D g^-1 = b, D the permuted diagonal.
 
-    Solved column by column by forward substitution; solvable because the
+    Solved row by row by forward substitution; solvable because the
     diagonal gaps of a regular permuted diagonal never vanish.
     """
     b = as_matrix(b)
@@ -114,11 +114,9 @@ def nbar_from_affine(b, w: Permutation, h: Spectrum) -> np.ndarray:
         raise ValueError("matrix is not in the affine fiber: nonzero entries on or above the diagonal")
     x = np.tril(offset, -1)
 
-    n = h.n
-    g = np.eye(n)
-    for j in range(n):
-        for i in range(j + 1, n):
-            g[i, j] = (x[i, j:i] @ g[j:i, j]) / (d[j] - d[i])
+    g = np.eye(h.n)
+    for i in range(1, h.n):
+        g[i, :i] = (x[i, :i] @ g[:i, :i]) / (d[:i] - d[i])
     return g
 
 
@@ -148,15 +146,48 @@ def _frame(y: FlagPoint, w: Permutation) -> np.ndarray:
     return kp
 
 
+def _chart_nbar(y: FlagPoint, w: Permutation) -> np.ndarray:
+    """Unit-lower factor of the frame of y, if y lies in the chart at w.
+
+    One elimination gives both the factor and the trailing minors, as
+    running products of its pivots. Raises ChartDomainError when a
+    trailing minor is at or below DOMAIN_MINOR_TOL in magnitude, or when
+    a pivot vanishes. Minor magnitudes do not depend on the eigenvector
+    sign choices.
+    """
+    try:
+        factors = unbar_factorize(_frame(y, w))
+    except FactorizationError as err:
+        if err.minor_index is None:
+            raise
+        raise ChartDomainError(f"point is outside the chart at {w.images}: {err}") from err
+    minors = np.cumprod(np.diag(factors.u)[::-1])[:-1]
+    if np.min(minors) <= DOMAIN_MINOR_TOL:
+        j = int(np.argmin(minors)) + 1
+        raise ChartDomainError(
+            f"point is outside the chart at {w.images}: trailing minor of size {j} "
+            f"is {minors[j - 1]:.2e}"
+        )
+    return factors.nbar
+
+
 def chart_domain_test(y: FlagPoint, w: Permutation) -> bool:
     """Whether y lies in the chart at w.
 
     True when every trailing principal minor of the de-permuted
-    eigenframe exceeds DOMAIN_MINOR_TOL in magnitude. Minor magnitudes do
-    not depend on the eigenvector sign choices.
+    eigenframe exceeds DOMAIN_MINOR_TOL in magnitude.
     """
-    kp = _frame(y, w)
-    return bool(np.min(np.abs(trailing_minors(kp))) > DOMAIN_MINOR_TOL)
+    try:
+        _chart_nbar(y, w)
+    except ChartDomainError:
+        return False
+    return True
+
+
+def _coords_from_nbar(nbar, w: Permutation, h: Spectrum) -> ChartCoords:
+    dmat = h_conjugate(h, w)
+    b = nbar @ dmat @ unit_lower_inverse(nbar)
+    return ChartCoords(w=w, lower=np.tril(b - dmat, -1), h=h)
 
 
 def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
@@ -166,10 +197,7 @@ def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
     ambiguity, so the value does not depend on which admissible frame is
     supplied.
     """
-    nbar = unbar_factorize(kp).nbar
-    dmat = h_conjugate(h, w)
-    b = nbar @ dmat @ unit_lower_inverse(nbar)
-    return ChartCoords(w=w, lower=np.tril(b - dmat, -1), h=h)
+    return _coords_from_nbar(unbar_factorize(kp).nbar, w, h)
 
 
 def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
@@ -178,15 +206,7 @@ def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
     Raises ChartDomainError when a trailing minor of the frame is at or
     below the domain threshold.
     """
-    kp = _frame(y, w)
-    minors = np.abs(trailing_minors(kp))
-    if np.min(minors) <= DOMAIN_MINOR_TOL:
-        j = int(np.argmin(minors)) + 1
-        raise ChartDomainError(
-            f"point is outside the chart at {w.images}: trailing minor of size {j} "
-            f"is {minors[j - 1]:.2e}"
-        )
-    return coords_from_frame(kp, w, y.h)
+    return _coords_from_nbar(_chart_nbar(y, w), w, y.h)
 
 
 def bruhat_affine_image(w: Permutation) -> InversionSets:

@@ -3,8 +3,9 @@
 Two factorizations are implemented.
 
 * ``kan_factorize``: orthogonal x positive-diagonal x unit-upper, by
-  modified Gram-Schmidt on columns (with a second orthogonalization pass
-  so the orthogonality residual stays at machine level).
+  LAPACK's Householder QR with the signs fixed so that the triangular
+  factor has a positive diagonal; that is the Gram-Schmidt split of the
+  columns, with an orthogonality residual at machine level.
 
 * ``unbar_factorize``: upper-triangular-positive-diagonal x unit-lower x
   sign-diagonal, for special orthogonal input. It exists exactly when all
@@ -99,33 +100,28 @@ def kan_factorize(g) -> KANFactors:
 
     Column j of k is the normalized j-th Gram-Schmidt vector of g's
     columns; a holds the (positive) normalization factors and n the
-    unit-upper change of basis. The triangular zero patterns and the
-    unit diagonal of n are written exactly, not rounded.
+    unit-upper change of basis. Computed as a Householder QR whose signs
+    are flipped to make diag(R) positive, which makes it unique. The
+    triangular zero patterns and the unit diagonal of n are written
+    exactly, not rounded.
     """
     g = as_matrix(g)
     det = float(np.linalg.det(g))
     if abs(det - 1.0) > _DET_TOL:
         raise ValueError(f"input must have determinant one, got {det!r}")
 
-    n = g.shape[0]
-    q = np.zeros((n, n))
-    r = np.zeros((n, n))
-    for j in range(n):
-        v = g[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                c = float(q[:, i] @ v)
-                v -= c * q[:, i]
-                r[i, j] += c
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-12:
-            raise ValueError(f"column {j + 1} is numerically dependent on earlier columns")
-        r[j, j] = norm
-        q[:, j] = v / norm
+    q, r = np.linalg.qr(g)
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    q = q * signs
+    diag = signs * np.diag(r)
+    dependent = np.flatnonzero(diag < 1e-12)
+    if dependent.size:
+        raise ValueError(
+            f"column {dependent[0] + 1} is numerically dependent on earlier columns"
+        )
 
-    diag = np.diag(r).copy()
     a = np.diag(diag)
-    unit_upper = np.triu(r / diag[:, None])
+    unit_upper = np.triu(r / np.diag(r)[:, None])
     np.fill_diagonal(unit_upper, 1.0)
     return KANFactors(k=q, a=a, n=unit_upper)
 
@@ -137,7 +133,9 @@ def unbar_factorize(k) -> UNbarFactors:
     into leading ones; Crout LU of the flip (lower x unit-upper), with
     the pivot signs pulled into a sign diagonal and everything flipped
     back, gives k = u nbar m. det(m) = +1 is forced by det(k) = 1 and
-    the positive diagonal of u.
+    the positive diagonal of u. Read from the bottom, diag(u) holds the
+    pivot magnitudes, so its running products are the magnitudes of the
+    trailing minors of size 1, 2, ..., n.
 
     Raises FactorizationError with the failing minor index when a pivot
     falls below PIVOT_TOL.
@@ -149,8 +147,7 @@ def unbar_factorize(k) -> UNbarFactors:
     low = np.zeros((n, n))
     upp = np.eye(n)
     for c in range(n):
-        for i in range(c, n):
-            low[i, c] = flipped[i, c] - low[i, :c] @ upp[:c, c]
+        low[c:, c] = flipped[c:, c] - low[c:, :c] @ upp[:c, c]
         pivot = low[c, c]
         if abs(pivot) < PIVOT_TOL:
             raise FactorizationError(
@@ -158,8 +155,7 @@ def unbar_factorize(k) -> UNbarFactors:
                 f"vanishes (pivot {pivot:.2e})",
                 minor_index=c + 1,
             )
-        for j in range(c + 1, n):
-            upp[c, j] = (flipped[c, j] - low[c, :c] @ upp[:c, j]) / pivot
+        upp[c, c + 1:] = (flipped[c, c + 1:] - low[c, :c] @ upp[:c, c + 1:]) / pivot
 
     signs = np.sign(np.diag(low))
     u = (low * signs)[::-1, ::-1].copy()
@@ -210,9 +206,8 @@ def unit_lower_inverse(nbar) -> np.ndarray:
     nbar = require_unit_lower(nbar)
     n = nbar.shape[0]
     inv = np.eye(n)
-    for c in range(n):
-        for i in range(c + 1, n):
-            inv[i, c] = -(nbar[i, c:i] @ inv[c:i, c])
+    for i in range(1, n):
+        inv[i, :i] = -(nbar[i, :i] @ inv[:i, :i])
     return inv
 
 

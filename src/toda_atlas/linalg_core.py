@@ -4,7 +4,9 @@ Matrices are plain float numpy arrays (2 <= n <= 12 is the supported
 range; nothing here is tuned for large n). The two structured values,
 :class:`Spectrum` and :class:`IsospectralWitness`, are immutable and
 validated on construction. All operations are pure functions, so the
-whole module is safe to call concurrently.
+whole module is safe to call concurrently. The eigendecomposition is
+LAPACK's symmetric solver (``numpy.linalg.eigh``) with the package's
+normalization and checks added on top.
 
 The inner product throughout is the trace form ``trace(X Y)``. It is a
 positive multiple of the Killing form, and only signs and monotonicity
@@ -31,11 +33,6 @@ __all__ = [
 
 TRACE_TOL = 1e-12
 GAP_TOL = 1e-8
-
-# Cyclic Jacobi eigensolver controls: small n, bit-reproducible, and free
-# of external dependencies.
-_JACOBI_SWEEP_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 50
 
 
 def as_matrix(x) -> np.ndarray:
@@ -170,38 +167,8 @@ def isospectral_witness(x) -> IsospectralWitness:
     return IsospectralWitness(tuple(traces), float(np.linalg.norm(x)))
 
 
-def _jacobi_rotate(a, q, p, r):
-    """Zero a[p, r] with a two-sided rotation, accumulating into q's columns."""
-    apr = a[p, r]
-    if apr == 0.0:
-        return
-    tau = (a[r, r] - a[p, p]) / (2.0 * apr)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.hypot(tau, 1.0))
-    else:
-        t = -1.0 / (-tau + np.hypot(tau, 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-
-    col_p = a[:, p].copy()
-    col_r = a[:, r].copy()
-    a[:, p] = c * col_p - s * col_r
-    a[:, r] = s * col_p + c * col_r
-    row_p = a[p, :].copy()
-    row_r = a[r, :].copy()
-    a[p, :] = c * row_p - s * row_r
-    a[r, :] = s * row_p + c * row_r
-    a[p, r] = 0.0
-    a[r, p] = 0.0
-
-    qc_p = q[:, p].copy()
-    qc_r = q[:, r].copy()
-    q[:, p] = c * qc_p - s * qc_r
-    q[:, r] = s * qc_p + c * qc_r
-
-
 def symmetric_eigen(y):
-    """Diagonalize a symmetric traceless matrix by cyclic Jacobi sweeps.
+    """Diagonalize a symmetric traceless matrix with LAPACK's ``eigh``.
 
     Returns ``(spectrum, q)`` with q special orthogonal (det +1, one
     column sign flipped if needed), columns ordered by strictly
@@ -217,23 +184,9 @@ def symmetric_eigen(y):
     if np.linalg.norm(y - y.T) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
 
-    n = y.shape[0]
-    a = 0.5 * (y + y.T)
-    q = np.eye(n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= _JACOBI_SWEEP_TOL * scale:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                _jacobi_rotate(a, q, p, r)
-    else:
-        raise RuntimeError("Jacobi sweeps did not converge")
-
-    eigs = np.diag(a).copy()
-    order = np.argsort(-eigs, kind="stable")
-    lam = eigs[order]
-    q = q[:, order]
+    eigs, q = np.linalg.eigh(0.5 * (y + y.T))
+    lam = eigs[::-1]
+    q = q[:, ::-1]
 
     gaps = -np.diff(lam)
     if np.any(gaps <= GAP_TOL):
@@ -244,7 +197,6 @@ def symmetric_eigen(y):
         )
 
     if np.linalg.det(q) < 0.0:
-        q = q.copy()
         q[:, -1] = -q[:, -1]
 
     spectrum = Spectrum(tuple(lam))

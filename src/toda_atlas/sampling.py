@@ -17,8 +17,6 @@ __all__ = [
     "random_symmetric_with_spectrum",
     "random_flag_point",
     "random_unit_lower",
-    "random_traceless",
-    "random_traceless_symmetric",
     "random_permutation",
     "random_profile",
     "random_chart_coords",
@@ -54,16 +52,6 @@ def random_flag_point(h: Spectrum, rng: np.random.Generator) -> FlagPoint:
 
 def random_unit_lower(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     return np.eye(n) + scale * np.tril(rng.standard_normal((n, n)), -1)
-
-
-def random_traceless(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    a = scale * rng.standard_normal((n, n))
-    return a - np.trace(a) / n * np.eye(n)
-
-
-def random_traceless_symmetric(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    a = random_traceless(n, rng, scale)
-    return 0.5 * (a + a.T)
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:

@@ -16,6 +16,7 @@ from toda_atlas.atlas import (
     nbar_from_affine,
 )
 from toda_atlas.errors import ChartDomainError
+from toda_atlas.factorizations import trailing_minors
 from toda_atlas.linalg_core import Spectrum
 from toda_atlas.sampling import (
     default_spectrum,
@@ -162,6 +163,24 @@ class TestChartDomain:
         point = FlagPoint(h_conjugate(h, Permutation((2, 1, 3))), h)
         with pytest.raises(ChartDomainError):
             chart_forward(point, Permutation.identity(3))
+
+    def test_vanishing_trailing_minor_is_outside(self):
+        # The last axis is the top eigenvector, so the bottom eigenvector
+        # has a zero last entry: the 1 x 1 trailing minor of the frame at
+        # the identity chart vanishes.
+        rng = np.random.default_rng(41)
+        for n in (3, 5, 8):
+            h = default_spectrum(n)
+            q, _ = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))
+            y = np.zeros((n, n))
+            y[:-1, :-1] = q @ np.diag(h.values[1:]) @ q.T
+            y[-1, -1] = h.values[0]
+            point = FlagPoint(0.5 * (y + y.T), h)
+            w = Permutation.identity(n)
+            assert abs(trailing_minors(_frame(point, w))[0]) < 1e-14
+            assert not chart_domain_test(point, w)
+            with pytest.raises(ChartDomainError):
+                chart_forward(point, w)
 
     def test_monte_carlo_cover(self):
         h = default_spectrum(3)

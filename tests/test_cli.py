@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -148,6 +149,22 @@ class TestVerify:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failures"] == 0
+
+    def test_atlas_suite_at_largest_n(self, tmp_path):
+        out = tmp_path / "atlas12"
+        start = time.perf_counter()
+        code = run_cli(["verify", "--suite", "atlas", "--n", "12", "--seed", "7", "--out", str(out)])
+        assert time.perf_counter() - start < 60.0
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["failures"] == 0
+
+    def test_one_file_per_check(self, tmp_path):
+        # seed 100 draws the identity for the second fiber experiment at n = 3
+        out = tmp_path / "sym"
+        code = run_cli(["verify", "--suite", "sym", "--n", "3", "--seed", "100", "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(list(out.glob("check_*.json"))) == summary["checks"]
 
     def test_bad_n_rejected(self, tmp_path):
         code = run_cli(["verify", "--n", "1", "--out", str(tmp_path)])

@@ -99,6 +99,10 @@ class TestKAN:
         g = random_unimodular(4, RNG)
         np.testing.assert_allclose(kan_factorize(g).k, gram_schmidt_oracle(g), atol=1e-10)
 
+    def test_matches_gram_schmidt_oracle_at_largest_n(self):
+        g = random_unimodular(12, np.random.default_rng(12))
+        np.testing.assert_allclose(kan_factorize(g).k, gram_schmidt_oracle(g), atol=1e-10)
+
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError, match="determinant"):
             kan_factorize(2.0 * np.eye(3))
@@ -183,6 +187,16 @@ class TestChevalley:
             assert np.min(np.abs(minors)) > 1e-13
             # in the cell proper exactly when all trailing minors are positive
             assert (res.status is CellStatus.IN_C) == bool(np.all(minors > 0))
+
+    def test_pivot_products_are_trailing_minors(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 4, 8, 12):
+            for _ in range(10):
+                k = random_special_orthogonal(n, rng)
+                pivots = np.diag(unbar_factorize(k).u)[::-1]
+                np.testing.assert_allclose(
+                    np.cumprod(pivots)[:-1], np.abs(trailing_minors(k)), rtol=1e-10
+                )
 
     def test_closed_under_inverse(self):
         for _ in range(10):

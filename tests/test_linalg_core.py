@@ -198,6 +198,20 @@ class TestSymmetricEigen:
             np.testing.assert_allclose(q @ spec.diag() @ q.T, y, atol=1e-10)
             assert np.linalg.norm(q.T @ q - np.eye(4)) < 1e-12
 
+    def test_contract_on_random_matrices(self):
+        rng = np.random.default_rng(21)
+        for n in range(2, 13):
+            for _ in range(5):
+                a = rng.standard_normal((n, n))
+                y = 0.5 * (a + a.T)
+                y -= np.trace(y) / n * np.eye(n)
+                spec, q = symmetric_eigen(y)
+                assert np.all(np.diff(spec.values) < 0.0)
+                assert abs(np.linalg.det(q) - 1.0) < 1e-12
+                assert np.linalg.norm(q.T @ q - np.eye(n)) < 1e-12
+                scale = max(1.0, float(np.linalg.norm(y)))
+                assert np.linalg.norm(q @ spec.diag() @ q.T - y) <= 1e-10 * scale
+
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
