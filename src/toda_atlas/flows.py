@@ -13,6 +13,13 @@ controller (safety 0.9, growth clamped to [0.2, 5.0], initial step
 1e-3). No isospectral re-projection is ever applied: drift of the power
 traces is measured and reported instead, so integrator defects stay
 visible to the test suite.
+
+Public functions validate their arguments; the private ``_`` kernels
+they call per step do not. Each field runs ``as_matrix`` once and then
+computes in the same order as the public ``commutator``/``pi_k``/``pi_u``
+composition, so it returns the same bits. The integrator keeps the
+arrays it hands to the field as states, so a field must not modify its
+argument.
 """
 
 import math
@@ -22,7 +29,14 @@ import numpy as np
 
 from .atlas import ChartCoords, h_conjugate
 from .errors import ConvergenceError, StiffnessError
-from .linalg_core import Spectrum, as_matrix, commutator, isospectral_witness, pi_k, pi_u
+from .linalg_core import (
+    Spectrum,
+    _pi_k,
+    _power_traces,
+    _relative_drift,
+    as_matrix,
+    isospectral_witness,
+)
 
 __all__ = [
     "IntegratorConfig",
@@ -64,6 +78,11 @@ _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_ERR = _DP_B5 - _DP_B4
+# (stage, coefficient) pairs of the nonzero weights, in stage order. The
+# last row of _DP_A equals the nonzero weights of _DP_B5, so the seventh
+# stage's input is the fifth-order solution itself.
+_DP_ROWS = tuple(tuple((i, c) for i, c in enumerate(row) if c != 0.0) for row in _DP_A[1:])
+_DP_ERR_TERMS = tuple((i, e) for i, e in enumerate(_DP_ERR) if e != 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,6 +110,11 @@ class Trajectory:
     rejected_steps: int
     final_field_norm: float
     power_trace_drift: float
+    # field evaluations, and the smallest and largest accepted step
+    # (0.0 when no step was accepted)
+    field_evals: int = 0
+    min_step: float = 0.0
+    max_step: float = 0.0
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -102,9 +126,8 @@ class Trajectory:
             raise ValueError("a trajectory holds at least its initial state")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("times must be strictly increasing")
-        for state in self.states:
-            if not np.all(np.isfinite(state)):
-                raise ValueError("trajectory states must be finite")
+        if not all(np.isfinite(state).all() for state in self.states):
+            raise ValueError("trajectory states must be finite")
 
     @property
     def final_state(self) -> np.ndarray:
@@ -135,14 +158,17 @@ def stable_step_for_symmetrization(h: Spectrum) -> float:
 def toda_field(x) -> np.ndarray:
     """Sorting field [x, pi_k(x)]; vanishes on diagonal matrices."""
     x = as_matrix(x)
-    return commutator(x, pi_k(x))
+    k = _pi_k(x)
+    return x @ k - k @ x
 
 
 def sym_field(x) -> np.ndarray:
     """Symmetrization field [x, pi_u([x, x.T])]; vanishes exactly on
     normal matrices."""
     x = as_matrix(x)
-    return commutator(x, pi_u(commutator(x, x.T)))
+    c = x @ x.T - x.T @ x
+    u = c - _pi_k(c)
+    return x @ u - u @ x
 
 
 def chart_linear_field(c: ChartCoords) -> np.ndarray:
@@ -169,15 +195,30 @@ def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
     return ChartCoords(c.w, np.tril(np.exp(gaps * t) * c.lower, -1), c.h)
 
 
+def _weighted_sum(terms, k):
+    """sum(c * k[i] for i, c in terms), accumulated in place in the same order.
+
+    ``sum`` starts from the integer 0, which turns an entry whose every
+    term is -0.0 into +0.0; the closing ``+= 0.0`` does the same, so the
+    result is bitwise that of ``sum``.
+    """
+    (i, c), *rest = terms
+    acc = c * k[i]
+    for i, c in rest:
+        acc += c * k[i]
+    acc += 0.0
+    return acc
+
+
 def _dopri_stages(field, x, h, k1):
-    """One embedded step: returns (x5, error_estimate, k7)."""
+    """One embedded step: returns (x5, error_estimate, k7) with
+    k7 = field(x5), the next step's first stage (FSAL)."""
     k = [k1]
-    for row in _DP_A[1:]:
-        increment = sum(coeff * ki for coeff, ki in zip(row, k) if coeff != 0.0)
-        k.append(field(x + h * increment))
-    x5 = x + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
-    return x5, err, k[6]
+    for terms in _DP_ROWS:
+        stage = x + h * _weighted_sum(terms, k)
+        k.append(field(stage))
+    err = h * _weighted_sum(_DP_ERR_TERMS, k)
+    return stage, err, k[6]
 
 
 def _error_ratio(err, x_old, x_new, cfg):
@@ -197,13 +238,26 @@ def integrate(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> Trajecto
     x = as_matrix(x0).copy()
     t = 0.0
     times = [0.0]
-    states = [x.copy()]
+    states = [x]
+    step_sizes = []
     reference = isospectral_witness(x)
+    reference_traces = np.array(reference.power_traces)
+    drift_scale = reference._drift_scale()
     drift = 0.0
     accepted = rejected = 0
 
     fx = field(x)
+    field_evals = 1
     fnorm = float(np.linalg.norm(fx))
+
+    def trajectory():
+        return Trajectory(
+            times, states, accepted, rejected, fnorm, drift,
+            field_evals=field_evals,
+            min_step=min(step_sizes, default=0.0),
+            max_step=max(step_sizes, default=0.0),
+        )
+
     h = min(_INITIAL_STEP, cfg.max_step, cfg.t_max)
     err_prev = 1e-4
 
@@ -215,9 +269,10 @@ def integrate(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> Trajecto
         if h < _MIN_STEP:
             raise StiffnessError(
                 f"step size underflowed ({h:.2e}) at t={t:.6g}",
-                trajectory=Trajectory(times, states, accepted, rejected, fnorm, drift),
+                trajectory=trajectory(),
             )
         x_new, err, k_last = _dopri_stages(field, x, h, fx)
+        field_evals += 6
         ratio = _error_ratio(err, x, x_new, cfg)
         if ratio <= 1.0:
             t += h
@@ -225,8 +280,9 @@ def integrate(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> Trajecto
             fx = k_last
             fnorm = float(np.linalg.norm(fx))
             times.append(t)
-            states.append(x.copy())
-            drift = max(drift, isospectral_witness(x).drift_from(reference))
+            states.append(x)
+            step_sizes.append(h)
+            drift = max(drift, _relative_drift(_power_traces(x), reference_traces, drift_scale))
             accepted += 1
             factor = _SAFETY * max(ratio, 1e-16) ** (-_PI_ALPHA) * err_prev ** _PI_BETA
             h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))
@@ -236,7 +292,7 @@ def integrate(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> Trajecto
             factor = _SAFETY * ratio ** (-0.2)
             h *= min(1.0, max(_SHRINK_MIN, factor))
 
-    return Trajectory(times, states, accepted, rejected, fnorm, drift)
+    return trajectory()
 
 
 def limit_point(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
@@ -278,6 +334,7 @@ def propagate(field, x0, t: float, max_step: float = 1e-3) -> np.ndarray:
         return x
     steps = max(1, int(math.ceil(abs(t) / max_step)))
     h = t / steps
+    k = field(x)
     for _ in range(steps):
-        x, _, _ = _dopri_stages(field, x, h, field(x))
+        x, _, k = _dopri_stages(field, x, h, k)
     return x

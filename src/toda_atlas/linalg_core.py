@@ -8,11 +8,18 @@ whole module is safe to call concurrently. The eigendecomposition is
 LAPACK's symmetric solver (``numpy.linalg.eigh``) with the package's
 normalization and checks added on top.
 
+Public functions validate their arguments with :func:`as_matrix`. The
+private ``_`` kernels do not: they take a float matrix a caller has
+already checked, so inner loops (the flow fields, the integrator)
+validate once per call instead of once per primitive. The public
+functions wrap the kernels and give the same bits.
+
 The inner product throughout is the trace form ``trace(X Y)``. It is a
 positive multiple of the Killing form, and only signs and monotonicity
 of norms ever matter here, so the constant is dropped.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +49,7 @@ def as_matrix(x) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 2:
         raise ValueError(f"matrices must be at least 2x2, got {a.shape[0]}x{a.shape[0]}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -108,16 +115,59 @@ class IsospectralWitness:
     power_traces: tuple
     frobenius: float = 1.0
 
+    def _drift_scale(self) -> np.ndarray:
+        """Per-power rulers max(1, |trace(x^k)|, ||x||_F^k), k = 1..n, of
+        drift measured against this witness."""
+        return np.array(
+            [
+                max(1.0, abs(b), self.frobenius ** k)
+                for k, b in enumerate(self.power_traces, start=1)
+            ]
+        )
+
     def drift_from(self, reference: "IsospectralWitness") -> float:
         """Largest relative deviation from a reference witness."""
         if len(self.power_traces) != len(reference.power_traces):
             raise ValueError("witnesses have different lengths")
-        return max(
-            abs(a - b) / max(1.0, abs(b), reference.frobenius ** k)
-            for k, (a, b) in enumerate(
-                zip(self.power_traces, reference.power_traces), start=1
-            )
+        return _relative_drift(
+            np.array(self.power_traces),
+            np.array(reference.power_traces),
+            reference._drift_scale(),
         )
+
+
+def _relative_drift(traces, reference, scale) -> float:
+    """max_k |traces_k - reference_k| / scale_k, with scale from
+    :meth:`IsospectralWitness._drift_scale` of the reference."""
+    return float(np.max(np.abs(traces - reference) / scale))
+
+
+@functools.lru_cache(maxsize=64)
+def _strict_lower_mask(n: int) -> np.ndarray:
+    """Read-only boolean mask of the strictly lower triangle of an n x n
+    matrix (what ``np.tril(x, -1)`` keeps)."""
+    mask = np.tri(n, n, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _pi_k(x: np.ndarray) -> np.ndarray:
+    """Unchecked :func:`pi_k` of a validated float matrix."""
+    low = np.where(_strict_lower_mask(x.shape[0]), x, 0.0)
+    return low - low.T
+
+
+def _power_traces(x: np.ndarray) -> np.ndarray:
+    """Unchecked trace(x), trace(x^2), ..., trace(x^n) of a validated
+    float matrix. One trace call over the stacked powers sums each
+    diagonal as ``np.trace`` of that power does (the tests hold the two
+    bitwise equal)."""
+    n = x.shape[0]
+    powers = np.empty((n, n, n))
+    power = np.eye(n)
+    for k in range(n):
+        power = np.matmul(power, x, out=powers[k])
+    return powers.trace(axis1=1, axis2=2)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -134,15 +184,13 @@ def pi_k(x) -> np.ndarray:
 
     Returns ``low - low.T`` where ``low`` is the strictly lower part of x.
     """
-    x = as_matrix(x)
-    low = np.tril(x, -1)
-    return low - low.T
+    return _pi_k(as_matrix(x))
 
 
 def pi_u(x) -> np.ndarray:
     """Upper-triangular component of the skew + upper-triangular splitting."""
     x = as_matrix(x)
-    return x - pi_k(x)
+    return x - _pi_k(x)
 
 
 def theta(x) -> np.ndarray:
@@ -159,12 +207,7 @@ def btheta_norm_sq(x) -> float:
 def isospectral_witness(x) -> IsospectralWitness:
     """Power traces of x up to order n."""
     x = as_matrix(x)
-    traces = []
-    power = np.eye(x.shape[0])
-    for _ in range(x.shape[0]):
-        power = power @ x
-        traces.append(float(np.trace(power)))
-    return IsospectralWitness(tuple(traces), float(np.linalg.norm(x)))
+    return IsospectralWitness(tuple(_power_traces(x).tolist()), float(np.linalg.norm(x)))
 
 
 def symmetric_eigen(y):

@@ -114,6 +114,9 @@ def trajectory_diagnostics(traj: Trajectory) -> dict:
         "rejected_steps": traj.rejected_steps,
         "final_field_norm": float(traj.final_field_norm),
         "power_trace_drift": float(traj.power_trace_drift),
+        "field_evals": traj.field_evals,
+        "min_step": float(traj.min_step),
+        "max_step": float(traj.max_step),
     }
 
 

@@ -6,6 +6,9 @@ import pytest
 from toda_atlas.atlas import ChartCoords, chart_inverse, h_conjugate
 from toda_atlas.errors import ConvergenceError, StiffnessError
 from toda_atlas.flows import (
+    _DP_A,
+    _DP_B5,
+    _DP_ERR,
     IntegratorConfig,
     Trajectory,
     chart_flow_exact,
@@ -17,8 +20,16 @@ from toda_atlas.flows import (
     stable_step_for_symmetrization,
     sym_field,
     toda_field,
+    _dopri_stages,
 )
-from toda_atlas.linalg_core import Spectrum, btheta_norm_sq, commutator, isospectral_witness
+from toda_atlas.linalg_core import (
+    Spectrum,
+    btheta_norm_sq,
+    commutator,
+    isospectral_witness,
+    pi_k,
+    pi_u,
+)
 from toda_atlas.sampling import (
     default_spectrum,
     random_chart_coords,
@@ -30,6 +41,42 @@ from toda_atlas.weyl_profiles import Permutation, hessenberg_profile, profile_pr
 from toda_atlas.analysis import sl2_coords, sl2_cubic_model, sl2_matrix
 
 RNG = rng_from_seed(31)
+
+
+def generator_sum_step(field, x, h, k1, stages=None):
+    """A Dormand-Prince step written with ``sum`` over generators and a
+    separate fifth-order sum: the form ``_dopri_stages`` must match bit
+    for bit. Appends every stage input to ``stages`` when given."""
+    k = [k1]
+    for row in _DP_A[1:]:
+        increment = sum(coeff * ki for coeff, ki in zip(row, k) if coeff != 0.0)
+        stage = x + h * increment
+        if stages is not None:
+            stages.append(stage)
+        k.append(field(stage))
+    x5 = x + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
+    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
+    return x5, err, k[6]
+
+
+def pre_fsal_propagate(field, x0, t, max_step=1e-3):
+    """Fixed-step propagation that evaluates the field afresh at every step."""
+    x = np.array(x0, dtype=float)
+    steps = max(1, int(math.ceil(abs(t) / max_step)))
+    h = t / steps
+    for _ in range(steps):
+        x, _, _ = generator_sum_step(field, x, h, field(x))
+    return x
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def random_matrix(n, rng):
+    x = rng.standard_normal((n, n))
+    return x - np.trace(x) / n * np.eye(n)
 
 
 class TestTodaField:
@@ -48,6 +95,22 @@ class TestTodaField:
         y = random_symmetric_with_spectrum(default_spectrum(4), RNG)
         t = toda_field(y)
         assert np.linalg.norm(t - t.T) < 1e-12
+
+    def test_equals_public_composition_bitwise(self):
+        rng = np.random.default_rng(11)
+        for n in range(2, 13):
+            for x in (random_matrix(n, rng), random_symmetric_with_spectrum(default_spectrum(n), rng)):
+                assert_same_bits(toda_field(x), commutator(x, pi_k(x)))
+
+
+@pytest.mark.parametrize("field", [toda_field, sym_field])
+def test_fields_validate_input(field):
+    with pytest.raises(ValueError, match="square"):
+        field(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="at least 2x2"):
+        field(np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        field(np.array([[1.0, np.inf], [0.0, -1.0]]))
 
 
 class TestChartLinearField:
@@ -147,6 +210,12 @@ class TestSymField:
         out = sym_field(x)
         assert np.max(np.abs(np.tril(out, -1))) == 0.0
 
+    def test_equals_public_composition_bitwise(self):
+        rng = np.random.default_rng(12)
+        for n in range(2, 13):
+            x = random_matrix(n, rng)
+            assert_same_bits(sym_field(x), commutator(x, pi_u(commutator(x, x.T))))
+
 
 class TestIntegrate:
     def test_critical_start_returns_single_state(self):
@@ -199,7 +268,7 @@ class TestIntegrate:
         observed = max(
             isospectral_witness(s).drift_from(w0) for s in traj.states
         )
-        assert traj.power_trace_drift == pytest.approx(observed)
+        assert traj.power_trace_drift == observed
 
     def test_timeout_raises_with_trajectory(self):
         x0 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -214,6 +283,70 @@ class TestIntegrate:
         fine = integrate(toda_field, x0, cfg).final_state
         fixed = propagate(toda_field, x0, 0.4)
         np.testing.assert_allclose(fixed, fine, atol=1e-11)
+
+    def test_states_do_not_share_memory(self):
+        x0 = random_symmetric_with_spectrum(default_spectrum(3), RNG)
+        traj = integrate(toda_field, x0, IntegratorConfig(t_max=1.0))
+        assert traj.accepted_steps > 10
+        for i, a in enumerate(traj.states):
+            assert not np.shares_memory(a, x0)
+            for b in traj.states[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_field_evals_counted(self):
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return sym_field(x)
+
+        x0 = np.diag([3.0, 1.0, -4.0]) + np.triu(rng_from_seed(3).standard_normal((3, 3)), 1)
+        traj = integrate(counted, x0, IntegratorConfig(t_max=3.0, max_step=1.0))
+        assert traj.rejected_steps > 0
+        assert traj.field_evals == 1 + 6 * (traj.accepted_steps + traj.rejected_steps)
+        assert traj.field_evals == calls
+
+    def test_step_extremes(self):
+        x0 = random_symmetric_with_spectrum(default_spectrum(3), RNG)
+        cfg = IntegratorConfig(t_max=5.0, max_step=0.05)
+        traj = integrate(toda_field, x0, cfg)
+        dt = np.diff(traj.times)
+        assert 0.0 < traj.min_step <= traj.max_step <= cfg.max_step
+        assert traj.min_step == pytest.approx(dt.min(), rel=1e-9)
+        assert traj.max_step == pytest.approx(dt.max(), rel=1e-9)
+        critical = integrate(toda_field, np.diag([2.0, 0.0, -2.0]))
+        assert critical.field_evals == 1
+        assert critical.min_step == critical.max_step == 0.0
+
+    def test_stage_sums_keep_the_bits_of_sum(self):
+        # an all -0.0 entry must come out of a stage sum as +0.0, as sum() gives
+        def field(x):
+            return -np.abs(x)
+
+        x = np.array([[-0.0, 1.0], [-0.5, -0.0]])
+        expected_stages, got_stages = [], []
+
+        def recording(x):
+            got_stages.append(x.copy())
+            return field(x)
+
+        want = generator_sum_step(field, x, 1e-3, field(x), expected_stages)
+        got = _dopri_stages(recording, x, 1e-3, field(x))
+        assert len(got_stages) == len(expected_stages) == 6
+        for a, b in zip(got_stages, expected_stages):
+            assert_same_bits(a, b)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+
+    def test_propagate_equals_pre_fsal_loop(self):
+        rng = np.random.default_rng(13)
+        for n in (3, 5):
+            x0 = random_symmetric_with_spectrum(default_spectrum(n), rng)
+            upper = -np.triu(rng.standard_normal((n, n)), 1) + default_spectrum(n).diag()
+            for field, start in ((toda_field, x0), (sym_field, upper), (toda_field, upper)):
+                for t in (1e-3, -2.5e-3, 0.0137):
+                    assert_same_bits(propagate(field, start, t), pre_fsal_propagate(field, start, t))
 
     def test_backward_propagation_inverts_forward(self):
         x0 = random_symmetric_with_spectrum(default_spectrum(3), RNG)
@@ -299,6 +432,17 @@ class TestConfigValidation:
             IntegratorConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(t_max=-1.0)
+
+    def test_trajectory_rejects_non_finite_states(self):
+        with pytest.raises(ValueError, match="trajectory states must be finite"):
+            Trajectory(
+                times=[0.0, 1.0],
+                states=(np.eye(2), np.array([[1.0, np.nan], [0.0, 1.0]])),
+                accepted_steps=1,
+                rejected_steps=0,
+                final_field_norm=1.0,
+                power_trace_drift=0.0,
+            )
 
     def test_trajectory_rejects_decreasing_times(self):
         with pytest.raises(ValueError, match="increasing"):

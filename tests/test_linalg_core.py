@@ -6,6 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from toda_atlas.linalg_core import (
     IsospectralWitness,
+    _pi_k,
+    _power_traces,
     Spectrum,
     btheta_norm_sq,
     commutator,
@@ -142,6 +144,27 @@ class TestProjections:
         np.testing.assert_array_equal(pi_k(pi_k(x)), pi_k(x))
         np.testing.assert_array_equal(pi_u(pi_u(x)), pi_u(x))
 
+    def test_kernel_equals_tril_definition_bitwise(self):
+        rng = np.random.default_rng(7)
+        for n in range(2, 13):
+            x = rng.standard_normal((n, n))
+            x[rng.random((n, n)) < 0.2] = -0.0  # negative zeros keep their sign below the diagonal
+            low = np.tril(x, -1)
+            expected = low - low.T
+            for got in (_pi_k(x), pi_k(x)):
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got), np.signbit(expected))
+            assert np.array_equal(pi_u(x), x - expected)
+
+    @pytest.mark.parametrize("fn", [pi_k, pi_u, lambda x: commutator(x, x)])
+    def test_public_wrappers_validate(self, fn):
+        with pytest.raises(ValueError, match="square"):
+            fn(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="at least 2x2"):
+            fn(np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            fn(np.array([[0.0, np.nan], [0.0, 0.0]]))
+
 
 class TestTheta:
     def test_symmetric_negated(self):
@@ -239,6 +262,22 @@ class TestWitness:
         conj = g @ x @ np.linalg.inv(g)
         drift = isospectral_witness(conj).drift_from(isospectral_witness(x))
         assert drift < 1e-9
+
+    def test_traces_equal_power_loop_bitwise(self):
+        rng = np.random.default_rng(8)
+        for n in range(2, 13):
+            x = rng.standard_normal((n, n)) * np.exp(rng.uniform(-4.0, 4.0, (n, n)))
+            expected = []
+            power = np.eye(n)
+            for _ in range(n):
+                power = power @ x
+                expected.append(float(np.trace(power)))
+            assert _power_traces(x).tolist() == expected
+            assert isospectral_witness(x).power_traces == tuple(expected)
+
+    def test_witness_validates(self):
+        with pytest.raises(ValueError, match="finite"):
+            isospectral_witness(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
     def test_traceless_first_entry(self):
         x = RNG.standard_normal((5, 5))

@@ -89,5 +89,8 @@ class TestTrajectoryCSV:
             "rejected_steps",
             "final_field_norm",
             "power_trace_drift",
+            "field_evals",
+            "min_step",
+            "max_step",
         }
         json.dumps(diag)
