@@ -177,6 +177,32 @@ class TestVerify:
         assert (tmp_path / "envout" / "cells.json").exists()
 
 
+class TestFlagErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chart", "--w", "2 x 3", "--forward", "y.json"],
+            ["cells", "--w", "2 1 3", "--h", "0,2,-2"],
+            ["verify", "--seed", "-1"],
+            ["verify", "--n", "13"],
+            ["flow", "--x0", "x.json", "--tmax", "0"],
+        ],
+        ids=["malformed-w", "non-decreasing-h", "negative-seed", "n-too-large", "zero-tmax"],
+    )
+    def test_rejected_before_out_dir_is_made(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_missing_input_rejected_after_out_dir_is_made(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["factorize", "--input", str(tmp_path / "nope.json"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert out.is_dir()
+
+
 class TestRunConfig:
     def test_run_dispatches_directly(self, tmp_path, flag_matrix):
         config = RunConfig(
