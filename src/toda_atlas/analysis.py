@@ -7,7 +7,7 @@ exposes; every suite is deterministic given a seed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -198,16 +198,16 @@ def pushforward_check(
     )
 
 
-def pushforward_richardson(
-    y: FlagPoint, w: Permutation, base_step: float = 2e-3
-) -> CheckReport:
+def pushforward_richardson(y: FlagPoint, w: Permutation) -> CheckReport:
     """Second-order convergence of the differenced pushforward.
 
-    The residual at base_step over the residual at base_step/2 must sit
-    in [3.5, 4.5]; reported as distance of the ratio from 4.
+    The residual at step 2e-3 over the residual at step 1e-3 must sit in
+    [3.5, 4.5]; reported as distance of the ratio from 4. The steps are
+    large enough that the quadratic truncation error, not roundoff,
+    dominates both residuals.
     """
-    coarse = _pushforward_residual(y, w, base_step)
-    fine = _pushforward_residual(y, w, base_step / 2.0)
+    coarse = _pushforward_residual(y, w, 2e-3)
+    fine = _pushforward_residual(y, w, 1e-3)
     ratio = coarse / fine if fine > 0.0 else math.inf
     return CheckReport.create(
         "pushforward_richardson",
@@ -228,11 +228,7 @@ def _single_pair_coords(w, h, i, j, eps) -> ChartCoords:
 
 
 def unstable_manifold_experiment(
-    w: Permutation,
-    h: Spectrum,
-    eps: float = 1e-4,
-    cfg: IntegratorConfig | None = None,
-    dist_tol: float = 1e-7,
+    w: Permutation, h: Spectrum, eps: float = 1e-4
 ) -> CheckReport:
     """Check the cell picture of the saddle at the permuted diagonal.
 
@@ -246,16 +242,17 @@ def unstable_manifold_experiment(
     own diagonal gap. Transverse integration noise is amplified by the
     largest opposing gap while a leg lingers near the saddle, so a fixed
     horizon with a final field-norm sanity bound (1e-6) is the reliable
-    stopping rule here; a tiny field-norm stop would never trigger.
+    stopping rule here; a tiny field-norm stop would never trigger. A
+    leg passes when it ends within 1e-7 of the permuted diagonal.
     """
-    if cfg is None:
-        cfg = IntegratorConfig(
-            rel_tol=1e-12,
-            abs_tol=1e-13,
-            max_step=min(0.5, stable_step_for_sorting(h)),
-            t_max=60.0,
-            stop_field_norm=1e-13,
-        )
+    dist_tol = 1e-7
+    cfg = IntegratorConfig(
+        rel_tol=1e-12,
+        abs_tol=1e-13,
+        max_step=min(0.5, stable_step_for_sorting(h)),
+        t_max=60.0,
+        stop_field_norm=1e-13,
+    )
     sets = inversion_sets(w)
     target = h_conjugate(h, w)
     diag = np.diag(target)
@@ -271,15 +268,8 @@ def unstable_manifold_experiment(
         start = chart_inverse(_single_pair_coords(w, h, i, j, eps))
         wanted = BruhatClass.IN_BRUHAT if sign < 0 else BruhatClass.IN_OPPOSITE
         classified = bruhat_classify(start, w, tol=eps * 1e-3)
-        leg_cfg = IntegratorConfig(
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            max_step=cfg.max_step,
-            t_max=horizon,
-            stop_field_norm=cfg.stop_field_norm,
-        )
         field = (lambda x: -toda_field(x)) if sign < 0 else toda_field
-        traj = integrate(field, start.y, leg_cfg)
+        traj = integrate(field, start.y, replace(cfg, t_max=horizon))
         dist = float(np.linalg.norm(traj.final_state - target))
         ok = classified is wanted and traj.final_field_norm < field_tol
         worst = max(worst, dist if ok else math.inf)
@@ -322,15 +312,16 @@ def unstable_manifold_experiment(
 # ---------------------------------------------------------------------------
 # Linearization of the symmetrization field along its zero set
 
-def sym_linearization_spectrum(
-    h: Spectrum, fd_step: float = 1e-5, rel_tol: float = 1e-5
-) -> CheckReport:
+def sym_linearization_spectrum(h: Spectrum) -> CheckReport:
     """Eigenvalues of the differenced Jacobian of the symmetrization field.
 
     At diag(h), restricted to the off-diagonal directions, the nonzero
     eigenvalues must be -2 (h_i - h_j)^2 over pairs i < j, each once, and
-    the kernel must have dimension n(n-1)/2.
+    the kernel must have dimension n(n-1)/2. Central differences with
+    step 1e-5; each eigenvalue must match within a relative 1e-5.
     """
+    fd_step = 1e-5
+    rel_tol = 1e-5
     n = h.n
     base = h.diag()
     pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
@@ -376,13 +367,17 @@ def sym_linearization_spectrum(
     )
 
 
+def _fiber_config(h: Spectrum) -> IntegratorConfig:
+    """Symmetrization runs held at the field's stability cap for t <= 40."""
+    return IntegratorConfig(t_max=40.0, max_step=stable_step_for_symmetrization(h))
+
+
 def fiber_experiment(
     w: Permutation,
     h: Spectrum,
-    cfg: IntegratorConfig | None = None,
     samples: int = 20,
-    scale: float = 1.0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     tol: float = 1e-6,
 ) -> CheckReport:
     """Strictly upper perturbations of a permuted diagonal flow back to it.
@@ -391,18 +386,16 @@ def fiber_experiment(
     diagonal is a single fiber of the symmetrization flow, so every
     perturbed start must come back to the unperturbed diagonal, staying
     upper triangular the whole way (machine-exact zeros below the
-    diagonal are expected and checked at 1e-9).
+    diagonal are expected and checked at 1e-9). The perturbations are
+    standard normal; the report keeps their scale, 1.0, in its details.
     """
-    if cfg is None:
-        cfg = IntegratorConfig(t_max=40.0, max_step=stable_step_for_symmetrization(h))
-    if rng is None:
-        rng = rng_from_seed(0)
+    cfg = _fiber_config(h)
     base = h_conjugate(h, w)
     n = h.n
     worst = 0.0
     lower_leak = 0.0
     for _ in range(samples):
-        x0 = base + np.triu(scale * rng.standard_normal((n, n)), 1)
+        x0 = base + np.triu(rng.standard_normal((n, n)), 1)
         traj = integrate(sym_field, x0, cfg)
         if traj.final_field_norm >= cfg.stop_field_norm:
             worst = math.inf
@@ -417,19 +410,21 @@ def fiber_experiment(
         worst,
         samples,
         tol,
-        {"lower_leak": lower_leak, "scale": scale},
+        {"lower_leak": lower_leak, "scale": 1.0},
     )
 
 
 def example4_frame_check(
-    radius: float = 2.0, samples: int = 16, fd_step: float = 1e-6, tol: float = 1e-6
+    radius: float = 2.0, samples: int = 16, tol: float = 1e-6
 ) -> CheckReport:
     """Vertical frame of the symmetrization fibration over the circle.
 
     Applying the differenced Jacobian of the cubic model at circle points
     (x, y, 0), radius fixed, to the frame (y, -x, sqrt(x^2+y^2)) must give
-    a vector collinear with (x y, -x^2, x^2 + y^2).
+    a vector collinear with (x y, -x^2, x^2 + y^2). Central differences
+    with step 1e-6.
     """
+    fd_step = 1e-6
     worst = 0.0
     per_point = []
     for theta in np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False):
@@ -458,15 +453,13 @@ def example4_frame_check(
 # ---------------------------------------------------------------------------
 # Suites
 
-def _spectrum_for(n: int) -> Spectrum:
-    return default_spectrum(n)
+def _charts_for(n: int, rng):
+    """Every chart when there are at most 12, else 12 distinct random ones.
 
-
-def _charts_for(n: int, rng, cap: int = 12):
-    """Every chart when there are at most cap, else cap distinct random ones.
-
-    Drawn one permutation at a time, so the cost does not grow as n!.
+    Twelve keeps every chart at n <= 3 and bounds a suite's work at any
+    n. Drawn one permutation at a time, so the cost does not grow as n!.
     """
+    cap = 12
     if math.factorial(n) <= cap:
         return Permutation.all(n)
     picks = set()
@@ -558,7 +551,7 @@ def factor_suite(n: int = 3, seed: int = 0) -> list:
 
 def atlas_suite(n: int = 3, seed: int = 0) -> list:
     rng = rng_from_seed(seed)
-    h = _spectrum_for(n)
+    h = default_spectrum(n)
     charts = _charts_for(n, rng)
     reports = []
 
@@ -649,7 +642,7 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
 
 def toda_suite(n: int = 3, seed: int = 0) -> list:
     rng = rng_from_seed(seed)
-    h = _spectrum_for(n)
+    h = default_spectrum(n)
     charts = _charts_for(n, rng)
     reports = []
 
@@ -680,7 +673,6 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
     point = chart_inverse(random_chart_coords(w, h, rng, scale=0.8))
     reports.append(pushforward_richardson(point, w))
 
-    flow_cfg = IntegratorConfig(t_max=2.0, stop_field_norm=1e-13)
     worst = 0.0
     drift_worst = 0.0
     symmetry_worst = 0.0
@@ -734,7 +726,7 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
 
 def sym_suite(n: int = 3, seed: int = 0) -> list:
     rng = rng_from_seed(seed)
-    h = _spectrum_for(n)
+    h = default_spectrum(n)
     reports = []
 
     worst = 0.0
@@ -756,7 +748,7 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
             worst = math.inf
     reports.append(CheckReport.create("sym.normal_zero_set", worst, 30, 1e-12))
 
-    fiber_cfg = IntegratorConfig(t_max=40.0, max_step=stable_step_for_symmetrization(h))
+    fiber_cfg = _fiber_config(h)
     monotone_worst = 0.0
     profile_worst = 0.0
     drift_worst = 0.0

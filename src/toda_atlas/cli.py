@@ -10,7 +10,6 @@ is numpy's PCG64 (numpy.random.default_rng).
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field as _dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from .serialization import (
 )
 from .weyl_profiles import Permutation, inversion_sets, lower_pairs
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 _SUITES = {
     "factor": analysis.factor_suite,
@@ -42,22 +41,6 @@ _SUITES = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    out_dir: Path
-    input_path: Path | None = None
-    kind: str = "kan"
-    field: str = "toda"
-    direction: str = "forward"
-    suite: str = "all"
-    n: int = 3
-    seed: int = 0
-    w: Permutation | None = None
-    h: Spectrum | None = None
-    integrator: IntegratorConfig = _dataclass_field(default_factory=IntegratorConfig)
-
-
 def _parse_permutation(text: str) -> Permutation:
     return Permutation(tuple(int(v) for v in text.replace(",", " ").split()))
 
@@ -66,14 +49,10 @@ def _parse_spectrum(text: str) -> Spectrum:
     return Spectrum(tuple(float(v) for v in text.split(",")))
 
 
-def _default_out_dir() -> Path:
-    return Path(os.environ.get("TODA_ATLAS_OUT", "."))
-
-
-def _run_factorize(config: RunConfig) -> int:
-    g = read_matrix(config.input_path)
-    out = config.out_dir
-    if config.kind == "kan":
+def _run_factorize(args) -> int:
+    g = read_matrix(args.input)
+    out = args.out
+    if args.kind == "kan":
         factors = kan_factorize(g)
         write_matrix(out / "k.json", factors.k)
         write_matrix(out / "a.json", factors.a)
@@ -85,75 +64,71 @@ def _run_factorize(config: RunConfig) -> int:
         write_matrix(out / "nbar.json", factors.nbar)
         write_matrix(out / "m.json", factors.m)
         residual = float(np.linalg.norm(factors.u @ factors.nbar @ factors.m - g))
-    write_json(out / "factorize_report.json", {"kind": config.kind, "residual": residual})
-    print(f"factorize {config.kind}: residual {residual:.3e}")
+    write_json(out / "factorize_report.json", {"kind": args.kind, "residual": residual})
+    print(f"factorize {args.kind}: residual {residual:.3e}")
     return 0
 
 
-def _run_chart(config: RunConfig) -> int:
-    if config.w is None:
-        raise ValueError("chart requires --w")
-    out = config.out_dir
-    if config.direction == "forward":
-        y = read_matrix(config.input_path)
-        if config.h is not None:
-            h = config.h
+def _run_chart(args) -> int:
+    out = args.out
+    if args.forward is not None:
+        y = read_matrix(args.forward)
+        if args.h is not None:
+            h = args.h
         else:
             h, _ = symmetric_eigen(y)
         point = FlagPoint(y, h)
-        coords = chart_forward(point, config.w)
+        coords = chart_forward(point, args.w)
         back = chart_inverse(coords)
         residual = float(np.linalg.norm(back.y - y))
         payload = {
-            "w": list(config.w.images),
+            "w": list(args.w.images),
             "h": list(h.values),
             "lower": [[float(v) for v in row] for row in coords.lower],
             "round_trip_residual": residual,
         }
         write_json(out / "chart_coords.json", payload)
-        print(f"chart forward at w={config.w.images}: round trip {residual:.3e}")
+        print(f"chart forward at w={args.w.images}: round trip {residual:.3e}")
     else:
-        if config.h is None:
+        if args.h is None:
             raise ValueError("chart --inverse requires --h")
-        lower = np.tril(read_matrix(config.input_path), -1)
-        coords = ChartCoords(w=config.w, lower=lower, h=config.h)
+        lower = np.tril(read_matrix(args.inverse), -1)
+        coords = ChartCoords(w=args.w, lower=lower, h=args.h)
         point = chart_inverse(coords)
-        back = chart_forward(point, config.w)
+        back = chart_forward(point, args.w)
         residual = float(np.linalg.norm(back.lower - lower))
         write_matrix(out / "chart_point.json", point.y)
         write_json(
             out / "chart_report.json",
-            {"w": list(config.w.images), "round_trip_residual": residual},
+            {"w": list(args.w.images), "round_trip_residual": residual},
         )
-        print(f"chart inverse at w={config.w.images}: round trip {residual:.3e}")
+        print(f"chart inverse at w={args.w.images}: round trip {residual:.3e}")
     return 0
 
 
-def _run_flow(config: RunConfig) -> int:
-    x0 = read_matrix(config.input_path)
-    vector_field = toda_field if config.field == "toda" else sym_field
-    traj = integrate(vector_field, x0, config.integrator)
-    out = config.out_dir
-    write_trajectory_csv(out / "trajectory.csv", traj)
-    write_json(out / "diagnostics.json", trajectory_diagnostics(traj))
+def _run_flow(args) -> int:
+    x0 = read_matrix(args.x0)
+    vector_field = toda_field if args.field == "toda" else sym_field
+    traj = integrate(vector_field, x0, args.integrator)
+    write_trajectory_csv(args.out / "trajectory.csv", traj)
+    write_json(args.out / "diagnostics.json", trajectory_diagnostics(traj))
     print(
-        f"flow {config.field}: t_final {traj.final_time:.6g}, "
+        f"flow {args.field}: t_final {traj.final_time:.6g}, "
         f"{traj.accepted_steps} accepted / {traj.rejected_steps} rejected, "
         f"field norm {traj.final_field_norm:.3e}, drift {traj.power_trace_drift:.3e}"
     )
     return 0
 
 
-def _run_cells(config: RunConfig) -> int:
-    if config.w is None or config.h is None:
-        raise ValueError("cells requires --w and --h")
-    if config.w.n != config.h.n:
+def _run_cells(args) -> int:
+    w, h = args.w, args.h
+    if w.n != h.n:
         raise ValueError("--w and --h sizes disagree")
-    sets = inversion_sets(config.w)
-    inv = config.w.inverse()
+    sets = inversion_sets(w)
+    inv = w.inverse()
     rows = []
-    for i, j in lower_pairs(config.w.n):
-        gap = config.h.values[inv(i) - 1] - config.h.values[inv(j) - 1]
+    for i, j in lower_pairs(w.n):
+        gap = h.values[inv(i) - 1] - h.values[inv(j) - 1]
         rows.append(
             {
                 "pair": [i, j],
@@ -162,27 +137,24 @@ def _run_cells(config: RunConfig) -> int:
             }
         )
     payload = {
-        "w": list(config.w.images),
-        "h": list(config.h.values),
+        "w": list(w.images),
+        "h": list(h.values),
         "stable": sorted([list(p) for p in sets.stable]),
         "unstable": sorted([list(p) for p in sets.unstable]),
         "pairs": rows,
     }
-    write_json(config.out_dir / "cells.json", payload)
-    print(
-        f"cells at w={config.w.images}: {len(sets.unstable)} unstable, "
-        f"{len(sets.stable)} stable"
-    )
+    write_json(args.out / "cells.json", payload)
+    print(f"cells at w={w.images}: {len(sets.unstable)} unstable, {len(sets.stable)} stable")
     return 0
 
 
-def _run_verify(config: RunConfig) -> int:
-    suite = _SUITES[config.suite]
-    reports = suite(config.n, config.seed)
-    out = config.out_dir
+def _run_verify(args) -> int:
+    reports = _SUITES[args.suite](args.n, args.seed)
     failures = 0
     for report in reports:
-        write_json(out / f"check_{report.name.replace('.', '_')}.json", report_to_dict(report))
+        write_json(
+            args.out / f"check_{report.name.replace('.', '_')}.json", report_to_dict(report)
+        )
         status = "PASS" if report.passed else "FAIL"
         print(
             f"{status} {report.name}: residual {report.max_residual:.3e} "
@@ -190,35 +162,15 @@ def _run_verify(config: RunConfig) -> int:
         )
         failures += 0 if report.passed else 1
     summary = {
-        "suite": config.suite,
-        "n": config.n,
-        "seed": config.seed,
+        "suite": args.suite,
+        "n": args.n,
+        "seed": args.seed,
         "checks": len(reports),
         "failures": failures,
     }
-    write_json(out / "summary.json", summary)
-    print(f"verify {config.suite}: {len(reports) - failures}/{len(reports)} checks passed")
+    write_json(args.out / "summary.json", summary)
+    print(f"verify {args.suite}: {len(reports) - failures}/{len(reports)} checks passed")
     return 0 if failures == 0 else 1
-
-
-def run(config: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    handlers = {
-        "factorize": _run_factorize,
-        "chart": _run_chart,
-        "flow": _run_flow,
-        "cells": _run_cells,
-        "verify": _run_verify,
-    }
-    try:
-        return handlers[config.command](config)
-    except (ValueError, OSError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except TodaAtlasError as err:
-        print(f"failure: {err}", file=sys.stderr)
-        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -228,13 +180,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
+    def add_out_and_handler(p, handler):
         p.add_argument("--out", type=Path, default=None, help="output directory")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("factorize", help="factor a matrix from JSON")
     p.add_argument("--input", required=True, type=Path, help="matrix JSON file")
     p.add_argument("--kind", choices=("kan", "unbar"), default="kan")
-    add_out(p)
+    add_out_and_handler(p, _run_factorize)
 
     p = sub.add_parser("chart", help="apply a chart or its inverse")
     p.add_argument("--w", required=True, help='permutation, e.g. "2 1 3"')
@@ -242,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--forward", type=Path, help="matrix JSON of a flag point")
     group.add_argument("--inverse", type=Path, help="matrix JSON of lower coordinates")
-    add_out(p)
+    add_out_and_handler(p, _run_chart)
 
     p = sub.add_parser("flow", help="integrate a vector field from a matrix JSON")
     p.add_argument("--field", choices=("toda", "sym"), default="toda")
@@ -252,71 +205,66 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abs-tol", type=float, default=1e-12)
     p.add_argument("--max-step", type=float, default=1.0)
     p.add_argument("--stop-field-norm", type=float, default=1e-10)
-    add_out(p)
+    add_out_and_handler(p, _run_flow)
 
     p = sub.add_parser("cells", help="stable/unstable pair classification for a chart")
     p.add_argument("--w", required=True)
     p.add_argument("--h", required=True)
-    add_out(p)
+    add_out_and_handler(p, _run_cells)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=tuple(_SUITES), default="all")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    add_out(p)
+    add_out_and_handler(p, _run_verify)
 
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    out_dir = args.out if args.out is not None else _default_out_dir()
-    config = RunConfig(command=args.command, out_dir=out_dir)
-    if args.command == "factorize":
-        config.input_path = args.input
-        config.kind = args.kind
-    elif args.command == "chart":
-        config.w = _parse_permutation(args.w)
+def _convert_flags(args) -> None:
+    """Parse --w, --h and the integrator flags and check --n and --seed, in place.
+
+    Runs before the output directory is made, so a bad flag creates nothing.
+    """
+    if args.command in ("chart", "cells"):
+        args.w = _parse_permutation(args.w)
         if args.h is not None:
-            config.h = _parse_spectrum(args.h)
-        if args.forward is not None:
-            config.direction = "forward"
-            config.input_path = args.forward
-        else:
-            config.direction = "inverse"
-            config.input_path = args.inverse
+            args.h = _parse_spectrum(args.h)
     elif args.command == "flow":
-        config.field = args.field
-        config.input_path = args.x0
-        config.integrator = IntegratorConfig(
+        args.integrator = IntegratorConfig(
             rel_tol=args.rel_tol,
             abs_tol=args.abs_tol,
             max_step=args.max_step,
             t_max=args.tmax,
             stop_field_norm=args.stop_field_norm,
         )
-    elif args.command == "cells":
-        config.w = _parse_permutation(args.w)
-        config.h = _parse_spectrum(args.h)
     elif args.command == "verify":
-        config.suite = args.suite
-        config.n = args.n
-        config.seed = args.seed
-        if config.seed < 0:
+        if args.seed < 0:
             raise ValueError("--seed must be nonnegative")
-        if not 2 <= config.n <= 12:
+        if not 2 <= args.n <= 12:
             raise ValueError("--n must be between 2 and 12")
-    return config
 
 
 def main(argv=None) -> None:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and exit with its code."""
+    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        _convert_flags(args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         sys.exit(2)
-    sys.exit(run(config))
+    if args.out is None:
+        args.out = Path(os.environ.get("TODA_ATLAS_OUT", "."))
+    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        code = args.handler(args)
+    except (ValueError, OSError, KeyError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        code = 2
+    except TodaAtlasError as err:
+        print(f"failure: {err}", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -52,6 +52,9 @@ PIVOT_TOL = 1e-13
 
 _DET_TOL = 1e-8
 _ORTHO_TOL = 1e-10
+# Entries phi_sigma and its inverse require to vanish (or, on the
+# diagonal, to equal one) must do so within this.
+_TRIANGLE_TOL = 1e-12
 
 
 def _require_special_orthogonal(k, tol=_ORTHO_TOL):
@@ -104,6 +107,10 @@ def kan_factorize(g) -> KANFactors:
     are flipped to make diag(R) positive, which makes it unique. The
     triangular zero patterns and the unit diagonal of n are written
     exactly, not rounded.
+
+    Raises ValueError unless det g = 1, and FactorizationError when a
+    diagonal entry of R falls below 1e-12, i.e. a column is numerically
+    dependent on earlier ones although the determinant is one.
     """
     g = as_matrix(g)
     det = float(np.linalg.det(g))
@@ -116,7 +123,7 @@ def kan_factorize(g) -> KANFactors:
     diag = signs * np.diag(r)
     dependent = np.flatnonzero(diag < 1e-12)
     if dependent.size:
-        raise ValueError(
+        raise FactorizationError(
             f"column {dependent[0] + 1} is numerically dependent on earlier columns"
         )
 
@@ -236,10 +243,11 @@ def phi(g) -> np.ndarray:
     return f_map(gs_embed(g))
 
 
-def phi_sigma(sigma: Permutation, g, tol: float = 1e-12) -> np.ndarray:
+def phi_sigma(sigma: Permutation, g) -> np.ndarray:
     """Pivoted comparison map: Gram-Schmidt embed, conjugate, project.
 
-    Requires g to stay lower triangular under conjugation by sigma^-1;
+    Requires g to be unit lower triangular and to stay lower triangular
+    under conjugation by sigma^-1, both within 1e-12 (_TRIANGLE_TOL);
     the result then stays lower triangular under conjugation by sigma.
     The conjugation sandwiches the embedded frame between the inverse
     representative and the representative; that orientation is the one
@@ -252,8 +260,8 @@ def phi_sigma(sigma: Permutation, g, tol: float = 1e-12) -> np.ndarray:
     permutation: undoing the construction requires undoing the two
     projections in the opposite order, which is a different composition.
     """
-    g = require_unit_lower(g, tol)
-    if not l_sigma_membership(g, sigma.inverse(), tol):
+    g = require_unit_lower(g, _TRIANGLE_TOL)
+    if not l_sigma_membership(g, sigma.inverse(), _TRIANGLE_TOL):
         raise ValueError(
             "matrix does not stay lower triangular under conjugation by the inverse permutation"
         )
@@ -272,10 +280,14 @@ def gs_embed_inverse(k) -> np.ndarray:
     return unit_lower_inverse(f_map(as_matrix(k).T))
 
 
-def phi_sigma_inverse(sigma: Permutation, y, tol: float = 1e-12) -> np.ndarray:
-    """Exact inverse of phi_sigma(sigma, .): maps its image back to its domain."""
-    y = require_unit_lower(y, tol)
-    if not l_sigma_membership(y, sigma, tol):
+def phi_sigma_inverse(sigma: Permutation, y) -> np.ndarray:
+    """Exact inverse of phi_sigma(sigma, .): maps its image back to its domain.
+
+    y must be unit lower triangular and stay lower triangular under
+    conjugation by sigma, both within 1e-12 (_TRIANGLE_TOL).
+    """
+    y = require_unit_lower(y, _TRIANGLE_TOL)
+    if not l_sigma_membership(y, sigma, _TRIANGLE_TOL):
         raise ValueError(
             "matrix does not stay lower triangular under conjugation by the permutation"
         )

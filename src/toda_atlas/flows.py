@@ -55,6 +55,7 @@ __all__ = [
 _EXP_LIMIT = 700.0  # double-precision exponent range guard
 _MIN_STEP = 1e-14
 _INITIAL_STEP = 1e-3
+_PROPAGATE_STEP = 1e-3  # largest fixed step of propagate
 _SAFETY = 0.9
 _SHRINK_MIN = 0.2
 _GROW_MAX = 5.0
@@ -322,17 +323,18 @@ def limit_point(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> np.nda
     return final
 
 
-def propagate(field, x0, t: float, max_step: float = 1e-3) -> np.ndarray:
+def propagate(field, x0, t: float) -> np.ndarray:
     """Advance x0 by a (possibly negative) time t with fixed-size steps.
 
-    Uses the fifth-order solution only; with |step| <= 1e-3 the local
-    error sits far below roundoff for the smooth fields here. Meant for
-    the tiny, exactly-timed displacements finite differencing needs.
+    Uses the fifth-order solution only, in the fewest equal steps of size
+    at most 1e-3 (_PROPAGATE_STEP); at that size the local error sits far
+    below roundoff for the smooth fields here. Meant for the tiny,
+    exactly-timed displacements finite differencing needs.
     """
     x = as_matrix(x0).copy()
     if t == 0.0:
         return x
-    steps = max(1, int(math.ceil(abs(t) / max_step)))
+    steps = max(1, int(math.ceil(abs(t) / _PROPAGATE_STEP)))
     h = t / steps
     k = field(x)
     for _ in range(steps):

@@ -50,17 +50,19 @@ def random_flag_point(h: Spectrum, rng: np.random.Generator) -> FlagPoint:
     return FlagPoint(random_symmetric_with_spectrum(h, rng), h)
 
 
-def random_unit_lower(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    return np.eye(n) + scale * np.tril(rng.standard_normal((n, n)), -1)
+def random_unit_lower(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit diagonal with standard normal entries below it."""
+    return np.eye(n) + np.tril(rng.standard_normal((n, n)), -1)
 
 
 def random_permutation(n: int, rng: np.random.Generator) -> Permutation:
     return Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
 
 
-def random_profile(n: int, rng: np.random.Generator, density: float = 0.35) -> Profile:
-    """Downward closure of a random subset of the strictly-lower pairs."""
-    seeds = [pair for pair in lower_pairs(n) if rng.random() < density]
+def random_profile(n: int, rng: np.random.Generator) -> Profile:
+    """Downward closure of a random subset of the strictly-lower pairs,
+    each pair drawn with probability 0.35."""
+    seeds = [pair for pair in lower_pairs(n) if rng.random() < 0.35]
     return profile_closure(n, seeds)
 
 

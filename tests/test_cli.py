@@ -4,10 +4,10 @@ import time
 import numpy as np
 import pytest
 
-from toda_atlas.cli import main, run, RunConfig, _config_from_args, _build_parser
-from toda_atlas.flows import IntegratorConfig
+from toda_atlas.cli import main
+from toda_atlas.flows import IntegratorConfig, integrate, toda_field
 from toda_atlas.sampling import default_spectrum, random_symmetric_with_spectrum, rng_from_seed
-from toda_atlas.serialization import read_matrix, write_matrix
+from toda_atlas.serialization import read_matrix, read_trajectory_csv, write_matrix
 
 
 def run_cli(argv):
@@ -45,6 +45,13 @@ class TestFactorize:
         write_matrix(src, quarter_turn)
         code = run_cli(["factorize", "--input", str(src), "--kind", "unbar", "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_dependent_column_is_failure(self, tmp_path, capsys):
+        src = tmp_path / "g.json"
+        write_matrix(src, np.diag([1e7, 1e7, 1e-14]))
+        code = run_cli(["factorize", "--input", str(src), "--kind", "kan", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("failure: column 3")
 
     def test_missing_file_is_input_error(self, tmp_path):
         code = run_cli(["factorize", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
@@ -203,26 +210,26 @@ class TestFlagErrors:
         assert out.is_dir()
 
 
-class TestRunConfig:
-    def test_run_dispatches_directly(self, tmp_path, flag_matrix):
-        config = RunConfig(
-            command="flow",
-            out_dir=tmp_path / "direct",
-            input_path=flag_matrix,
-            field="toda",
-            integrator=IntegratorConfig(t_max=0.5),
+class TestIntegratorFlags:
+    def test_flags_reach_the_integrator(self, tmp_path, flag_matrix):
+        out = tmp_path / "flags"
+        code = run_cli(
+            [
+                "flow", "--x0", str(flag_matrix), "--tmax", "2.5", "--rel-tol", "1e-9",
+                "--abs-tol", "1e-11", "--max-step", "0.3", "--stop-field-norm", "1e-9",
+                "--out", str(out),
+            ]
         )
-        assert run(config) == 0
-        assert (tmp_path / "direct" / "trajectory.csv").exists()
-
-    def test_parser_builds_integrator_overrides(self):
-        args = _build_parser().parse_args(
-            ["flow", "--x0", "x.json", "--tmax", "9", "--rel-tol", "1e-8", "--max-step", "0.5"]
+        assert code == 0
+        cfg = IntegratorConfig(
+            rel_tol=1e-9, abs_tol=1e-11, max_step=0.3, t_max=2.5, stop_field_norm=1e-9
         )
-        config = _config_from_args(args)
-        assert config.integrator.t_max == 9.0
-        assert config.integrator.rel_tol == 1e-8
-        assert config.integrator.max_step == 0.5
+        expected = integrate(toda_field, read_matrix(flag_matrix), cfg)
+        times, states = read_trajectory_csv(out / "trajectory.csv")
+        assert times.tobytes() == expected.times.tobytes()
+        assert len(states) == len(expected.states)
+        for got, want in zip(states, expected.states):
+            assert got.tobytes() == want.tobytes()
 
 
 def rng0():

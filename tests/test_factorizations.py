@@ -107,6 +107,12 @@ class TestKAN:
         with pytest.raises(ValueError, match="determinant"):
             kan_factorize(2.0 * np.eye(3))
 
+    def test_dependent_column_is_factorization_error(self):
+        g = np.diag([1e7, 1e7, 1e-14])
+        assert np.linalg.det(g) == 1.0
+        with pytest.raises(FactorizationError, match="column 3 is numerically dependent"):
+            kan_factorize(g)
+
 
 class TestUNbar:
     def test_identity(self):
