@@ -90,8 +90,6 @@ def _run_chart(args) -> int:
         write_json(out / "chart_coords.json", payload)
         print(f"chart forward at w={args.w.images}: round trip {residual:.3e}")
     else:
-        if args.h is None:
-            raise ValueError("chart --inverse requires --h")
         lower = np.tril(read_matrix(args.inverse), -1)
         coords = ChartCoords(w=args.w, lower=lower, h=args.h)
         point = chart_inverse(coords)
@@ -122,8 +120,6 @@ def _run_flow(args) -> int:
 
 def _run_cells(args) -> int:
     w, h = args.w, args.h
-    if w.n != h.n:
-        raise ValueError("--w and --h sizes disagree")
     sets = inversion_sets(w)
     inv = w.inverse()
     rows = []
@@ -222,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _convert_flags(args) -> None:
-    """Parse --w, --h and the integrator flags and check --n and --seed, in place.
+    """Parse and check --w, --h, the integrator flags, --n and --seed, in place.
 
     Runs before the output directory is made, so a bad flag creates nothing.
     """
@@ -230,6 +226,10 @@ def _convert_flags(args) -> None:
         args.w = _parse_permutation(args.w)
         if args.h is not None:
             args.h = _parse_spectrum(args.h)
+            if args.w.n != args.h.n:
+                raise ValueError("--w and --h sizes disagree")
+        elif args.command == "chart" and args.inverse is not None:
+            raise ValueError("chart --inverse requires --h")
     elif args.command == "flow":
         args.integrator = IntegratorConfig(
             rel_tol=args.rel_tol,

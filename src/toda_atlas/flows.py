@@ -63,27 +63,24 @@ _GROW_MAX = 5.0
 _PI_ALPHA = 0.17
 _PI_BETA = 0.04
 
-# Dormand-Prince 5(4) tableau. The seventh stage equals the field at the
-# accepted state (FSAL), so each accepted step costs six fresh evaluations.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) tableau. Row s of _DP_A weights the stages before
+# stage s in its input (stages counted from 0). The last row is the
+# fifth-order weights, so the seventh stage is the field at the accepted
+# state (FSAL) and each accepted step costs six fresh evaluations.
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_B5 = _DP_A[6]
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_ERR = _DP_B5 - _DP_B4
-# (stage, coefficient) pairs of the nonzero weights, in stage order. The
-# last row of _DP_A equals the nonzero weights of _DP_B5, so the seventh
-# stage's input is the fifth-order solution itself.
-_DP_ROWS = tuple(tuple((i, c) for i, c in enumerate(row) if c != 0.0) for row in _DP_A[1:])
-_DP_ERR_TERMS = tuple((i, e) for i, e in enumerate(_DP_ERR) if e != 0.0)
 
 
 @dataclass(frozen=True)
@@ -196,29 +193,22 @@ def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
     return ChartCoords(c.w, np.tril(np.exp(gaps * t) * c.lower, -1), c.h)
 
 
-def _weighted_sum(terms, k):
-    """sum(c * k[i] for i, c in terms), accumulated in place in the same order.
-
-    ``sum`` starts from the integer 0, which turns an entry whose every
-    term is -0.0 into +0.0; the closing ``+= 0.0`` does the same, so the
-    result is bitwise that of ``sum``.
-    """
-    (i, c), *rest = terms
-    acc = c * k[i]
-    for i, c in rest:
-        acc += c * k[i]
-    acc += 0.0
-    return acc
-
-
 def _dopri_stages(field, x, h, k1):
     """One embedded step: returns (x5, error_estimate, k7) with
-    k7 = field(x5), the next step's first stage (FSAL)."""
-    k = [k1]
-    for terms in _DP_ROWS:
-        stage = x + h * _weighted_sum(terms, k)
-        k.append(field(stage))
-    err = h * _weighted_sum(_DP_ERR_TERMS, k)
+    k7 = field(x5), the next step's first stage (FSAL).
+
+    The seven stages share one (7, n, n) buffer. Summing over its leading
+    axis adds the weighted stages in stage order, and the closing + 0.0
+    turns an entry whose every term is -0.0 into +0.0. A zero weight adds a
+    signed zero, so each weighted sum has the bits of ``sum`` over the
+    nonzero terms.
+    """
+    k = np.empty((7,) + x.shape)
+    k[0] = k1
+    for s in range(1, 7):
+        stage = x + h * ((_DP_A[s, :s, None, None] * k[:s]).sum(axis=0) + 0.0)
+        k[s] = field(stage)
+    err = h * ((_DP_ERR[:, None, None] * k).sum(axis=0) + 0.0)
     return stage, err, k[6]
 
 

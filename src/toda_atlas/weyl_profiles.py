@@ -26,7 +26,6 @@ __all__ = [
     "profile_validate",
     "profile_closure",
     "hessenberg_profile",
-    "full_profile",
     "v_p_membership",
     "profile_project",
     "lower_pairs",
@@ -202,11 +201,6 @@ def profile_closure(n: int, pairs) -> Profile:
 def hessenberg_profile(n: int) -> Profile:
     """The subdiagonal profile {(2,1), (3,2), ..., (n,n-1)}."""
     return profile_validate(n, {(i, i - 1) for i in range(2, n + 1)})
-
-
-def full_profile(n: int) -> Profile:
-    """All strictly-lower pairs; V_p is then every square matrix."""
-    return profile_validate(n, set(lower_pairs(n)))
 
 
 def v_p_membership(x, p: Profile, tol: float) -> bool:

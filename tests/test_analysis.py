@@ -3,6 +3,7 @@ import pytest
 
 from toda_atlas.analysis import (
     CheckReport,
+    _graded_chart_flow,
     example4_frame_check,
     fiber_experiment,
     pushforward_check,
@@ -14,9 +15,14 @@ from toda_atlas.analysis import (
     unstable_manifold_experiment,
 )
 from toda_atlas.atlas import ChartCoords, FlagPoint, chart_inverse, h_conjugate
-from toda_atlas.flows import integrate, sym_field
+from toda_atlas.flows import chart_flow_exact, integrate, sym_field
 from toda_atlas.linalg_core import Spectrum
-from toda_atlas.sampling import default_spectrum, random_chart_coords, rng_from_seed
+from toda_atlas.sampling import (
+    default_spectrum,
+    random_chart_coords,
+    random_permutation,
+    rng_from_seed,
+)
 from toda_atlas.weyl_profiles import Permutation
 
 RNG = rng_from_seed(55)
@@ -68,6 +74,25 @@ class TestPushforward:
         w = Permutation((2, 3, 1))
         report = pushforward_richardson(chart_point(w, h, RNG, scale=0.8), w)
         assert report.passed, report.details
+
+
+class TestGradedChartFlow:
+    def test_matches_chart_inverse_of_exact_flow(self):
+        rng = rng_from_seed(5)
+        for n in (3, 4):
+            h = default_spectrum(n)
+            for _ in range(10):
+                coords = random_chart_coords(random_permutation(n, rng), h, rng)
+                np.testing.assert_allclose(
+                    _graded_chart_flow(coords, 0.0).y, chart_inverse(coords).y, rtol=0, atol=1e-12
+                )
+                for t in (0.5, 1.0, 2.0):
+                    np.testing.assert_allclose(
+                        _graded_chart_flow(coords, t).y,
+                        chart_inverse(chart_flow_exact(coords, t)).y,
+                        rtol=0,
+                        atol=1e-12,
+                    )
 
 
 class TestUnstableManifold:

@@ -165,6 +165,12 @@ class TestVerify:
         assert code == 0
         assert json.loads((out / "summary.json").read_text())["failures"] == 0
 
+    def test_toda_suite_above_eight(self, tmp_path):
+        out = tmp_path / "toda10"
+        code = run_cli(["verify", "--suite", "toda", "--n", "10", "--seed", "7", "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["failures"] == 0
+
     def test_one_file_per_check(self, tmp_path):
         # seed 100 draws the identity for the second fiber experiment at n = 3
         out = tmp_path / "sym"
@@ -193,8 +199,14 @@ class TestFlagErrors:
             ["verify", "--seed", "-1"],
             ["verify", "--n", "13"],
             ["flow", "--x0", "x.json", "--tmax", "0"],
+            ["chart", "--w", "2 1 3", "--inverse", "lower.json"],
+            ["cells", "--w", "2 1 3", "--h", "2,-2"],
+            ["chart", "--w", "2 1 3", "--h", "2,-2", "--forward", "y.json"],
         ],
-        ids=["malformed-w", "non-decreasing-h", "negative-seed", "n-too-large", "zero-tmax"],
+        ids=[
+            "malformed-w", "non-decreasing-h", "negative-seed", "n-too-large", "zero-tmax",
+            "inverse-without-h", "cells-size-mismatch", "chart-size-mismatch",
+        ],
     )
     def test_rejected_before_out_dir_is_made(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
