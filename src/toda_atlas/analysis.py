@@ -42,6 +42,7 @@ from .flows import (
     IntegratorConfig,
     chart_linear_field,
     integrate,
+    integrate_many,
     propagate,
     stable_step_for_sorting,
     stable_step_for_symmetrization,
@@ -395,9 +396,8 @@ def fiber_experiment(
     n = h.n
     worst = 0.0
     lower_leak = 0.0
-    for _ in range(samples):
-        x0 = base + np.triu(rng.standard_normal((n, n)), 1)
-        traj = integrate(sym_field, x0, cfg)
+    starts = [base + np.triu(rng.standard_normal((n, n)), 1) for _ in range(samples)]
+    for traj in integrate_many(sym_field, starts, cfg):
         if traj.final_field_norm >= cfg.stop_field_norm:
             worst = math.inf
             continue
@@ -699,13 +699,14 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
     worst = 0.0
     drift_worst = 0.0
     symmetry_worst = 0.0
+    picks = []
     for _ in range(3):
         w = charts[int(rng.integers(len(charts)))]
-        coords = random_chart_coords(w, h, rng)
-        start = chart_inverse(coords)
-        for t in (0.5, 1.0, 2.0):
-            cfg = IntegratorConfig(t_max=t, stop_field_norm=1e-13)
-            traj = integrate(toda_field, start.y, cfg)
+        picks.append(random_chart_coords(w, h, rng))
+    starts = [chart_inverse(coords).y for coords in picks]
+    for t in (0.5, 1.0, 2.0):
+        cfg = IntegratorConfig(t_max=t, stop_field_norm=1e-13)
+        for coords, traj in zip(picks, integrate_many(toda_field, starts, cfg)):
             predicted = _graded_chart_flow(coords, t)
             worst = max(worst, float(np.linalg.norm(traj.final_state - predicted.y)))
             drift_worst = max(drift_worst, traj.power_trace_drift)
@@ -734,9 +735,8 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
     target = h.diag()
     worst = 0.0
     drift_worst = 0.0
-    for _ in range(10):
-        x0 = random_symmetric_with_spectrum(h, rng)
-        traj = integrate(toda_field, x0, sort_cfg)
+    starts = [random_symmetric_with_spectrum(h, rng) for _ in range(10)]
+    for traj in integrate_many(toda_field, starts, sort_cfg):
         if traj.final_field_norm >= sort_cfg.stop_field_norm:
             worst = math.inf
             continue
@@ -776,6 +776,7 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
     profile_worst = 0.0
     drift_worst = 0.0
     p = hessenberg_profile(n)
+    starts = []
     for _ in range(4):
         w = random_permutation(n, rng)
         u = np.eye(n) + 0.4 * np.triu(rng.standard_normal((n, n)), 1)
@@ -788,14 +789,15 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
                 h=h,
             )
         )
-        x0 = u @ symmetric_start.y @ np.linalg.inv(u)
-        for field in (toda_field, sym_field):
-            traj = integrate(field, x0, IntegratorConfig(t_max=3.0, stop_field_norm=1e-13))
+        starts.append(u @ symmetric_start.y @ np.linalg.inv(u))
+    profile_cfg = IntegratorConfig(t_max=3.0, stop_field_norm=1e-13)
+    for field in (toda_field, sym_field):
+        for traj in integrate_many(field, starts, profile_cfg):
             drift_worst = max(drift_worst, traj.power_trace_drift)
             for state in traj.states:
                 if not v_p_membership(state, p, 1e-9):
                     profile_worst = math.inf
-        traj = integrate(sym_field, x0, fiber_cfg)
+    for traj in integrate_many(sym_field, starts, fiber_cfg):
         norms = [btheta_norm_sq(s) for s in traj.states]
         for earlier, later in zip(norms, norms[1:]):
             monotone_worst = max(monotone_worst, later - earlier)

@@ -6,7 +6,9 @@ symmetric matrices it is the gradient-like flow whose charts (see
 :mod:`toda_atlas.atlas`) make it exactly linear, with the permuted
 diagonal gaps as coefficients. The symmetrization field ``sym_field``
 contracts onto normal (for real spectra: symmetric) matrices while
-preserving the spectrum and every Hessenberg-type subspace.
+preserving the spectrum and every Hessenberg-type subspace. Both take an
+``(..., n, n)`` stack of matrices as well as one matrix, and give each
+matrix of a stack the bits it would get alone.
 
 Integration uses an embedded Dormand-Prince 5(4) pair with a PI step
 controller (safety 0.9, growth clamped to [0.2, 5.0], initial step
@@ -14,12 +16,22 @@ controller (safety 0.9, growth clamped to [0.2, 5.0], initial step
 traces is measured and reported instead, so integrator defects stay
 visible to the test suite.
 
+``integrate_many`` steps B starts in lockstep over a ``(B, n, n)``
+stack, one field call per stage for the whole batch. Each lane keeps its
+own step size, PI state, stop test and counts, and leaves the stack when
+it stops; control in Python floats and per-lane reductions give every
+lane the bits of a run alone. ``integrate`` is the B = 1 case. The
+power-trace drift is taken once, when a run ends, over its accepted
+states in stacks of at most 64.
+
 Public functions validate their arguments; the private ``_`` kernels
-they call per step do not. Each field runs ``as_matrix`` once and then
-computes in the same order as the public ``commutator``/``pi_k``/``pi_u``
-composition, so it returns the same bits. The integrator keeps the
-arrays it hands to the field as states, so a field must not modify its
-argument.
+they call per step do not. Each field validates once and then computes
+in the same order as the public ``commutator``/``pi_k``/``pi_u``
+composition, so it returns the same bits. The integrator validates its
+starts and then steps the unchecked kernel of a field it knows (looked
+up by identity); any other callable is called as given, with stacks.
+The integrator keeps the arrays it hands to the field as states, so a
+field must not modify its argument.
 """
 
 import math
@@ -33,7 +45,7 @@ from .linalg_core import (
     Spectrum,
     _pi_k,
     _power_traces,
-    _relative_drift,
+    as_matrices,
     as_matrix,
     isospectral_witness,
 )
@@ -46,6 +58,7 @@ __all__ = [
     "chart_flow_exact",
     "sym_field",
     "integrate",
+    "integrate_many",
     "limit_point",
     "propagate",
     "stable_step_for_sorting",
@@ -62,6 +75,7 @@ _GROW_MAX = 5.0
 # PI controller exponents for an order-5 propagating solution.
 _PI_ALPHA = 0.17
 _PI_BETA = 0.04
+_DRIFT_CHUNK = 64  # states per stacked power-trace pass
 
 # Dormand-Prince 5(4) tableau. Row s of _DP_A weights the stages before
 # stage s in its input (stages counted from 0). The last row is the
@@ -153,20 +167,33 @@ def stable_step_for_symmetrization(h: Spectrum) -> float:
     return min(1.0, 2.5 / (2.0 * spread * spread))
 
 
-def toda_field(x) -> np.ndarray:
-    """Sorting field [x, pi_k(x)]; vanishes on diagonal matrices."""
-    x = as_matrix(x)
+def _toda_kernel(x: np.ndarray) -> np.ndarray:
     k = _pi_k(x)
     return x @ k - k @ x
 
 
-def sym_field(x) -> np.ndarray:
-    """Symmetrization field [x, pi_u([x, x.T])]; vanishes exactly on
-    normal matrices."""
-    x = as_matrix(x)
-    c = x @ x.T - x.T @ x
+def _sym_kernel(x: np.ndarray) -> np.ndarray:
+    xt = x.swapaxes(-1, -2)
+    c = x @ xt - xt @ x
     u = c - _pi_k(c)
     return x @ u - u @ x
+
+
+def toda_field(x) -> np.ndarray:
+    """Sorting field [x, pi_k(x)] of a matrix or an (..., n, n) stack;
+    vanishes on diagonal matrices."""
+    return _toda_kernel(as_matrices(x))
+
+
+def sym_field(x) -> np.ndarray:
+    """Symmetrization field [x, pi_u([x, x.T])] of a matrix or an
+    (..., n, n) stack; vanishes exactly on normal matrices."""
+    return _sym_kernel(as_matrices(x))
+
+
+# The integrator steps these in place of the public fields. Looked up by
+# identity: a wrapper of a field (a tracer's, say) is called as given.
+_KERNELS = {toda_field: _toda_kernel, sym_field: _sym_kernel}
 
 
 def chart_linear_field(c: ChartCoords) -> np.ndarray:
@@ -197,93 +224,157 @@ def _dopri_stages(field, x, h, k1):
     """One embedded step: returns (x5, error_estimate, k7) with
     k7 = field(x5), the next step's first stage (FSAL).
 
-    The seven stages share one (7, n, n) buffer. Summing over its leading
-    axis adds the weighted stages in stage order, and the closing + 0.0
-    turns an entry whose every term is -0.0 into +0.0. A zero weight adds a
-    signed zero, so each weighted sum has the bits of ``sum`` over the
-    nonzero terms.
+    x is one matrix with a float h, or a (B, n, n) stack with h a
+    (B, 1, 1) array of per-lane steps. The seven stages share one
+    (7,) + x.shape buffer. Summing over its leading axis adds the weighted
+    stages in stage order, and the closing + 0.0 turns an entry whose
+    every term is -0.0 into +0.0. A zero weight adds a signed zero, so
+    each weighted sum has the bits of ``sum`` over the nonzero terms, in
+    every lane of a stack.
     """
+    trailing = (1,) * x.ndim
+    weights = _DP_A.reshape(_DP_A.shape + trailing)
     k = np.empty((7,) + x.shape)
     k[0] = k1
     for s in range(1, 7):
-        stage = x + h * ((_DP_A[s, :s, None, None] * k[:s]).sum(axis=0) + 0.0)
+        stage = x + h * ((weights[s, :s] * k[:s]).sum(axis=0) + 0.0)
         k[s] = field(stage)
-    err = h * ((_DP_ERR[:, None, None] * k).sum(axis=0) + 0.0)
+    err = h * ((_DP_ERR.reshape((7,) + trailing) * k).sum(axis=0) + 0.0)
     return stage, err, k[6]
 
 
-def _error_ratio(err, x_old, x_new, cfg):
+def _error_ratios(err, x_old, x_new, cfg) -> list:
+    """RMS of each lane's error over its tolerance scale, as Python floats."""
     scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x_old), np.abs(x_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    return np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2))).tolist()
+
+
+def _frobenius_norms(f) -> list:
+    """Frobenius norm of each matrix of a stack, as Python floats."""
+    flat = f.reshape(len(f), -1)
+    return np.sqrt(np.vecdot(flat, flat)).tolist()
+
+
+def _power_trace_drift(states) -> float:
+    """Largest relative drift of the power traces of states[1:] from those
+    of states[0] (0.0 for a lone state). The traces are taken over stacks
+    of at most _DRIFT_CHUNK states, so the pass needs little memory."""
+    reference = isospectral_witness(states[0])
+    traces = np.array(reference.power_traces)
+    scale = reference._drift_scale()
+    drift = 0.0
+    for i in range(1, len(states), _DRIFT_CHUNK):
+        chunk = _power_traces(np.stack(states[i:i + _DRIFT_CHUNK]))
+        drift = max(drift, *np.max(np.abs(chunk - traces) / scale, axis=1).tolist())
+    return drift
+
+
+class _Lane:
+    """One run of a lockstep batch: controller state and accepted states."""
+
+    def __init__(self, x0, fnorm, cfg):
+        self.t = 0.0
+        self.h = min(_INITIAL_STEP, cfg.max_step, cfg.t_max)
+        self.err_prev = 1e-4
+        self.fnorm = fnorm
+        self.times = [0.0]
+        self.states = [x0]
+        self.steps = []
+        self.rejected = 0
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(
+            self.times, self.states, len(self.steps), self.rejected, self.fnorm,
+            _power_trace_drift(self.states),
+            field_evals=1 + 6 * (len(self.steps) + self.rejected),
+            min_step=min(self.steps, default=0.0),
+            max_step=max(self.steps, default=0.0),
+        )
+
+
+def integrate_many(field, starts, cfg: IntegratorConfig = IntegratorConfig()) -> list:
+    """Adaptive Dormand-Prince 5(4) runs of x' = field(x), one per start,
+    stepped in lockstep; returns their trajectories in the order of starts.
+
+    Each run stops when its field norm drops below
+    ``cfg.stop_field_norm`` (an intrinsic residual for flows that
+    approach critical manifolds exponentially) or when ``cfg.t_max`` is
+    reached, whichever comes first, and its trajectory has the bits of
+    the run alone. The field is called once per stage with the (A, n, n)
+    stack of the A runs still going. Raises ValueError before any step
+    for an empty list, starts of different shapes or a start that is not
+    a finite square matrix, and StiffnessError, with that run's partial
+    trajectory attached, when a run's step size underflows.
+    """
+    starts = [as_matrix(x0) for x0 in starts]
+    if not starts:
+        raise ValueError("integrate_many needs at least one start")
+    shapes = sorted({x0.shape for x0 in starts})
+    if len(shapes) > 1:
+        raise ValueError(f"starts have different shapes: {shapes}")
+    x = np.stack(starts)
+    kernel = _KERNELS.get(field, field)
+    fx = kernel(x)
+    lanes = [_Lane(x0, fnorm, cfg) for x0, fnorm in zip(x, _frobenius_norms(fx))]
+
+    # rounding of the final clamped step can leave t one ulp short of
+    # t_max; a leftover below this is the endpoint, not a stalled step
+    t_end = cfg.t_max * (1.0 - 1e-12)
+    active = lanes
+    while True:
+        going = [
+            i for i, lane in enumerate(active)
+            if lane.fnorm >= cfg.stop_field_norm and lane.t < t_end
+        ]
+        if not going:
+            break
+        if len(going) < len(active):
+            active = [active[i] for i in going]
+            x, fx = x[going], fx[going]
+        for lane in active:
+            lane.h = min(lane.h, cfg.max_step, cfg.t_max - lane.t)
+            if lane.h < _MIN_STEP:
+                raise StiffnessError(
+                    f"step size underflowed ({lane.h:.2e}) at t={lane.t:.6g}",
+                    trajectory=lane.trajectory(),
+                )
+        h = np.array([lane.h for lane in active])[:, None, None]
+        x_new, err, k_last = _dopri_stages(kernel, x, h, fx)
+        ratios = _error_ratios(err, x, x_new, cfg)
+        if all(ratio <= 1.0 for ratio in ratios):
+            x, fx = x_new, k_last
+        else:
+            took = (np.array(ratios) <= 1.0)[:, None, None]
+            x = np.where(took, x_new, x)
+            fx = np.where(took, k_last, fx)
+        for lane, ratio, fnorm, state in zip(active, ratios, _frobenius_norms(k_last), x_new):
+            if ratio <= 1.0:
+                lane.t += lane.h
+                lane.fnorm = fnorm
+                lane.times.append(lane.t)
+                lane.states.append(state.copy())
+                lane.steps.append(lane.h)
+                factor = _SAFETY * max(ratio, 1e-16) ** (-_PI_ALPHA) * lane.err_prev ** _PI_BETA
+                lane.h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))
+                lane.err_prev = max(ratio, 1e-4)
+            else:
+                lane.rejected += 1
+                factor = _SAFETY * ratio ** (-0.2)
+                lane.h *= min(1.0, max(_SHRINK_MIN, factor))
+
+    return [lane.trajectory() for lane in lanes]
 
 
 def integrate(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) run of x' = field(x) from x0.
 
-    Stops when the field norm drops below ``cfg.stop_field_norm`` (an
-    intrinsic residual for flows that approach critical manifolds
-    exponentially) or when ``cfg.t_max`` is reached, whichever comes
-    first. Raises StiffnessError with the partial trajectory attached if
-    the step size underflows.
+    Stops when the field norm drops below ``cfg.stop_field_norm`` or when
+    ``cfg.t_max`` is reached, whichever comes first. Raises
+    StiffnessError with the partial trajectory attached if the step size
+    underflows. This is the one-start case of :func:`integrate_many`, so
+    a field of the caller's own is called with (1, n, n) stacks.
     """
-    x = as_matrix(x0).copy()
-    t = 0.0
-    times = [0.0]
-    states = [x]
-    step_sizes = []
-    reference = isospectral_witness(x)
-    reference_traces = np.array(reference.power_traces)
-    drift_scale = reference._drift_scale()
-    drift = 0.0
-    accepted = rejected = 0
-
-    fx = field(x)
-    field_evals = 1
-    fnorm = float(np.linalg.norm(fx))
-
-    def trajectory():
-        return Trajectory(
-            times, states, accepted, rejected, fnorm, drift,
-            field_evals=field_evals,
-            min_step=min(step_sizes, default=0.0),
-            max_step=max(step_sizes, default=0.0),
-        )
-
-    h = min(_INITIAL_STEP, cfg.max_step, cfg.t_max)
-    err_prev = 1e-4
-
-    # rounding of the final clamped step can leave t one ulp short of
-    # t_max; a leftover below this is the endpoint, not a stalled step
-    t_end = cfg.t_max * (1.0 - 1e-12)
-    while fnorm >= cfg.stop_field_norm and t < t_end:
-        h = min(h, cfg.max_step, cfg.t_max - t)
-        if h < _MIN_STEP:
-            raise StiffnessError(
-                f"step size underflowed ({h:.2e}) at t={t:.6g}",
-                trajectory=trajectory(),
-            )
-        x_new, err, k_last = _dopri_stages(field, x, h, fx)
-        field_evals += 6
-        ratio = _error_ratio(err, x, x_new, cfg)
-        if ratio <= 1.0:
-            t += h
-            x = x_new
-            fx = k_last
-            fnorm = float(np.linalg.norm(fx))
-            times.append(t)
-            states.append(x)
-            step_sizes.append(h)
-            drift = max(drift, _relative_drift(_power_traces(x), reference_traces, drift_scale))
-            accepted += 1
-            factor = _SAFETY * max(ratio, 1e-16) ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))
-            err_prev = max(ratio, 1e-4)
-        else:
-            rejected += 1
-            factor = _SAFETY * ratio ** (-0.2)
-            h *= min(1.0, max(_SHRINK_MIN, factor))
-
-    return trajectory()
+    return integrate_many(field, [x0], cfg)[0]
 
 
 def limit_point(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
@@ -326,6 +417,7 @@ def propagate(field, x0, t: float) -> np.ndarray:
         return x
     steps = max(1, int(math.ceil(abs(t) / _PROPAGATE_STEP)))
     h = t / steps
+    field = _KERNELS.get(field, field)
     k = field(x)
     for _ in range(steps):
         x, _, k = _dopri_stages(field, x, h, k)

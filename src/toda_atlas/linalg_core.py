@@ -8,11 +8,14 @@ whole module is safe to call concurrently. The eigendecomposition is
 LAPACK's symmetric solver (``numpy.linalg.eigh``) with the package's
 normalization and checks added on top.
 
-Public functions validate their arguments with :func:`as_matrix`. The
-private ``_`` kernels do not: they take a float matrix a caller has
-already checked, so inner loops (the flow fields, the integrator)
-validate once per call instead of once per primitive. The public
-functions wrap the kernels and give the same bits.
+Public functions validate their arguments with :func:`as_matrix` (or
+:func:`as_matrices` where a stack of matrices is accepted). The private
+``_`` kernels do not: they take float matrices a caller has already
+checked, so inner loops (the flow fields, the integrator) validate once
+per call instead of once per primitive. The public functions wrap the
+kernels and give the same bits. ``_pi_k`` and ``_power_traces`` act on
+the last two axes, so they take an ``(..., n, n)`` stack as well as one
+matrix, and each matrix of a stack gets the bits it would get alone.
 
 The inner product throughout is the trace form ``trace(X Y)``. It is a
 positive multiple of the Killing form, and only signs and monotonicity
@@ -28,6 +31,7 @@ __all__ = [
     "Spectrum",
     "IsospectralWitness",
     "as_matrix",
+    "as_matrices",
     "require_unit_lower",
     "commutator",
     "pi_k",
@@ -45,10 +49,20 @@ GAP_TOL = 1e-8
 def as_matrix(x) -> np.ndarray:
     """Validate and return a finite square float matrix with n >= 2."""
     a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 2:
-        raise ValueError(f"matrices must be at least 2x2, got {a.shape[0]}x{a.shape[0]}")
+    return as_matrices(a)
+
+
+def as_matrices(x) -> np.ndarray:
+    """Validate and return a finite float array of square n x n matrices,
+    n >= 2, stacked over any leading axes (``(..., n, n)``)."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    n = a.shape[-1]
+    if n < 2:
+        raise ValueError(f"matrices must be at least 2x2, got {n}x{n}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -152,22 +166,24 @@ def _strict_lower_mask(n: int) -> np.ndarray:
 
 
 def _pi_k(x: np.ndarray) -> np.ndarray:
-    """Unchecked :func:`pi_k` of a validated float matrix."""
-    low = np.where(_strict_lower_mask(x.shape[0]), x, 0.0)
-    return low - low.T
+    """Unchecked :func:`pi_k` of a validated float matrix or stack."""
+    low = np.where(_strict_lower_mask(x.shape[-1]), x, 0.0)
+    return low - low.swapaxes(-1, -2)
 
 
 def _power_traces(x: np.ndarray) -> np.ndarray:
     """Unchecked trace(x), trace(x^2), ..., trace(x^n) of a validated
-    float matrix. One trace call over the stacked powers sums each
-    diagonal as ``np.trace`` of that power does (the tests hold the two
-    bitwise equal)."""
-    n = x.shape[0]
-    powers = np.empty((n, n, n))
+    float matrix, or of each matrix of an ``(..., n, n)`` stack along a
+    new last axis. Each trace sums a diagonal as ``np.trace`` of that
+    power does (the tests hold the two bitwise equal), and only one power
+    of each matrix is held at a time."""
+    n = x.shape[-1]
+    traces = np.empty(x.shape[:-2] + (n,))
     power = np.eye(n)
     for k in range(n):
-        power = np.matmul(power, x, out=powers[k])
-    return powers.trace(axis1=1, axis2=2)
+        power = power @ x
+        traces[..., k] = power.trace(axis1=-2, axis2=-1)
+    return traces
 
 
 def commutator(a, b) -> np.ndarray:

@@ -25,6 +25,7 @@ from toda_atlas.flows import (
     IntegratorConfig,
     chart_flow_exact,
     integrate,
+    integrate_many,
     stable_step_for_sorting,
     stable_step_for_symmetrization,
     sym_field,
@@ -325,9 +326,8 @@ def test_criterion_8_sorting_attractor():
     cfg = IntegratorConfig(t_max=60.0, max_step=stable_step_for_sorting(h))
     worst = 0.0
     drift_worst = 0.0
-    for _ in range(100):
-        x0 = random_symmetric_with_spectrum(h, rng)
-        traj = integrate(toda_field, x0, cfg)
+    starts = [random_symmetric_with_spectrum(h, rng) for _ in range(100)]
+    for traj in integrate_many(toda_field, starts, cfg):
         converged = traj.final_field_norm < cfg.stop_field_norm
         dist = float(np.linalg.norm(traj.final_state - target))
         worst = max(worst, dist if converged else math.inf)

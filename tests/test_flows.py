@@ -14,6 +14,7 @@ from toda_atlas.flows import (
     chart_flow_exact,
     chart_linear_field,
     integrate,
+    integrate_many,
     limit_point,
     propagate,
     stable_step_for_sorting,
@@ -111,6 +112,21 @@ def test_fields_validate_input(field):
         field(np.zeros((1, 1)))
     with pytest.raises(ValueError, match="finite"):
         field(np.array([[1.0, np.inf], [0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("field", [toda_field, sym_field])
+def test_fields_take_stacks_with_the_bits_of_each_matrix(field):
+    rng = np.random.default_rng(14)
+    for n in range(2, 13):
+        stack = np.stack([random_matrix(n, rng) for _ in range(5)]).reshape(5, 1, n, n)
+        got = field(stack)
+        assert got.shape == stack.shape
+        for x, f in zip(stack[:, 0], got[:, 0]):
+            assert_same_bits(f, field(x))
+    with pytest.raises(ValueError, match="square"):
+        field(np.zeros((3, 2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        field(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
 
 
 class TestChartLinearField:
@@ -412,6 +428,108 @@ class TestSymFlowInvariants:
                     )
                     for state in traj.states:
                         assert v_p_membership(state, p, 1e-9)
+
+
+def assert_same_run(a, b):
+    """Two trajectories with the same bits in every state and figure."""
+    assert_same_bits(a.times, b.times)
+    assert len(a.states) == len(b.states)
+    for p, q in zip(a.states, b.states):
+        assert_same_bits(p, q)
+    for name in (
+        "accepted_steps", "rejected_steps", "field_evals", "min_step", "max_step",
+        "final_field_norm", "power_trace_drift",
+    ):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+def lane_starts(field, n, rng):
+    """Four starts of one batch: a generic one, the same scaled by 2 (the
+    first step is too long for it, so the controller rejects steps), one
+    next to the zero set of the field (it stops early) and one on it (no
+    step)."""
+    h = default_spectrum(n)
+    if field is toda_field:
+        generic = random_symmetric_with_spectrum(h, rng)
+        offset = np.triu(rng.standard_normal((n, n)), 1)
+        return [generic, 2.0 * generic, h.diag() + 1e-6 * (offset + offset.T), h.diag()]
+    generic = h.diag() + np.triu(rng.standard_normal((n, n)), 1)
+    near = h.diag() + 1e-6 * np.triu(rng.standard_normal((n, n)), 1)
+    return [generic, 2.0 * generic, near, random_symmetric_with_spectrum(h, rng)]
+
+
+class TestIntegrateMany:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+    @pytest.mark.parametrize("field", [toda_field, sym_field])
+    def test_lanes_equal_serial_runs(self, field, n):
+        starts = lane_starts(field, n, np.random.default_rng(40 + n))
+        t_max = 3.0 if field is toda_field else 1.0
+        cfg = IntegratorConfig(t_max=t_max, stop_field_norm=1e-7)
+        lanes = integrate_many(field, starts, cfg)
+        assert len(lanes) == len(starts)
+        for lane, x0 in zip(lanes, starts):
+            assert_same_run(lane, integrate(field, x0, cfg))
+        assert lanes[1].rejected_steps > 0
+        assert 0.0 < lanes[2].final_time < lanes[0].final_time
+        assert lanes[3].accepted_steps == lanes[3].rejected_steps == 0
+        assert lanes[3].field_evals == 1
+
+    def test_one_field_call_per_stage_per_batch(self):
+        shapes = []
+
+        def counted(x):
+            shapes.append(x.shape)
+            return sym_field(x)
+
+        starts = lane_starts(sym_field, 3, np.random.default_rng(5))
+        cfg = IntegratorConfig(t_max=1.0, stop_field_norm=1e-7)
+        lanes = integrate_many(counted, starts, cfg)
+        batch_steps = max(lane.accepted_steps + lane.rejected_steps for lane in lanes)
+        assert len(shapes) == 1 + 6 * batch_steps
+        assert shapes[0] == (4, 3, 3)
+        # lanes that stop leave the stack
+        assert [s[0] for s in shapes] == sorted((s[0] for s in shapes), reverse=True)
+        assert shapes[-1][0] < 4
+        for lane in lanes:
+            assert lane.field_evals == 1 + 6 * (lane.accepted_steps + lane.rejected_steps)
+
+    @pytest.mark.parametrize(
+        "starts, message",
+        [
+            ([], "at least one start"),
+            ([np.eye(2), np.eye(3)], "different shapes"),
+            ([np.eye(2), np.array([[1.0, np.nan], [0.0, -1.0]])], "finite"),
+            ([np.zeros((2, 2, 2))], "square matrix"),
+        ],
+    )
+    def test_bad_starts_rejected_before_any_step(self, starts, message):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return toda_field(x)
+
+        with pytest.raises(ValueError, match=message):
+            integrate_many(counted, starts)
+        assert calls == []
+
+    def test_underflowing_lane_raises_with_its_partial_run(self):
+        # entries above 0.5 see a wildly oscillating field that defeats the
+        # error estimate; the small lane decays smoothly and is still
+        # running when the large one underflows
+        def split(x):
+            return np.where(np.abs(x) > 0.5, 1e18 * np.sin(1e18 * x), -x)
+
+        calm, wild = 0.1 * np.eye(2), np.eye(2)
+        cfg = IntegratorConfig(t_max=50.0)
+        with pytest.raises(StiffnessError) as alone:
+            integrate(split, wild, cfg)
+        with pytest.raises(StiffnessError) as batched:
+            integrate_many(split, [calm, wild], cfg)
+        assert str(batched.value) == str(alone.value)
+        assert str(batched.value).startswith("step size underflowed (")
+        assert_same_run(batched.value.trajectory, alone.value.trajectory)
+        assert batched.value.trajectory.rejected_steps > 0
 
 
 class TestStiffnessGuard:

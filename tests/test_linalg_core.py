@@ -275,6 +275,15 @@ class TestWitness:
             assert _power_traces(x).tolist() == expected
             assert isospectral_witness(x).power_traces == tuple(expected)
 
+    def test_traces_of_a_stack_equal_each_matrix_bitwise(self):
+        rng = np.random.default_rng(9)
+        for n in range(2, 13):
+            stack = rng.standard_normal((3, 4, n, n))
+            traces = _power_traces(stack)
+            assert traces.shape == (3, 4, n)
+            for x, got in zip(stack.reshape(12, n, n), traces.reshape(12, n)):
+                assert got.tolist() == _power_traces(x).tolist()
+
     def test_witness_validates(self):
         with pytest.raises(ValueError, match="finite"):
             isospectral_witness(np.array([[np.inf, 0.0], [0.0, 0.0]]))
