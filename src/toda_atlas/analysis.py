@@ -15,6 +15,7 @@ from .atlas import (
     BruhatClass,
     ChartCoords,
     FlagPoint,
+    _chart_point,
     _frame,
     bruhat_classify,
     chart_forward,
@@ -22,7 +23,6 @@ from .atlas import (
     chart_domain_test,
     coords_from_frame,
     h_conjugate,
-    nbar_from_affine,
 )
 from .errors import ChartDomainError
 from .factorizations import (
@@ -36,7 +36,6 @@ from .factorizations import (
     phi_sigma,
     phi_sigma_inverse,
     unbar_factorize,
-    unit_lower_inverse,
 )
 from .flows import (
     IntegratorConfig,
@@ -641,28 +640,6 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
     return reports
 
 
-def _graded_chart_flow(coords: ChartCoords, t: float) -> FlagPoint:
-    """``chart_inverse(chart_flow_exact(coords, t))`` for t >= 0, kept accurate
-    when t times the spectral spread is large.
-
-    The exact flow conjugates g0 = nbar_from_affine of the start by
-    E = diag(exp(t d)), d the permuted diagonal. A positive right scaling
-    leaves a Q factor unchanged, so the frame Q^T P_w is the transposed Q
-    factor of P_w^T E g0^-1, whose row weights exp(t h) decrease down the
-    rows. Householder QR is accurate on such a row-graded matrix (Cox &
-    Higham, BIT 38, 1998); forming the flowed coordinates and then
-    g(t)^-1 loses every digit.
-    """
-    dmat = h_conjugate(coords.h, coords.w)
-    g0 = nbar_from_affine(dmat + coords.lower, coords.w, coords.h)
-    h = np.array(coords.h.values)
-    rows = unit_lower_inverse(g0)[np.array(coords.w.images) - 1]
-    q, r = np.linalg.qr(np.exp(t * (h - h[0]))[:, None] * rows)
-    frame = (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
-    y = frame @ coords.h.diag() @ frame.T
-    return FlagPoint(0.5 * (y + y.T), coords.h)
-
-
 def toda_suite(n: int = 3, seed: int = 0) -> list:
     rng = rng_from_seed(seed)
     h = default_spectrum(n)
@@ -707,7 +684,7 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
     for t in (0.5, 1.0, 2.0):
         cfg = IntegratorConfig(t_max=t, stop_field_norm=1e-13)
         for coords, traj in zip(picks, integrate_many(toda_field, starts, cfg)):
-            predicted = _graded_chart_flow(coords, t)
+            predicted = _chart_point(coords, t)
             worst = max(worst, float(np.linalg.norm(traj.final_state - predicted.y)))
             drift_worst = max(drift_worst, traj.power_trace_drift)
             symmetry_worst = max(

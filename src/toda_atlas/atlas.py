@@ -5,18 +5,18 @@ A flag point is a symmetric traceless matrix with the given strictly
 decreasing spectrum h. The chart indexed by a permutation w identifies a
 dense open subset of those points with the affine space of strictly
 lower perturbations of the permuted diagonal matrix ``h_conjugate(h, w)``.
-The forward map diagonalizes, strips the permutation, factors the
-orthogonal frame through the unit-lower projection, and conjugates the
-permuted diagonal; the inverse runs the same pipeline backwards.
+The forward map strips the permutation from the eigenframe a flag point
+carries, factors it through the unit-lower projection, and conjugates the
+permuted diagonal; the inverse is one graded QR (``_chart_point``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import ChartDomainError, FactorizationError
-from .factorizations import unbar_factorize, unit_lower_inverse, f_inverse
+from .factorizations import unbar_factorize, unit_lower_inverse
 from .linalg_core import Spectrum, as_matrix, symmetric_eigen
 from .weyl_profiles import Permutation, InversionSets, inversion_sets, lower_pairs, perm_matrix
 
@@ -40,17 +40,19 @@ __all__ = [
 # accepted point never hits a vanishing pivot downstream.
 DOMAIN_MINOR_TOL = 1e-11
 
-_SYMMETRY_TOL = 1e-10
 _EIGENVALUE_TOL = 1e-8
 _FIBER_TOL = 1e-12
+_QR_PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FlagPoint:
-    """A symmetric matrix with the fixed simple spectrum h."""
+    """A symmetric matrix with the fixed simple spectrum h; ``frame`` is the
+    read-only special orthogonal eigenframe of its validating symmetric_eigen."""
 
     y: np.ndarray
     h: Spectrum
+    frame: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = as_matrix(self.y).copy()
@@ -58,14 +60,13 @@ class FlagPoint:
         object.__setattr__(self, "y", y)
         if y.shape[0] != self.h.n:
             raise ValueError(f"dimension mismatch: matrix is {y.shape[0]}, spectrum is {self.h.n}")
-        scale = max(1.0, float(np.linalg.norm(y)))
-        if np.linalg.norm(y - y.T) > _SYMMETRY_TOL * scale:
-            raise ValueError("flag point matrix is not symmetric")
-        eigs = np.linalg.eigvalsh(y)[::-1]
-        if np.max(np.abs(eigs - np.array(self.h.values))) > _EIGENVALUE_TOL:
+        spectrum, frame = symmetric_eigen(y)
+        if np.max(np.abs(np.array(spectrum.values) - np.array(self.h.values))) > _EIGENVALUE_TOL:
             raise ValueError(
-                f"matrix eigenvalues {tuple(eigs)} do not match the declared spectrum {self.h.values}"
+                f"matrix eigenvalues {spectrum.values} do not match the declared spectrum {self.h.values}"
             )
+        frame.setflags(write=False)
+        object.__setattr__(self, "frame", frame)
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,32 @@ def nbar_from_affine(b, w: Permutation, h: Spectrum) -> np.ndarray:
     return g
 
 
+def _chart_point(c: ChartCoords, t: float) -> FlagPoint:
+    """Flag point of c flowed for time t >= 0 by the linear chart flow.
+
+    The flow conjugates g = nbar_from_affine of c by diag(exp(t d)), d the
+    permuted diagonal, so the frame is Q^T P_w for the Q factor of g^-1
+    with rows weighted by exp(t (d - max d)). Householder QR is accurate on
+    such a row-graded matrix taken heaviest first (Cox & Higham, BIT 38,
+    1998), where inverting the flowed g(t) loses every digit. At t = 0 the
+    weights are 1 and the rows keep their order. Raises
+    FactorizationError when some |R_ii| / weight_i < 1e-12.
+    """
+    dmat = h_conjugate(c.h, c.w)
+    d = np.diag(dmat)
+    g = nbar_from_affine(dmat + c.lower, c.w, c.h)
+    weights = np.exp(t * (d - np.max(d)))
+    order = np.argsort(-weights, kind="stable")
+    q, r = np.linalg.qr(weights[order, None] * unit_lower_inverse(g)[order])
+    pivots = np.diag(r)
+    dependent = np.flatnonzero(np.abs(pivots) / weights[order] < _QR_PIVOT_TOL)
+    if dependent.size:
+        raise FactorizationError(f"column {dependent[0] + 1} is numerically dependent on earlier columns")
+    frame = (q * np.where(pivots < 0.0, -1.0, 1.0)).T @ perm_matrix(c.w)[order]
+    y = frame @ c.h.diag() @ frame.T
+    return FlagPoint(0.5 * (y + y.T), c.h)
+
+
 def chart_inverse(c: ChartCoords) -> FlagPoint:
     """Flag point with the given chart coordinates.
 
@@ -127,23 +154,17 @@ def chart_inverse(c: ChartCoords) -> FlagPoint:
     conjugate the spectrum by frame times permutation. Globally defined on
     the whole coordinate space.
     """
-    dmat = h_conjugate(c.h, c.w)
-    g = nbar_from_affine(dmat + c.lower, c.w, c.h)
-    k = f_inverse(g)
-    frame = k @ perm_matrix(c.w)
-    y = frame @ c.h.diag() @ frame.T
-    return FlagPoint(0.5 * (y + y.T), c.h)
+    return _chart_point(c, 0.0)
 
 
 def _frame(y: FlagPoint, w: Permutation) -> np.ndarray:
-    """Special orthogonal candidate frame Q P_w^-1 for the chart at w."""
-    _, q = symmetric_eigen(np.asarray(y.y))
-    kp = q @ perm_matrix(w).T
-    if np.linalg.det(kp) < 0.0:
+    """Special orthogonal frame Q P_w^-1 for the chart at w; det Q = +1, so
+    an odd w flips the last column of the point's frame Q."""
+    q = y.frame
+    if w.inversion_count() % 2:
         q = q.copy()
         q[:, -1] = -q[:, -1]
-        kp = q @ perm_matrix(w).T
-    return kp
+    return q @ perm_matrix(w).T
 
 
 def _chart_nbar(y: FlagPoint, w: Permutation) -> np.ndarray:

@@ -57,12 +57,12 @@ _ORTHO_TOL = 1e-10
 _TRIANGLE_TOL = 1e-12
 
 
-def _require_special_orthogonal(k, tol=_ORTHO_TOL):
+def _require_special_orthogonal(k):
     k = as_matrix(k)
     n = k.shape[0]
-    if np.linalg.norm(k.T @ k - np.eye(n)) > tol:
+    if np.linalg.norm(k.T @ k - np.eye(n)) > _ORTHO_TOL:
         raise ValueError("matrix is not orthogonal")
-    if abs(np.linalg.det(k) - 1.0) > tol:
+    if abs(np.linalg.det(k) - 1.0) > _ORTHO_TOL:
         raise ValueError("matrix is orthogonal but has determinant -1")
     return k
 

@@ -45,6 +45,7 @@ from .linalg_core import (
     Spectrum,
     _pi_k,
     _power_traces,
+    _relative_drift,
     as_matrices,
     as_matrix,
     isospectral_witness,
@@ -265,7 +266,7 @@ def _power_trace_drift(states) -> float:
     drift = 0.0
     for i in range(1, len(states), _DRIFT_CHUNK):
         chunk = _power_traces(np.stack(states[i:i + _DRIFT_CHUNK]))
-        drift = max(drift, *np.max(np.abs(chunk - traces) / scale, axis=1).tolist())
+        drift = max(drift, _relative_drift(chunk, traces, scale))
     return drift
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from toda_atlas.analysis import (
     CheckReport,
-    _graded_chart_flow,
     example4_frame_check,
     fiber_experiment,
     pushforward_check,
@@ -14,7 +13,7 @@ from toda_atlas.analysis import (
     sym_linearization_spectrum,
     unstable_manifold_experiment,
 )
-from toda_atlas.atlas import ChartCoords, FlagPoint, chart_inverse, h_conjugate
+from toda_atlas.atlas import ChartCoords, FlagPoint, _chart_point, chart_inverse, h_conjugate
 from toda_atlas.flows import chart_flow_exact, integrate, sym_field
 from toda_atlas.linalg_core import Spectrum
 from toda_atlas.sampling import (
@@ -84,11 +83,11 @@ class TestGradedChartFlow:
             for _ in range(10):
                 coords = random_chart_coords(random_permutation(n, rng), h, rng)
                 np.testing.assert_allclose(
-                    _graded_chart_flow(coords, 0.0).y, chart_inverse(coords).y, rtol=0, atol=1e-12
+                    _chart_point(coords, 0.0).y, chart_inverse(coords).y, rtol=0, atol=1e-12
                 )
                 for t in (0.5, 1.0, 2.0):
                     np.testing.assert_allclose(
-                        _graded_chart_flow(coords, t).y,
+                        _chart_point(coords, t).y,
                         chart_inverse(chart_flow_exact(coords, t)).y,
                         rtol=0,
                         atol=1e-12,

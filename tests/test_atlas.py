@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import toda_atlas.atlas as atlas_module
+import toda_atlas.factorizations as factorizations_module
 from toda_atlas.atlas import (
     BruhatClass,
     ChartCoords,
@@ -15,13 +17,15 @@ from toda_atlas.atlas import (
     h_conjugate,
     nbar_from_affine,
 )
-from toda_atlas.errors import ChartDomainError
-from toda_atlas.factorizations import trailing_minors
-from toda_atlas.linalg_core import Spectrum
+from toda_atlas.errors import ChartDomainError, FactorizationError
+from toda_atlas.factorizations import f_inverse, trailing_minors
+from toda_atlas.flows import chart_flow_exact
+from toda_atlas.linalg_core import Spectrum, symmetric_eigen
 from toda_atlas.sampling import (
     default_spectrum,
     random_chart_coords,
     random_flag_point,
+    random_permutation,
     random_profile,
     rng_from_seed,
 )
@@ -52,6 +56,40 @@ class TestFlagPoint:
         h = default_spectrum(3)
         with pytest.raises(ValueError, match="spectrum"):
             FlagPoint(np.diag([3.0, 0.0, -3.0]), h)
+
+    def test_rejects_close_eigenvalues(self):
+        h = Spectrum((1.0, 1.0 - 5e-9, -2.0 + 5e-9))
+        with pytest.raises(ValueError, match="collision"):
+            FlagPoint(h.diag(), h)
+
+    def test_frame_is_the_read_only_eigenframe(self):
+        rng = rng_from_seed(13)
+        for n in (2, 3, 4, 8, 12):
+            point = random_flag_point(default_spectrum(n), rng)
+            assert not point.frame.flags.writeable
+            with pytest.raises(ValueError):
+                point.frame[0, 0] = 1.0
+            assert point.frame.tobytes() == symmetric_eigen(point.y)[1].tobytes()
+
+    def test_one_eigendecomposition_serves_every_chart(self, monkeypatch):
+        calls = []
+
+        def counting(y):
+            calls.append(y)
+            return symmetric_eigen(y)
+
+        h = default_spectrum(4)
+        y = random_flag_point(h, rng_from_seed(17)).y
+        monkeypatch.setattr(atlas_module, "symmetric_eigen", counting)
+        point = FlagPoint(y, h)
+        accepted = [w for w in Permutation.all(4) if chart_domain_test(point, w)]
+        assert accepted
+        chart_forward(point, accepted[0])
+        bruhat_classify(point, accepted[-1], 1e-9)
+        assert len(calls) == 1
+        for w in Permutation.all(4):
+            assert np.linalg.det(_frame(point, w)) > 0.0
+        assert len(calls) == 1
 
     def test_coords_require_exact_upper_zeros(self):
         h = default_spectrum(3)
@@ -142,6 +180,74 @@ class TestChartInverse:
             point = chart_inverse(coords)
             eigs = np.linalg.eigvalsh(point.y)[::-1]
             np.testing.assert_allclose(eigs, h.values, atol=1e-9)
+
+
+def composed_chart_inverse(c):
+    """chart_inverse as the composition f_inverse -> permutation -> FlagPoint."""
+    dmat = h_conjugate(c.h, c.w)
+    frame = f_inverse(nbar_from_affine(dmat + c.lower, c.w, c.h)) @ perm_matrix(c.w)
+    y = frame @ c.h.diag() @ frame.T
+    return FlagPoint(0.5 * (y + y.T), c.h)
+
+
+@pytest.fixture
+def kan_calls(monkeypatch):
+    """Arguments of every kan_factorize call made while the test runs."""
+    calls = []
+    original = factorizations_module.kan_factorize
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(factorizations_module, "kan_factorize", counting)
+    return calls
+
+
+def inverse_without_kan(coords, kan_calls):
+    """chart_inverse(coords), asserting that it reaches no kan_factorize."""
+    before = len(kan_calls)
+    try:
+        return chart_inverse(coords)
+    finally:
+        assert len(kan_calls) == before
+
+
+class TestChartInverseIsTheComposition:
+    def test_bitwise_equal_including_negative_zeros(self, kan_calls):
+        rng = rng_from_seed(23)
+        for n in range(2, 13):
+            h = default_spectrum(n)
+            for k in range(6):
+                coords = random_chart_coords(random_permutation(n, rng), h, rng)
+                lower = coords.lower.copy()
+                if k % 2:
+                    # -0.0 everywhere off the strict lower triangle and on
+                    # some of it: ChartCoords accepts it as a zero.
+                    keep = np.tri(n, n, -1, dtype=bool) & (rng.random((n, n)) < 0.5)
+                    lower = np.where(keep, lower, -0.0)
+                    assert np.signbit(lower).any()
+                coords = ChartCoords(w=coords.w, lower=lower, h=h)
+                point = inverse_without_kan(coords, kan_calls)
+                assert point.y.tobytes() == composed_chart_inverse(coords).y.tobytes()
+        assert len(kan_calls) == 11 * 6
+
+    def test_raises_exactly_where_the_composition_raises(self, kan_calls):
+        for n, t, expected in ((10, 2.0, 16), (12, 2.0, 34), (10, 5.0, 50), (12, 5.0, 50)):
+            rng = np.random.default_rng(11)
+            h = default_spectrum(n)
+            raised = 0
+            for _ in range(50):
+                coords = chart_flow_exact(random_chart_coords(random_permutation(n, rng), h, rng), t)
+                try:
+                    composed = composed_chart_inverse(coords)
+                except FactorizationError as err:
+                    with pytest.raises(FactorizationError, match=str(err)):
+                        inverse_without_kan(coords, kan_calls)
+                    raised += 1
+                else:
+                    assert inverse_without_kan(coords, kan_calls).y.tobytes() == composed.y.tobytes()
+            assert raised == expected, (n, t)
 
 
 class TestChartDomain:
