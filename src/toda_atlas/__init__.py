@@ -33,6 +33,7 @@ from .analysis import (
     pushforward_richardson,
     sym_linearization_spectrum,
     unstable_manifold_experiment,
+    unstable_manifold_experiments,
 )
 from .errors import (
     ChartDomainError,

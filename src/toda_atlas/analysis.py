@@ -40,7 +40,7 @@ from .factorizations import (
 from .flows import (
     IntegratorConfig,
     chart_linear_field,
-    integrate,
+    integrate,  # unused here; the benchmark tracer patches analysis.integrate
     integrate_many,
     propagate,
     stable_step_for_sorting,
@@ -76,6 +76,7 @@ __all__ = [
     "pushforward_check",
     "pushforward_richardson",
     "unstable_manifold_experiment",
+    "unstable_manifold_experiments",
     "sym_linearization_spectrum",
     "fiber_experiment",
     "example4_frame_check",
@@ -231,7 +232,17 @@ def _single_pair_coords(w, h, i, j, eps) -> ChartCoords:
 def unstable_manifold_experiment(
     w: Permutation, h: Spectrum, eps: float = 1e-4
 ) -> CheckReport:
-    """Check the cell picture of the saddle at the permuted diagonal.
+    """Check the cell picture of the saddle at the permuted diagonal of w.
+
+    The one-chart case of :func:`unstable_manifold_experiments`, which
+    describes the legs, the escape run and the pass rule.
+    """
+    return unstable_manifold_experiments([w], h, eps)[0]
+
+
+def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> list:
+    """Check the cell picture of the saddle at each chart's permuted
+    diagonal; returns one report per chart, in the order of charts.
 
     For every unstable pair, the backward flow from an eps-perturbation
     returns to the permuted diagonal; for every stable pair the forward
@@ -245,8 +256,16 @@ def unstable_manifold_experiment(
     horizon with a final field-norm sanity bound (1e-6) is the reliable
     stopping rule here; a tiny field-norm stop would never trigger. A
     leg passes when it ends within 1e-7 of the permuted diagonal.
+
+    The legs of all charts that share a direction and a horizon (equal
+    gaps give equal horizons) run as one :func:`integrate_many` batch,
+    and the escape runs of all charts as one more. Every lane has the
+    bits of its run alone, so each report equals the one its chart's
+    legs and escape give when integrated one at a time.
     """
     dist_tol = 1e-7
+    field_tol = 1e-6
+    coord_target = dist_tol / 5.0
     cfg = IntegratorConfig(
         rel_tol=1e-12,
         abs_tol=1e-13,
@@ -254,60 +273,79 @@ def unstable_manifold_experiment(
         t_max=60.0,
         stop_field_norm=1e-13,
     )
-    sets = inversion_sets(w)
-    target = h_conjugate(h, w)
-    diag = np.diag(target)
-    worst = 0.0
-    per_pair = {}
-    field_tol = 1e-6
-    coord_target = dist_tol / 5.0
+    esc_cfg = IntegratorConfig(t_max=15.0, stop_field_norm=1e-13)
 
-    def run_leg(i, j, sign):
-        nonlocal worst
-        gap = abs(diag[i - 1] - diag[j - 1])
-        horizon = min(cfg.t_max, math.log(eps / coord_target) / gap)
-        start = chart_inverse(_single_pair_coords(w, h, i, j, eps))
-        wanted = BruhatClass.IN_BRUHAT if sign < 0 else BruhatClass.IN_OPPOSITE
-        classified = bruhat_classify(start, w, tol=eps * 1e-3)
-        field = (lambda x: -toda_field(x)) if sign < 0 else toda_field
-        traj = integrate(field, start.y, replace(cfg, t_max=horizon))
-        dist = float(np.linalg.norm(traj.final_state - target))
-        ok = classified is wanted and traj.final_field_norm < field_tol
-        worst = max(worst, dist if ok else math.inf)
-        per_pair[f"{i},{j}"] = {
-            "direction": "backward" if sign < 0 else "forward",
-            "distance": dist,
-            "field_norm": traj.final_field_norm,
-            "classified": classified.value,
-            "horizon": horizon,
-        }
+    # legs[k] lists chart k's (pair, sign, horizon, classification),
+    # unstable pairs sorted, then stable pairs sorted; the starts go to
+    # their (sign, horizon) batch and, per chart, to the escape batch
+    targets = [h_conjugate(h, w) for w in charts]
+    legs = [[] for _ in charts]
+    batches = {}
+    escapes = {}
+    for k, w in enumerate(charts):
+        sets = inversion_sets(w)
+        diag = np.diag(targets[k])
+        for sign, pairs in ((-1, sorted(sets.unstable)), (+1, sorted(sets.stable))):
+            for i, j in pairs:
+                gap = abs(diag[i - 1] - diag[j - 1])
+                horizon = min(cfg.t_max, math.log(eps / coord_target) / gap)
+                start = chart_inverse(_single_pair_coords(w, h, i, j, eps))
+                classified = bruhat_classify(start, w, tol=eps * 1e-3)
+                pair = f"{i},{j}"
+                legs[k].append((pair, sign, horizon, classified))
+                batches.setdefault((sign, horizon), []).append(((k, pair), start.y))
+        if sets.unstable:
+            lower = np.zeros((h.n, h.n))
+            for i, j in sets.unstable:
+                lower[i - 1, j - 1] = eps / math.sqrt(len(sets.unstable))
+            escapes[k] = chart_inverse(ChartCoords(w=w, lower=lower, h=h)).y
 
-    for i, j in sorted(sets.unstable):
-        run_leg(i, j, -1)
-    for i, j in sorted(sets.stable):
-        run_leg(i, j, +1)
+    backward = lambda x: -toda_field(x)
+    ends = {}
+    for (sign, horizon), members in batches.items():
+        keys, starts = zip(*members)
+        field = backward if sign < 0 else toda_field
+        trajs = integrate_many(field, starts, replace(cfg, t_max=horizon))
+        for (k, pair), traj in zip(keys, trajs):
+            distance = float(np.linalg.norm(traj.final_state - targets[k]))
+            ends[k, pair] = (distance, traj.final_field_norm)
+    radii = {}
+    if escapes:
+        trajs = integrate_many(toda_field, list(escapes.values()), esc_cfg)
+        for k, traj in zip(escapes, trajs):
+            radii[k] = max(float(np.linalg.norm(s - targets[k])) for s in traj.states)
 
-    escape = None
-    if sets.unstable:
-        lower = np.zeros((h.n, h.n))
-        for i, j in sets.unstable:
-            lower[i - 1, j - 1] = eps / math.sqrt(len(sets.unstable))
-        start = chart_inverse(ChartCoords(w=w, lower=lower, h=h))
-        esc_cfg = IntegratorConfig(t_max=15.0, stop_field_norm=1e-13)
-        traj = integrate(toda_field, start.y, esc_cfg)
-        radius = max(float(np.linalg.norm(s - target)) for s in traj.states)
-        escape = {"max_radius": radius, "threshold": 10.0 * eps}
-        if radius <= 10.0 * eps:
-            worst = math.inf
-
-    samples = len(sets.stable) + len(sets.unstable) + (1 if escape else 0)
-    return CheckReport.create(
-        f"unstable_manifold.{'-'.join(map(str, w.images))}",
-        worst,
-        samples,
-        dist_tol,
-        {"eps": eps, "pairs": per_pair, "escape": escape},
-    )
+    reports = []
+    for k, w in enumerate(charts):
+        worst = 0.0
+        per_pair = {}
+        for pair, sign, horizon, classified in legs[k]:
+            distance, field_norm = ends[k, pair]
+            wanted = BruhatClass.IN_BRUHAT if sign < 0 else BruhatClass.IN_OPPOSITE
+            ok = classified is wanted and field_norm < field_tol
+            worst = max(worst, distance if ok else math.inf)
+            per_pair[pair] = {
+                "direction": "backward" if sign < 0 else "forward",
+                "distance": distance,
+                "field_norm": field_norm,
+                "classified": classified.value,
+                "horizon": horizon,
+            }
+        escape = None
+        if k in radii:
+            escape = {"max_radius": radii[k], "threshold": 10.0 * eps}
+            if radii[k] <= 10.0 * eps:
+                worst = math.inf
+        reports.append(
+            CheckReport.create(
+                f"unstable_manifold.{'-'.join(map(str, w.images))}",
+                worst,
+                len(legs[k]) + (1 if escape else 0),
+                dist_tol,
+                {"eps": eps, "pairs": per_pair, "escape": escape},
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +743,7 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
     reports.append(CheckReport.create("toda.dimension_bookkeeping", bookkeeping, 1, 0.5))
 
     experiment_charts = Permutation.all(n) if n <= 3 else charts[: min(4, len(charts))]
-    for w in experiment_charts:
-        reports.append(unstable_manifold_experiment(w, h))
+    reports.extend(unstable_manifold_experiments(experiment_charts, h))
 
     sort_cfg = IntegratorConfig(t_max=60.0, max_step=stable_step_for_sorting(h))
     target = h.diag()

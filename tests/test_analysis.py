@@ -1,6 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import toda_atlas.analysis
+import toda_atlas.flows
 from toda_atlas.analysis import (
     CheckReport,
     example4_frame_check,
@@ -12,9 +17,26 @@ from toda_atlas.analysis import (
     sl2_matrix,
     sym_linearization_spectrum,
     unstable_manifold_experiment,
+    unstable_manifold_experiments,
 )
-from toda_atlas.atlas import ChartCoords, FlagPoint, _chart_point, chart_inverse, h_conjugate
-from toda_atlas.flows import chart_flow_exact, integrate, sym_field
+from toda_atlas.atlas import (
+    BruhatClass,
+    ChartCoords,
+    FlagPoint,
+    _chart_point,
+    bruhat_classify,
+    chart_inverse,
+    h_conjugate,
+)
+from toda_atlas.flows import (
+    IntegratorConfig,
+    chart_flow_exact,
+    integrate,
+    integrate_many,
+    stable_step_for_sorting,
+    sym_field,
+    toda_field,
+)
 from toda_atlas.linalg_core import Spectrum
 from toda_atlas.sampling import (
     default_spectrum,
@@ -22,7 +44,7 @@ from toda_atlas.sampling import (
     random_permutation,
     rng_from_seed,
 )
-from toda_atlas.weyl_profiles import Permutation
+from toda_atlas.weyl_profiles import Permutation, inversion_sets
 
 RNG = rng_from_seed(55)
 
@@ -128,6 +150,105 @@ class TestUnstableManifold:
         full = unstable_manifold_experiment(w, h, eps=1e-4)
         halved = unstable_manifold_experiment(w, h, eps=5e-5)
         assert full.passed == halved.passed
+
+
+def serial_unstable_manifold_experiment(w, h, eps=1e-4):
+    """The experiment with one integrate call per leg and per escape run."""
+    dist_tol = 1e-7
+    cfg = IntegratorConfig(
+        rel_tol=1e-12,
+        abs_tol=1e-13,
+        max_step=min(0.5, stable_step_for_sorting(h)),
+        t_max=60.0,
+        stop_field_norm=1e-13,
+    )
+    sets = inversion_sets(w)
+    target = h_conjugate(h, w)
+    diag = np.diag(target)
+    worst = 0.0
+    per_pair = {}
+    for sign, pairs in ((-1, sorted(sets.unstable)), (+1, sorted(sets.stable))):
+        for i, j in pairs:
+            gap = abs(diag[i - 1] - diag[j - 1])
+            horizon = min(cfg.t_max, math.log(eps / (dist_tol / 5.0)) / gap)
+            lower = np.zeros((h.n, h.n))
+            lower[i - 1, j - 1] = eps
+            start = chart_inverse(ChartCoords(w=w, lower=lower, h=h))
+            wanted = BruhatClass.IN_BRUHAT if sign < 0 else BruhatClass.IN_OPPOSITE
+            classified = bruhat_classify(start, w, tol=eps * 1e-3)
+            field = (lambda x: -toda_field(x)) if sign < 0 else toda_field
+            traj = integrate(field, start.y, replace(cfg, t_max=horizon))
+            dist = float(np.linalg.norm(traj.final_state - target))
+            ok = classified is wanted and traj.final_field_norm < 1e-6
+            worst = max(worst, dist if ok else math.inf)
+            per_pair[f"{i},{j}"] = {
+                "direction": "backward" if sign < 0 else "forward",
+                "distance": dist,
+                "field_norm": traj.final_field_norm,
+                "classified": classified.value,
+                "horizon": horizon,
+            }
+    escape = None
+    if sets.unstable:
+        lower = np.zeros((h.n, h.n))
+        for i, j in sets.unstable:
+            lower[i - 1, j - 1] = eps / math.sqrt(len(sets.unstable))
+        start = chart_inverse(ChartCoords(w=w, lower=lower, h=h))
+        esc_cfg = IntegratorConfig(t_max=15.0, stop_field_norm=1e-13)
+        traj = integrate(toda_field, start.y, esc_cfg)
+        radius = max(float(np.linalg.norm(s - target)) for s in traj.states)
+        escape = {"max_radius": radius, "threshold": 10.0 * eps}
+        if radius <= 10.0 * eps:
+            worst = math.inf
+    samples = len(sets.stable) + len(sets.unstable) + (1 if escape else 0)
+    return CheckReport.create(
+        f"unstable_manifold.{'-'.join(map(str, w.images))}",
+        worst,
+        samples,
+        dist_tol,
+        {"eps": eps, "pairs": per_pair, "escape": escape},
+    )
+
+
+def drawn_charts(n, count, seed):
+    rng = rng_from_seed(seed)
+    return [random_permutation(n, rng) for _ in range(count)]
+
+
+class TestUnstableManifoldBatch:
+    @pytest.mark.parametrize(
+        "charts",
+        [list(Permutation.all(3)), drawn_charts(4, 4, seed=9)],
+        ids=["n3_all", "n4_drawn"],
+    )
+    def test_equals_serial_runs(self, charts):
+        h = default_spectrum(charts[0].n)
+        batched = unstable_manifold_experiments(charts, h)
+        serial = [serial_unstable_manifold_experiment(w, h) for w in charts]
+        assert batched == serial
+        assert [list(r.details["pairs"]) for r in batched] == [
+            list(r.details["pairs"]) for r in serial
+        ]
+
+    def test_four_leg_batches_and_one_escape_batch(self, monkeypatch):
+        calls = []
+
+        def counting(field, starts, cfg):
+            calls.append(len(starts))
+            return integrate_many(field, starts, cfg)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a run went through integrate")
+
+        monkeypatch.setattr(toda_atlas.analysis, "integrate_many", counting)
+        monkeypatch.setattr(toda_atlas.analysis, "integrate", forbidden)
+        monkeypatch.setattr(toda_atlas.flows, "integrate", forbidden)
+        reports = unstable_manifold_experiments(list(Permutation.all(3)), default_spectrum(3))
+        assert len(reports) == 6
+        # 18 legs in 4 (direction, horizon) batches, then 5 escape runs
+        assert len(calls) == 5
+        assert sum(calls) == 18 + 5
+        assert calls[-1] == 5
 
 
 class TestSymLinearization:
