@@ -16,6 +16,14 @@ controller (safety 0.9, growth clamped to [0.2, 5.0], initial step
 traces is measured and reported instead, so integrator defects stay
 visible to the test suite.
 
+A step costs mostly numpy call overhead, so it makes few calls: each
+weighted stage sum is one ``np.add.reduce(..., initial=0.0)`` over the
+stage buffer. Starting from +0.0 and adding the terms in stage order is
+what ``sum`` over the terms does from its start 0, so every stage keeps
+the bits of that sum, signed zeros included. The error ratios are direct
+ufunc calls on one scratch array with the bits of the RMS written with
+``np.mean``.
+
 ``integrate_many`` steps B starts in lockstep over a ``(B, n, n)``
 stack, one field call per stage for the whole batch. Each lane keeps its
 own step size, PI state, stop test and counts, and leaves the stack when
@@ -96,6 +104,14 @@ _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_ERR = _DP_B5 - _DP_B4
+# The same weights as columns that broadcast over the stage buffer of one
+# matrix (ndim 2) or of a (B, n, n) stack (ndim 3): entry s holds the
+# weights of stage s's input, entry 7 the error weights.
+_DP_COLUMNS = {
+    ndim: [_DP_A[s, :s].reshape((s,) + (1,) * ndim) for s in range(7)]
+    + [_DP_ERR.reshape((7,) + (1,) * ndim)]
+    for ndim in (2, 3)
+}
 
 
 @dataclass(frozen=True)
@@ -139,8 +155,10 @@ class Trajectory:
             raise ValueError("a trajectory holds at least its initial state")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("times must be strictly increasing")
-        if not all(np.isfinite(state).all() for state in self.states):
-            raise ValueError("trajectory states must be finite")
+        states = self.states
+        for i in range(0, len(states), _DRIFT_CHUNK):
+            if not np.isfinite(np.stack(states[i:i + _DRIFT_CHUNK])).all():
+                raise ValueError("trajectory states must be finite")
 
     @property
     def final_state(self) -> np.ndarray:
@@ -227,27 +245,43 @@ def _dopri_stages(field, x, h, k1):
 
     x is one matrix with a float h, or a (B, n, n) stack with h a
     (B, 1, 1) array of per-lane steps. The seven stages share one
-    (7,) + x.shape buffer. Summing over its leading axis adds the weighted
-    stages in stage order, and the closing + 0.0 turns an entry whose
-    every term is -0.0 into +0.0. A zero weight adds a signed zero, so
-    each weighted sum has the bits of ``sum`` over the nonzero terms, in
-    every lane of a stack.
+    (7,) + x.shape buffer. Each weighted sum is an ``np.add.reduce`` over
+    its leading axis with ``initial=0.0``: it adds the weighted stages in
+    stage order onto +0.0, which is how ``sum`` adds them onto its start
+    0, so an entry whose every term is -0.0 comes out +0.0 (``initial``
+    fixes that start rather than leaving it to numpy's default). A
+    running sum that starts at +0.0 is never -0.0, so a zero weight's
+    signed-zero term leaves it unchanged, and each weighted sum has the
+    bits of ``sum`` over the nonzero terms, in every lane of a stack.
     """
-    trailing = (1,) * x.ndim
-    weights = _DP_A.reshape(_DP_A.shape + trailing)
+    columns = _DP_COLUMNS[x.ndim]
     k = np.empty((7,) + x.shape)
     k[0] = k1
     for s in range(1, 7):
-        stage = x + h * ((weights[s, :s] * k[:s]).sum(axis=0) + 0.0)
+        stage = x + h * np.add.reduce(columns[s] * k[:s], axis=0, initial=0.0)
         k[s] = field(stage)
-    err = h * ((_DP_ERR.reshape((7,) + trailing) * k).sum(axis=0) + 0.0)
+    err = h * np.add.reduce(columns[7] * k, axis=0, initial=0.0)
     return stage, err, k[6]
 
 
 def _error_ratios(err, x_old, x_new, cfg) -> list:
-    """RMS of each lane's error over its tolerance scale, as Python floats."""
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x_old), np.abs(x_new))
-    return np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2))).tolist()
+    """RMS of each lane's error over its tolerance scale, as Python floats.
+
+    Works in one scratch array with direct ufunc calls and gives the bits
+    of ``np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2)))`` with
+    ``scale = abs_tol + rel_tol * np.maximum(np.abs(x_old), np.abs(x_new))``:
+    the same elementwise operations, and ``np.mean``'s own sum over the
+    last two axes divided by their size.
+    """
+    q = np.abs(x_old)
+    np.maximum(q, np.abs(x_new), out=q)
+    q *= cfg.rel_tol
+    q += cfg.abs_tol
+    np.divide(err, q, out=q)
+    np.square(q, out=q)
+    ms = np.add.reduce(q, axis=(1, 2))
+    ms /= q.shape[1] * q.shape[2]
+    return np.sqrt(ms, out=ms).tolist()
 
 
 def _frobenius_norms(f) -> list:

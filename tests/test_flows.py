@@ -22,6 +22,7 @@ from toda_atlas.flows import (
     sym_field,
     toda_field,
     _dopri_stages,
+    _error_ratios,
 )
 from toda_atlas.linalg_core import (
     Spectrum,
@@ -532,6 +533,95 @@ class TestIntegrateMany:
         assert batched.value.trajectory.rejected_steps > 0
 
 
+def frobenius_norm(f):
+    flat = f.ravel()
+    return math.sqrt(float(np.vecdot(flat, flat)))
+
+
+def reference_integrate(field, x0, cfg):
+    """One run written out with a plain one-matrix loop: ``generator_sum_step``,
+    the RMS error ratio by ``np.mean`` and the PI controller with its
+    constants spelled out (safety 0.9, exponents 0.17 and 0.04, growth in
+    [0.2, 5], shrink 0.9 ratio^-0.2 in [0.2, 1], first step 1e-3)."""
+    x = np.array(x0, dtype=float)
+    fx = field(x)
+    fnorm = frobenius_norm(fx)
+    t, h, err_prev = 0.0, min(1e-3, cfg.max_step, cfg.t_max), 1e-4
+    times, states, steps, rejected = [0.0], [x], [], 0
+    while fnorm >= cfg.stop_field_norm and t < cfg.t_max * (1.0 - 1e-12):
+        h = min(h, cfg.max_step, cfg.t_max - t)
+        assert h >= 1e-14
+        x5, err, k7 = generator_sum_step(field, x, h, fx)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x5))
+        ratio = float(np.sqrt(np.mean((err / scale) ** 2)))
+        if ratio <= 1.0:
+            t += h
+            x, fx, fnorm = x5, k7, frobenius_norm(k7)
+            times.append(t)
+            states.append(x)
+            steps.append(h)
+            factor = 0.9 * max(ratio, 1e-16) ** (-0.17) * err_prev ** 0.04
+            h *= min(5.0, max(0.2, factor))
+            err_prev = max(ratio, 1e-4)
+        else:
+            rejected += 1
+            h *= min(1.0, max(0.2, 0.9 * ratio ** (-0.2)))
+    w0 = isospectral_witness(states[0])
+    return Trajectory(
+        times, states, len(steps), rejected, fnorm,
+        max(isospectral_witness(s).drift_from(w0) for s in states),
+        field_evals=1 + 6 * (len(steps) + rejected),
+        min_step=min(steps, default=0.0),
+        max_step=max(steps, default=0.0),
+    )
+
+
+class TestWholeRunBits:
+    @pytest.mark.parametrize("n", [3, 8, 12])
+    @pytest.mark.parametrize("field", [toda_field, sym_field])
+    def test_integrate_equals_reference_loop(self, field, n):
+        # the generic start and the same scaled by 2, whose run rejects steps
+        generic, scaled = lane_starts(field, n, np.random.default_rng(40 + n))[:2]
+        t_max = 3.0 if field is toda_field else 1.0
+        cfg = IntegratorConfig(t_max=t_max, stop_field_norm=1e-7)
+        runs = [integrate(field, x0, cfg) for x0 in (generic, scaled)]
+        for run, x0 in zip(runs, (generic, scaled)):
+            assert_same_run(run, reference_integrate(field, x0, cfg))
+        assert runs[0].accepted_steps > 10
+        assert runs[1].rejected_steps > 0
+
+
+class TestErrorRatios:
+    @staticmethod
+    def hex_list(values):
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    @pytest.mark.parametrize("lanes", [1, 5])
+    def test_error_ratios_equal_mean_expression(self, lanes, n):
+        # n^2 = 4 and 9 sit on either side of numpy's 8-entry pairwise
+        # summation block, 49 and 144 well past it
+        rng = np.random.default_rng(100 * lanes + n)
+        shape = (lanes, n, n)
+        x_old = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, shape)
+        x_new = x_old + 1e-6 * rng.standard_normal(shape)
+        err = 1e-9 * rng.standard_normal(shape) * 10.0 ** rng.integers(-200, 2, shape)
+        special = rng.integers(0, 5, shape)
+        for arr in (x_old, x_new, err):
+            arr[special == 0] = 0.0
+            arr[special == 1] = -0.0
+            arr[special == 2] = 5e-324
+        err[0, 0, 0] = -0.0
+        x_old[0, 0, 0] = x_new[0, 0, 0] = -0.0
+        for cfg in (IntegratorConfig(), IntegratorConfig(rel_tol=3e-7, abs_tol=1e-300)):
+            scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x_old), np.abs(x_new))
+            want = np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2))).tolist()
+            got = _error_ratios(err, x_old, x_new, cfg)
+            assert self.hex_list(got) == self.hex_list(want)
+        zeros = np.zeros(shape)
+        assert self.hex_list(_error_ratios(-zeros, zeros, -zeros, cfg)) == ["0x0.0p+0"] * lanes
+
+
 class TestStiffnessGuard:
     def test_step_underflow_returns_partial_trajectory(self):
         # a wildly oscillating right-hand side defeats the error estimate,
@@ -561,6 +651,24 @@ class TestConfigValidation:
                 final_field_norm=1.0,
                 power_trace_drift=0.0,
             )
+
+    @pytest.mark.parametrize("bad", [0, 63, 64, 65, 129])
+    def test_trajectory_rejects_a_non_finite_state_in_any_chunk(self, bad):
+        # the check runs over stacks of 64 states; 64 and later sit past
+        # the first of them
+        states = [np.eye(3) * (1.0 + i) for i in range(130)]
+        states[bad][2, 1] = np.inf if bad % 2 else np.nan
+        with pytest.raises(ValueError, match="^trajectory states must be finite$"):
+            Trajectory(
+                times=np.arange(130.0),
+                states=states,
+                accepted_steps=129,
+                rejected_steps=0,
+                final_field_norm=1.0,
+                power_trace_drift=0.0,
+            )
+        states[bad] = np.eye(3)
+        assert len(Trajectory(np.arange(130.0), states, 129, 0, 1.0, 0.0).states) == 130
 
     def test_trajectory_rejects_decreasing_times(self):
         with pytest.raises(ValueError, match="increasing"):
