@@ -15,7 +15,6 @@ from .atlas import (
     BruhatClass,
     ChartCoords,
     FlagPoint,
-    bruhat_affine_image,
     bruhat_classify,
     chart_domain_test,
     chart_forward,
@@ -32,12 +31,10 @@ from .analysis import (
     pushforward_check,
     pushforward_richardson,
     sym_linearization_spectrum,
-    unstable_manifold_experiment,
     unstable_manifold_experiments,
 )
 from .errors import (
     ChartDomainError,
-    ConvergenceError,
     FactorizationError,
     ProfileError,
     StiffnessError,
@@ -63,7 +60,6 @@ from .flows import (
     chart_flow_exact,
     chart_linear_field,
     integrate,
-    limit_point,
     sym_field,
     toda_field,
 )
@@ -76,7 +72,6 @@ from .linalg_core import (
     pi_k,
     pi_u,
     symmetric_eigen,
-    theta,
 )
 from .weyl_profiles import (
     InversionSets,

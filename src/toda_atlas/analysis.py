@@ -75,7 +75,6 @@ __all__ = [
     "CheckReport",
     "pushforward_check",
     "pushforward_richardson",
-    "unstable_manifold_experiment",
     "unstable_manifold_experiments",
     "sym_linearization_spectrum",
     "fiber_experiment",
@@ -227,17 +226,6 @@ def _single_pair_coords(w, h, i, j, eps) -> ChartCoords:
     lower = np.zeros((h.n, h.n))
     lower[i - 1, j - 1] = eps
     return ChartCoords(w=w, lower=lower, h=h)
-
-
-def unstable_manifold_experiment(
-    w: Permutation, h: Spectrum, eps: float = 1e-4
-) -> CheckReport:
-    """Check the cell picture of the saddle at the permuted diagonal of w.
-
-    The one-chart case of :func:`unstable_manifold_experiments`, which
-    describes the legs, the escape run and the pass rule.
-    """
-    return unstable_manifold_experiments([w], h, eps)[0]
 
 
 def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> list:

@@ -16,9 +16,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import ChartDomainError, FactorizationError
-from .factorizations import unbar_factorize, unit_lower_inverse
+from .factorizations import _signed_qr, unbar_factorize, unit_lower_inverse
 from .linalg_core import Spectrum, as_matrix, symmetric_eigen
-from .weyl_profiles import Permutation, InversionSets, inversion_sets, lower_pairs, perm_matrix
+from .weyl_profiles import Permutation, inversion_sets, lower_pairs, perm_matrix
 
 __all__ = [
     "FlagPoint",
@@ -30,7 +30,6 @@ __all__ = [
     "chart_domain_test",
     "chart_forward",
     "coords_from_frame",
-    "bruhat_affine_image",
     "bruhat_classify",
 ]
 
@@ -42,7 +41,6 @@ DOMAIN_MINOR_TOL = 1e-11
 
 _EIGENVALUE_TOL = 1e-8
 _FIBER_TOL = 1e-12
-_QR_PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,12 +135,8 @@ def _chart_point(c: ChartCoords, t: float) -> FlagPoint:
     g = nbar_from_affine(dmat + c.lower, c.w, c.h)
     weights = np.exp(t * (d - np.max(d)))
     order = np.argsort(-weights, kind="stable")
-    q, r = np.linalg.qr(weights[order, None] * unit_lower_inverse(g)[order])
-    pivots = np.diag(r)
-    dependent = np.flatnonzero(np.abs(pivots) / weights[order] < _QR_PIVOT_TOL)
-    if dependent.size:
-        raise FactorizationError(f"column {dependent[0] + 1} is numerically dependent on earlier columns")
-    frame = (q * np.where(pivots < 0.0, -1.0, 1.0)).T @ perm_matrix(c.w)[order]
+    q, _ = _signed_qr(weights[order, None] * unit_lower_inverse(g)[order], weights[order])
+    frame = q.T @ perm_matrix(c.w)[order]
     y = frame @ c.h.diag() @ frame.T
     return FlagPoint(0.5 * (y + y.T), c.h)
 
@@ -230,20 +224,10 @@ def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
     return _coords_from_nbar(_chart_nbar(y, w), w, y.h)
 
 
-def bruhat_affine_image(w: Permutation) -> InversionSets:
-    """Coordinate subspaces cut out by the cells in the chart at w.
-
-    Coordinates supported on the unstable pairs make up the image of the
-    cell at w; coordinates supported on the stable pairs make up the
-    image of the opposite cell.
-    """
-    return inversion_sets(w)
-
-
 def bruhat_classify(y: FlagPoint, w: Permutation, tol: float) -> BruhatClass:
     """Classify y against the two cells at w by its coordinate support."""
     coords = chart_forward(y, w)
-    sets = bruhat_affine_image(w)
+    sets = inversion_sets(w)
     support = {
         (i, j)
         for i, j in lower_pairs(w.n)

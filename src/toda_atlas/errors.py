@@ -30,17 +30,6 @@ class ProfileError(TodaAtlasError):
         self.witness = witness
 
 
-class ConvergenceError(TodaAtlasError):
-    """An integration hit t_max before meeting its stop criterion.
-
-    The partial trajectory is attached for diagnostics.
-    """
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = trajectory
-
-
 class StiffnessError(TodaAtlasError):
     """The adaptive step size underflowed; the partial trajectory is attached."""
 

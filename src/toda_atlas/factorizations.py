@@ -44,6 +44,8 @@ __all__ = [
     "phi_sigma",
     "unit_lower_inverse",
     "trailing_minors",
+    "gs_embed_inverse",
+    "phi_sigma_inverse",
 ]
 
 # Below this magnitude a Crout pivot is declared a vanishing trailing
@@ -98,6 +100,26 @@ class ChevalleyResult:
     minor_index: int | None = None
 
 
+def _signed_qr(m, weights):
+    """Householder QR m = q r with the signs fixed so that diag(r) > 0.
+
+    Negating a row of r and the matching column of q is exact, so the
+    factors carry LAPACK's bits up to sign. weights is a scalar or one
+    weight per row of m. Raises FactorizationError when some
+    |r_ii| / weights[i] < 1e-12: column i is numerically dependent on
+    earlier ones.
+    """
+    q, r = np.linalg.qr(m)
+    pivots = np.diag(r)
+    dependent = np.flatnonzero(np.abs(pivots) / weights < 1e-12)
+    if dependent.size:
+        raise FactorizationError(
+            f"column {dependent[0] + 1} is numerically dependent on earlier columns"
+        )
+    signs = np.where(pivots < 0.0, -1.0, 1.0)
+    return q * signs, r * signs[:, None]
+
+
 def kan_factorize(g) -> KANFactors:
     """Gram-Schmidt split g = k a n of a determinant-one matrix.
 
@@ -117,17 +139,8 @@ def kan_factorize(g) -> KANFactors:
     if abs(det - 1.0) > _DET_TOL:
         raise ValueError(f"input must have determinant one, got {det!r}")
 
-    q, r = np.linalg.qr(g)
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q = q * signs
-    diag = signs * np.diag(r)
-    dependent = np.flatnonzero(diag < 1e-12)
-    if dependent.size:
-        raise FactorizationError(
-            f"column {dependent[0] + 1} is numerically dependent on earlier columns"
-        )
-
-    a = np.diag(diag)
+    q, r = _signed_qr(g, 1.0)
+    a = np.diag(np.diag(r))
     unit_upper = np.triu(r / np.diag(r)[:, None])
     np.fill_diagonal(unit_upper, 1.0)
     return KANFactors(k=q, a=a, n=unit_upper)

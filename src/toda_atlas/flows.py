@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atlas import ChartCoords, h_conjugate
-from .errors import ConvergenceError, StiffnessError
+from .errors import StiffnessError
 from .linalg_core import (
     Spectrum,
     _pi_k,
@@ -68,7 +68,6 @@ __all__ = [
     "sym_field",
     "integrate",
     "integrate_many",
-    "limit_point",
     "propagate",
     "stable_step_for_sorting",
     "stable_step_for_symmetrization",
@@ -104,14 +103,12 @@ _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_ERR = _DP_B5 - _DP_B4
-# The same weights as columns that broadcast over the stage buffer of one
-# matrix (ndim 2) or of a (B, n, n) stack (ndim 3): entry s holds the
-# weights of stage s's input, entry 7 the error weights.
-_DP_COLUMNS = {
-    ndim: [_DP_A[s, :s].reshape((s,) + (1,) * ndim) for s in range(7)]
-    + [_DP_ERR.reshape((7,) + (1,) * ndim)]
-    for ndim in (2, 3)
-}
+# The same weights as columns that broadcast over the stage buffer of a
+# (B, n, n) stack: entry s holds the weights of stage s's input, entry 7
+# the error weights.
+_DP_COLUMNS = [_DP_A[s, :s].reshape(s, 1, 1, 1) for s in range(7)] + [
+    _DP_ERR.reshape(7, 1, 1, 1)
+]
 
 
 @dataclass(frozen=True)
@@ -243,24 +240,23 @@ def _dopri_stages(field, x, h, k1):
     """One embedded step: returns (x5, error_estimate, k7) with
     k7 = field(x5), the next step's first stage (FSAL).
 
-    x is one matrix with a float h, or a (B, n, n) stack with h a
-    (B, 1, 1) array of per-lane steps. The seven stages share one
-    (7,) + x.shape buffer. Each weighted sum is an ``np.add.reduce`` over
-    its leading axis with ``initial=0.0``: it adds the weighted stages in
-    stage order onto +0.0, which is how ``sum`` adds them onto its start
-    0, so an entry whose every term is -0.0 comes out +0.0 (``initial``
-    fixes that start rather than leaving it to numpy's default). A
-    running sum that starts at +0.0 is never -0.0, so a zero weight's
-    signed-zero term leaves it unchanged, and each weighted sum has the
-    bits of ``sum`` over the nonzero terms, in every lane of a stack.
+    x is a (B, n, n) stack and h a float or a (B, 1, 1) array of
+    per-lane steps. The seven stages share one (7, B, n, n) buffer. Each
+    weighted sum is an ``np.add.reduce`` over its leading axis with
+    ``initial=0.0``: it adds the weighted stages in stage order onto
+    +0.0, which is how ``sum`` adds them onto its start 0, so an entry
+    whose every term is -0.0 comes out +0.0 (``initial`` fixes that
+    start rather than leaving it to numpy's default). A running sum that
+    starts at +0.0 is never -0.0, so a zero weight's signed-zero term
+    leaves it unchanged, and each weighted sum has the bits of ``sum``
+    over the nonzero terms, in every lane of a stack.
     """
-    columns = _DP_COLUMNS[x.ndim]
     k = np.empty((7,) + x.shape)
     k[0] = k1
     for s in range(1, 7):
-        stage = x + h * np.add.reduce(columns[s] * k[:s], axis=0, initial=0.0)
+        stage = x + h * np.add.reduce(_DP_COLUMNS[s] * k[:s], axis=0, initial=0.0)
         k[s] = field(stage)
-    err = h * np.add.reduce(columns[7] * k, axis=0, initial=0.0)
+    err = h * np.add.reduce(_DP_COLUMNS[7] * k, axis=0, initial=0.0)
     return stage, err, k[6]
 
 
@@ -412,40 +408,14 @@ def integrate(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> Trajecto
     return integrate_many(field, [x0], cfg)[0]
 
 
-def limit_point(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
-    """Integrate to the zero set of the field and return the final state.
-
-    Raises ConvergenceError (with the trajectory attached) if t_max is hit
-    before the field norm drops below the stop threshold. Structural
-    sanity checks: a symmetrization limit must be symmetric; a sorting
-    limit from a symmetric start must be diagonal.
-    """
-    x0 = as_matrix(x0)
-    traj = integrate(field, x0, cfg)
-    if traj.final_field_norm >= cfg.stop_field_norm:
-        raise ConvergenceError(
-            f"no convergence by t_max={cfg.t_max}: field norm is "
-            f"{traj.final_field_norm:.3e} (stop at {cfg.stop_field_norm:.0e}); "
-            f"{traj.accepted_steps} accepted / {traj.rejected_steps} rejected steps",
-            trajectory=traj,
-        )
-    final = traj.final_state
-    if field is sym_field and np.linalg.norm(final - final.T) > 1e-7:
-        raise ConvergenceError("symmetrization limit is not symmetric", trajectory=traj)
-    started_symmetric = np.linalg.norm(x0 - x0.T) < 1e-9
-    if field is toda_field and started_symmetric:
-        if np.linalg.norm(final - np.diag(np.diag(final))) > 1e-7:
-            raise ConvergenceError("sorting limit is not diagonal", trajectory=traj)
-    return final
-
-
 def propagate(field, x0, t: float) -> np.ndarray:
     """Advance x0 by a (possibly negative) time t with fixed-size steps.
 
     Uses the fifth-order solution only, in the fewest equal steps of size
     at most 1e-3 (_PROPAGATE_STEP); at that size the local error sits far
     below roundoff for the smooth fields here. Meant for the tiny,
-    exactly-timed displacements finite differencing needs.
+    exactly-timed displacements finite differencing needs. Steps x0 as a
+    (1, n, n) stack, as :func:`integrate` does.
     """
     x = as_matrix(x0).copy()
     if t == 0.0:
@@ -453,7 +423,8 @@ def propagate(field, x0, t: float) -> np.ndarray:
     steps = max(1, int(math.ceil(abs(t) / _PROPAGATE_STEP)))
     h = t / steps
     field = _KERNELS.get(field, field)
+    x = x[None]
     k = field(x)
     for _ in range(steps):
         x, _, k = _dopri_stages(field, x, h, k)
-    return x
+    return x[0]

@@ -36,7 +36,6 @@ __all__ = [
     "commutator",
     "pi_k",
     "pi_u",
-    "theta",
     "btheta_norm_sq",
     "symmetric_eigen",
     "isospectral_witness",
@@ -106,9 +105,6 @@ class Spectrum:
 
     def diag(self) -> np.ndarray:
         return np.diag(self.values)
-
-    def min_gap(self) -> float:
-        return min(a - b for a, b in zip(self.values, self.values[1:]))
 
 
 @dataclass(frozen=True)
@@ -207,11 +203,6 @@ def pi_u(x) -> np.ndarray:
     """Upper-triangular component of the skew + upper-triangular splitting."""
     x = as_matrix(x)
     return x - _pi_k(x)
-
-
-def theta(x) -> np.ndarray:
-    """Cartan involution -x.T; fixes skew matrices, negates symmetric ones."""
-    return -as_matrix(x).T
 
 
 def btheta_norm_sq(x) -> float:

@@ -1,4 +1,4 @@
-"""File formats: matrix and profile JSON, trajectory CSV, report JSON.
+"""File formats: matrix JSON, trajectory CSV, report JSON.
 
 All writers are deterministic: keys are sorted, floats use the shortest
 round-trip decimal representation, and row order is fixed. Re-running a
@@ -14,15 +14,12 @@ import numpy as np
 from .analysis import CheckReport
 from .flows import Trajectory
 from .linalg_core import as_matrix
-from .weyl_profiles import Profile, profile_validate
 
 __all__ = [
     "matrix_to_dict",
     "matrix_from_dict",
     "write_matrix",
     "read_matrix",
-    "profile_to_dict",
-    "profile_from_dict",
     "write_trajectory_csv",
     "read_trajectory_csv",
     "trajectory_diagnostics",
@@ -65,19 +62,6 @@ def write_matrix(path, mat) -> None:
 
 def read_matrix(path) -> np.ndarray:
     return matrix_from_dict(read_json(path))
-
-
-def profile_to_dict(p: Profile) -> dict:
-    return {"n": p.n, "pairs": [[i, j] for i, j in sorted(p.pairs)]}
-
-
-def profile_from_dict(payload) -> Profile:
-    try:
-        n = int(payload["n"])
-        pairs = payload["pairs"]
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"profile JSON needs 'n' and 'pairs': {err}") from err
-    return profile_validate(n, {(int(i), int(j)) for i, j in pairs})
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

@@ -16,7 +16,6 @@ from toda_atlas.analysis import (
     sl2_cubic_model,
     sl2_matrix,
     sym_linearization_spectrum,
-    unstable_manifold_experiment,
     unstable_manifold_experiments,
 )
 from toda_atlas.atlas import (
@@ -119,7 +118,7 @@ class TestGradedChartFlow:
 class TestUnstableManifold:
     def test_identity_chart_all_stable(self):
         h = default_spectrum(3)
-        report = unstable_manifold_experiment(Permutation.identity(3), h)
+        report = unstable_manifold_experiments([Permutation.identity(3)], h)[0]
         assert report.passed
         assert report.details["escape"] is None
         assert all(
@@ -128,7 +127,7 @@ class TestUnstableManifold:
 
     def test_longest_chart_all_unstable(self):
         h = default_spectrum(3)
-        report = unstable_manifold_experiment(Permutation.longest(3), h)
+        report = unstable_manifold_experiments([Permutation.longest(3)], h)[0]
         assert report.passed
         assert all(
             info["direction"] == "backward" for info in report.details["pairs"].values()
@@ -137,7 +136,7 @@ class TestUnstableManifold:
 
     def test_saddle_chart_classification(self):
         h = Spectrum((2.0, 0.0, -2.0))
-        report = unstable_manifold_experiment(Permutation((2, 1, 3)), h)
+        report = unstable_manifold_experiments([Permutation((2, 1, 3))], h)[0]
         assert report.passed
         pairs = report.details["pairs"]
         assert pairs["2,1"]["direction"] == "backward"
@@ -147,8 +146,8 @@ class TestUnstableManifold:
     def test_conclusions_stable_under_halving_eps(self):
         h = default_spectrum(3)
         w = Permutation((2, 1, 3))
-        full = unstable_manifold_experiment(w, h, eps=1e-4)
-        halved = unstable_manifold_experiment(w, h, eps=5e-5)
+        full = unstable_manifold_experiments([w], h, eps=1e-4)[0]
+        halved = unstable_manifold_experiments([w], h, eps=5e-5)[0]
         assert full.passed == halved.passed
 
 

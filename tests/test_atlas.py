@@ -8,7 +8,6 @@ from toda_atlas.atlas import (
     ChartCoords,
     FlagPoint,
     _frame,
-    bruhat_affine_image,
     bruhat_classify,
     chart_domain_test,
     chart_forward,
@@ -357,11 +356,6 @@ class TestSignIndependence:
 
 
 class TestBruhat:
-    def test_affine_images(self):
-        assert bruhat_affine_image(Permutation.identity(3)).unstable == frozenset()
-        assert bruhat_affine_image(Permutation.longest(3)).stable == frozenset()
-        assert bruhat_affine_image(Permutation((2, 1, 3))).unstable == frozenset({(2, 1)})
-
     def test_origin_classifies_both(self):
         h = default_spectrum(3)
         w = Permutation((2, 1, 3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toda_atlas.atlas import ChartCoords, chart_inverse, h_conjugate
-from toda_atlas.errors import ConvergenceError, StiffnessError
+from toda_atlas.errors import StiffnessError
 from toda_atlas.flows import (
     _DP_A,
     _DP_B5,
@@ -15,7 +15,6 @@ from toda_atlas.flows import (
     chart_linear_field,
     integrate,
     integrate_many,
-    limit_point,
     propagate,
     stable_step_for_sorting,
     stable_step_for_symmetrization,
@@ -258,8 +257,10 @@ class TestIntegrate:
 
     def test_sorting_limit_two_by_two(self):
         x0 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        final = limit_point(toda_field, x0, IntegratorConfig(t_max=25.0))
-        np.testing.assert_allclose(final, np.diag([1.0, -1.0]), atol=1e-8)
+        cfg = IntegratorConfig(t_max=25.0)
+        traj = integrate(toda_field, x0, cfg)
+        assert traj.final_field_norm < cfg.stop_field_norm
+        np.testing.assert_allclose(traj.final_state, np.diag([1.0, -1.0]), atol=1e-8)
 
     def test_drift_and_symmetry_along_sorting_runs(self):
         h = default_spectrum(4)
@@ -286,13 +287,6 @@ class TestIntegrate:
             isospectral_witness(s).drift_from(w0) for s in traj.states
         )
         assert traj.power_trace_drift == observed
-
-    def test_timeout_raises_with_trajectory(self):
-        x0 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ConvergenceError) as err:
-            limit_point(toda_field, x0, IntegratorConfig(t_max=0.5))
-        assert err.value.trajectory is not None
-        assert err.value.trajectory.final_time == pytest.approx(0.5)
 
     def test_propagate_matches_integrate(self):
         x0 = random_symmetric_with_spectrum(default_spectrum(3), RNG)
@@ -341,7 +335,7 @@ class TestIntegrate:
         def field(x):
             return -np.abs(x)
 
-        x = np.array([[-0.0, 1.0], [-0.5, -0.0]])
+        x = np.array([[-0.0, 1.0], [-0.5, -0.0]])[None]
         expected_stages, got_stages = [], []
 
         def recording(x):
@@ -376,12 +370,17 @@ class TestLimitPoint:
     def test_sym_limit_of_upper_triangular(self):
         x0 = np.diag([3.0, 1.0, -4.0]) + np.triu(RNG.standard_normal((3, 3)), 1)
         cfg = IntegratorConfig(t_max=40.0, max_step=0.025)
-        final = limit_point(sym_field, x0, cfg)
+        traj = integrate(sym_field, x0, cfg)
+        assert traj.final_field_norm < cfg.stop_field_norm
+        final = traj.final_state
+        assert np.linalg.norm(final - final.T) < 1e-7
         np.testing.assert_allclose(final, np.diag([3.0, 1.0, -4.0]), atol=1e-6)
 
     def test_toda_fixed_at_diagonal(self):
         h = np.diag([2.0, 0.0, -2.0])
-        np.testing.assert_array_equal(limit_point(toda_field, h), h)
+        traj = integrate(toda_field, h)
+        assert traj.final_field_norm < IntegratorConfig().stop_field_norm
+        np.testing.assert_array_equal(traj.final_state, h)
 
     def test_sl2_plane_invariance_and_hyperbola_fiber(self):
         # starts with zero diagonal coordinate stay on that plane and land on

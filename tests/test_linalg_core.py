@@ -15,7 +15,6 @@ from toda_atlas.linalg_core import (
     pi_k,
     pi_u,
     symmetric_eigen,
-    theta,
 )
 
 RNG = np.random.default_rng(12345)
@@ -166,23 +165,6 @@ class TestProjections:
             fn(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
-class TestTheta:
-    def test_symmetric_negated(self):
-        y = RNG.standard_normal((3, 3))
-        y = y + y.T
-        np.testing.assert_array_equal(theta(y), -y)
-
-    def test_skew_fixed(self):
-        s = RNG.standard_normal((3, 3))
-        s = s - s.T
-        np.testing.assert_array_equal(theta(s), s)
-
-    @settings(max_examples=60, deadline=None)
-    @given(finite_matrices)
-    def test_involution(self, x):
-        np.testing.assert_array_equal(theta(theta(x)), x)
-
-
 class TestNormSquare:
     def test_zero(self):
         assert btheta_norm_sq(np.zeros((3, 3))) == 0.0
@@ -296,7 +278,7 @@ class TestWitness:
 
 class TestSpectrum:
     def test_accepts_decreasing_traceless(self):
-        assert Spectrum((3.0, 1.0, -1.0, -3.0)).min_gap() == 2.0
+        assert Spectrum((3.0, 1.0, -1.0, -3.0)).n == 4
 
     def test_rejects_non_decreasing(self):
         with pytest.raises(ValueError, match="decreasing"):

@@ -1,0 +1,51 @@
+"""The package's declared public surface matches what its modules define."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import toda_atlas
+
+
+def test_all_lists_exactly_the_public_definitions():
+    modules = {
+        info.name: importlib.import_module(f"toda_atlas.{info.name}")
+        for info in pkgutil.iter_modules(toda_atlas.__path__)
+    }
+    declaring = {name: module for name, module in modules.items() if hasattr(module, "__all__")}
+    assert {"atlas", "factorizations", "flows", "linalg_core"} <= set(declaring)
+
+    missing = [
+        f"{name}.{attr}"
+        for name, module in declaring.items()
+        for attr in module.__all__
+        if not hasattr(module, attr)
+    ]
+    assert not missing, f"listed in __all__ but not defined: {missing}"
+
+    unlisted = [
+        f"{name}.{attr}"
+        for name, module in declaring.items()
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+        and attr not in module.__all__
+    ]
+    assert not unlisted, f"public but missing from __all__: {unlisted}"
+
+    tree = ast.parse(inspect.getsource(toda_atlas))
+    reexports = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert reexports
+    hidden = [
+        f"{module}.{attr}"
+        for module, attr in reexports
+        if module in declaring and attr not in declaring[module].__all__
+    ]
+    assert not hidden, f"re-exported by the package but missing from __all__: {hidden}"

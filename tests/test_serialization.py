@@ -8,15 +8,12 @@ from toda_atlas.sampling import default_spectrum, random_symmetric_with_spectrum
 from toda_atlas.serialization import (
     matrix_from_dict,
     matrix_to_dict,
-    profile_from_dict,
-    profile_to_dict,
     read_matrix,
     read_trajectory_csv,
     trajectory_diagnostics,
     write_matrix,
     write_trajectory_csv,
 )
-from toda_atlas.weyl_profiles import hessenberg_profile
 
 RNG = rng_from_seed(8)
 
@@ -39,21 +36,6 @@ class TestMatrixJSON:
     def test_schema_shape(self):
         d = matrix_to_dict(np.eye(2))
         assert d == {"n": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}
-
-
-class TestProfileJSON:
-    def test_round_trip(self):
-        p = hessenberg_profile(4)
-        again = profile_from_dict(profile_to_dict(p))
-        assert again == p
-
-    def test_dict_uses_one_based_sorted_pairs(self):
-        d = profile_to_dict(hessenberg_profile(3))
-        assert d == {"n": 3, "pairs": [[2, 1], [3, 2]]}
-
-    def test_invalid_profile_rejected(self):
-        with pytest.raises(Exception, match="axiom"):
-            profile_from_dict({"n": 3, "pairs": [[3, 1]]})
 
 
 class TestTrajectoryCSV:
