@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ChartDomainError, FactorizationError
 from .factorizations import _signed_qr, unbar_factorize, unit_lower_inverse
 from .linalg_core import Spectrum, as_matrix, symmetric_eigen
-from .weyl_profiles import Permutation, inversion_sets, lower_pairs, perm_matrix
+from .weyl_profiles import Permutation, _inverted_mask, perm_matrix
 
 __all__ = [
     "FlagPoint",
@@ -46,20 +46,23 @@ _FIBER_TOL = 1e-12
 @dataclass(frozen=True)
 class FlagPoint:
     """A symmetric matrix with the fixed simple spectrum h; ``frame`` is the
-    read-only special orthogonal eigenframe of its validating symmetric_eigen."""
+    read-only special orthogonal eigenframe of its validating symmetric_eigen.
+    Without h, the spectrum is the one that same eigensolve finds."""
 
     y: np.ndarray
-    h: Spectrum
+    h: Spectrum | None = None
     frame: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = as_matrix(self.y).copy()
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
-        if y.shape[0] != self.h.n:
+        if self.h is not None and y.shape[0] != self.h.n:
             raise ValueError(f"dimension mismatch: matrix is {y.shape[0]}, spectrum is {self.h.n}")
         spectrum, frame = symmetric_eigen(y)
-        if np.max(np.abs(np.array(spectrum.values) - np.array(self.h.values))) > _EIGENVALUE_TOL:
+        if self.h is None:
+            object.__setattr__(self, "h", spectrum)
+        elif np.max(np.abs(np.array(spectrum.values) - np.array(self.h.values))) > _EIGENVALUE_TOL:
             raise ValueError(
                 f"matrix eigenvalues {spectrum.values} do not match the declared spectrum {self.h.values}"
             )
@@ -226,15 +229,10 @@ def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
 
 def bruhat_classify(y: FlagPoint, w: Permutation, tol: float) -> BruhatClass:
     """Classify y against the two cells at w by its coordinate support."""
-    coords = chart_forward(y, w)
-    sets = inversion_sets(w)
-    support = {
-        (i, j)
-        for i, j in lower_pairs(w.n)
-        if abs(coords.lower[i - 1, j - 1]) > tol
-    }
-    in_cell = support <= sets.unstable
-    in_opposite = support <= sets.stable
+    support = np.tril(np.abs(chart_forward(y, w).lower) > tol, -1)
+    unstable = _inverted_mask(w.inverse())  # the unstable pairs of inversion_sets(w)
+    in_cell = not np.any(support & ~unstable)
+    in_opposite = not np.any(support & unstable)
     if in_cell and in_opposite:
         return BruhatClass.BOTH
     if in_cell:

@@ -19,7 +19,7 @@ from .atlas import ChartCoords, FlagPoint, chart_forward, chart_inverse
 from .errors import TodaAtlasError
 from .factorizations import kan_factorize, unbar_factorize
 from .flows import IntegratorConfig, integrate, sym_field, toda_field
-from .linalg_core import Spectrum, symmetric_eigen
+from .linalg_core import Spectrum
 from .serialization import (
     read_matrix,
     report_to_dict,
@@ -73,17 +73,13 @@ def _run_chart(args) -> int:
     out = args.out
     if args.forward is not None:
         y = read_matrix(args.forward)
-        if args.h is not None:
-            h = args.h
-        else:
-            h, _ = symmetric_eigen(y)
-        point = FlagPoint(y, h)
+        point = FlagPoint(y, args.h)
         coords = chart_forward(point, args.w)
         back = chart_inverse(coords)
         residual = float(np.linalg.norm(back.y - y))
         payload = {
             "w": list(args.w.images),
-            "h": list(h.values),
+            "h": list(point.h.values),
             "lower": [[float(v) for v in row] for row in coords.lower],
             "round_trip_residual": residual,
         }

@@ -28,9 +28,9 @@ ufunc calls on one scratch array with the bits of the RMS written with
 stack, one field call per stage for the whole batch. Each lane keeps its
 own step size, PI state, stop test and counts, and leaves the stack when
 it stops; control in Python floats and per-lane reductions give every
-lane the bits of a run alone. ``integrate`` is the B = 1 case. The
-power-trace drift is taken once, when a run ends, over its accepted
-states in stacks of at most 64.
+lane the bits of a run alone. ``integrate`` is the B = 1 case. A run's
+states are stacked in one place, ``_stacks`` (64 at most at a time),
+for the finiteness check, the power-trace drift and the harness.
 
 Public functions validate their arguments; the private ``_`` kernels
 they call per step do not. Each field validates once and then computes
@@ -128,7 +128,8 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted states of one integration, with controller diagnostics."""
+    """Accepted states of one integration, with controller diagnostics.
+    ``states`` is a tuple of (n, n) arrays, walked in stacks by ``_stacks``."""
 
     times: np.ndarray
     states: tuple
@@ -152,9 +153,8 @@ class Trajectory:
             raise ValueError("a trajectory holds at least its initial state")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("times must be strictly increasing")
-        states = self.states
-        for i in range(0, len(states), _DRIFT_CHUNK):
-            if not np.isfinite(np.stack(states[i:i + _DRIFT_CHUNK])).all():
+        for stack in _stacks(self.states):
+            if not np.isfinite(stack).all():
                 raise ValueError("trajectory states must be finite")
 
     @property
@@ -286,18 +286,22 @@ def _frobenius_norms(f) -> list:
     return np.sqrt(np.vecdot(flat, flat)).tolist()
 
 
+def _stacks(states):
+    """The states of a run in order, as (k, n, n) stacks of at most
+    _DRIFT_CHUNK states, so a pass over a long run needs little memory."""
+    for i in range(0, len(states), _DRIFT_CHUNK):
+        yield np.stack(states[i:i + _DRIFT_CHUNK])
+
+
 def _power_trace_drift(states) -> float:
-    """Largest relative drift of the power traces of states[1:] from those
-    of states[0] (0.0 for a lone state). The traces are taken over stacks
-    of at most _DRIFT_CHUNK states, so the pass needs little memory."""
+    """Largest relative drift of the power traces of the states from those
+    of states[0] (0.0 for a lone state, whose own drift is exactly 0)."""
     reference = isospectral_witness(states[0])
     traces = np.array(reference.power_traces)
     scale = reference._drift_scale()
-    drift = 0.0
-    for i in range(1, len(states), _DRIFT_CHUNK):
-        chunk = _power_traces(np.stack(states[i:i + _DRIFT_CHUNK]))
-        drift = max(drift, _relative_drift(chunk, traces, scale))
-    return drift
+    return max(
+        _relative_drift(_power_traces(stack), traces, scale) for stack in _stacks(states)
+    )
 
 
 class _Lane:

@@ -67,7 +67,7 @@ def read_matrix(path) -> np.ndarray:
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """One row per accepted step: t, then the state in row-major order."""
     n = traj.states[0].shape[0]
-    header = "t," + ",".join(f"e{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+    header = "t," + ",".join(f"e{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     lines = [header]
     for t, state in zip(traj.times, traj.states):
         lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in state.ravel()]))

@@ -6,6 +6,10 @@ column) pairs used for matrix entries everywhere in this package.
 A profile is a downward-closed set of strictly-lower index pairs; the
 subspace V_p of matrices supported (below the diagonal) on a profile
 generalizes Hessenberg form.
+
+Each pair rule is one boolean (n, n) mask (``_inverted_mask``,
+``_outside_mask``). ``v_p_membership`` and ``profile_project`` take an
+``(..., n, n)`` stack as well as one matrix, as the flow fields do.
 """
 
 import itertools
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProfileError
-from .linalg_core import as_matrix, require_unit_lower
+from .linalg_core import _strict_lower_mask, as_matrices, require_unit_lower
 
 __all__ = [
     "Permutation",
@@ -117,14 +121,18 @@ def inversion_sets(sigma: Permutation) -> InversionSets:
     for a strictly decreasing spectrum h is the sign condition
     h[sigma^-1(i)] - h[sigma^-1(j)] > 0 on the permuted diagonal gaps.
     """
-    inv = sigma.inverse()
+    inverted = _inverted_mask(sigma.inverse())
     stable, unstable = set(), set()
     for i, j in lower_pairs(sigma.n):
-        if inv(i) < inv(j):
-            unstable.add((i, j))
-        else:
-            stable.add((i, j))
+        (unstable if inverted[i - 1, j - 1] else stable).add((i, j))
     return InversionSets(frozenset(stable), frozenset(unstable))
+
+
+def _inverted_mask(sigma: Permutation) -> np.ndarray:
+    """Boolean (n, n) mask of the strictly-lower pairs (i, j) that sigma
+    inverts: i > j and sigma(i) < sigma(j)."""
+    images = np.array(sigma.images)
+    return _strict_lower_mask(sigma.n) & (images[:, None] < images[None, :])
 
 
 def l_sigma_membership(g, sigma: Permutation, tol: float) -> bool:
@@ -137,10 +145,7 @@ def l_sigma_membership(g, sigma: Permutation, tol: float) -> bool:
     g = require_unit_lower(g, tol)
     if g.shape[0] != sigma.n:
         raise ValueError(f"dimension mismatch: matrix is {g.shape[0]}, permutation is {sigma.n}")
-    for i, j in lower_pairs(sigma.n):
-        if sigma(i) < sigma(j) and abs(g[i - 1, j - 1]) > tol:
-            return False
-    return True
+    return not np.any(np.abs(g[_inverted_mask(sigma)]) > tol)
 
 
 @dataclass(frozen=True)
@@ -203,24 +208,31 @@ def hessenberg_profile(n: int) -> Profile:
     return profile_validate(n, {(i, i - 1) for i in range(2, n + 1)})
 
 
-def v_p_membership(x, p: Profile, tol: float) -> bool:
-    """Whether every strictly-lower entry of x outside the profile is <= tol."""
-    x = as_matrix(x)
-    if x.shape[0] != p.n:
-        raise ValueError(f"dimension mismatch: matrix is {x.shape[0]}, profile is for n={p.n}")
-    for i, j in lower_pairs(p.n):
-        if (i, j) not in p.pairs and abs(x[i - 1, j - 1]) > tol:
-            return False
-    return True
+def _outside_mask(p: Profile) -> np.ndarray:
+    """Boolean (n, n) mask of the strictly-lower pairs outside the profile."""
+    mask = _strict_lower_mask(p.n).copy()
+    for i, j in p.pairs:
+        mask[i - 1, j - 1] = False
+    return mask
+
+
+def v_p_membership(x, p: Profile, tol: float):
+    """Whether every strictly-lower entry outside the profile is <= tol in
+    absolute value: a bool for one matrix, a bool array over the leading
+    axes for an (..., n, n) stack."""
+    x = as_matrices(x)
+    if x.shape[-1] != p.n:
+        raise ValueError(f"dimension mismatch: matrix is {x.shape[-1]}, profile is for n={p.n}")
+    inside = ~np.any(np.abs(x[..., _outside_mask(p)]) > tol, axis=-1)
+    return inside if inside.ndim else bool(inside)
 
 
 def profile_project(x, p: Profile) -> np.ndarray:
-    """Zero every strictly-lower entry outside the profile (linear, idempotent)."""
-    x = as_matrix(x)
-    if x.shape[0] != p.n:
-        raise ValueError(f"dimension mismatch: matrix is {x.shape[0]}, profile is for n={p.n}")
+    """Zero every strictly-lower entry outside the profile (linear,
+    idempotent), in one matrix or in each matrix of an (..., n, n) stack."""
+    x = as_matrices(x)
+    if x.shape[-1] != p.n:
+        raise ValueError(f"dimension mismatch: matrix is {x.shape[-1]}, profile is for n={p.n}")
     out = x.copy()
-    for i, j in lower_pairs(p.n):
-        if (i, j) not in p.pairs:
-            out[i - 1, j - 1] = 0.0
+    out[..., _outside_mask(p)] = 0.0
     return out

@@ -71,7 +71,7 @@ class TestPushforward:
         lower = np.zeros((2, 2))
         lower[1, 0] = 0.8
         point = chart_inverse(ChartCoords(w=w, lower=lower, h=h))
-        report = pushforward_check(point, w, fd_step=1e-5, tol=1e-10)
+        report = pushforward_check(point, w, tol=1e-10)
         assert report.passed, report.max_residual
 
     def test_critical_point_is_exact(self):
@@ -273,6 +273,37 @@ class TestSymLinearization:
         )
 
 
+def per_column_eigenvalues(h):
+    """Sorted real parts of the eigenvalues of the differenced Jacobian
+    built one column, and two field calls, per off-diagonal entry."""
+    n = h.n
+    base = h.diag()
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    jac = np.zeros((len(pairs), len(pairs)))
+    for col, (i, j) in enumerate(pairs):
+        e = np.zeros((n, n))
+        e[i - 1, j - 1] = 1.0
+        der = (sym_field(base + 1e-5 * e) - sym_field(base - 1e-5 * e)) / 2e-5
+        jac[:, col] = [der[a - 1, b - 1] for a, b in pairs]
+    return np.sort(np.linalg.eigvals(jac).real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_jacobian_equals_the_per_column_loop(n, monkeypatch):
+    h = default_spectrum(n)
+    expected = [float(v).hex() for v in per_column_eigenvalues(h)]
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return sym_field(x)
+
+    monkeypatch.setattr(toda_atlas.analysis, "sym_field", counting)
+    report = sym_linearization_spectrum(h)
+    assert [v.hex() for v in report.details["eigenvalues"]] == expected
+    assert calls == [(n * (n - 1), n, n)] * 2
+
+
 class TestFiber:
     def test_zero_perturbation_is_stationary(self):
         h = default_spectrum(3)
@@ -298,7 +329,7 @@ class TestFiber:
 
 class TestFrameCheck:
     def test_sixteen_circle_points(self):
-        report = example4_frame_check(radius=2.0, samples=16)
+        report = example4_frame_check()
         assert report.passed, report.max_residual
 
     def test_frame_directions_at_axes(self):

@@ -1,9 +1,11 @@
 import json
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from toda_atlas import linalg_core
 from toda_atlas.cli import main
 from toda_atlas.flows import IntegratorConfig, integrate, toda_field
 from toda_atlas.sampling import default_spectrum, random_symmetric_with_spectrum, rng_from_seed
@@ -88,6 +90,24 @@ class TestChart:
         payload = json.loads((out / "chart_coords.json").read_text())
         assert payload["h"] == pytest.approx([2.0, 0.0, -2.0])
 
+    def test_forward_without_spectrum_flag_solves_each_point_once(
+        self, tmp_path, flag_matrix, monkeypatch
+    ):
+        original = linalg_core.symmetric_eigen
+        calls = []
+
+        def counting(y):
+            calls.append(1)
+            return original(y)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("toda_atlas") and getattr(module, "symmetric_eigen", None) is original:
+                monkeypatch.setattr(module, "symmetric_eigen", counting)
+        code = run_cli(["chart", "--w", "2 3 1", "--forward", str(flag_matrix), "--out", str(tmp_path)])
+        assert code == 0
+        # the input's flag point and the round trip's, nothing for the spectrum
+        assert len(calls) == 2
+
     def test_bad_spectrum_is_input_error(self, tmp_path, flag_matrix):
         code = run_cli(
             ["chart", "--w", "2 1 3", "--h", "0,2,-2", "--forward", str(flag_matrix), "--out", str(tmp_path)]
@@ -103,7 +123,7 @@ class TestFlow:
         )
         assert code == 0
         lines = (out / "trajectory.csv").read_text().splitlines()
-        assert lines[0].startswith("t,e11,e12")
+        assert lines[0].startswith("t,e1_1,e1_2")
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["power_trace_drift"] < 1e-8
         assert diag["t_final"] == pytest.approx(2.0)

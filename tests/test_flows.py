@@ -22,9 +22,13 @@ from toda_atlas.flows import (
     toda_field,
     _dopri_stages,
     _error_ratios,
+    _power_trace_drift,
+    _stacks,
 )
 from toda_atlas.linalg_core import (
     Spectrum,
+    _power_traces,
+    _relative_drift,
     btheta_norm_sq,
     commutator,
     isospectral_witness,
@@ -35,6 +39,7 @@ from toda_atlas.sampling import (
     default_spectrum,
     random_chart_coords,
     random_profile,
+    random_special_orthogonal,
     random_symmetric_with_spectrum,
     rng_from_seed,
 )
@@ -679,3 +684,41 @@ class TestConfigValidation:
                 final_field_norm=1.0,
                 power_trace_drift=0.0,
             )
+
+
+def chunk_loop_drift(states):
+    """The drift pass written as a loop over stacks of 64 states from
+    state 1 on, against the witness of state 0."""
+    reference = isospectral_witness(states[0])
+    traces = np.array(reference.power_traces)
+    scale = reference._drift_scale()
+    drift = 0.0
+    for i in range(1, len(states), 64):
+        chunk = _power_traces(np.stack(states[i:i + 64]))
+        drift = max(drift, _relative_drift(chunk, traces, scale))
+    return drift
+
+
+class TestStateWalk:
+    @pytest.mark.parametrize("length", [1, 64, 65, 130])
+    def test_yields_every_state_once_in_order(self, length):
+        states = [np.full((3, 3), float(i)) for i in range(length)]
+        stacks = list(_stacks(states))
+        assert [len(stack) for stack in stacks] == [
+            min(64, length - start) for start in range(0, length, 64)
+        ]
+        assert_same_bits(np.concatenate(stacks), np.stack(states))
+
+    @pytest.mark.parametrize("length", [1, 64, 65, 130])
+    def test_drift_equals_the_chunk_loop_bit_for_bit(self, length):
+        rng = rng_from_seed(40 + length)
+        x = random_symmetric_with_spectrum(default_spectrum(5), rng)
+        # rotated copies drift by roundoff, scaled ones by more
+        states = [x]
+        for k in range(1, length):
+            q = random_special_orthogonal(5, rng)
+            states.append(q @ x @ q.T * (1.0 + 1e-9 * (k % 7)))
+        drift = _power_trace_drift(states)
+        assert drift.hex() == chunk_loop_drift(states).hex()
+        assert (drift > 0.0) == (length > 1)
+

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from toda_atlas.flows import IntegratorConfig, integrate, toda_field
+from toda_atlas.flows import IntegratorConfig, Trajectory, integrate, toda_field
 from toda_atlas.sampling import default_spectrum, random_symmetric_with_spectrum, rng_from_seed
 from toda_atlas.serialization import (
     matrix_from_dict,
@@ -46,12 +46,26 @@ class TestTrajectoryCSV:
         write_trajectory_csv(path, traj)
         first = path.read_text().splitlines()[0]
         assert first == "t," + ",".join(
-            f"e{i}{j}" for i in range(1, 4) for j in range(1, 4)
+            f"e{i}_{j}" for i in range(1, 4) for j in range(1, 4)
         )
         times, states = read_trajectory_csv(path)
         np.testing.assert_array_equal(times, traj.times)
         for got, want in zip(states, traj.states):
             np.testing.assert_array_equal(got, want)
+
+    def test_header_names_distinct_and_row_major_at_n12(self, tmp_path):
+        # "e{i}{j}" would name both (1, 11) and (11, 1) "e111"
+        x = np.arange(144.0).reshape(12, 12)
+        traj = Trajectory([0.0], [x], 0, 0, 0.0, 0.0)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj)
+        header, row = path.read_text().splitlines()
+        names = header.split(",")[1:]
+        assert len(set(names)) == 144
+        assert names == [f"e{i}_{j}" for i in range(1, 13) for j in range(1, 13)]
+        for name, value in zip(names, row.split(",")[1:]):
+            i, j = (int(v) for v in name[1:].split("_"))
+            assert float(value) == x[i - 1, j - 1]
 
     def test_write_is_deterministic(self, tmp_path):
         x0 = random_symmetric_with_spectrum(default_spectrum(3), rng_from_seed(3))

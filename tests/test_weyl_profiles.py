@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toda_atlas.errors import ProfileError
+from toda_atlas.sampling import random_permutation, random_profile
 from toda_atlas.weyl_profiles import (
     Permutation,
     hessenberg_profile,
@@ -258,3 +259,63 @@ class TestProfileProject:
             profile_project(profile_project(x, p), p), profile_project(x, p)
         )
         assert v_p_membership(profile_project(x, p), p, 0.0)
+
+
+TOL = 1e-9
+# entries at the tolerance, signed zeros, and just past the tolerance
+INSIDE = np.array([TOL, -TOL, 0.0, -0.0, 0.5 * TOL])
+OUTSIDE = np.array([np.nextafter(TOL, 1.0), -np.nextafter(TOL, 1.0), 1.0])
+
+
+def border_stack(n, rng, size=6):
+    """Matrices of entries at and inside the tolerance; about half of them
+    get one entry past it, at a random place."""
+    stack = rng.choice(INSIDE, size=(size, n, n))
+    for x in stack:
+        if rng.random() < 0.5:
+            x[rng.integers(n), rng.integers(n)] = rng.choice(OUTSIDE)
+    return stack
+
+
+def hexes(x):
+    return [v.hex() for v in np.ravel(x).tolist()]
+
+
+class TestMasksAgainstPairLoops:
+    """Each mask-based check gives what a loop over the lower pairs gives,
+    matrix by matrix."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_v_p_membership_and_profile_project(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(4):
+            p = random_profile(n, rng)
+            outside = [pair for pair in lower_pairs(n) if pair not in p.pairs]
+            stack = border_stack(n, rng)
+            members = v_p_membership(stack, p, TOL)
+            assert members.shape == (len(stack),)
+            projected = profile_project(stack, p)
+            for x, member, got in zip(stack, members, projected):
+                expected = all(abs(x[i - 1, j - 1]) <= TOL for i, j in outside)
+                assert member == expected
+                assert v_p_membership(x, p, TOL) is expected
+                reference = x.copy()
+                for i, j in outside:
+                    reference[i - 1, j - 1] = 0.0
+                assert hexes(got) == hexes(reference)
+                assert hexes(profile_project(x, p)) == hexes(reference)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_l_sigma_membership(self, n):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(4):
+            sigma = random_permutation(n, rng)
+            for x in border_stack(n, rng):
+                g = np.eye(n) + np.tril(x, -1)
+                expected = all(
+                    abs(g[i - 1, j - 1]) <= TOL
+                    for i, j in lower_pairs(n)
+                    if sigma(i) < sigma(j)
+                )
+                assert l_sigma_membership(g, sigma, TOL) is expected
+
