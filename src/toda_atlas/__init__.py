@@ -17,8 +17,10 @@ from .atlas import (
     FlagPoint,
     bruhat_classify,
     chart_domain_test,
+    chart_flow_exact,
     chart_forward,
     chart_inverse,
+    chart_linear_field,
     coords_from_frame,
     h_conjugate,
     nbar_from_affine,
@@ -57,8 +59,6 @@ from .factorizations import (
 from .flows import (
     IntegratorConfig,
     Trajectory,
-    chart_flow_exact,
-    chart_linear_field,
     integrate,
     sym_field,
     toda_field,
@@ -66,7 +66,6 @@ from .flows import (
 from .linalg_core import (
     IsospectralWitness,
     Spectrum,
-    btheta_norm_sq,
     commutator,
     isospectral_witness,
     pi_k,

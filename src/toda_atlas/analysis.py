@@ -21,6 +21,7 @@ from .atlas import (
     chart_forward,
     chart_inverse,
     chart_domain_test,
+    chart_linear_field,
     coords_from_frame,
     h_conjugate,
 )
@@ -41,7 +42,6 @@ from .flows import (
     IntegratorConfig,
     _frobenius_norms,
     _stacks,
-    chart_linear_field,
     integrate,  # unused here; the benchmark tracer patches analysis.integrate
     integrate_many,
     propagate,
@@ -247,11 +247,12 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     stopping rule here; a tiny field-norm stop would never trigger. A
     leg passes when it ends within 1e-7 of the permuted diagonal.
 
-    The legs of all charts that share a direction and a horizon (equal
-    gaps give equal horizons) run as one :func:`integrate_many` batch,
-    and the escape runs of all charts as one more. Every lane has the
-    bits of its run alone, so each report equals the one its chart's
-    legs and escape give when integrated one at a time.
+    The sorting field is even, F(-X) = F(X), so a backward leg from y is
+    minus the forward run from -y, step for step. The legs of all charts
+    that share a horizon (equal gaps give equal horizons) run forward as
+    one :func:`integrate_many` batch, and the escape runs as one more.
+    Every lane has the bits of its run alone, so each report equals the
+    one its chart's legs and escape give when integrated one at a time.
     """
     dist_tol = 1e-7
     field_tol = 1e-6
@@ -266,8 +267,8 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     esc_cfg = IntegratorConfig(t_max=15.0, stop_field_norm=1e-13)
 
     # legs[k] lists chart k's (pair, sign, horizon, classification),
-    # unstable pairs sorted, then stable pairs sorted; the starts go to
-    # their (sign, horizon) batch and, per chart, to the escape batch
+    # unstable pairs sorted, then stable pairs sorted; sign * start goes to
+    # its horizon's batch and, per chart, one start to the escape batch
     targets = [h_conjugate(h, w) for w in charts]
     legs = [[] for _ in charts]
     batches = {}
@@ -283,19 +284,17 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
                 classified = bruhat_classify(start, w, tol=eps * 1e-3)
                 pair = f"{i},{j}"
                 legs[k].append((pair, sign, horizon, classified))
-                batches.setdefault((sign, horizon), []).append(((k, pair), start.y))
+                batches.setdefault(horizon, []).append(((k, pair, sign), sign * start.y))
         if sets.unstable:
             lower = _inverted_mask(w.inverse()) * (eps / math.sqrt(len(sets.unstable)))
             escapes[k] = chart_inverse(ChartCoords(w=w, lower=lower, h=h)).y
 
-    backward = lambda x: -toda_field(x)
     ends = {}
-    for (sign, horizon), members in batches.items():
+    for horizon, members in batches.items():
         keys, starts = zip(*members)
-        field = backward if sign < 0 else toda_field
-        trajs = integrate_many(field, starts, replace(cfg, t_max=horizon))
-        for (k, pair), traj in zip(keys, trajs):
-            distance = float(np.linalg.norm(traj.final_state - targets[k]))
+        trajs = integrate_many(toda_field, starts, replace(cfg, t_max=horizon))
+        for (k, pair, sign), traj in zip(keys, trajs):
+            distance = float(np.linalg.norm(traj.final_state - sign * targets[k]))
             ends[k, pair] = (distance, traj.final_field_norm)
     radii = {}
     if escapes:

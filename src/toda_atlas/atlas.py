@@ -8,6 +8,13 @@ lower perturbations of the permuted diagonal matrix ``h_conjugate(h, w)``.
 The forward map strips the permutation from the eigenframe a flag point
 carries, factors it through the unit-lower projection, and conjugates the
 permuted diagonal; the inverse is one graded QR (``_chart_point``).
+
+The module owns the chart dynamics: in each chart the sorting flow is
+linear, coordinate (i, j) growing at the gap d_i - d_j of the permuted
+diagonal d (``chart_linear_field``, ``chart_flow_exact``, ``_chart_point``).
+Public functions validate their arguments, and a ``FlagPoint`` or
+``ChartCoords`` is valid by construction; the private ``_`` kernels do
+not validate.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ChartDomainError, FactorizationError
-from .factorizations import _signed_qr, unbar_factorize, unit_lower_inverse
+from .factorizations import _signed_qr, _unit_lower_inverse, unbar_factorize
 from .linalg_core import Spectrum, as_matrix, symmetric_eigen
 from .weyl_profiles import Permutation, _inverted_mask, perm_matrix
 
@@ -26,6 +33,8 @@ __all__ = [
     "BruhatClass",
     "h_conjugate",
     "nbar_from_affine",
+    "chart_linear_field",
+    "chart_flow_exact",
     "chart_inverse",
     "chart_domain_test",
     "chart_forward",
@@ -40,7 +49,7 @@ __all__ = [
 DOMAIN_MINOR_TOL = 1e-11
 
 _EIGENVALUE_TOL = 1e-8
-_FIBER_TOL = 1e-12
+_EXP_LIMIT = 700.0  # double-precision exponent range guard
 
 
 @dataclass(frozen=True)
@@ -98,28 +107,52 @@ class BruhatClass(Enum):
 def h_conjugate(h: Spectrum, w: Permutation) -> np.ndarray:
     """Diagonal matrix with entry i equal to h[w^-1(i)] (conjugation by w)."""
     if h.n != w.n:
-        raise ValueError("spectrum and permutation sizes disagree")
-    inv = w.inverse()
-    return np.diag([h.values[inv(i) - 1] for i in range(1, h.n + 1)])
+        raise ValueError(f"dimension mismatch: spectrum is {h.n}, permutation is {w.n}")
+    d = np.empty(h.n)
+    d[np.array(w.images) - 1] = h.values
+    return np.diag(d)
 
 
-def nbar_from_affine(b, w: Permutation, h: Spectrum) -> np.ndarray:
-    """Unit lower triangular g with g D g^-1 = b, D the permuted diagonal.
+def nbar_from_affine(c: ChartCoords) -> np.ndarray:
+    """Unit lower g with g D g^-1 = D + c.lower, D the permuted diagonal.
 
     Solved row by row by forward substitution; solvable because the
-    diagonal gaps of a regular permuted diagonal never vanish.
+    diagonal gaps of a regular permuted diagonal never vanish. A -0.0
+    coordinate enters as +0.0.
     """
-    b = as_matrix(b)
-    d = np.diag(h_conjugate(h, w))
-    offset = b - np.diag(d)
-    if np.max(np.abs(np.triu(offset))) > _FIBER_TOL:
-        raise ValueError("matrix is not in the affine fiber: nonzero entries on or above the diagonal")
-    x = np.tril(offset, -1)
-
-    g = np.eye(h.n)
-    for i in range(1, h.n):
+    d = np.diag(h_conjugate(c.h, c.w))
+    x = c.lower + 0.0
+    g = np.eye(c.h.n)
+    for i in range(1, c.h.n):
         g[i, :i] = (x[i, :i] @ g[:i, :i]) / (d[:i] - d[i])
     return g
+
+
+def _gaps(c: ChartCoords) -> np.ndarray:
+    """Gaps d_i - d_j of the permuted diagonal d below the diagonal, else 0."""
+    d = np.diag(h_conjugate(c.h, c.w))
+    return np.tril(d[:, None] - d[None, :], -1)
+
+
+def chart_linear_field(c: ChartCoords) -> np.ndarray:
+    """Linear chart dynamics: entry (i, j) scaled by the diagonal gap d_i - d_j."""
+    return np.tril(_gaps(c) * c.lower, -1)
+
+
+def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
+    """Closed-form flow of the linear chart dynamics for time t.
+
+    Each strictly-lower entry is scaled by exp(gap * t). Raises
+    OverflowError when an exponent would leave the double range.
+    """
+    t = float(t)
+    gaps = _gaps(c)
+    max_exponent = float(np.max(np.abs(gaps))) * abs(t)
+    if max_exponent > _EXP_LIMIT:
+        raise OverflowError(
+            f"exponent {max_exponent:.1f} exceeds {_EXP_LIMIT:.0f}; shrink |t| or the gaps"
+        )
+    return ChartCoords(c.w, np.tril(np.exp(gaps * t) * c.lower, -1), c.h)
 
 
 def _chart_point(c: ChartCoords, t: float) -> FlagPoint:
@@ -133,12 +166,11 @@ def _chart_point(c: ChartCoords, t: float) -> FlagPoint:
     weights are 1 and the rows keep their order. Raises
     FactorizationError when some |R_ii| / weight_i < 1e-12.
     """
-    dmat = h_conjugate(c.h, c.w)
-    d = np.diag(dmat)
-    g = nbar_from_affine(dmat + c.lower, c.w, c.h)
+    d = np.diag(h_conjugate(c.h, c.w))
     weights = np.exp(t * (d - np.max(d)))
     order = np.argsort(-weights, kind="stable")
-    q, _ = _signed_qr(weights[order, None] * unit_lower_inverse(g)[order], weights[order])
+    g_inv = _unit_lower_inverse(nbar_from_affine(c))
+    q, _ = _signed_qr(weights[order, None] * g_inv[order], weights[order])
     frame = q.T @ perm_matrix(c.w)[order]
     y = frame @ c.h.diag() @ frame.T
     return FlagPoint(0.5 * (y + y.T), c.h)
@@ -168,11 +200,13 @@ def _chart_nbar(y: FlagPoint, w: Permutation) -> np.ndarray:
     """Unit-lower factor of the frame of y, if y lies in the chart at w.
 
     One elimination gives both the factor and the trailing minors, as
-    running products of its pivots. Raises ChartDomainError when a
-    trailing minor is at or below DOMAIN_MINOR_TOL in magnitude, or when
-    a pivot vanishes. Minor magnitudes do not depend on the eigenvector
-    sign choices.
+    running products of its pivots. Raises ValueError when y and w differ
+    in size, and ChartDomainError when a trailing minor is at or below
+    DOMAIN_MINOR_TOL in magnitude, or when a pivot vanishes. Minor
+    magnitudes do not depend on the eigenvector sign choices.
     """
+    if y.h.n != w.n:
+        raise ValueError(f"dimension mismatch: point is {y.h.n}, permutation is {w.n}")
     try:
         factors = unbar_factorize(_frame(y, w))
     except FactorizationError as err:
@@ -204,7 +238,7 @@ def chart_domain_test(y: FlagPoint, w: Permutation) -> bool:
 
 def _coords_from_nbar(nbar, w: Permutation, h: Spectrum) -> ChartCoords:
     dmat = h_conjugate(h, w)
-    b = nbar @ dmat @ unit_lower_inverse(nbar)
+    b = nbar @ dmat @ _unit_lower_inverse(nbar)
     return ChartCoords(w=w, lower=np.tril(b - dmat, -1), h=h)
 
 
@@ -215,7 +249,10 @@ def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
     ambiguity, so the value does not depend on which admissible frame is
     supplied.
     """
-    return _coords_from_nbar(unbar_factorize(kp).nbar, w, h)
+    nbar = unbar_factorize(kp).nbar
+    if len(nbar) != w.n:
+        raise ValueError(f"dimension mismatch: frame is {len(nbar)}, permutation is {w.n}")
+    return _coords_from_nbar(nbar, w, h)
 
 
 def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:

@@ -18,6 +18,10 @@ its inverse, the Gram-Schmidt embedding of unit lower triangular
 matrices into the special orthogonal group, and the comparison maps
 ``phi`` / ``phi_sigma`` obtained by composing the two projections (with a
 permutation conjugation in between for ``phi_sigma``).
+
+Public functions validate their arguments. ``_unit_lower_inverse``, the
+unchecked kernel of ``unit_lower_inverse``, takes matrices that are unit
+lower by construction.
 """
 
 from dataclasses import dataclass
@@ -221,14 +225,18 @@ def f_map(k) -> np.ndarray:
     return factors.nbar
 
 
-def unit_lower_inverse(nbar) -> np.ndarray:
-    """Inverse of a unit lower triangular matrix by forward substitution."""
-    nbar = require_unit_lower(nbar)
+def _unit_lower_inverse(nbar: np.ndarray) -> np.ndarray:
+    """Forward substitution; reads only the strict lower triangle."""
     n = nbar.shape[0]
     inv = np.eye(n)
     for i in range(1, n):
         inv[i, :i] = -(nbar[i, :i] @ inv[:i, :i])
     return inv
+
+
+def unit_lower_inverse(nbar) -> np.ndarray:
+    """Inverse of a unit lower triangular matrix by forward substitution."""
+    return _unit_lower_inverse(require_unit_lower(nbar))
 
 
 def f_inverse(nbar) -> np.ndarray:
@@ -237,8 +245,7 @@ def f_inverse(nbar) -> np.ndarray:
     Computed by inverting nbar, taking the orthogonal factor of the
     Gram-Schmidt split of the inverse, and transposing.
     """
-    nbar = require_unit_lower(nbar)
-    return kan_factorize(unit_lower_inverse(nbar)).k.T
+    return kan_factorize(_unit_lower_inverse(require_unit_lower(nbar))).k.T
 
 
 def gs_embed(g) -> np.ndarray:
@@ -290,7 +297,7 @@ def gs_embed_inverse(k) -> np.ndarray:
     upper-positive-diagonal, recovered here from the factorization of the
     transpose.
     """
-    return unit_lower_inverse(f_map(as_matrix(k).T))
+    return _unit_lower_inverse(f_map(as_matrix(k).T))
 
 
 def phi_sigma_inverse(sigma: Permutation, y) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Two fields are provided. The sorting field ``toda_field`` is the
 commutator of a matrix with the skew projection of itself; restricted to
-symmetric matrices it is the gradient-like flow whose charts (see
-:mod:`toda_atlas.atlas`) make it exactly linear, with the permuted
-diagonal gaps as coefficients. The symmetrization field ``sym_field``
+symmetric matrices it is the gradient-like flow whose charts make it
+exactly linear, with the permuted diagonal gaps as coefficients; that
+linear chart flow lives with the charts, in :mod:`toda_atlas.atlas`.
+The symmetrization field ``sym_field``
 contracts onto normal (for real spectra: symmetric) matrices while
 preserving the spectrum and every Hessenberg-type subspace. Both take an
 ``(..., n, n)`` stack of matrices as well as one matrix, and give each
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import ChartCoords, h_conjugate
 from .errors import StiffnessError
 from .linalg_core import (
     Spectrum,
@@ -63,8 +63,6 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "toda_field",
-    "chart_linear_field",
-    "chart_flow_exact",
     "sym_field",
     "integrate",
     "integrate_many",
@@ -73,7 +71,6 @@ __all__ = [
     "stable_step_for_symmetrization",
 ]
 
-_EXP_LIMIT = 700.0  # double-precision exponent range guard
 _MIN_STEP = 1e-14
 _INITIAL_STEP = 1e-3
 _PROPAGATE_STEP = 1e-3  # largest fixed step of propagate
@@ -210,30 +207,6 @@ def sym_field(x) -> np.ndarray:
 # The integrator steps these in place of the public fields. Looked up by
 # identity: a wrapper of a field (a tracer's, say) is called as given.
 _KERNELS = {toda_field: _toda_kernel, sym_field: _sym_kernel}
-
-
-def chart_linear_field(c: ChartCoords) -> np.ndarray:
-    """Linear chart dynamics: entry (i, j) scaled by the diagonal gap d_i - d_j."""
-    d = np.diag(h_conjugate(c.h, c.w))
-    gaps = d[:, None] - d[None, :]
-    return np.tril(gaps * c.lower, -1)
-
-
-def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
-    """Closed-form flow of the linear chart dynamics for time t.
-
-    Each strictly-lower entry is scaled by exp(gap * t). Raises
-    OverflowError when an exponent would leave the double range.
-    """
-    t = float(t)
-    d = np.diag(h_conjugate(c.h, c.w))
-    gaps = np.tril(d[:, None] - d[None, :], -1)
-    max_exponent = float(np.max(np.abs(gaps))) * abs(t)
-    if max_exponent > _EXP_LIMIT:
-        raise OverflowError(
-            f"exponent {max_exponent:.1f} exceeds {_EXP_LIMIT:.0f}; shrink |t| or the gaps"
-        )
-    return ChartCoords(c.w, np.tril(np.exp(gaps * t) * c.lower, -1), c.h)
 
 
 def _dopri_stages(field, x, h, k1):

@@ -36,7 +36,6 @@ __all__ = [
     "commutator",
     "pi_k",
     "pi_u",
-    "btheta_norm_sq",
     "symmetric_eigen",
     "isospectral_witness",
 ]
@@ -203,12 +202,6 @@ def pi_u(x) -> np.ndarray:
     """Upper-triangular component of the skew + upper-triangular splitting."""
     x = as_matrix(x)
     return x - _pi_k(x)
-
-
-def btheta_norm_sq(x) -> float:
-    """Frobenius norm square trace(x x.T)."""
-    x = as_matrix(x)
-    return float(np.sum(x * x))
 
 
 def isospectral_witness(x) -> IsospectralWitness:

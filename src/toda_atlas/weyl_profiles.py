@@ -67,13 +67,7 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def inversion_count(self) -> int:
-        imgs = self.images
-        return sum(
-            1
-            for b in range(len(imgs))
-            for a in range(b)
-            if imgs[a] > imgs[b]
-        )
+        return int(np.count_nonzero(_inverted_mask(self)))
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -107,11 +101,7 @@ def perm_matrix(sigma: Permutation) -> np.ndarray:
     Used only for conjugation, where the det = -1 ambiguity and the sign
     ambiguity of representatives are irrelevant.
     """
-    n = sigma.n
-    p = np.zeros((n, n))
-    for j in range(1, n + 1):
-        p[sigma(j) - 1, j - 1] = 1.0
-    return p
+    return np.eye(sigma.n)[:, np.array(sigma.images) - 1]
 
 
 def inversion_sets(sigma: Permutation) -> InversionSets:

@@ -20,10 +20,16 @@ from toda_atlas.analysis import (
     unstable_manifold_experiments,
     _pushforward_residual,
 )
-from toda_atlas.atlas import BruhatClass, ChartCoords, bruhat_classify, chart_forward, chart_inverse
+from toda_atlas.atlas import (
+    BruhatClass,
+    ChartCoords,
+    bruhat_classify,
+    chart_flow_exact,
+    chart_forward,
+    chart_inverse,
+)
 from toda_atlas.flows import (
     IntegratorConfig,
-    chart_flow_exact,
     integrate,
     integrate_many,
     stable_step_for_sorting,
@@ -31,7 +37,7 @@ from toda_atlas.flows import (
     sym_field,
     toda_field,
 )
-from toda_atlas.linalg_core import Spectrum, btheta_norm_sq
+from toda_atlas.linalg_core import Spectrum
 from toda_atlas.sampling import (
     default_spectrum,
     random_chart_coords,
@@ -292,7 +298,7 @@ def test_criterion_7_isospectral_contraction_suite():
         x0 = h4.diag() + np.triu(rng.standard_normal((4, 4)), 1)
         traj = integrate(sym_field, x0, sym_cfg)
         drift_worst = max(drift_worst, traj.power_trace_drift)
-        norms = [btheta_norm_sq(s) for s in traj.states]
+        norms = [float(np.sum(s * s)) for s in traj.states]
         for earlier, later in zip(norms, norms[1:]):
             monotone_worst = max(monotone_worst, later - earlier)
 

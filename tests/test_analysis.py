@@ -24,12 +24,12 @@ from toda_atlas.atlas import (
     FlagPoint,
     _chart_point,
     bruhat_classify,
+    chart_flow_exact,
     chart_inverse,
     h_conjugate,
 )
 from toda_atlas.flows import (
     IntegratorConfig,
-    chart_flow_exact,
     integrate,
     integrate_many,
     stable_step_for_sorting,
@@ -244,10 +244,9 @@ class TestUnstableManifoldBatch:
         monkeypatch.setattr(toda_atlas.flows, "integrate", forbidden)
         reports = unstable_manifold_experiments(list(Permutation.all(3)), default_spectrum(3))
         assert len(reports) == 6
-        # 18 legs in 4 (direction, horizon) batches, then 5 escape runs
-        assert len(calls) == 5
-        assert sum(calls) == 18 + 5
-        assert calls[-1] == 5
+        # 18 legs in 2 horizon batches (backward legs run forward from
+        # the negated start), then 5 escape runs
+        assert calls == [12, 6, 5]
 
 
 class TestSymLinearization:

@@ -10,6 +10,7 @@ from toda_atlas.atlas import (
     _frame,
     bruhat_classify,
     chart_domain_test,
+    chart_flow_exact,
     chart_forward,
     chart_inverse,
     coords_from_frame,
@@ -18,7 +19,6 @@ from toda_atlas.atlas import (
 )
 from toda_atlas.errors import ChartDomainError, FactorizationError
 from toda_atlas.factorizations import f_inverse, trailing_minors
-from toda_atlas.flows import chart_flow_exact
 from toda_atlas.linalg_core import Spectrum, symmetric_eigen
 from toda_atlas.sampling import (
     default_spectrum,
@@ -120,19 +120,34 @@ class TestHConjugate:
         w = Permutation.longest(5)
         assert abs(np.trace(h_conjugate(h, w))) < 1e-12
 
+    def test_equals_the_inverse_permutation_formula(self):
+        def by_inverse(h, w):
+            inv = w.inverse()
+            return np.diag([h.values[inv(i) - 1] for i in range(1, h.n + 1)])
+
+        rng = rng_from_seed(29)
+        h12 = default_spectrum(12)
+        cases = [(default_spectrum(n), w) for n in range(2, 6) for w in Permutation.all(n)]
+        cases += [(h12, random_permutation(12, rng)) for _ in range(50)]
+        for h, w in cases:
+            assert h_conjugate(h, w).tobytes() == by_inverse(h, w).tobytes()
+
+    def test_size_mismatch_names_both_sizes(self):
+        with pytest.raises(ValueError, match="spectrum is 3, permutation is 2"):
+            h_conjugate(default_spectrum(3), Permutation((2, 1)))
+
 
 class TestNbarFromAffine:
     def test_origin(self):
         h = default_spectrum(3)
         w = Permutation((2, 3, 1))
-        np.testing.assert_array_equal(nbar_from_affine(h_conjugate(h, w), w, h), np.eye(3))
+        origin = ChartCoords(w=w, lower=np.zeros((3, 3)), h=h)
+        np.testing.assert_array_equal(nbar_from_affine(origin), np.eye(3))
 
     def test_two_by_two_closed_form(self):
         lam, x = 0.75, 1.3
         h = Spectrum((lam, -lam))
-        w = Permutation.identity(2)
-        b = h.diag() + np.array([[0.0, 0.0], [x, 0.0]])
-        g = nbar_from_affine(b, w, h)
+        g = nbar_from_affine(single_coord(Permutation.identity(2), h, 2, 1, x))
         np.testing.assert_allclose(g, [[1.0, 0.0], [x / (2 * lam), 1.0]], atol=1e-15)
 
     def test_recomposition(self):
@@ -140,16 +155,34 @@ class TestNbarFromAffine:
         for _ in range(10):
             w = Permutation(tuple(int(v) + 1 for v in RNG.permutation(4)))
             d = h_conjugate(h, w)
-            b = d + np.tril(RNG.standard_normal((4, 4)), -1)
-            g = nbar_from_affine(b, w, h)
+            c = ChartCoords(w=w, lower=np.tril(RNG.standard_normal((4, 4)), -1), h=h)
+            b = d + c.lower
+            g = nbar_from_affine(c)
             assert np.linalg.norm(g @ d - b @ g) < 1e-10
 
-    def test_rejects_points_off_the_fiber(self):
-        h = default_spectrum(3)
-        w = Permutation.identity(3)
-        bad = h_conjugate(h, w) + np.triu(np.ones((3, 3)), 1)
-        with pytest.raises(ValueError, match="affine fiber"):
-            nbar_from_affine(bad, w, h)
+    def test_equals_the_affine_fiber_recurrence(self):
+        def by_fiber(c):
+            # the recurrence on x = tril((D + L) - D, -1): 0.0 + -0.0 is +0.0
+            dmat = h_conjugate(c.h, c.w)
+            d = np.diag(dmat)
+            x = np.tril((dmat + c.lower) - np.diag(d), -1)
+            g = np.eye(c.h.n)
+            for i in range(1, c.h.n):
+                g[i, :i] = (x[i, :i] @ g[:i, :i]) / (d[:i] - d[i])
+            return g
+
+        rng = rng_from_seed(37)
+        for n in range(2, 13):
+            h = default_spectrum(n)
+            for k in range(6):
+                coords = random_chart_coords(random_permutation(n, rng), h, rng)
+                lower = coords.lower
+                if k % 2:
+                    keep = np.tri(n, n, -1, dtype=bool) & (rng.random((n, n)) < 0.5)
+                    lower = np.where(keep, lower, -0.0)
+                    assert np.signbit(lower[np.tri(n, n, -1, dtype=bool)]).any()
+                c = ChartCoords(w=coords.w, lower=lower, h=h)
+                assert nbar_from_affine(c).tobytes() == by_fiber(c).tobytes()
 
 
 class TestChartInverse:
@@ -183,8 +216,7 @@ class TestChartInverse:
 
 def composed_chart_inverse(c):
     """chart_inverse as the composition f_inverse -> permutation -> FlagPoint."""
-    dmat = h_conjugate(c.h, c.w)
-    frame = f_inverse(nbar_from_affine(dmat + c.lower, c.w, c.h)) @ perm_matrix(c.w)
+    frame = f_inverse(nbar_from_affine(c)) @ perm_matrix(c.w)
     y = frame @ c.h.diag() @ frame.T
     return FlagPoint(0.5 * (y + y.T), c.h)
 
@@ -262,6 +294,19 @@ class TestChartDomain:
             for w2 in Permutation.all(3):
                 point = FlagPoint(h_conjugate(h, w2), h)
                 assert chart_domain_test(point, w) == (w2.images == w.images)
+
+    def test_permutation_of_the_wrong_size_is_a_value_error(self):
+        h = default_spectrum(3)
+        point = random_flag_point(h, rng_from_seed(19))
+        w = Permutation((2, 1))
+        for call in (
+            lambda: chart_forward(point, w),
+            lambda: chart_domain_test(point, w),
+            lambda: bruhat_classify(point, w, 1e-9),
+            lambda: coords_from_frame(point.frame, w, h),
+        ):
+            with pytest.raises(ValueError, match=r"(point|frame) is 3, permutation is 2"):
+                call()
 
     def test_forward_raises_outside(self):
         h = default_spectrum(3)

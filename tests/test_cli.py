@@ -114,6 +114,12 @@ class TestChart:
         )
         assert code == 2
 
+    def test_permutation_of_the_wrong_size_is_input_error(self, tmp_path, flag_matrix, capsys):
+        code = run_cli(["chart", "--w", "2 1", "--forward", str(flag_matrix), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "dimension mismatch" in err and "is 3" in err and "is 2" in err
+
 
 class TestFlow:
     def test_trajectory_and_diagnostics(self, tmp_path, flag_matrix):

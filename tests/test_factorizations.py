@@ -16,6 +16,7 @@ from toda_atlas.factorizations import (
     phi_sigma,
     phi_sigma_inverse,
     trailing_minors,
+    _unit_lower_inverse,
     unbar_factorize,
     unit_lower_inverse,
 )
@@ -246,6 +247,22 @@ class TestFMaps:
         g = random_unit_lower(5, RNG)
         np.testing.assert_allclose(unit_lower_inverse(g) @ g, np.eye(5), atol=1e-12)
         assert np.array_equal(np.triu(unit_lower_inverse(g), 1), np.zeros((5, 5)))
+
+    def test_kernel_equals_the_checked_inverse(self):
+        rng = np.random.default_rng(43)
+        for n in range(2, 13):
+            g = random_unit_lower(n, rng)
+            assert _unit_lower_inverse(g).tobytes() == unit_lower_inverse(g).tobytes()
+
+    def test_checked_inverse_rejects_what_is_not_unit_lower(self):
+        g = random_unit_lower(4, np.random.default_rng(47))
+        off_diagonal = g.copy()
+        off_diagonal[2, 2] = 2.0
+        upper = g.copy()
+        upper[0, 3] = 1e-6
+        for bad, reason in ((off_diagonal, "diagonal"), (upper, "above the diagonal")):
+            with pytest.raises(ValueError, match=reason):
+                unit_lower_inverse(bad)
 
 
 class TestGSEmbed:

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from toda_atlas.atlas import ChartCoords, chart_inverse, h_conjugate
+from toda_atlas.atlas import (
+    ChartCoords,
+    chart_flow_exact,
+    chart_inverse,
+    chart_linear_field,
+    h_conjugate,
+)
 from toda_atlas.errors import StiffnessError
 from toda_atlas.flows import (
     _DP_A,
@@ -11,8 +17,6 @@ from toda_atlas.flows import (
     _DP_ERR,
     IntegratorConfig,
     Trajectory,
-    chart_flow_exact,
-    chart_linear_field,
     integrate,
     integrate_many,
     propagate,
@@ -29,7 +33,6 @@ from toda_atlas.linalg_core import (
     Spectrum,
     _power_traces,
     _relative_drift,
-    btheta_norm_sq,
     commutator,
     isospectral_witness,
     pi_k,
@@ -370,6 +373,23 @@ class TestIntegrate:
         back = propagate(toda_field, there, -0.2)
         np.testing.assert_allclose(back, x0, atol=1e-12)
 
+    def test_backward_run_is_minus_the_forward_run_from_minus_the_start(self):
+        # toda_field is even, F(-X) = F(X), so x' = -F(x) from x0 is minus
+        # the run of x' = F(x) from -x0, step for step
+        rng = np.random.default_rng(17)
+        for n in range(2, 13):
+            h = default_spectrum(n)
+            x0 = random_symmetric_with_spectrum(h, rng)
+            cfg = IntegratorConfig(t_max=1.0, max_step=stable_step_for_sorting(h))
+            (forward,) = integrate_many(toda_field, [-x0], cfg)
+            (backward,) = integrate_many(lambda x: -toda_field(x), [x0], cfg)
+            assert forward.times.tobytes() == backward.times.tobytes()
+            for name in ("accepted_steps", "rejected_steps", "field_evals", "final_field_norm"):
+                assert getattr(forward, name) == getattr(backward, name), (n, name)
+            assert len(forward.states) == len(backward.states)
+            for a, b in zip(forward.states, backward.states):
+                np.testing.assert_array_equal(a, -b)
+
 
 class TestLimitPoint:
     def test_sym_limit_of_upper_triangular(self):
@@ -412,7 +432,7 @@ class TestSymFlowInvariants:
             x0 = h_conjugate(h, Permutation((2, 3, 1))) + np.triu(RNG.standard_normal((3, 3)), 1)
             cfg = IntegratorConfig(t_max=40.0, max_step=stable_step_for_symmetrization(h))
             traj = integrate(sym_field, x0, cfg)
-            norms = [btheta_norm_sq(s) for s in traj.states]
+            norms = [float(np.sum(s * s)) for s in traj.states]
             assert all(later <= earlier + 1e-10 for earlier, later in zip(norms, norms[1:]))
             assert traj.power_trace_drift < 1e-8
 

@@ -9,7 +9,6 @@ from toda_atlas.linalg_core import (
     _pi_k,
     _power_traces,
     Spectrum,
-    btheta_norm_sq,
     commutator,
     isospectral_witness,
     pi_k,
@@ -163,19 +162,6 @@ class TestProjections:
             fn(np.zeros((1, 1)))
         with pytest.raises(ValueError, match="finite"):
             fn(np.array([[0.0, np.nan], [0.0, 0.0]]))
-
-
-class TestNormSquare:
-    def test_zero(self):
-        assert btheta_norm_sq(np.zeros((3, 3))) == 0.0
-
-    def test_diag(self):
-        assert btheta_norm_sq(np.diag([1.0, -1.0])) == 2.0
-
-    def test_entrywise_oracle(self):
-        x = RNG.standard_normal((4, 4))
-        expected = sum(x[i, j] ** 2 for i in range(4) for j in range(4))
-        assert abs(btheta_norm_sq(x) - expected) < 1e-14 * expected
 
 
 class TestSymmetricEigen:

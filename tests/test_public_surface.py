@@ -49,3 +49,20 @@ def test_all_lists_exactly_the_public_definitions():
         if module in declaring and attr not in declaring[module].__all__
     ]
     assert not hidden, f"re-exported by the package but missing from __all__: {hidden}"
+
+
+def relative_imports(name):
+    """Package modules the module ``toda_atlas.<name>`` imports."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"toda_atlas.{name}")))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # "from .x import y" names x; "from . import x" names x itself
+            modules |= {node.module} if node.module else {alias.name for alias in node.names}
+    return modules
+
+
+def test_module_layering():
+    assert relative_imports("flows") == {"errors", "linalg_core"}
+    above_the_charts = {"flows", "analysis", "sampling", "serialization", "cli"}
+    assert not relative_imports("atlas") & above_the_charts

@@ -45,15 +45,21 @@ class TestPermutation:
         assert sigma.inverse().images == (3, 1, 2)
 
     def test_inversion_count_brute_force(self):
-        for _ in range(20):
-            sigma = random_perm(5, RNG)
+        rng = np.random.default_rng(31)
+        sigmas = [random_perm(5, RNG) for _ in range(20)]
+        for n in range(2, 13):
+            assert Permutation.identity(n).inversion_count() == 0
+            assert Permutation.longest(n).inversion_count() == n * (n - 1) // 2
+            sigmas += [random_perm(n, rng) for _ in range(10)]
+        for sigma in sigmas:
             brute = sum(
                 1
-                for a in range(5)
-                for b in range(a + 1, 5)
+                for a in range(sigma.n)
+                for b in range(a + 1, sigma.n)
                 if sigma.images[a] > sigma.images[b]
             )
-            assert sigma.inversion_count() == brute
+            count = sigma.inversion_count()
+            assert type(count) is int and count == brute
 
     def test_identity_and_longest(self):
         assert Permutation.identity(4).images == (1, 2, 3, 4)
@@ -68,6 +74,14 @@ class TestPermMatrix:
     def test_simple_transposition(self):
         expected = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_array_equal(perm_matrix(Permutation((2, 1, 3))), expected)
+
+    def test_equals_the_entrywise_loop(self):
+        for n in range(2, 6):
+            for sigma in Permutation.all(n):
+                loop = np.zeros((n, n))
+                for j in range(1, n + 1):
+                    loop[sigma(j) - 1, j - 1] = 1.0
+                assert perm_matrix(sigma).tobytes() == loop.tobytes()
 
     def test_group_law(self):
         sigma = random_perm(5, RNG)
