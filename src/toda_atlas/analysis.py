@@ -17,6 +17,7 @@ from .atlas import (
     FlagPoint,
     _chart_point,
     _frame,
+    _permuted_diagonal,
     bruhat_classify,
     chart_forward,
     chart_inverse,
@@ -247,12 +248,20 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     stopping rule here; a tiny field-norm stop would never trigger. A
     leg passes when it ends within 1e-7 of the permuted diagonal.
 
+    The escape run starts with each of the m unstable coordinates at
+    eps / sqrt(m) and stops at the horizon min(15, ln(100 sqrt(m)) /
+    g_max), g_max the largest unstable gap: by then the fastest unstable
+    coordinate alone has grown past 100 eps. The report's
+    ``escape.max_radius`` is the largest distance from the permuted
+    diagonal up to that horizon.
+
     The sorting field is even, F(-X) = F(X), so a backward leg from y is
     minus the forward run from -y, step for step. The legs of all charts
     that share a horizon (equal gaps give equal horizons) run forward as
-    one :func:`integrate_many` batch, and the escape runs as one more.
-    Every lane has the bits of its run alone, so each report equals the
-    one its chart's legs and escape give when integrated one at a time.
+    one :func:`integrate_many` batch, and the escape runs, each with its
+    own horizon, as one more. Every lane has the bits of its run alone,
+    so each report equals the one its chart's legs and escape give when
+    integrated one at a time.
     """
     dist_tol = 1e-7
     field_tol = 1e-6
@@ -269,13 +278,14 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     # legs[k] lists chart k's (pair, sign, horizon, classification),
     # unstable pairs sorted, then stable pairs sorted; sign * start goes to
     # its horizon's batch and, per chart, one start to the escape batch
-    targets = [h_conjugate(h, w) for w in charts]
+    diags = [_permuted_diagonal(h, w) for w in charts]
+    targets = [np.diag(d) for d in diags]
     legs = [[] for _ in charts]
     batches = {}
     escapes = {}
     for k, w in enumerate(charts):
         sets = inversion_sets(w)
-        diag = np.diag(targets[k])
+        diag = diags[k]
         for sign, pairs in ((-1, sorted(sets.unstable)), (+1, sorted(sets.stable))):
             for i, j in pairs:
                 gap = abs(diag[i - 1] - diag[j - 1])
@@ -286,8 +296,11 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
                 legs[k].append((pair, sign, horizon, classified))
                 batches.setdefault(horizon, []).append(((k, pair, sign), sign * start.y))
         if sets.unstable:
-            lower = _inverted_mask(w.inverse()) * (eps / math.sqrt(len(sets.unstable)))
-            escapes[k] = chart_inverse(ChartCoords(w=w, lower=lower, h=h)).y
+            root_m = math.sqrt(len(sets.unstable))
+            g_max = max(abs(diag[i - 1] - diag[j - 1]) for i, j in sets.unstable)
+            lower = _inverted_mask(w.inverse()) * (eps / root_m)
+            start = chart_inverse(ChartCoords(w=w, lower=lower, h=h)).y
+            escapes[k] = (start, min(esc_cfg.t_max, math.log(100.0 * root_m) / g_max))
 
     ends = {}
     for horizon, members in batches.items():
@@ -298,7 +311,8 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
             ends[k, pair] = (distance, traj.final_field_norm)
     radii = {}
     if escapes:
-        trajs = integrate_many(toda_field, list(escapes.values()), esc_cfg)
+        starts, horizons = zip(*escapes.values())
+        trajs = integrate_many(toda_field, starts, esc_cfg, horizons=horizons)
         for k, traj in zip(escapes, trajs):
             radii[k] = max(max(_frobenius_norms(x - targets[k])) for x in _stacks(traj.states))
 
@@ -397,6 +411,44 @@ def _fiber_config(h: Spectrum) -> IntegratorConfig:
     return IntegratorConfig(t_max=40.0, max_step=stable_step_for_symmetrization(h))
 
 
+def _norm_and_leak(x) -> np.ndarray:
+    """Per state of a (k, n, n) stack: its squared Frobenius norm and its
+    largest |strictly lower entry|, as a (k, 2) array."""
+    return np.stack(
+        [np.sum(x * x, axis=(1, 2)), np.max(np.abs(np.tril(x, -1)), axis=(1, 2))], axis=1
+    )
+
+
+def _fiber_starts(w: Permutation, h: Spectrum, samples: int, rng) -> tuple:
+    """The permuted diagonal at w and that many standard normal strictly
+    upper perturbations of it, drawn from rng."""
+    base = h_conjugate(h, w)
+    n = h.n
+    return base, [base + np.triu(rng.standard_normal((n, n)), 1) for _ in range(samples)]
+
+
+def _fiber_report(w: Permutation, base, trajs, cfg) -> CheckReport:
+    """The fiber check of lean runs (per-state rows by ``_norm_and_leak``)
+    from the perturbations of base."""
+    worst = 0.0
+    lower_leak = 0.0
+    for traj in trajs:
+        if traj.final_field_norm >= cfg.stop_field_norm:
+            worst = math.inf
+            continue
+        worst = max(worst, float(np.linalg.norm(traj.final_state - base)))
+        lower_leak = max(lower_leak, float(np.max(traj.per_state[:, 1])))
+    if lower_leak > 1e-9:
+        worst = math.inf
+    return CheckReport.create(
+        f"fiber.{'-'.join(map(str, w.images))}",
+        worst,
+        len(trajs),
+        1e-6,
+        {"lower_leak": lower_leak, "scale": 1.0},
+    )
+
+
 def fiber_experiment(
     w: Permutation,
     h: Spectrum,
@@ -412,30 +464,13 @@ def fiber_experiment(
     1e-6, staying upper triangular the whole way (machine-exact zeros
     below the diagonal are expected and checked at 1e-9). The
     perturbations are standard normal; the report keeps their scale, 1.0,
-    in its details.
+    in its details. The runs are lean: each keeps one row of figures per
+    state, not the state.
     """
     cfg = _fiber_config(h)
-    base = h_conjugate(h, w)
-    n = h.n
-    worst = 0.0
-    lower_leak = 0.0
-    starts = [base + np.triu(rng.standard_normal((n, n)), 1) for _ in range(samples)]
-    for traj in integrate_many(sym_field, starts, cfg):
-        if traj.final_field_norm >= cfg.stop_field_norm:
-            worst = math.inf
-            continue
-        worst = max(worst, float(np.linalg.norm(traj.final_state - base)))
-        for stack in _stacks(traj.states):
-            lower_leak = max(lower_leak, float(np.max(np.abs(np.tril(stack, -1)))))
-    if lower_leak > 1e-9:
-        worst = math.inf
-    return CheckReport.create(
-        f"fiber.{'-'.join(map(str, w.images))}",
-        worst,
-        samples,
-        1e-6,
-        {"lower_leak": lower_leak, "scale": 1.0},
-    )
+    base, starts = _fiber_starts(w, h, samples, rng)
+    trajs = integrate_many(sym_field, starts, cfg, per_state=_norm_and_leak)
+    return _fiber_report(w, base, trajs, cfg)
 
 
 def example4_frame_check() -> CheckReport:
@@ -656,6 +691,11 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
     return reports
 
 
+def _skew_norms(x) -> np.ndarray:
+    """Frobenius norm of x - x^T for each state of a (k, n, n) stack."""
+    return np.array(_frobenius_norms(x - x.swapaxes(1, 2)))
+
+
 def toda_suite(n: int = 3, seed: int = 0) -> list:
     rng = rng_from_seed(seed)
     h = default_spectrum(n)
@@ -697,15 +737,20 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
         w = charts[int(rng.integers(len(charts)))]
         picks.append(random_chart_coords(w, h, rng))
     starts = [chart_inverse(coords).y for coords in picks]
-    for t in (0.5, 1.0, 2.0):
-        cfg = IntegratorConfig(t_max=t, stop_field_norm=1e-13)
-        for coords, traj in zip(picks, integrate_many(toda_field, starts, cfg)):
-            predicted = _chart_point(coords, t)
-            worst = max(worst, float(np.linalg.norm(traj.final_state - predicted.y)))
-            drift_worst = max(drift_worst, traj.power_trace_drift)
-            for stack in _stacks(traj.states):
-                skew = stack - stack.swapaxes(1, 2)
-                symmetry_worst = max(symmetry_worst, max(_frobenius_norms(skew)))
+    # one lean lane per (t, pick), each run to its own t
+    lanes = [(t, coords) for t in (0.5, 1.0, 2.0) for coords in picks]
+    trajs = integrate_many(
+        toda_field,
+        starts * 3,
+        IntegratorConfig(stop_field_norm=1e-13),
+        horizons=[t for t, _ in lanes],
+        per_state=_skew_norms,
+    )
+    for (t, coords), traj in zip(lanes, trajs):
+        predicted = _chart_point(coords, t)
+        worst = max(worst, float(np.linalg.norm(traj.final_state - predicted.y)))
+        drift_worst = max(drift_worst, traj.power_trace_drift)
+        symmetry_worst = max(symmetry_worst, float(np.max(traj.per_state)))
     reports.append(CheckReport.create("toda.exact_vs_integrated", worst, 9, 1e-7))
     reports.append(CheckReport.create("toda.isospectral_drift", drift_worst, 9, 1e-8))
     reports.append(CheckReport.create("toda.symmetry_preservation", symmetry_worst, 9, 1e-9))
@@ -762,7 +807,6 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
             worst = math.inf
     reports.append(CheckReport.create("sym.normal_zero_set", worst, 30, 1e-12))
 
-    fiber_cfg = _fiber_config(h)
     monotone_worst = 0.0
     profile_worst = 0.0
     drift_worst = 0.0
@@ -787,21 +831,29 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
             drift_worst = max(drift_worst, traj.power_trace_drift)
             if not all(v_p_membership(stack, p, 1e-9).all() for stack in _stacks(traj.states)):
                 profile_worst = math.inf
-    for traj in integrate_many(sym_field, starts, fiber_cfg):
-        norms = np.concatenate([np.sum(x * x, axis=(1, 2)) for x in _stacks(traj.states)])
-        monotone_worst = max(monotone_worst, float(np.max(np.diff(norms), initial=0.0)))
+
+    # the monotone runs and both fiber experiments' runs share one lean
+    # batch; the rng draws keep the order of fiber_experiment calls
+    identity = Permutation.identity(n)
+    base, fiber_starts = _fiber_starts(identity, h, 5, rng)
+    # a second identity would give a second report of the same name
+    sigma = random_permutation(n, rng)
+    while sigma == identity:
+        sigma = random_permutation(n, rng)
+    sigma_base, sigma_starts = _fiber_starts(sigma, h, 5, rng)
+    fiber_cfg = _fiber_config(h)
+    trajs = integrate_many(
+        sym_field, starts + fiber_starts + sigma_starts, fiber_cfg, per_state=_norm_and_leak
+    )
+    split = len(starts) + len(fiber_starts)
+    for traj in trajs[:len(starts)]:
+        norm_increase = np.max(np.diff(traj.per_state[:, 0]), initial=0.0)
+        monotone_worst = max(monotone_worst, float(norm_increase))
     reports.append(CheckReport.create("sym.profile_preservation", profile_worst, 8, 1e-9))
     reports.append(CheckReport.create("sym.norm_monotone", monotone_worst, 4, 1e-10))
     reports.append(CheckReport.create("sym.isospectral_drift", drift_worst, 8, 1e-8))
-
-    reports.append(
-        fiber_experiment(Permutation.identity(n), h, samples=5, rng=rng)
-    )
-    # a second identity would give a second report of the same name
-    sigma = random_permutation(n, rng)
-    while sigma == Permutation.identity(n):
-        sigma = random_permutation(n, rng)
-    reports.append(fiber_experiment(sigma, h, samples=5, rng=rng))
+    reports.append(_fiber_report(identity, base, trajs[len(starts):split], fiber_cfg))
+    reports.append(_fiber_report(sigma, sigma_base, trajs[split:], fiber_cfg))
     reports.append(sym_linearization_spectrum(h))
     reports.append(example4_frame_check())
     return reports

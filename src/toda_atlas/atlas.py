@@ -104,13 +104,18 @@ class BruhatClass(Enum):
     BOTH = "both"
 
 
+def _permuted_diagonal(h: Spectrum, w: Permutation) -> np.ndarray:
+    """Unchecked permuted diagonal d, d_i = h[w^-1(i)], as a 1-D array."""
+    d = np.empty(h.n)
+    d[np.array(w.images) - 1] = h.values
+    return d
+
+
 def h_conjugate(h: Spectrum, w: Permutation) -> np.ndarray:
     """Diagonal matrix with entry i equal to h[w^-1(i)] (conjugation by w)."""
     if h.n != w.n:
         raise ValueError(f"dimension mismatch: spectrum is {h.n}, permutation is {w.n}")
-    d = np.empty(h.n)
-    d[np.array(w.images) - 1] = h.values
-    return np.diag(d)
+    return np.diag(_permuted_diagonal(h, w))
 
 
 def nbar_from_affine(c: ChartCoords) -> np.ndarray:
@@ -120,17 +125,21 @@ def nbar_from_affine(c: ChartCoords) -> np.ndarray:
     diagonal gaps of a regular permuted diagonal never vanish. A -0.0
     coordinate enters as +0.0.
     """
-    d = np.diag(h_conjugate(c.h, c.w))
-    x = c.lower + 0.0
-    g = np.eye(c.h.n)
-    for i in range(1, c.h.n):
+    return _nbar_from_affine(c.lower, _permuted_diagonal(c.h, c.w))
+
+
+def _nbar_from_affine(lower, d) -> np.ndarray:
+    """``nbar_from_affine`` of strictly lower coordinates around diag(d)."""
+    x = lower + 0.0
+    g = np.eye(len(d))
+    for i in range(1, len(d)):
         g[i, :i] = (x[i, :i] @ g[:i, :i]) / (d[:i] - d[i])
     return g
 
 
 def _gaps(c: ChartCoords) -> np.ndarray:
     """Gaps d_i - d_j of the permuted diagonal d below the diagonal, else 0."""
-    d = np.diag(h_conjugate(c.h, c.w))
+    d = _permuted_diagonal(c.h, c.w)
     return np.tril(d[:, None] - d[None, :], -1)
 
 
@@ -166,10 +175,10 @@ def _chart_point(c: ChartCoords, t: float) -> FlagPoint:
     weights are 1 and the rows keep their order. Raises
     FactorizationError when some |R_ii| / weight_i < 1e-12.
     """
-    d = np.diag(h_conjugate(c.h, c.w))
+    d = _permuted_diagonal(c.h, c.w)
     weights = np.exp(t * (d - np.max(d)))
     order = np.argsort(-weights, kind="stable")
-    g_inv = _unit_lower_inverse(nbar_from_affine(c))
+    g_inv = _unit_lower_inverse(_nbar_from_affine(c.lower, d))
     q, _ = _signed_qr(weights[order, None] * g_inv[order], weights[order])
     frame = q.T @ perm_matrix(c.w)[order]
     y = frame @ c.h.diag() @ frame.T

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .atlas import ChartCoords, FlagPoint, chart_forward, chart_inverse
+from .atlas import ChartCoords, FlagPoint, _permuted_diagonal, chart_forward, chart_inverse
 from .errors import TodaAtlasError
 from .factorizations import kan_factorize, unbar_factorize
 from .flows import IntegratorConfig, integrate, sym_field, toda_field
@@ -117,14 +117,13 @@ def _run_flow(args) -> int:
 def _run_cells(args) -> int:
     w, h = args.w, args.h
     sets = inversion_sets(w)
-    inv = w.inverse()
+    d = _permuted_diagonal(h, w)
     rows = []
     for i, j in lower_pairs(w.n):
-        gap = h.values[inv(i) - 1] - h.values[inv(j) - 1]
         rows.append(
             {
                 "pair": [i, j],
-                "gap": gap,
+                "gap": float(d[i - 1] - d[j - 1]),
                 "classification": "unstable" if (i, j) in sets.unstable else "stable",
             }
         )

@@ -31,7 +31,9 @@ own step size, PI state, stop test and counts, and leaves the stack when
 it stops; control in Python floats and per-lane reductions give every
 lane the bits of a run alone. ``integrate`` is the B = 1 case. A run's
 states are stacked in one place, ``_stacks`` (64 at most at a time),
-for the finiteness check, the power-trace drift and the harness.
+for the finiteness check, the power-trace drift and the harness. A lean
+run (``per_state``) folds each such stack into a caller's per-state
+figures and the drift as soon as it is full, and drops it.
 
 Public functions validate their arguments; the private ``_`` kernels
 they call per step do not. Each field validates once and then computes
@@ -126,7 +128,12 @@ class IntegratorConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Accepted states of one integration, with controller diagnostics.
-    ``states`` is a tuple of (n, n) arrays, walked in stacks by ``_stacks``."""
+    ``states`` is a tuple of (n, n) arrays, walked in stacks by ``_stacks``.
+
+    A lean run of :func:`integrate_many` keeps only its start and final
+    state (``times`` is then ``(0, t_final)``, or ``(0,)`` with no step)
+    and holds in ``per_state`` the caller's values on every accepted
+    state, start included; ``per_state`` is None for a full run."""
 
     times: np.ndarray
     states: tuple
@@ -139,6 +146,7 @@ class Trajectory:
     field_evals: int = 0
     min_step: float = 0.0
     max_step: float = 0.0
+    per_state: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -266,53 +274,114 @@ def _stacks(states):
         yield np.stack(states[i:i + _DRIFT_CHUNK])
 
 
+def _drift_ruler(x0):
+    """Power traces of x0 and the per-power rulers that drift from x0 is
+    measured with."""
+    reference = isospectral_witness(x0)
+    return np.array(reference.power_traces), reference._drift_scale()
+
+
 def _power_trace_drift(states) -> float:
     """Largest relative drift of the power traces of the states from those
     of states[0] (0.0 for a lone state, whose own drift is exactly 0)."""
-    reference = isospectral_witness(states[0])
-    traces = np.array(reference.power_traces)
-    scale = reference._drift_scale()
+    traces, scale = _drift_ruler(states[0])
     return max(
         _relative_drift(_power_traces(stack), traces, scale) for stack in _stacks(states)
     )
 
 
 class _Lane:
-    """One run of a lockstep batch: controller state and accepted states."""
+    """One run of a lockstep batch: controller state and accepted states.
 
-    def __init__(self, x0, fnorm, cfg):
+    A lean lane keeps no times and holds at most one ``_stacks`` stack of
+    states: ``fold`` checks it, takes its drift and the caller's
+    per-state values, and drops it, so the lane ends with the figures of
+    the full run."""
+
+    def __init__(self, x0, fnorm, t_max, cfg, per_state):
         self.t = 0.0
-        self.h = min(_INITIAL_STEP, cfg.max_step, cfg.t_max)
+        self.t_max = t_max
+        # rounding of the final clamped step can leave t one ulp short of
+        # t_max; a leftover below this is the endpoint, not a stalled step
+        self.t_end = t_max * (1.0 - 1e-12)
+        self.h = min(_INITIAL_STEP, cfg.max_step, t_max)
         self.err_prev = 1e-4
         self.fnorm = fnorm
         self.times = [0.0]
         self.states = [x0]
         self.steps = []
         self.rejected = 0
+        self.per_state = per_state
+        if per_state is not None:
+            self.start = self.last = x0
+            self.ruler = _drift_ruler(x0)
+            # the first stack holds the start, whose drift is exactly 0
+            self.drift = 0.0
+            self.values = []
+
+    def fold(self):
+        stack = np.stack(self.states)
+        if not np.isfinite(stack).all():
+            raise ValueError("trajectory states must be finite")
+        self.drift = max(self.drift, _relative_drift(_power_traces(stack), *self.ruler))
+        self.values.append(self.per_state(stack))
+        self.last = self.states[-1]
+        self.states = []
 
     def trajectory(self) -> Trajectory:
+        if self.per_state is None:
+            times, states, values = self.times, self.states, None
+            drift = _power_trace_drift(states)
+        else:
+            if self.states:
+                self.fold()
+            times, states = [0.0], [self.start]
+            if self.steps:
+                times.append(self.t)
+                states.append(self.last)
+            drift, values = self.drift, np.concatenate(self.values)
         return Trajectory(
-            self.times, self.states, len(self.steps), self.rejected, self.fnorm,
-            _power_trace_drift(self.states),
+            times, states, len(self.steps), self.rejected, self.fnorm, drift,
             field_evals=1 + 6 * (len(self.steps) + self.rejected),
             min_step=min(self.steps, default=0.0),
             max_step=max(self.steps, default=0.0),
+            per_state=values,
         )
 
 
-def integrate_many(field, starts, cfg: IntegratorConfig = IntegratorConfig()) -> list:
+def integrate_many(
+    field,
+    starts,
+    cfg: IntegratorConfig = IntegratorConfig(),
+    *,
+    horizons=None,
+    per_state=None,
+) -> list:
     """Adaptive Dormand-Prince 5(4) runs of x' = field(x), one per start,
     stepped in lockstep; returns their trajectories in the order of starts.
 
     Each run stops when its field norm drops below
     ``cfg.stop_field_norm`` (an intrinsic residual for flows that
-    approach critical manifolds exponentially) or when ``cfg.t_max`` is
+    approach critical manifolds exponentially) or when its horizon is
     reached, whichever comes first, and its trajectory has the bits of
-    the run alone. The field is called once per stage with the (A, n, n)
-    stack of the A runs still going. Raises ValueError before any step
-    for an empty list, starts of different shapes or a start that is not
-    a finite square matrix, and StiffnessError, with that run's partial
-    trajectory attached, when a run's step size underflows.
+    the run alone with ``t_max`` equal to that horizon. ``horizons``
+    gives one horizon per start; without it every run has ``cfg.t_max``.
+    The field is called once per stage with the (A, n, n) stack of the A
+    runs still going.
+
+    With ``per_state=f`` the runs are lean: f maps a (k, n, n) stack of
+    states to an array of k rows, one per state, and each trajectory
+    keeps only its start and final state, with f's rows over all its
+    accepted states (start included) concatenated in ``per_state``. The
+    rows, the drift and the finiteness check are taken on the stacks of
+    at most 64 states that ``_stacks`` yields, which are then dropped,
+    so every figure equals the full run's.
+
+    Raises ValueError before any step for an empty list, starts of
+    different shapes, a start that is not a finite square matrix, or
+    horizons of the wrong count or not positive and finite; and
+    StiffnessError, with that run's partial trajectory attached (lean if
+    the run is), when a run's step size underflows.
     """
     starts = [as_matrix(x0) for x0 in starts]
     if not starts:
@@ -320,19 +389,28 @@ def integrate_many(field, starts, cfg: IntegratorConfig = IntegratorConfig()) ->
     shapes = sorted({x0.shape for x0 in starts})
     if len(shapes) > 1:
         raise ValueError(f"starts have different shapes: {shapes}")
+    if horizons is None:
+        horizons = [cfg.t_max] * len(starts)
+    else:
+        horizons = [float(t_max) for t_max in horizons]
+        if len(horizons) != len(starts):
+            raise ValueError(f"{len(horizons)} horizons for {len(starts)} starts")
+        for t_max in horizons:
+            if not (t_max > 0.0 and math.isfinite(t_max)):
+                raise ValueError(f"horizons must be positive and finite, got {t_max!r}")
     x = np.stack(starts)
     kernel = _KERNELS.get(field, field)
     fx = kernel(x)
-    lanes = [_Lane(x0, fnorm, cfg) for x0, fnorm in zip(x, _frobenius_norms(fx))]
+    lanes = [
+        _Lane(x0, fnorm, t_max, cfg, per_state)
+        for x0, fnorm, t_max in zip(x, _frobenius_norms(fx), horizons)
+    ]
 
-    # rounding of the final clamped step can leave t one ulp short of
-    # t_max; a leftover below this is the endpoint, not a stalled step
-    t_end = cfg.t_max * (1.0 - 1e-12)
     active = lanes
     while True:
         going = [
             i for i, lane in enumerate(active)
-            if lane.fnorm >= cfg.stop_field_norm and lane.t < t_end
+            if lane.fnorm >= cfg.stop_field_norm and lane.t < lane.t_end
         ]
         if not going:
             break
@@ -340,7 +418,7 @@ def integrate_many(field, starts, cfg: IntegratorConfig = IntegratorConfig()) ->
             active = [active[i] for i in going]
             x, fx = x[going], fx[going]
         for lane in active:
-            lane.h = min(lane.h, cfg.max_step, cfg.t_max - lane.t)
+            lane.h = min(lane.h, cfg.max_step, lane.t_max - lane.t)
             if lane.h < _MIN_STEP:
                 raise StiffnessError(
                     f"step size underflowed ({lane.h:.2e}) at t={lane.t:.6g}",
@@ -359,8 +437,11 @@ def integrate_many(field, starts, cfg: IntegratorConfig = IntegratorConfig()) ->
             if ratio <= 1.0:
                 lane.t += lane.h
                 lane.fnorm = fnorm
-                lane.times.append(lane.t)
                 lane.states.append(state.copy())
+                if lane.per_state is None:
+                    lane.times.append(lane.t)
+                elif len(lane.states) == _DRIFT_CHUNK:
+                    lane.fold()
                 lane.steps.append(lane.h)
                 factor = _SAFETY * max(ratio, 1e-16) ** (-_PI_ALPHA) * lane.err_prev ** _PI_BETA
                 lane.h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))

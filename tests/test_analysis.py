@@ -189,11 +189,15 @@ def serial_unstable_manifold_experiment(w, h, eps=1e-4):
             }
     escape = None
     if sets.unstable:
+        m = len(sets.unstable)
         lower = np.zeros((h.n, h.n))
         for i, j in sets.unstable:
-            lower[i - 1, j - 1] = eps / math.sqrt(len(sets.unstable))
+            lower[i - 1, j - 1] = eps / math.sqrt(m)
         start = chart_inverse(ChartCoords(w=w, lower=lower, h=h))
-        esc_cfg = IntegratorConfig(t_max=15.0, stop_field_norm=1e-13)
+        # the fastest unstable coordinate grows from eps / sqrt(m) past 100 eps
+        g_max = max(abs(diag[i - 1] - diag[j - 1]) for i, j in sets.unstable)
+        t_max = min(15.0, math.log(100.0 * math.sqrt(m)) / g_max)
+        esc_cfg = IntegratorConfig(t_max=t_max, stop_field_norm=1e-13)
         traj = integrate(toda_field, start.y, esc_cfg)
         radius = max(float(np.linalg.norm(s - target)) for s in traj.states)
         escape = {"max_radius": radius, "threshold": 10.0 * eps}
@@ -231,10 +235,13 @@ class TestUnstableManifoldBatch:
 
     def test_four_leg_batches_and_one_escape_batch(self, monkeypatch):
         calls = []
+        escape_horizons = []
 
-        def counting(field, starts, cfg):
+        def counting(field, starts, cfg, **kwargs):
             calls.append(len(starts))
-            return integrate_many(field, starts, cfg)
+            if "horizons" in kwargs:
+                escape_horizons.extend(kwargs["horizons"])
+            return integrate_many(field, starts, cfg, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a run went through integrate")
@@ -245,8 +252,54 @@ class TestUnstableManifoldBatch:
         reports = unstable_manifold_experiments(list(Permutation.all(3)), default_spectrum(3))
         assert len(reports) == 6
         # 18 legs in 2 horizon batches (backward legs run forward from
-        # the negated start), then 5 escape runs
+        # the negated start), then 5 escape runs, each to its gap horizon
         assert calls == [12, 6, 5]
+        # at h = (2, 0, -2): two charts with one unstable pair of gap 2,
+        # two with two pairs, the largest of gap 4, and one with all three
+        assert sorted(escape_horizons) == sorted(
+            [math.log(100.0) / 2.0] * 2 + [math.log(100.0 * math.sqrt(2.0)) / 4.0] * 2
+            + [math.log(100.0 * math.sqrt(3.0)) / 4.0]
+        )
+
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_escape_runs_end_well_past_the_threshold(self, n):
+        charts = list(Permutation.all(n)) if n <= 3 else drawn_charts(n, 4, seed=8)
+        reports = unstable_manifold_experiments(charts, default_spectrum(n))
+        escapes = [r.details["escape"] for r in reports if r.details["escape"]]
+        assert len(escapes) == sum(w.inversion_count() > 0 for w in charts)
+        for escape in escapes:
+            assert escape["max_radius"] >= 5.0 * escape["threshold"]
+
+
+class TestSuiteBatches:
+    @staticmethod
+    def record_calls(monkeypatch):
+        calls = []
+
+        def counting(field, starts, cfg, **kwargs):
+            calls.append((len(starts), kwargs))
+            return integrate_many(field, starts, cfg, **kwargs)
+
+        monkeypatch.setattr(toda_atlas.analysis, "integrate_many", counting)
+        return calls
+
+    def test_sym_suite_makes_three_batches(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        reports = toda_atlas.analysis.sym_suite(3, 7)
+        assert all(report.passed for report in reports)
+        # toda and sym profile runs, then one lean batch of the 4 monotone
+        # starts and both fiber experiments' 5 + 5 starts
+        assert [size for size, _ in calls] == [4, 4, 14]
+        assert [kwargs.get("per_state") is not None for _, kwargs in calls] == [False, False, True]
+
+    def test_toda_suite_runs_its_exact_flow_as_one_batch(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        reports = toda_atlas.analysis.toda_suite(3, 7)
+        assert all(report.passed for report in reports)
+        exact = [kwargs for _, kwargs in calls if "per_state" in kwargs]
+        assert len(exact) == 1
+        assert list(exact[0]["horizons"]) == [0.5] * 3 + [1.0] * 3 + [2.0] * 3
 
 
 class TestSymLinearization:

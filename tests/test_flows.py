@@ -557,6 +557,119 @@ class TestIntegrateMany:
         assert batched.value.trajectory.rejected_steps > 0
 
 
+class TestHorizons:
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("field", [toda_field, sym_field])
+    def test_mixed_horizons_equal_serial_runs(self, field, n):
+        starts = lane_starts(field, n, np.random.default_rng(60 + n))
+        horizons = [0.25, 1.0, 0.5, 2.0] if field is toda_field else [0.1, 0.4, 0.2, 0.3]
+        cfg = IntegratorConfig(stop_field_norm=1e-7)
+        # the same start to two more horizons, one below the first step
+        # size 1e-3, among the other lanes
+        starts = starts + starts[:1] * 2
+        horizons = horizons + [horizons[0] * 3.0, 4e-4]
+        lanes = integrate_many(field, starts, cfg, horizons=horizons)
+        for lane, x0, t_max in zip(lanes, starts, horizons):
+            alone = integrate(field, x0, IntegratorConfig(t_max=t_max, stop_field_norm=1e-7))
+            assert_same_run(lane, alone)
+        assert math.isclose(lanes[0].final_time, horizons[0], rel_tol=1e-12)
+        assert lanes[4].final_time > lanes[0].final_time
+        assert math.isclose(lanes[5].final_time, 4e-4, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "horizons, message",
+        [
+            ([1.0], "1 horizons for 2 starts"),
+            ([1.0, 1.0, 1.0], "3 horizons for 2 starts"),
+            ([1.0, 0.0], "positive and finite"),
+            ([-1.0, 1.0], "positive and finite"),
+            ([1.0, math.inf], "positive and finite"),
+            ([math.nan, 1.0], "positive and finite"),
+        ],
+    )
+    def test_bad_horizons_rejected_before_the_field_is_called(self, horizons, message):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return toda_field(x)
+
+        with pytest.raises(ValueError, match=message):
+            integrate_many(counted, [np.eye(2), -np.eye(2)], horizons=horizons)
+        assert calls == []
+
+
+def norm_and_corner(x):
+    """Two per-state figures of a stack: the squared norm and entry (n, 1)."""
+    return np.stack([np.sum(x * x, axis=(1, 2)), x[:, -1, 0]], axis=1)
+
+
+def assert_same_lean_run(lean, full, f):
+    """A lean run with the figures of the full run, and f on every state."""
+    assert full.per_state is None
+    assert_same_bits(lean.times, full.times[[0, -1]] if len(full.times) > 1 else full.times)
+    assert len(lean.states) == min(2, len(full.states))
+    assert_same_bits(lean.states[0], full.states[0])
+    assert_same_bits(lean.final_state, full.final_state)
+    assert lean.final_time == full.final_time
+    for name in (
+        "accepted_steps", "rejected_steps", "field_evals", "min_step", "max_step",
+        "final_field_norm", "power_trace_drift",
+    ):
+        assert getattr(lean, name) == getattr(full, name), name
+    assert_same_bits(lean.per_state, np.concatenate([f(state[None]) for state in full.states]))
+
+
+class TestLeanRuns:
+    @pytest.mark.parametrize("n", [3, 8, 12])
+    @pytest.mark.parametrize("field", [toda_field, sym_field])
+    def test_lean_lanes_keep_the_figures_of_full_runs(self, field, n):
+        starts = lane_starts(field, n, np.random.default_rng(80 + n))
+        h = default_spectrum(n)
+        if field is toda_field:
+            cfg = IntegratorConfig(t_max=30.0, max_step=stable_step_for_sorting(h), stop_field_norm=1e-9)
+        else:
+            cfg = IntegratorConfig(t_max=3.0, max_step=stable_step_for_symmetrization(h), stop_field_norm=1e-9)
+        full = integrate_many(field, starts, cfg)
+        lean = integrate_many(field, starts, cfg, per_state=norm_and_corner)
+        for a, b in zip(lean, full):
+            assert_same_lean_run(a, b, norm_and_corner)
+        # runs that span several stacks of 64 states, and one with no step
+        assert full[0].accepted_steps > 130
+        assert lean[3].accepted_steps == 0 and len(lean[3].per_state) == 1
+
+    def test_stack_boundaries(self):
+        # a constant field takes unit steps after a short ramp, so the
+        # horizons 55..66 give runs of about 60 to 72 states, 64 among them
+        def constant(x):
+            return np.ones_like(x)
+
+        starts = [np.eye(3)] * 12
+        horizons = [55.0 + k for k in range(12)]
+        full = integrate_many(constant, starts, horizons=horizons)
+        lean = integrate_many(constant, starts, horizons=horizons, per_state=norm_and_corner)
+        for a, b in zip(lean, full):
+            assert_same_lean_run(a, b, norm_and_corner)
+        assert 64 in [len(run.states) for run in full]
+        assert 65 in [len(run.states) for run in full]
+
+    def test_underflowing_lean_lane_raises_with_its_partial_run(self):
+        # entries grow at unit rate until they pass 0.5, where a wildly
+        # oscillating field defeats the error estimate; the steps before
+        # fill more than one stack of 64 states
+        def ramp(x):
+            return np.where(np.abs(x) > 0.5, 1e18 * np.sin(1e18 * x), 1.0)
+
+        cfg = IntegratorConfig(max_step=0.005)
+        with pytest.raises(StiffnessError) as full:
+            integrate(ramp, np.zeros((2, 2)), cfg)
+        with pytest.raises(StiffnessError) as lean:
+            integrate_many(ramp, [np.zeros((2, 2))], cfg, per_state=norm_and_corner)
+        assert str(lean.value) == str(full.value)
+        assert_same_lean_run(lean.value.trajectory, full.value.trajectory, norm_and_corner)
+        assert lean.value.trajectory.accepted_steps > 64
+
+
 def frobenius_norm(f):
     flat = f.ravel()
     return math.sqrt(float(np.vecdot(flat, flat)))
