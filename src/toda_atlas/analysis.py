@@ -827,9 +827,11 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
         starts.append(u @ symmetric_start.y @ np.linalg.inv(u))
     profile_cfg = IntegratorConfig(t_max=3.0, stop_field_norm=1e-13)
     for field in (toda_field, sym_field):
-        for traj in integrate_many(field, starts, profile_cfg):
+        for traj in integrate_many(
+            field, starts, profile_cfg, per_state=lambda x: v_p_membership(x, p, 1e-9)
+        ):
             drift_worst = max(drift_worst, traj.power_trace_drift)
-            if not all(v_p_membership(stack, p, 1e-9).all() for stack in _stacks(traj.states)):
+            if not traj.per_state.all():
                 profile_worst = math.inf
 
     # the monotone runs and both fiber experiments' runs share one lean

@@ -23,6 +23,7 @@ of norms ever matter here, so the constant is dropped.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,9 @@ class Spectrum:
             raise ValueError("a spectrum needs at least two eigenvalues")
         if not all(a > b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"eigenvalues must be strictly decreasing: {vals}")
+        # also rejects +-inf, whose sum could be NaN and pass the trace check
+        if not math.isfinite(vals[0] - vals[-1]):
+            raise ValueError(f"eigenvalues must be finite with a finite spread: {vals}")
         total = sum(vals)
         if abs(total) > TRACE_TOL:
             raise ValueError(f"eigenvalues must sum to zero, got {total!r}")

@@ -288,10 +288,10 @@ class TestSuiteBatches:
         calls = self.record_calls(monkeypatch)
         reports = toda_atlas.analysis.sym_suite(3, 7)
         assert all(report.passed for report in reports)
-        # toda and sym profile runs, then one lean batch of the 4 monotone
-        # starts and both fiber experiments' 5 + 5 starts
+        # lean toda and sym profile runs, then one lean batch of the 4
+        # monotone starts and both fiber experiments' 5 + 5 starts
         assert [size for size, _ in calls] == [4, 4, 14]
-        assert [kwargs.get("per_state") is not None for _, kwargs in calls] == [False, False, True]
+        assert [kwargs.get("per_state") is not None for _, kwargs in calls] == [True, True, True]
 
     def test_toda_suite_runs_its_exact_flow_as_one_batch(self, monkeypatch):
         calls = self.record_calls(monkeypatch)

@@ -228,10 +228,13 @@ class TestFlagErrors:
             ["chart", "--w", "2 1 3", "--inverse", "lower.json"],
             ["cells", "--w", "2 1 3", "--h", "2,-2"],
             ["chart", "--w", "2 1 3", "--h", "2,-2", "--forward", "y.json"],
+            ["cells", "--w", "2 1", "--h", "inf,-inf"],
+            ["cells", "--w", "2 1", "--h", "1e308,-1e308"],
         ],
         ids=[
             "malformed-w", "non-decreasing-h", "negative-seed", "n-too-large", "zero-tmax",
             "inverse-without-h", "cells-size-mismatch", "chart-size-mismatch",
+            "infinite-h", "overflowing-h-spread",
         ],
     )
     def test_rejected_before_out_dir_is_made(self, tmp_path, capsys, argv):

@@ -26,7 +26,6 @@ from toda_atlas.flows import (
     toda_field,
     _dopri_stages,
     _error_ratios,
-    _power_trace_drift,
     _stacks,
 )
 from toda_atlas.linalg_core import (
@@ -42,7 +41,6 @@ from toda_atlas.sampling import (
     default_spectrum,
     random_chart_coords,
     random_profile,
-    random_special_orthogonal,
     random_symmetric_with_spectrum,
     rng_from_seed,
 )
@@ -807,6 +805,19 @@ class TestConfigValidation:
         states[bad] = np.eye(3)
         assert len(Trajectory(np.arange(130.0), states, 129, 0, 1.0, 0.0).states) == 130
 
+    @pytest.mark.parametrize("lean", [False, True])
+    def test_a_run_whose_state_overflows_raises(self, lean):
+        # the states grow by steps of about 1e305 until one overflows
+        def huge(x):
+            return np.full_like(x, 1e308)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^trajectory states must be finite$"):
+                if lean:
+                    integrate_many(huge, [np.eye(2)], per_state=norm_and_corner)
+                else:
+                    integrate(huge, np.eye(2))
+
     def test_trajectory_rejects_decreasing_times(self):
         with pytest.raises(ValueError, match="increasing"):
             Trajectory(
@@ -844,14 +855,18 @@ class TestStateWalk:
 
     @pytest.mark.parametrize("length", [1, 64, 65, 130])
     def test_drift_equals_the_chunk_loop_bit_for_bit(self, length):
-        rng = rng_from_seed(40 + length)
-        x = random_symmetric_with_spectrum(default_spectrum(5), rng)
-        # rotated copies drift by roundoff, scaled ones by more
-        states = [x]
-        for k in range(1, length):
-            q = random_special_orthogonal(5, rng)
-            states.append(q @ x @ q.T * (1.0 + 1e-9 * (k % 7)))
-        drift = _power_trace_drift(states)
-        assert drift.hex() == chunk_loop_drift(states).hex()
-        assert (drift > 0.0) == (length > 1)
+        # a constant field takes unit steps after a short ramp, so the
+        # horizon length - 6 gives a run of length states; a stop norm
+        # above the field's norm of 3 gives a run of the start alone
+        def constant(x):
+            return np.ones_like(x)
 
+        stop = 10.0 if length == 1 else 1e-10
+        cfg = IntegratorConfig(t_max=max(1.0, length - 6.0), stop_field_norm=stop)
+        (full,) = integrate_many(constant, [np.eye(3)], cfg)
+        (lean,) = integrate_many(constant, [np.eye(3)], cfg, per_state=norm_and_corner)
+        assert len(full.states) == length
+        drift = chunk_loop_drift(full.states)
+        assert full.power_trace_drift.hex() == drift.hex()
+        assert lean.power_trace_drift.hex() == drift.hex()
+        assert (drift > 0.0) == (length > 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,11 @@ class TestSpectrum:
     def test_rejects_nonzero_sum(self):
         with pytest.raises(ValueError, match="sum to zero"):
             Spectrum((2.0, 1.0, -1.0))
+
+    @pytest.mark.parametrize("values", [(math.inf, -math.inf), (1e308, -1e308)])
+    def test_rejects_an_infinite_spread(self, values):
+        with pytest.raises(ValueError, match="finite spread"):
+            Spectrum(values)
 
     def test_witness_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
