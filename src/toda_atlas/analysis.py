@@ -15,20 +15,23 @@ from .atlas import (
     BruhatClass,
     ChartCoords,
     FlagPoint,
-    _chart_point,
-    _frame,
+    _bruhat_classes,
+    _chart_forwards,
+    _chart_nbars,
+    _chart_points,
+    _coords_from_nbars,
+    _flag_points,
+    _frames,
+    _gaps,
     _permuted_diagonal,
-    bruhat_classify,
-    chart_forward,
+    _permuted_diagonals,
     chart_inverse,
-    chart_domain_test,
-    chart_linear_field,
-    coords_from_frame,
     h_conjugate,
 )
 from .errors import ChartDomainError
 from .factorizations import (
     CellStatus,
+    _crout,
     chevalley_test,
     f_inverse,
     f_map,
@@ -55,7 +58,6 @@ from .linalg_core import Spectrum
 from .sampling import (
     default_spectrum,
     random_chart_coords,
-    random_flag_point,
     random_permutation,
     random_profile,
     random_special_orthogonal,
@@ -165,24 +167,79 @@ def sl2_cubic_model(v) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Chart linearization of the sorting flow
 
-def _pushforward_residual(y: FlagPoint, w: Permutation, fd_step: float) -> float:
+def _raise_first(*stages):
+    """Raise the exception a per-point loop meets first.
+
+    Each stage maps the loop index of a failing point to its exception,
+    and stages come in the order a point passes through them: the
+    smallest index fails first and, at a tie, the earlier stage. A stage
+    may run on every point, as the kernels hand a refused point on in a
+    form the next stage takes without a warning.
+    """
+    first = min(((i, k) for k, stage in enumerate(stages) for i in stage), default=None)
+    if first is not None:
+        raise stages[first[1]][first[0]]
+
+
+def _by_point(failures, owners) -> dict:
+    """The failures of a stack keyed by owners[i], the loop index of the
+    point stack entry i belongs to, keeping each point's first."""
+    out = {}
+    for i in sorted(failures):
+        out.setdefault(owners[i], failures[i])
+    return out
+
+
+def _pushforward_residuals(points, ws, fd_steps):
     """Frobenius gap between the differenced chart image of the flow and
-    the linear chart field, at one point."""
-    coords = chart_forward(y, w)
-    predicted = chart_linear_field(coords)
-    step = float(fd_step)
+    the linear chart field, at each point in its chart with its own
+    differencing step; returns ``(residuals, failures)``, failures mapping
+    a point's index to the exception ``_pushforward_residual`` raises.
+
+    A step whose flowed points leave the chart is halved, at most three
+    times. Every attempt of every point is one stack of chart work.
+    """
+    lower, failures = _chart_forwards(points, ws)
+    predicted = np.tril(_gaps(_permuted_diagonals([y.h for y in points], ws)) * lower, -1)
+    steps = [float(step) for step in fd_steps]
+    residuals = [None] * len(points)
+    pending = [i for i in range(len(points)) if i not in failures]
     for _ in range(4):
-        try:
-            ahead = chart_forward(FlagPoint(propagate(toda_field, y.y, step), y.h), w)
-            behind = chart_forward(FlagPoint(propagate(toda_field, y.y, -step), y.h), w)
-        except ChartDomainError:
-            step *= 0.5
-            continue
-        differenced = (ahead.lower - behind.lower) / (2.0 * step)
-        return float(np.linalg.norm(differenced - predicted))
-    raise ChartDomainError(
-        f"flow exits the chart at {w.images} within the differencing step even after 3 halvings"
-    )
+        if not pending:
+            break
+        moved = np.array([
+            propagate(toda_field, points[i].y, t) for i in pending for t in (steps[i], -steps[i])
+        ])
+        pairs = [i for i in pending for _ in range(2)]
+        flowed, flow_failures = _flag_points(moved, [points[i].h for i in pairs])
+        flowed_lower, forward_failures = _chart_forwards(flowed, [ws[i] for i in pairs])
+        halved = []
+        for k, i in enumerate(pending):
+            # ahead, then behind: each is a flag point, then its coordinates
+            err = next((f[j] for j in (2 * k, 2 * k + 1)
+                        for f in (flow_failures, forward_failures) if j in f), None)
+            if err is None:
+                differenced = (flowed_lower[2 * k] - flowed_lower[2 * k + 1]) / (2.0 * steps[i])
+                residuals[i] = float(np.linalg.norm(differenced - predicted[i]))
+            elif isinstance(err, ChartDomainError):
+                steps[i] *= 0.5
+                halved.append(i)
+            else:
+                failures[i] = err
+        pending = halved
+    for i in pending:
+        failures[i] = ChartDomainError(
+            f"flow exits the chart at {ws[i].images} within the differencing step "
+            "even after 3 halvings"
+        )
+    return residuals, failures
+
+
+def _pushforward_residual(y: FlagPoint, w: Permutation, fd_step: float) -> float:
+    """The one-point case of :func:`_pushforward_residuals`."""
+    residuals, failures = _pushforward_residuals([y], [w], [fd_step])
+    _raise_first(failures)
+    return residuals[0]
 
 
 def pushforward_check(y: FlagPoint, w: Permutation, tol: float = 1e-6) -> CheckReport:
@@ -210,8 +267,12 @@ def pushforward_richardson(y: FlagPoint, w: Permutation) -> CheckReport:
     large enough that the quadratic truncation error, not roundoff,
     dominates both residuals.
     """
-    coarse = _pushforward_residual(y, w, 2e-3)
-    fine = _pushforward_residual(y, w, 1e-3)
+    residuals, failures = _pushforward_residuals([y, y], [w, w], [2e-3, 1e-3])
+    _raise_first(failures)
+    return _richardson_report(*residuals, w)
+
+
+def _richardson_report(coarse: float, fine: float, w: Permutation) -> CheckReport:
     ratio = coarse / fine if fine > 0.0 else math.inf
     return CheckReport.create(
         "pushforward_richardson",
@@ -261,7 +322,9 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     one :func:`integrate_many` batch, and the escape runs, each with its
     own horizon, as one more. Every lane has the bits of its run alone,
     so each report equals the one its chart's legs and escape give when
-    integrated one at a time.
+    integrated one at a time. Likewise the starts of every chart are one
+    stack of chart points, and their Bruhat classes one stack of chart
+    coordinates.
     """
     dist_tol = 1e-7
     field_tol = 1e-6
@@ -275,13 +338,14 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     )
     esc_cfg = IntegratorConfig(t_max=15.0, stop_field_norm=1e-13)
 
-    # legs[k] lists chart k's (pair, sign, horizon, classification),
-    # unstable pairs sorted, then stable pairs sorted; sign * start goes to
-    # its horizon's batch and, per chart, one start to the escape batch
+    # legs[k] lists chart k's (pair, sign, horizon, start slot), unstable
+    # pairs sorted, then stable pairs sorted. Every start is one chart
+    # point of one stack, in the order of the per-point loop: each chart's
+    # leg starts, then its escape start.
     diags = [_permuted_diagonal(h, w) for w in charts]
     targets = [np.diag(d) for d in diags]
     legs = [[] for _ in charts]
-    batches = {}
+    coords = []
     escapes = {}
     for k, w in enumerate(charts):
         sets = inversion_sets(w)
@@ -290,17 +354,25 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
             for i, j in pairs:
                 gap = abs(diag[i - 1] - diag[j - 1])
                 horizon = min(cfg.t_max, math.log(eps / coord_target) / gap)
-                start = chart_inverse(_single_pair_coords(w, h, i, j, eps))
-                classified = bruhat_classify(start, w, tol=eps * 1e-3)
-                pair = f"{i},{j}"
-                legs[k].append((pair, sign, horizon, classified))
-                batches.setdefault(horizon, []).append(((k, pair, sign), sign * start.y))
+                legs[k].append((f"{i},{j}", sign, horizon, len(coords)))
+                coords.append(_single_pair_coords(w, h, i, j, eps))
         if sets.unstable:
             root_m = math.sqrt(len(sets.unstable))
             g_max = max(abs(diag[i - 1] - diag[j - 1]) for i, j in sets.unstable)
             lower = _inverted_mask(w.inverse()) * (eps / root_m)
-            start = chart_inverse(ChartCoords(w=w, lower=lower, h=h)).y
-            escapes[k] = (start, min(esc_cfg.t_max, math.log(100.0 * root_m) / g_max))
+            escapes[k] = (len(coords), min(esc_cfg.t_max, math.log(100.0 * root_m) / g_max))
+            coords.append(ChartCoords(w=w, lower=lower, h=h))
+    points, inverse_failures = _chart_points(coords, 0.0)
+    slots = [leg[3] for chart_legs in legs for leg in chart_legs]
+    ws = [coords[s].w for s in slots]
+    lower, forward_failures = _chart_forwards([points[s] for s in slots], ws)
+    _raise_first(inverse_failures, _by_point(forward_failures, slots))
+    classified = dict(zip(slots, _bruhat_classes(lower, ws, eps * 1e-3)))
+
+    batches = {}
+    for k, chart_legs in enumerate(legs):
+        for pair, sign, horizon, slot in chart_legs:
+            batches.setdefault(horizon, []).append(((k, pair, sign), sign * points[slot].y))
 
     ends = {}
     for horizon, members in batches.items():
@@ -311,8 +383,10 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
             ends[k, pair] = (distance, traj.final_field_norm)
     radii = {}
     if escapes:
-        starts, horizons = zip(*escapes.values())
-        trajs = integrate_many(toda_field, starts, esc_cfg, horizons=horizons)
+        slots, horizons = zip(*escapes.values())
+        trajs = integrate_many(
+            toda_field, [points[s].y for s in slots], esc_cfg, horizons=horizons
+        )
         for k, traj in zip(escapes, trajs):
             radii[k] = max(max(_frobenius_norms(x - targets[k])) for x in _stacks(traj.states))
 
@@ -320,16 +394,16 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     for k, w in enumerate(charts):
         worst = 0.0
         per_pair = {}
-        for pair, sign, horizon, classified in legs[k]:
+        for pair, sign, horizon, slot in legs[k]:
             distance, field_norm = ends[k, pair]
             wanted = BruhatClass.IN_BRUHAT if sign < 0 else BruhatClass.IN_OPPOSITE
-            ok = classified is wanted and field_norm < field_tol
+            ok = classified[slot] is wanted and field_norm < field_tol
             worst = max(worst, distance if ok else math.inf)
             per_pair[pair] = {
                 "direction": "backward" if sign < 0 else "forward",
                 "distance": distance,
                 "field_norm": field_norm,
-                "classified": classified.value,
+                "classified": classified[slot].value,
                 "horizon": horizon,
             }
         escape = None
@@ -607,30 +681,37 @@ def factor_suite(n: int = 3, seed: int = 0) -> list:
 
 
 def atlas_suite(n: int = 3, seed: int = 0) -> list:
+    """The chart checks. Each check draws all its random numbers first, in
+    the order of a per-point loop, and then does its chart work as stacks;
+    a failure raises what the per-point loop would raise first."""
     rng = rng_from_seed(seed)
     h = default_spectrum(n)
     charts = _charts_for(n, rng)
     reports = []
 
+    # per chart, its origin and then 10 random coordinates
+    coords = []
+    for w in charts:
+        coords.append(ChartCoords(w=w, lower=np.zeros((n, n)), h=h))
+        coords.extend(random_chart_coords(w, h, rng) for _ in range(10))
+    points, inverse_failures = _chart_points(coords, 0.0)
+    drawn = [i for i in range(len(coords)) if i % 11]
+    back, forward_failures = _chart_forwards(
+        [points[i] for i in drawn], [coords[i].w for i in drawn]
+    )
+    _raise_first(inverse_failures, _by_point(forward_failures, drawn))
+    eigs = np.linalg.eigvalsh(np.array([points[i].y for i in drawn]))[:, ::-1]
+    spectrum_errors = np.max(np.abs(eigs - np.array(h.values)), axis=1).tolist()
     round_worst = 0.0
     spectrum_worst = 0.0
     origin_worst = 0.0
-    for w in charts:
-        origin = chart_inverse(ChartCoords(w=w, lower=np.zeros((n, n)), h=h))
+    for k, w in enumerate(charts):
         origin_worst = max(
-            origin_worst, float(np.linalg.norm(origin.y - h_conjugate(h, w)))
+            origin_worst, float(np.linalg.norm(points[11 * k].y - h_conjugate(h, w)))
         )
-        for _ in range(10):
-            coords = random_chart_coords(w, h, rng)
-            point = chart_inverse(coords)
-            eigs = np.linalg.eigvalsh(point.y)[::-1]
-            spectrum_worst = max(
-                spectrum_worst, float(np.max(np.abs(eigs - np.array(h.values))))
-            )
-            back = chart_forward(point, w)
-            round_worst = max(
-                round_worst, float(np.linalg.norm(back.lower - coords.lower))
-            )
+    for j, i in enumerate(drawn):
+        spectrum_worst = max(spectrum_worst, spectrum_errors[j])
+        round_worst = max(round_worst, float(np.linalg.norm(back[j] - coords[i].lower)))
     reports.append(
         CheckReport.create("atlas.round_trip", round_worst, 10 * len(charts), 1e-9)
     )
@@ -641,12 +722,19 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
         CheckReport.create("atlas.origin", origin_worst, len(charts), 1e-12)
     )
 
+    # every point against every chart, as one stack
     cover_worst = 0.0
-    accepted_fraction = []
     all_perms = Permutation.all(n) if n <= 4 else charts
-    for _ in range(30):
-        y = random_flag_point(h, rng)
-        hits = sum(1 for w in all_perms if chart_domain_test(y, w))
+    samples = np.array([random_symmetric_with_spectrum(h, rng) for _ in range(30)])
+    points, flag_failures = _flag_points(samples, [h] * 30)
+    owners = [k for k in range(30) for _ in all_perms]
+    _, outside = _chart_nbars([points[k] for k in owners], all_perms * 30)
+    errors = {i: err for i, err in outside.items() if not isinstance(err, ChartDomainError)}
+    _raise_first(flag_failures, _by_point(errors, owners))
+    misses = np.bincount(np.array([owners[i] for i in outside], dtype=int), minlength=30)
+    accepted_fraction = []
+    for missed in misses.tolist():
+        hits = len(all_perms) - missed
         accepted_fraction.append(hits / len(all_perms))
         if hits == 0:
             cover_worst = math.inf
@@ -660,32 +748,42 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
         )
     )
 
-    sign_worst = 0.0
+    # each point's frame and the frame with two columns negated, as one stack
+    picks = []
     for _ in range(10):
         w = charts[int(rng.integers(len(charts)))]
         coords = random_chart_coords(w, h, rng)
-        point = chart_inverse(coords)
-        frame = _frame(point, w)
-        reference = coords_from_frame(frame, w, h)
         signs = np.ones(n)
-        flip = rng.choice(n, size=2, replace=False)
-        signs[flip] = -1.0
-        twisted = coords_from_frame(frame * signs[None, :], w, h)
-        sign_worst = max(
-            sign_worst, float(np.linalg.norm(twisted.lower - reference.lower))
-        )
+        signs[rng.choice(n, size=2, replace=False)] = -1.0
+        picks.append((coords, signs))
+    points, inverse_failures = _chart_points([c for c, _ in picks], 0.0)
+    ws = [c.w for c, _ in picks]
+    twins = np.repeat(_frames(points, ws), 2, axis=0)
+    twins[1::2] *= np.array([signs for _, signs in picks])[:, None, :]
+    # the frames are special orthogonal by construction: _crout is
+    # coords_from_frame's factorization without its input check
+    _, nbar, _, factor_failures = _crout(twins)
+    _raise_first(inverse_failures, _by_point(factor_failures, [i // 2 for i in range(20)]))
+    lower = _coords_from_nbars(nbar, np.repeat(_permuted_diagonals([h] * 10, ws), 2, axis=0))
+    sign_worst = 0.0
+    for reference, twisted in zip(lower[::2], lower[1::2]):
+        sign_worst = max(sign_worst, float(np.linalg.norm(twisted - reference)))
     reports.append(CheckReport.create("atlas.sign_independence", sign_worst, 10, 1e-10))
 
-    profile_worst = 0.0
+    picks = []
     for _ in range(10):
         p = random_profile(n, rng)
         w = charts[int(rng.integers(len(charts)))]
         coords = random_chart_coords(w, h, rng)
-        coords = ChartCoords(w=w, lower=profile_project(coords.lower, p), h=h)
-        point = chart_inverse(coords)
+        picks.append((p, ChartCoords(w=w, lower=profile_project(coords.lower, p), h=h)))
+    points, inverse_failures = _chart_points([c for _, c in picks], 0.0)
+    back, forward_failures = _chart_forwards(points, [c.w for _, c in picks])
+    _raise_first(inverse_failures, forward_failures)
+    profile_worst = 0.0
+    for (p, _), point, lower in zip(picks, points, back):
         if not v_p_membership(point.y, p, 1e-9):
             profile_worst = math.inf
-        outside = np.abs(chart_forward(point, w).lower[_outside_mask(p)])
+        outside = np.abs(lower[_outside_mask(p)])
         profile_worst = max(profile_worst, float(np.max(outside, initial=0.0)))
     reports.append(CheckReport.create("atlas.profile_compat", profile_worst, 10, 1e-9))
     return reports
@@ -718,16 +816,18 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
     residual2 = _pushforward_residual(point2, Permutation.identity(2), 1e-5)
     reports.append(CheckReport.create("toda.pushforward_2x2", residual2, 1, 1e-10))
 
-    worst = 0.0
-    for _ in range(10):
-        w = charts[int(rng.integers(len(charts)))]
-        point = chart_inverse(random_chart_coords(w, h, rng))
-        worst = max(worst, _pushforward_residual(point, w, 1e-5))
-    reports.append(CheckReport.create("toda.pushforward", worst, 10, 1e-6))
-
-    w = charts[0]
-    point = chart_inverse(random_chart_coords(w, h, rng, scale=0.8))
-    reports.append(pushforward_richardson(point, w))
+    # ten pushforward points, then the Richardson point at two steps: their
+    # chart work is one stack per stage
+    picks = [random_chart_coords(charts[int(rng.integers(len(charts)))], h, rng) for _ in range(10)]
+    picks.append(random_chart_coords(charts[0], h, rng, scale=0.8))
+    points, inverse_failures = _chart_points(picks, 0.0)
+    ws = [c.w for c in picks]
+    residuals, failures = _pushforward_residuals(
+        points + points[-1:], ws + ws[-1:], [1e-5] * 10 + [2e-3, 1e-3]
+    )
+    _raise_first(inverse_failures, _by_point(failures, list(range(11)) + [10]))
+    reports.append(CheckReport.create("toda.pushforward", max([0.0] + residuals[:10]), 10, 1e-6))
+    reports.append(_richardson_report(*residuals[10:], charts[0]))
 
     worst = 0.0
     drift_worst = 0.0
@@ -736,19 +836,21 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
     for _ in range(3):
         w = charts[int(rng.integers(len(charts)))]
         picks.append(random_chart_coords(w, h, rng))
-    starts = [chart_inverse(coords).y for coords in picks]
+    points, failures = _chart_points(picks, 0.0)
+    _raise_first(failures)
     # one lean lane per (t, pick), each run to its own t
     lanes = [(t, coords) for t in (0.5, 1.0, 2.0) for coords in picks]
     trajs = integrate_many(
         toda_field,
-        starts * 3,
+        [point.y for point in points] * 3,
         IntegratorConfig(stop_field_norm=1e-13),
         horizons=[t for t, _ in lanes],
         per_state=_skew_norms,
     )
-    for (t, coords), traj in zip(lanes, trajs):
-        predicted = _chart_point(coords, t)
-        worst = max(worst, float(np.linalg.norm(traj.final_state - predicted.y)))
+    predicted, failures = _chart_points([coords for _, coords in lanes], [t for t, _ in lanes])
+    _raise_first(failures)
+    for point, traj in zip(predicted, trajs):
+        worst = max(worst, float(np.linalg.norm(traj.final_state - point.y)))
         drift_worst = max(drift_worst, traj.power_trace_drift)
         symmetry_worst = max(symmetry_worst, float(np.max(traj.per_state)))
     reports.append(CheckReport.create("toda.exact_vs_integrated", worst, 9, 1e-7))

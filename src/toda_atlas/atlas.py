@@ -15,16 +15,30 @@ diagonal d (``chart_linear_field``, ``chart_flow_exact``, ``_chart_point``).
 Public functions validate their arguments, and a ``FlagPoint`` or
 ``ChartCoords`` is valid by construction; the private ``_`` kernels do
 not validate.
+
+Every stage of the pipeline is a stack kernel that takes B points at
+once: ``_chart_matrices`` (the graded QR of the inverse),
+``_flag_points`` (the eigensolve and checks of ``FlagPoint``),
+``_chart_nbars`` (the Crout elimination and domain test of the forward
+map), ``_coords_from_nbars`` and ``_bruhat_classes``. Each point of a
+stack gets the bits it gets alone. A kernel does not raise for a point
+it refuses: it returns ``failures``, a dict from the index of each
+refused point to the exception the one-point function raises for it,
+with its type and message, and hands the point on in a form the next
+stage takes without a warning. The public functions are the one-point
+cases of these kernels.
 """
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ChartDomainError, FactorizationError
-from .factorizations import _signed_qr, _unit_lower_inverse, unbar_factorize
-from .linalg_core import Spectrum, as_matrix, symmetric_eigen
+from .errors import ChartDomainError
+from .factorizations import _crout, _identities, _signed_qr, _unit_lower_inverse, unbar_factorize
+from .linalg_core import Spectrum, _eigen_stack, _strict_lower_mask, as_matrix, symmetric_eigen
 from .weyl_profiles import Permutation, _inverted_mask, perm_matrix
 
 __all__ = [
@@ -71,12 +85,53 @@ class FlagPoint:
         spectrum, frame = symmetric_eigen(y)
         if self.h is None:
             object.__setattr__(self, "h", spectrum)
-        elif np.max(np.abs(np.array(spectrum.values) - np.array(self.h.values))) > _EIGENVALUE_TOL:
-            raise ValueError(
-                f"matrix eigenvalues {spectrum.values} do not match the declared spectrum {self.h.values}"
-            )
+        else:
+            failures = _spectrum_failures(np.array(spectrum.values)[None], [self.h], {})
+            if failures:
+                raise failures[0]
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
+
+    @classmethod
+    def _of(cls, y, h, frame) -> "FlagPoint":
+        """A point from read-only arrays a stack kernel has checked."""
+        point = object.__new__(cls)
+        for name, value in (("y", y), ("h", h), ("frame", frame)):
+            object.__setattr__(point, name, value)
+        return point
+
+
+def _spectrum_failures(lam, hs, failures) -> dict:
+    """Add to failures, for each row of lam (B, n) not yet there that is
+    farther than _EIGENVALUE_TOL from its declared spectrum hs[i], the
+    ValueError FlagPoint raises; returns failures."""
+    off = np.abs(lam - [h.values for h in hs]) > _EIGENVALUE_TOL
+    if off.any():
+        for i in off.any(axis=1).nonzero()[0]:
+            failures.setdefault(int(i), ValueError(
+                f"matrix eigenvalues {tuple(map(float, lam[i]))} do not match "
+                f"the declared spectrum {hs[i].values}"
+            ))
+    return failures
+
+
+def _flag_points(y, hs):
+    """Unchecked FlagPoint of each matrix of a (B, n, n) stack, with the
+    declared spectra hs: ``(points, failures)``, failures mapping the index
+    of each matrix FlagPoint refuses to the exception it raises (a refused
+    matrix's point means nothing). The points share y, which becomes
+    read-only, with any matrix that is not finite zeroed."""
+    infinite = []
+    if not np.isfinite(y).all():
+        infinite = (~np.isfinite(y).all(axis=(1, 2))).nonzero()[0]
+        y[infinite] = 0.0
+    lam, q, failures = _eigen_stack(y)
+    for i in infinite:
+        failures[int(i)] = ValueError("matrix entries must be finite")
+    _spectrum_failures(lam, hs, failures)
+    y.setflags(write=False)
+    q.setflags(write=False)
+    return [FlagPoint._of(y[i], hs[i], q[i]) for i in range(len(y))], failures
 
 
 @dataclass(frozen=True)
@@ -104,11 +159,46 @@ class BruhatClass(Enum):
     BOTH = "both"
 
 
+class _ChartConstants(NamedTuple):
+    images: np.ndarray  # the images of w less one
+    perm: np.ndarray  # perm_matrix(w)
+    odd: bool  # whether w has an odd inversion count
+    unstable: np.ndarray  # the mask of the unstable pairs of inversion_sets(w)
+
+
+@functools.lru_cache(maxsize=1024)
+def _chart_constants(w: Permutation) -> _ChartConstants:
+    """Read-only constants of the chart at w, made once per w."""
+    constants = _ChartConstants(
+        np.array(w.images) - 1,
+        np.ascontiguousarray(perm_matrix(w)),
+        w.inversion_count() % 2 == 1,
+        _inverted_mask(w.inverse()),
+    )
+    for a in (constants.images, constants.perm, constants.unstable):
+        a.setflags(write=False)
+    return constants
+
+
+def _permuted_diagonals(hs, ws) -> np.ndarray:
+    """Unchecked permuted diagonal d, d_i = h[w^-1(i)], of each pair of
+    spectra hs and permutations ws, as a (B, n) array."""
+    return np.array([_permuted_diagonal(h, w) for h, w in zip(hs, ws)])
+
+
 def _permuted_diagonal(h: Spectrum, w: Permutation) -> np.ndarray:
     """Unchecked permuted diagonal d, d_i = h[w^-1(i)], as a 1-D array."""
     d = np.empty(h.n)
-    d[np.array(w.images) - 1] = h.values
+    d[_chart_constants(w).images] = h.values
     return d
+
+
+def _diagonals(d) -> np.ndarray:
+    """``np.diag`` of a 1-D array, or of each row of an (..., n) array."""
+    n = d.shape[-1]
+    out = np.zeros(d.shape + (n,))
+    out.reshape(-1, n * n)[:, ::n + 1] = d.reshape(-1, n)
+    return out
 
 
 def h_conjugate(h: Spectrum, w: Permutation) -> np.ndarray:
@@ -129,23 +219,25 @@ def nbar_from_affine(c: ChartCoords) -> np.ndarray:
 
 
 def _nbar_from_affine(lower, d) -> np.ndarray:
-    """``nbar_from_affine`` of strictly lower coordinates around diag(d)."""
+    """``nbar_from_affine`` of strictly lower coordinates around diag(d),
+    for one matrix or each matrix of a stack (d then (B, n))."""
     x = lower + 0.0
-    g = np.eye(len(d))
-    for i in range(1, len(d)):
-        g[i, :i] = (x[i, :i] @ g[:i, :i]) / (d[:i] - d[i])
+    g = _identities(x.shape)
+    gaps = d[..., None, :] - d[..., :, None]  # row i holds d_j - d_i
+    for i in range(1, d.shape[-1]):
+        g[..., i, :i] = np.vecmat(x[..., i, :i], g[..., :i, :i]) / gaps[..., i, :i]
     return g
 
 
-def _gaps(c: ChartCoords) -> np.ndarray:
-    """Gaps d_i - d_j of the permuted diagonal d below the diagonal, else 0."""
-    d = _permuted_diagonal(c.h, c.w)
-    return np.tril(d[:, None] - d[None, :], -1)
+def _gaps(d) -> np.ndarray:
+    """Gaps d_i - d_j of a permuted diagonal d below the diagonal, else 0,
+    for one d or each row of a (B, n) array."""
+    return np.tril(d[..., :, None] - d[..., None, :], -1)
 
 
 def chart_linear_field(c: ChartCoords) -> np.ndarray:
     """Linear chart dynamics: entry (i, j) scaled by the diagonal gap d_i - d_j."""
-    return np.tril(_gaps(c) * c.lower, -1)
+    return np.tril(_gaps(_permuted_diagonal(c.h, c.w)) * c.lower, -1)
 
 
 def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
@@ -155,13 +247,53 @@ def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
     OverflowError when an exponent would leave the double range.
     """
     t = float(t)
-    gaps = _gaps(c)
+    gaps = _gaps(_permuted_diagonal(c.h, c.w))
     max_exponent = float(np.max(np.abs(gaps))) * abs(t)
     if max_exponent > _EXP_LIMIT:
         raise OverflowError(
             f"exponent {max_exponent:.1f} exceeds {_EXP_LIMIT:.0f}; shrink |t| or the gaps"
         )
     return ChartCoords(c.w, np.tril(np.exp(gaps * t) * c.lower, -1), c.h)
+
+
+def _chart_matrices(coords, t):
+    """The symmetric matrices of ``_chart_point`` for each of a list of
+    chart coordinates of one size, at time t (a float, or one per point).
+
+    Returns ``(y, failures)``, y (B, n, n); failures maps the index of
+    each point whose graded QR refuses it to its FactorizationError (its
+    matrix means nothing, and may not be finite). Every other point gets
+    the bits it gets alone.
+    """
+    hs = [c.h for c in coords]
+    ws = [c.w for c in coords]
+    d = _permuted_diagonals(hs, ws)
+    g_inv = _unit_lower_inverse(_nbar_from_affine(np.array([c.lower for c in coords]), d))
+    perms = np.array([_chart_constants(w).perm for w in ws])
+    if np.ndim(t) or t != 0.0:
+        weights = np.exp(np.reshape(t, (-1, 1)) * (d - np.max(d, axis=1, keepdims=True)))
+        # each point's rows, heaviest first
+        rows = np.arange(len(coords))[:, None], np.argsort(-weights, axis=1, kind="stable")
+        weights = weights[rows]
+        g_inv, perms = weights[:, :, None] * g_inv[rows], perms[rows]
+    else:  # every weight is exp(0) = 1, and the rows keep their order
+        weights = 1.0
+    q, _, failures = _signed_qr(g_inv, weights)
+    frame = q.swapaxes(1, 2) @ perms
+    spectra = _diagonals(np.array([h.values for h in hs]))
+    y = frame @ spectra @ frame.swapaxes(1, 2)
+    return 0.5 * (y + y.swapaxes(1, 2)), failures
+
+
+def _chart_points(coords, t):
+    """Unchecked ``_chart_point`` of each of a list of chart coordinates,
+    as :func:`_chart_matrices` takes them: ``(points, failures)``, the
+    QR's failures before FlagPoint's."""
+    y, failures = _chart_matrices(coords, t)
+    points, flag_failures = _flag_points(y, [c.h for c in coords])
+    for i, err in flag_failures.items():
+        failures.setdefault(i, err)
+    return points, failures
 
 
 def _chart_point(c: ChartCoords, t: float) -> FlagPoint:
@@ -173,16 +305,13 @@ def _chart_point(c: ChartCoords, t: float) -> FlagPoint:
     such a row-graded matrix taken heaviest first (Cox & Higham, BIT 38,
     1998), where inverting the flowed g(t) loses every digit. At t = 0 the
     weights are 1 and the rows keep their order. Raises
-    FactorizationError when some |R_ii| / weight_i < 1e-12.
+    FactorizationError when some |R_ii| / weight_i < 1e-12, or a weight
+    underflows to 0. The one-point case of :func:`_chart_matrices`.
     """
-    d = _permuted_diagonal(c.h, c.w)
-    weights = np.exp(t * (d - np.max(d)))
-    order = np.argsort(-weights, kind="stable")
-    g_inv = _unit_lower_inverse(_nbar_from_affine(c.lower, d))
-    q, _ = _signed_qr(weights[order, None] * g_inv[order], weights[order])
-    frame = q.T @ perm_matrix(c.w)[order]
-    y = frame @ c.h.diag() @ frame.T
-    return FlagPoint(0.5 * (y + y.T), c.h)
+    y, failures = _chart_matrices([c], t)
+    if failures:
+        raise failures[0]
+    return FlagPoint(y[0], c.h)
 
 
 def chart_inverse(c: ChartCoords) -> FlagPoint:
@@ -195,14 +324,42 @@ def chart_inverse(c: ChartCoords) -> FlagPoint:
     return _chart_point(c, 0.0)
 
 
+def _frames(points, ws) -> np.ndarray:
+    """``_frame`` of each point for its chart, as a (B, n, n) stack."""
+    constants = [_chart_constants(w) for w in ws]
+    q = np.array([y.frame for y in points])
+    odd = [c.odd for c in constants]
+    if any(odd):
+        q[odd, :, -1] *= -1.0
+    return q @ np.array([c.perm for c in constants]).swapaxes(1, 2)
+
+
 def _frame(y: FlagPoint, w: Permutation) -> np.ndarray:
     """Special orthogonal frame Q P_w^-1 for the chart at w; det Q = +1, so
     an odd w flips the last column of the point's frame Q."""
-    q = y.frame
-    if w.inversion_count() % 2:
-        q = q.copy()
-        q[:, -1] = -q[:, -1]
-    return q @ perm_matrix(w).T
+    return _frames([y], [w])[0]
+
+
+def _chart_nbars(points, ws):
+    """Unchecked ``_chart_nbar`` of each point for its chart.
+
+    Returns ``(nbar, failures)``, nbar (B, n, n); failures maps the index
+    of each point outside its chart to the ChartDomainError
+    ``_chart_nbar`` raises (or a sign-factor FactorizationError).
+    """
+    u, nbar, _, failures = _crout(_frames(points, ws))
+    for i, err in failures.items():
+        if err.minor_index is not None:
+            failures[i] = ChartDomainError(f"point is outside the chart at {ws[i].images}: {err}")
+            failures[i].__cause__ = err
+    minors = np.cumprod(np.diagonal(u, axis1=1, axis2=2)[:, ::-1], axis=1)[:, :-1]
+    for i in (np.min(minors, axis=1) <= DOMAIN_MINOR_TOL).nonzero()[0]:
+        j = int(np.argmin(minors[i])) + 1
+        failures.setdefault(int(i), ChartDomainError(
+            f"point is outside the chart at {ws[i].images}: trailing minor of size {j} "
+            f"is {minors[i, j - 1]:.2e}"
+        ))
+    return nbar, failures
 
 
 def _chart_nbar(y: FlagPoint, w: Permutation) -> np.ndarray:
@@ -212,24 +369,15 @@ def _chart_nbar(y: FlagPoint, w: Permutation) -> np.ndarray:
     running products of its pivots. Raises ValueError when y and w differ
     in size, and ChartDomainError when a trailing minor is at or below
     DOMAIN_MINOR_TOL in magnitude, or when a pivot vanishes. Minor
-    magnitudes do not depend on the eigenvector sign choices.
+    magnitudes do not depend on the eigenvector sign choices. The
+    one-point case of :func:`_chart_nbars`.
     """
     if y.h.n != w.n:
         raise ValueError(f"dimension mismatch: point is {y.h.n}, permutation is {w.n}")
-    try:
-        factors = unbar_factorize(_frame(y, w))
-    except FactorizationError as err:
-        if err.minor_index is None:
-            raise
-        raise ChartDomainError(f"point is outside the chart at {w.images}: {err}") from err
-    minors = np.cumprod(np.diag(factors.u)[::-1])[:-1]
-    if np.min(minors) <= DOMAIN_MINOR_TOL:
-        j = int(np.argmin(minors)) + 1
-        raise ChartDomainError(
-            f"point is outside the chart at {w.images}: trailing minor of size {j} "
-            f"is {minors[j - 1]:.2e}"
-        )
-    return factors.nbar
+    nbar, failures = _chart_nbars([y], [w])
+    if failures:
+        raise failures[0]
+    return nbar[0]
 
 
 def chart_domain_test(y: FlagPoint, w: Permutation) -> bool:
@@ -245,10 +393,15 @@ def chart_domain_test(y: FlagPoint, w: Permutation) -> bool:
     return True
 
 
+def _coords_from_nbars(nbar, d) -> np.ndarray:
+    """Strictly lower coordinates of a unit-lower factor around the
+    permuted diagonal d, or of each of a stack around a row of d."""
+    dmat = _diagonals(d)
+    return np.tril(nbar @ dmat @ _unit_lower_inverse(nbar) - dmat, -1)
+
+
 def _coords_from_nbar(nbar, w: Permutation, h: Spectrum) -> ChartCoords:
-    dmat = h_conjugate(h, w)
-    b = nbar @ dmat @ _unit_lower_inverse(nbar)
-    return ChartCoords(w=w, lower=np.tril(b - dmat, -1), h=h)
+    return ChartCoords(w=w, lower=_coords_from_nbars(nbar, _permuted_diagonal(h, w)), h=h)
 
 
 def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
@@ -264,6 +417,16 @@ def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
     return _coords_from_nbar(nbar, w, h)
 
 
+def _chart_forwards(points, ws):
+    """Unchecked ``chart_forward`` of each point in its chart: ``(lower,
+    failures)``, lower (B, n, n) and failures as :func:`_chart_nbars`
+    gives them; a refused point's coordinates are zero."""
+    nbar, failures = _chart_nbars(points, ws)
+    if failures:  # a refused factor may be huge; it is never read
+        nbar[list(failures)] = np.eye(nbar.shape[-1])
+    return _coords_from_nbars(nbar, _permuted_diagonals([y.h for y in points], ws)), failures
+
+
 def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
     """Chart coordinates of y in the chart at w.
 
@@ -273,16 +436,24 @@ def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
     return _coords_from_nbar(_chart_nbar(y, w), w, y.h)
 
 
+_CLASSES = {
+    (True, True): BruhatClass.BOTH,
+    (True, False): BruhatClass.IN_BRUHAT,
+    (False, True): BruhatClass.IN_OPPOSITE,
+    (False, False): BruhatClass.NEITHER,
+}
+
+
+def _bruhat_classes(lower, ws, tol: float) -> list:
+    """``bruhat_classify`` verdict of each chart coordinate matrix of a
+    (B, n, n) stack, in the chart of its permutation."""
+    support = (np.abs(lower) > tol) & _strict_lower_mask(lower.shape[-1])
+    unstable = np.array([_chart_constants(w).unstable for w in ws])
+    in_cell = ~np.any(support & ~unstable, axis=(1, 2))
+    in_opposite = ~np.any(support & unstable, axis=(1, 2))
+    return [_CLASSES[pair] for pair in zip(in_cell.tolist(), in_opposite.tolist())]
+
+
 def bruhat_classify(y: FlagPoint, w: Permutation, tol: float) -> BruhatClass:
     """Classify y against the two cells at w by its coordinate support."""
-    support = np.tril(np.abs(chart_forward(y, w).lower) > tol, -1)
-    unstable = _inverted_mask(w.inverse())  # the unstable pairs of inversion_sets(w)
-    in_cell = not np.any(support & ~unstable)
-    in_opposite = not np.any(support & unstable)
-    if in_cell and in_opposite:
-        return BruhatClass.BOTH
-    if in_cell:
-        return BruhatClass.IN_BRUHAT
-    if in_opposite:
-        return BruhatClass.IN_OPPOSITE
-    return BruhatClass.NEITHER
+    return _bruhat_classes(chart_forward(y, w).lower[None], [w], tol)[0]

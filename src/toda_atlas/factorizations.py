@@ -19,9 +19,13 @@ matrices into the special orthogonal group, and the comparison maps
 ``phi`` / ``phi_sigma`` obtained by composing the two projections (with a
 permutation conjugation in between for ``phi_sigma``).
 
-Public functions validate their arguments. ``_unit_lower_inverse``, the
-unchecked kernel of ``unit_lower_inverse``, takes matrices that are unit
-lower by construction.
+Public functions validate their arguments; the private kernels do not.
+``_signed_qr`` and ``_crout`` work on stacks of matrices and return, in
+place of raising, the exception the public function raises for each
+refused matrix; ``kan_factorize`` and ``unbar_factorize`` are their
+one-matrix cases. ``_unit_lower_inverse``, the kernel of
+``unit_lower_inverse``, takes matrices that are unit lower by
+construction, one or a stack.
 """
 
 from dataclasses import dataclass
@@ -104,24 +108,40 @@ class ChevalleyResult:
     minor_index: int | None = None
 
 
+def _identities(shape) -> np.ndarray:
+    """Identity matrices filling an array of the given (..., n, n) shape."""
+    n = shape[-1]
+    eye = np.zeros(shape)
+    eye.reshape(-1, n * n)[:, ::n + 1] = 1.0
+    return eye
+
+
 def _signed_qr(m, weights):
-    """Householder QR m = q r with the signs fixed so that diag(r) > 0.
+    """Householder QR m = q r of one matrix or each matrix of an
+    (..., n, n) stack, with the signs fixed so that diag(r) > 0.
 
     Negating a row of r and the matching column of q is exact, so the
-    factors carry LAPACK's bits up to sign. weights is a scalar or one
-    weight per row of m. Raises FactorizationError when some
-    |r_ii| / weights[i] < 1e-12: column i is numerically dependent on
-    earlier ones.
+    factors carry LAPACK's bits up to sign, and each matrix gets the bits
+    it gets alone. weights is a scalar or one weight per row, (..., n).
+    Returns ``(q, r, failures)``; failures maps the flat index of each
+    matrix (0 for one matrix) with a column i whose |r_ii| / weight_i is
+    below 1e-12, NaN, or over a zero weight (numerically dependent on
+    earlier columns) to the FactorizationError naming the first such
+    column.
     """
     q, r = np.linalg.qr(m)
-    pivots = np.diag(r)
-    dependent = np.flatnonzero(np.abs(pivots) / weights < 1e-12)
-    if dependent.size:
-        raise FactorizationError(
-            f"column {dependent[0] + 1} is numerically dependent on earlier columns"
-        )
+    pivots = np.diagonal(r, axis1=-2, axis2=-1)
+    ratios = np.divide(np.abs(pivots), weights, out=np.zeros(pivots.shape), where=weights > 0.0)
+    dependent = ~(ratios >= 1e-12)
+    failures = {}
+    if dependent.any():
+        for i, columns in enumerate(dependent.reshape(-1, m.shape[-1])):
+            if columns.any():
+                failures[i] = FactorizationError(
+                    f"column {np.argmax(columns) + 1} is numerically dependent on earlier columns"
+                )
     signs = np.where(pivots < 0.0, -1.0, 1.0)
-    return q * signs, r * signs[:, None]
+    return q * signs[..., None, :], r * signs[..., :, None], failures
 
 
 def kan_factorize(g) -> KANFactors:
@@ -143,11 +163,63 @@ def kan_factorize(g) -> KANFactors:
     if abs(det - 1.0) > _DET_TOL:
         raise ValueError(f"input must have determinant one, got {det!r}")
 
-    q, r = _signed_qr(g, 1.0)
+    q, r, failures = _signed_qr(g, 1.0)
+    if failures:
+        raise failures[0]
     a = np.diag(np.diag(r))
     unit_upper = np.triu(r / np.diag(r)[:, None])
     np.fill_diagonal(unit_upper, 1.0)
     return KANFactors(k=q, a=a, n=unit_upper)
+
+
+def _crout(k):
+    """Unchecked Crout elimination of ``unbar_factorize`` on one matrix or
+    each matrix of an (..., n, n) stack.
+
+    Returns ``(u, nbar, signs, failures)``, signs (..., n) being the
+    diagonal of m. failures maps the flat index of each matrix (0 for one
+    matrix) that ``unbar_factorize`` refuses to its FactorizationError:
+    the first pivot below PIVOT_TOL, else a sign factor of determinant
+    -1. A matrix with a vanishing pivot gets identity factors; every other
+    matrix gets the bits it gets alone.
+    """
+    n = k.shape[-1]
+    flipped = k[..., ::-1, ::-1].copy()
+    low = np.zeros(k.shape)
+    upp = _identities(k.shape)
+    # a refused matrix divides by its vanishing pivot; it is reset below
+    with np.errstate(all="ignore"):
+        for c in range(n):
+            low[..., c:, c] = flipped[..., c:, c] - np.matvec(low[..., c:, :c], upp[..., :c, c])
+            upp[..., c, c + 1:] = (
+                flipped[..., c, c + 1:] - np.vecmat(low[..., c, :c], upp[..., :c, c + 1:])
+            ) / low[..., c, c, None]
+
+    pivots = np.diagonal(low, axis1=-2, axis2=-1)
+    vanishing = np.abs(pivots) < PIVOT_TOL
+    failures = {}
+    if vanishing.any():
+        for i, row in enumerate(vanishing.reshape(-1, n)):
+            if row.any():
+                c = int(np.argmax(row))  # the pivots before it are sound
+                failures[i] = FactorizationError(
+                    f"not factorizable: trailing principal minor of size {c + 1} "
+                    f"vanishes (pivot {pivots.reshape(-1, n)[i, c]:.2e})",
+                    minor_index=c + 1,
+                )
+        refused = list(failures)
+        low.reshape(-1, n, n)[refused] = upp.reshape(-1, n, n)[refused] = np.eye(n)
+
+    signs = np.sign(pivots)
+    u = (low * signs[..., None, :])[..., ::-1, ::-1].copy()
+    nbar = (signs[..., :, None] * upp * signs[..., None, :])[..., ::-1, ::-1].copy()
+    odd = np.prod(signs, axis=-1) != 1.0
+    if odd.any():
+        for i in np.flatnonzero(odd):
+            failures.setdefault(int(i), FactorizationError(
+                "sign factor has determinant -1; input was not special orthogonal"
+            ))
+    return u, nbar, signs[..., ::-1], failures
 
 
 def unbar_factorize(k) -> UNbarFactors:
@@ -162,32 +234,13 @@ def unbar_factorize(k) -> UNbarFactors:
     trailing minors of size 1, 2, ..., n.
 
     Raises FactorizationError with the failing minor index when a pivot
-    falls below PIVOT_TOL.
+    falls below PIVOT_TOL. The one-matrix case of :func:`_crout`.
     """
     k = _require_special_orthogonal(k)
-    n = k.shape[0]
-    flipped = k[::-1, ::-1].copy()
-
-    low = np.zeros((n, n))
-    upp = np.eye(n)
-    for c in range(n):
-        low[c:, c] = flipped[c:, c] - low[c:, :c] @ upp[:c, c]
-        pivot = low[c, c]
-        if abs(pivot) < PIVOT_TOL:
-            raise FactorizationError(
-                f"not factorizable: trailing principal minor of size {c + 1} "
-                f"vanishes (pivot {pivot:.2e})",
-                minor_index=c + 1,
-            )
-        upp[c, c + 1:] = (flipped[c, c + 1:] - low[c, :c] @ upp[:c, c + 1:]) / pivot
-
-    signs = np.sign(np.diag(low))
-    u = (low * signs)[::-1, ::-1].copy()
-    nbar = (signs[:, None] * upp * signs[None, :])[::-1, ::-1].copy()
-    m = np.diag(signs[::-1]).copy()
-    if float(np.prod(signs)) != 1.0:
-        raise FactorizationError("sign factor has determinant -1; input was not special orthogonal")
-    return UNbarFactors(u=u, nbar=nbar, m=m)
+    u, nbar, signs, failures = _crout(k)
+    if failures:
+        raise failures[0]
+    return UNbarFactors(u=u, nbar=nbar, m=np.diag(signs))
 
 
 def trailing_minors(k) -> np.ndarray:
@@ -226,11 +279,11 @@ def f_map(k) -> np.ndarray:
 
 
 def _unit_lower_inverse(nbar: np.ndarray) -> np.ndarray:
-    """Forward substitution; reads only the strict lower triangle."""
-    n = nbar.shape[0]
-    inv = np.eye(n)
-    for i in range(1, n):
-        inv[i, :i] = -(nbar[i, :i] @ inv[:i, :i])
+    """Forward substitution on one matrix or each matrix of an
+    (..., n, n) stack; reads only the strict lower triangle."""
+    inv = _identities(nbar.shape)
+    for i in range(1, nbar.shape[-1]):
+        inv[..., i, :i] = -np.vecmat(nbar[..., i, :i], inv[..., :i, :i])
     return inv
 
 

@@ -154,17 +154,19 @@ class Trajectory:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
+        states = self.states
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "states", tuple(states))
         if len(times) != len(self.states):
             raise ValueError("times and states have different lengths")
         if len(times) == 0:
             raise ValueError("a trajectory holds at least its initial state")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("times must be strictly increasing")
-        for stack in _stacks(self.states):
-            if not np.isfinite(stack).all():
-                raise ValueError("trajectory states must be finite")
+        if not isinstance(states, _Folded):
+            for stack in _stacks(self.states):
+                if not np.isfinite(stack).all():
+                    raise ValueError("trajectory states must be finite")
 
     @property
     def final_state(self) -> np.ndarray:
@@ -278,6 +280,11 @@ def _stacks(states):
         yield np.stack(states[i:i + _DRIFT_CHUNK])
 
 
+class _Folded(tuple):
+    """States a lane has checked in ``_Lane.fold``; a Trajectory built on
+    them keeps them as a plain tuple and does not check them again."""
+
+
 class _Lane:
     """One run of a lockstep batch: controller state and accepted states.
 
@@ -331,7 +338,7 @@ class _Lane:
                 times.append(self.t)
                 states.append(self.last)
         return Trajectory(
-            times, states, len(self.steps), self.rejected, self.fnorm, self.drift,
+            times, _Folded(states), len(self.steps), self.rejected, self.fnorm, self.drift,
             field_evals=1 + 6 * (len(self.steps) + self.rejected),
             min_step=min(self.steps, default=0.0),
             max_step=max(self.steps, default=0.0),
@@ -398,49 +405,53 @@ def integrate_many(
     ]
 
     active = lanes
-    while True:
-        going = [
-            i for i, lane in enumerate(active)
-            if lane.fnorm >= cfg.stop_field_norm and lane.t < lane.t_end
-        ]
-        if not going:
-            break
-        if len(going) < len(active):
-            active = [active[i] for i in going]
-            x, fx = x[going], fx[going]
-        for lane in active:
-            lane.h = min(lane.h, cfg.max_step, lane.t_max - lane.t)
-            if lane.h < _MIN_STEP:
-                raise StiffnessError(
-                    f"step size underflowed ({lane.h:.2e}) at t={lane.t:.6g}",
-                    trajectory=lane.trajectory(),
-                )
-        h = np.array([lane.h for lane in active])[:, None, None]
-        x_new, err, k_last = _dopri_stages(kernel, x, h, fx)
-        ratios = _error_ratios(err, x, x_new, cfg)
-        if all(ratio <= 1.0 for ratio in ratios):
-            x, fx = x_new, k_last
-        else:
-            took = (np.array(ratios) <= 1.0)[:, None, None]
-            x = np.where(took, x_new, x)
-            fx = np.where(took, k_last, fx)
-        for lane, ratio, fnorm, state in zip(active, ratios, _frobenius_norms(k_last), x_new):
-            if ratio <= 1.0:
-                lane.t += lane.h
-                lane.fnorm = fnorm
-                lane.states.append(state.copy())
-                if lane.per_state is None:
-                    lane.times.append(lane.t)
-                elif len(lane.states) == _DRIFT_CHUNK:
-                    lane.fold()
-                lane.steps.append(lane.h)
-                factor = _SAFETY * max(ratio, 1e-16) ** (-_PI_ALPHA) * lane.err_prev ** _PI_BETA
-                lane.h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))
-                lane.err_prev = max(ratio, 1e-4)
+    # a trial step can overflow in its error ratio or field norm; the
+    # step is then rejected, and an accepted non-finite state fails the
+    # fold, so the whole loop runs without those warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            going = [
+                i for i, lane in enumerate(active)
+                if lane.fnorm >= cfg.stop_field_norm and lane.t < lane.t_end
+            ]
+            if not going:
+                break
+            if len(going) < len(active):
+                active = [active[i] for i in going]
+                x, fx = x[going], fx[going]
+            for lane in active:
+                lane.h = min(lane.h, cfg.max_step, lane.t_max - lane.t)
+                if lane.h < _MIN_STEP:
+                    raise StiffnessError(
+                        f"step size underflowed ({lane.h:.2e}) at t={lane.t:.6g}",
+                        trajectory=lane.trajectory(),
+                    )
+            h = np.array([lane.h for lane in active])[:, None, None]
+            x_new, err, k_last = _dopri_stages(kernel, x, h, fx)
+            ratios = _error_ratios(err, x, x_new, cfg)
+            if all(ratio <= 1.0 for ratio in ratios):
+                x, fx = x_new, k_last
             else:
-                lane.rejected += 1
-                factor = _SAFETY * ratio ** (-0.2)
-                lane.h *= min(1.0, max(_SHRINK_MIN, factor))
+                took = (np.array(ratios) <= 1.0)[:, None, None]
+                x = np.where(took, x_new, x)
+                fx = np.where(took, k_last, fx)
+            for lane, ratio, fnorm, state in zip(active, ratios, _frobenius_norms(k_last), x_new):
+                if ratio <= 1.0:
+                    lane.t += lane.h
+                    lane.fnorm = fnorm
+                    lane.states.append(state.copy())
+                    if lane.per_state is None:
+                        lane.times.append(lane.t)
+                    elif len(lane.states) == _DRIFT_CHUNK:
+                        lane.fold()
+                    lane.steps.append(lane.h)
+                    factor = _SAFETY * max(ratio, 1e-16) ** (-_PI_ALPHA) * lane.err_prev ** _PI_BETA
+                    lane.h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))
+                    lane.err_prev = max(ratio, 1e-4)
+                else:
+                    lane.rejected += 1
+                    factor = _SAFETY * ratio ** (-0.2)
+                    lane.h *= min(1.0, max(_SHRINK_MIN, factor))
 
     return [lane.trajectory() for lane in lanes]
 

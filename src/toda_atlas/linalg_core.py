@@ -214,6 +214,53 @@ def isospectral_witness(x) -> IsospectralWitness:
     return IsospectralWitness(tuple(_power_traces(x).tolist()), float(np.linalg.norm(x)))
 
 
+def _eigen_stack(y: np.ndarray):
+    """Unchecked :func:`symmetric_eigen` of each matrix of a finite
+    (B, n, n) stack.
+
+    Returns ``(lam, q, failures)``: lam (B, n) holds each spectrum in
+    strictly decreasing order, q (B, n, n) the frames, and failures maps
+    the index of each matrix that ``symmetric_eigen`` refuses to the
+    exception it raises, checked in its order: symmetry, gap, trace,
+    residual. The lam and q of a refused matrix mean nothing. Every other
+    matrix gets the bits it gets alone.
+    """
+    yt = y.swapaxes(1, 2)
+    eigs, q = np.linalg.eigh(0.5 * (y + yt))
+    lam = eigs[:, ::-1]
+    q = q[:, :, ::-1]
+    flip = np.linalg.det(q) < 0.0
+    if flip.any():
+        q[flip, :, -1] *= -1.0
+    # Frobenius norms of y, of y - y^T and of the residual, one row each
+    checks = np.concatenate([y, y - yt, (q * lam[:, None, :]) @ q.swapaxes(1, 2) - y])
+    flat = checks.reshape(3, len(y), -1)
+    norms = np.sqrt(np.vecdot(flat, flat))
+    bound = 1e-10 * np.maximum(1.0, norms[0])
+    gaps = lam[:, :-1] - lam[:, 1:]
+    totals = [sum(row) for row in lam.tolist()]  # Spectrum's trace check, summed as it sums
+
+    failures = {}
+    accepted = gaps.min(initial=np.inf) > GAP_TOL and (norms[1:] <= bound).all()
+    if not (accepted and max(map(abs, totals), default=0.0) <= TRACE_TOL):
+        for i, total in enumerate(totals):
+            if norms[1, i] > bound[i]:
+                failures[i] = ValueError("matrix is not symmetric")
+            elif np.any(gaps[i] <= GAP_TOL):
+                k = int(np.argmin(gaps[i]))
+                failures[i] = ValueError(
+                    f"eigenvalue collision: gap {gaps[i, k]:.3e} between eigenvalues "
+                    f"{k + 1} and {k + 2} is below {GAP_TOL:.0e}"
+                )
+            elif abs(total) > TRACE_TOL:
+                failures[i] = ValueError(f"eigenvalues must sum to zero, got {total!r}")
+            elif norms[2, i] > bound[i]:
+                failures[i] = RuntimeError(
+                    f"eigendecomposition residual {norms[2, i]:.3e} too large"
+                )
+    return lam, q, failures
+
+
 def symmetric_eigen(y):
     """Diagonalize a symmetric traceless matrix with LAPACK's ``eigh``.
 
@@ -222,32 +269,13 @@ def symmetric_eigen(y):
     decreasing eigenvalue, and ``q @ spectrum.diag() @ q.T`` equal to y
     within 1e-10.
 
-    Raises ValueError for non-symmetric input or when two eigenvalues
+    Raises ValueError for non-symmetric input, when two eigenvalues
     collide below the regularity gap (the constructions downstream need
-    a simple spectrum).
+    a simple spectrum), or when they do not sum to zero. The one-matrix
+    case of :func:`_eigen_stack`.
     """
     y = as_matrix(y)
-    scale = max(1.0, float(np.linalg.norm(y)))
-    if np.linalg.norm(y - y.T) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-
-    eigs, q = np.linalg.eigh(0.5 * (y + y.T))
-    lam = eigs[::-1]
-    q = q[:, ::-1]
-
-    gaps = -np.diff(lam)
-    if np.any(gaps <= GAP_TOL):
-        i = int(np.argmin(gaps))
-        raise ValueError(
-            f"eigenvalue collision: gap {gaps[i]:.3e} between eigenvalues "
-            f"{i + 1} and {i + 2} is below {GAP_TOL:.0e}"
-        )
-
-    if np.linalg.det(q) < 0.0:
-        q[:, -1] = -q[:, -1]
-
-    spectrum = Spectrum(tuple(lam))
-    residual = np.linalg.norm(q @ spectrum.diag() @ q.T - y)
-    if residual > 1e-10 * scale:
-        raise RuntimeError(f"eigendecomposition residual {residual:.3e} too large")
-    return spectrum, q
+    lam, q, failures = _eigen_stack(y[None])
+    if failures:
+        raise failures[0]
+    return Spectrum(tuple(lam[0].tolist())), q[0]

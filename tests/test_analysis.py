@@ -6,8 +6,13 @@ import pytest
 
 import toda_atlas.analysis
 import toda_atlas.flows
+import toda_atlas.sampling
 from toda_atlas.analysis import (
     CheckReport,
+    _by_point,
+    _pushforward_residual,
+    _pushforward_residuals,
+    _raise_first,
     example4_frame_check,
     fiber_experiment,
     pushforward_check,
@@ -23,11 +28,16 @@ from toda_atlas.atlas import (
     ChartCoords,
     FlagPoint,
     _chart_point,
+    _frame,
     bruhat_classify,
+    chart_domain_test,
     chart_flow_exact,
+    chart_forward,
     chart_inverse,
+    coords_from_frame,
     h_conjugate,
 )
+from toda_atlas.errors import ChartDomainError
 from toda_atlas.flows import (
     IntegratorConfig,
     integrate,
@@ -40,10 +50,19 @@ from toda_atlas.linalg_core import Spectrum
 from toda_atlas.sampling import (
     default_spectrum,
     random_chart_coords,
+    random_flag_point,
     random_permutation,
+    random_profile,
     rng_from_seed,
 )
-from toda_atlas.weyl_profiles import Permutation, inversion_sets
+from toda_atlas.weyl_profiles import (
+    Permutation,
+    _inverted_mask,
+    _outside_mask,
+    inversion_sets,
+    profile_project,
+    v_p_membership,
+)
 
 RNG = rng_from_seed(55)
 
@@ -409,3 +428,224 @@ class TestFrameCheck:
             np.testing.assert_allclose(
                 sl2_coords(sym_field(sl2_matrix(v))), 4.0 * sl2_cubic_model(v), atol=1e-12
             )
+
+
+# ---------------------------------------------------------------------------
+# The suites' stacked chart work against per-point loops
+
+def per_point_atlas_suite(n, seed):
+    """atlas_suite as one chart call per point: chart_inverse,
+    chart_forward, chart_domain_test and coords_from_frame in a loop."""
+    rng = rng_from_seed(seed)
+    h = default_spectrum(n)
+    charts = toda_atlas.analysis._charts_for(n, rng)
+    reports = []
+
+    round_worst = spectrum_worst = origin_worst = 0.0
+    for w in charts:
+        origin = chart_inverse(ChartCoords(w=w, lower=np.zeros((n, n)), h=h))
+        origin_worst = max(origin_worst, float(np.linalg.norm(origin.y - h_conjugate(h, w))))
+        for _ in range(10):
+            coords = random_chart_coords(w, h, rng)
+            point = chart_inverse(coords)
+            eigs = np.linalg.eigvalsh(point.y)[::-1]
+            spectrum_worst = max(spectrum_worst, float(np.max(np.abs(eigs - np.array(h.values)))))
+            back = chart_forward(point, w)
+            round_worst = max(round_worst, float(np.linalg.norm(back.lower - coords.lower)))
+    reports.append(CheckReport.create("atlas.round_trip", round_worst, 10 * len(charts), 1e-9))
+    reports.append(CheckReport.create("atlas.spectrum", spectrum_worst, 10 * len(charts), 1e-9))
+    reports.append(CheckReport.create("atlas.origin", origin_worst, len(charts), 1e-12))
+
+    cover_worst = 0.0
+    accepted_fraction = []
+    all_perms = Permutation.all(n) if n <= 4 else charts
+    for _ in range(30):
+        y = random_flag_point(h, rng)
+        hits = sum(1 for w in all_perms if chart_domain_test(y, w))
+        accepted_fraction.append(hits / len(all_perms))
+        if hits == 0:
+            cover_worst = math.inf
+    reports.append(CheckReport.create(
+        "atlas.cover", cover_worst, 30, 0.5,
+        {"mean_accepting_fraction": float(np.mean(accepted_fraction))},
+    ))
+
+    sign_worst = 0.0
+    for _ in range(10):
+        w = charts[int(rng.integers(len(charts)))]
+        coords = random_chart_coords(w, h, rng)
+        frame = _frame(chart_inverse(coords), w)
+        reference = coords_from_frame(frame, w, h)
+        signs = np.ones(n)
+        signs[rng.choice(n, size=2, replace=False)] = -1.0
+        twisted = coords_from_frame(frame * signs[None, :], w, h)
+        sign_worst = max(sign_worst, float(np.linalg.norm(twisted.lower - reference.lower)))
+    reports.append(CheckReport.create("atlas.sign_independence", sign_worst, 10, 1e-10))
+
+    profile_worst = 0.0
+    for _ in range(10):
+        p = random_profile(n, rng)
+        w = charts[int(rng.integers(len(charts)))]
+        coords = random_chart_coords(w, h, rng)
+        coords = ChartCoords(w=w, lower=profile_project(coords.lower, p), h=h)
+        point = chart_inverse(coords)
+        if not v_p_membership(point.y, p, 1e-9):
+            profile_worst = math.inf
+        outside = np.abs(chart_forward(point, w).lower[_outside_mask(p)])
+        profile_worst = max(profile_worst, float(np.max(outside, initial=0.0)))
+    reports.append(CheckReport.create("atlas.profile_compat", profile_worst, 10, 1e-9))
+    return reports
+
+
+def per_point_unstable_manifold_experiments(charts, h, eps=1e-4):
+    """unstable_manifold_experiments with one chart_inverse and one
+    bruhat_classify call per start, the runs batched as the suite does."""
+    dist_tol = 1e-7
+    cfg = IntegratorConfig(
+        rel_tol=1e-12,
+        abs_tol=1e-13,
+        max_step=min(0.5, stable_step_for_sorting(h)),
+        t_max=60.0,
+        stop_field_norm=1e-13,
+    )
+    esc_cfg = IntegratorConfig(t_max=15.0, stop_field_norm=1e-13)
+    targets = [h_conjugate(h, w) for w in charts]
+    legs = [[] for _ in charts]
+    batches = {}
+    escapes = {}
+    for k, w in enumerate(charts):
+        sets = inversion_sets(w)
+        diag = np.diag(targets[k])
+        for sign, pairs in ((-1, sorted(sets.unstable)), (+1, sorted(sets.stable))):
+            for i, j in pairs:
+                gap = abs(diag[i - 1] - diag[j - 1])
+                horizon = min(cfg.t_max, math.log(eps / (dist_tol / 5.0)) / gap)
+                lower = np.zeros((h.n, h.n))
+                lower[i - 1, j - 1] = eps
+                start = chart_inverse(ChartCoords(w=w, lower=lower, h=h))
+                classified = bruhat_classify(start, w, tol=eps * 1e-3)
+                legs[k].append((f"{i},{j}", sign, horizon, classified))
+                batches.setdefault(horizon, []).append(((k, f"{i},{j}"), sign * start.y))
+        if sets.unstable:
+            m = len(sets.unstable)
+            lower = _inverted_mask(w.inverse()) * (eps / math.sqrt(m))
+            g_max = max(abs(diag[i - 1] - diag[j - 1]) for i, j in sets.unstable)
+            escapes[k] = (
+                chart_inverse(ChartCoords(w=w, lower=lower, h=h)).y,
+                min(esc_cfg.t_max, math.log(100.0 * math.sqrt(m)) / g_max),
+            )
+    ends = {}
+    for horizon, members in batches.items():
+        keys, starts = zip(*members)
+        for key, traj in zip(keys, integrate_many(toda_field, starts, replace(cfg, t_max=horizon))):
+            ends[key] = traj
+    radii = {}
+    if escapes:
+        starts, horizons = zip(*escapes.values())
+        for k, traj in zip(escapes, integrate_many(toda_field, starts, esc_cfg, horizons=horizons)):
+            radii[k] = max(float(np.linalg.norm(x - targets[k])) for x in traj.states)
+    reports = []
+    for k, w in enumerate(charts):
+        worst = 0.0
+        per_pair = {}
+        for pair, sign, horizon, classified in legs[k]:
+            traj = ends[k, pair]
+            distance = float(np.linalg.norm(traj.final_state - sign * targets[k]))
+            wanted = BruhatClass.IN_BRUHAT if sign < 0 else BruhatClass.IN_OPPOSITE
+            ok = classified is wanted and traj.final_field_norm < 1e-6
+            worst = max(worst, distance if ok else math.inf)
+            per_pair[pair] = {
+                "direction": "backward" if sign < 0 else "forward",
+                "distance": distance,
+                "field_norm": traj.final_field_norm,
+                "classified": classified.value,
+                "horizon": horizon,
+            }
+        escape = None
+        if k in radii:
+            escape = {"max_radius": radii[k], "threshold": 10.0 * eps}
+            if radii[k] <= 10.0 * eps:
+                worst = math.inf
+        reports.append(CheckReport.create(
+            f"unstable_manifold.{'-'.join(map(str, w.images))}",
+            worst,
+            len(legs[k]) + (1 if escape else 0),
+            dist_tol,
+            {"eps": eps, "pairs": per_pair, "escape": escape},
+        ))
+    return reports
+
+
+class TestStackedSuitesMatchPerPointLoops:
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_atlas_suite(self, n, seed):
+        assert toda_atlas.analysis.atlas_suite(n, seed) == per_point_atlas_suite(n, seed)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_atlas_suite_with_cover_points_outside_charts(self, n, monkeypatch):
+        # every other cover sample becomes a permuted diagonal, which lies
+        # in its own chart only; the draws from the rng stay the same
+        draw = toda_atlas.sampling.random_symmetric_with_spectrum
+        calls = []
+
+        def some_on_a_weyl_point(h, rng):
+            y = draw(h, rng)
+            calls.append(1)
+            if len(calls) % 2:
+                return y
+            return h_conjugate(h, Permutation(tuple(int(v) + 1 for v in np.argsort(np.diag(y)))))
+
+        for module in (toda_atlas.analysis, toda_atlas.sampling):
+            monkeypatch.setattr(module, "random_symmetric_with_spectrum", some_on_a_weyl_point)
+        stacked = toda_atlas.analysis.atlas_suite(n, 7)
+        calls.clear()
+        per_point = per_point_atlas_suite(n, 7)
+        assert stacked == per_point
+        cover = next(r for r in stacked if r.name == "atlas.cover")
+        assert cover.details["mean_accepting_fraction"] < 0.6
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_unstable_manifold_experiments(self, n, seed):
+        charts = toda_atlas.analysis._charts_for(n, rng_from_seed(seed))[:4]
+        h = default_spectrum(n)
+        assert unstable_manifold_experiments(charts, h) == (
+            per_point_unstable_manifold_experiments(charts, h)
+        )
+
+    def test_the_first_failure_in_loop_order_is_raised(self):
+        late, early, tied = ValueError("late"), ChartDomainError("early"), ValueError("tied")
+        _raise_first({}, {})
+        with pytest.raises(ChartDomainError, match="^early$"):
+            _raise_first({5: late}, {3: early})
+        # at one point, the stage it passes through first
+        with pytest.raises(ValueError, match="^tied$"):
+            _raise_first({3: tied}, {3: early})
+        # stack entries 2i and 2i + 1 belong to point i; a point keeps its first
+        assert _by_point({4: late, 1: early, 5: tied}, [0, 0, 1, 1, 2, 2]) == {0: early, 2: late}
+
+    def test_pushforward_residuals_of_a_stack_are_the_one_point_residuals(self):
+        rng = rng_from_seed(31)
+        h = default_spectrum(4)
+        charts = [random_permutation(4, rng) for _ in range(5)]
+        points = [chart_point(w, h, rng) for w in charts]
+        steps = [1e-5, 2e-3, 1e-3, 1e-5, 4e-3]
+        residuals, failures = _pushforward_residuals(points, charts, steps)
+        assert failures == {}
+        assert residuals == [
+            _pushforward_residual(y, w, step) for y, w, step in zip(points, charts, steps)
+        ]
+
+    def test_pushforward_residuals_report_a_point_outside_its_chart(self):
+        h = default_spectrum(3)
+        w = Permutation.identity(3)
+        inside = chart_point(w, h, rng_from_seed(5))
+        outside = FlagPoint(h_conjugate(h, Permutation((2, 1, 3))), h)
+        residuals, failures = _pushforward_residuals([inside, outside, inside], [w] * 3, [1e-5] * 3)
+        assert list(failures) == [1]
+        with pytest.raises(ChartDomainError) as one_point:
+            _pushforward_residual(outside, w, 1e-5)
+        assert type(failures[1]) is ChartDomainError
+        assert str(failures[1]) == str(one_point.value)
+        assert residuals[0] == residuals[2] == _pushforward_residual(inside, w, 1e-5)

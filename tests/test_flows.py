@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import toda_atlas.flows as flows_module
 from toda_atlas.atlas import (
     ChartCoords,
     chart_flow_exact,
@@ -828,6 +830,31 @@ class TestConfigValidation:
                 final_field_norm=1.0,
                 power_trace_drift=0.0,
             )
+
+    def test_a_lane_built_run_walks_its_states_once(self, monkeypatch):
+        # _Lane.fold checks them; the Trajectory it builds does not again
+        walks = []
+
+        def counting(states):
+            walks.append(len(states))
+            return _stacks(states)
+
+        monkeypatch.setattr(flows_module, "_stacks", counting)
+        start = random_symmetric_with_spectrum(default_spectrum(4), rng_from_seed(6))
+        traj = integrate(toda_field, start, IntegratorConfig(t_max=5.0))
+        assert len(traj.states) > 64
+        assert walks == [len(traj.states)]
+        assert type(traj.states) is tuple
+
+    def test_rejected_overflowing_trial_steps_warn_nothing(self):
+        # the first trial steps of this stiff start overflow in the error
+        # ratio and the field norm; the rejection handles them
+        start = np.array([[100.0, 1.0, 1.0], [0.0, 0.01, 1.0], [0.0, 0.0, -100.01]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(sym_field, start, IntegratorConfig(t_max=0.05))
+        assert traj.rejected_steps > 0
+        assert traj.final_time == pytest.approx(0.05)
 
 
 def chunk_loop_drift(states):
