@@ -169,6 +169,9 @@ class TestUnstableManifold:
         halved = unstable_manifold_experiments([w], h, eps=5e-5)[0]
         assert full.passed == halved.passed
 
+    def test_no_charts_give_no_reports(self):
+        assert unstable_manifold_experiments([], default_spectrum(3)) == []
+
 
 def serial_unstable_manifold_experiment(w, h, eps=1e-4):
     """The experiment with one integrate call per leg and per escape run."""
@@ -303,14 +306,38 @@ class TestSuiteBatches:
         monkeypatch.setattr(toda_atlas.analysis, "integrate_many", counting)
         return calls
 
-    def test_sym_suite_makes_three_batches(self, monkeypatch):
+    def test_sym_suite_makes_two_batches(self, monkeypatch):
         calls = self.record_calls(monkeypatch)
         reports = toda_atlas.analysis.sym_suite(3, 7)
         assert all(report.passed for report in reports)
-        # lean toda and sym profile runs, then one lean batch of the 4
-        # monotone starts and both fiber experiments' 5 + 5 starts
-        assert [size for size, _ in calls] == [4, 4, 14]
-        assert [kwargs.get("per_state") is not None for _, kwargs in calls] == [True, True, True]
+        # a lean toda profile run of the 4 monotone starts, then one lean
+        # sym batch of the same 4 starts and both fiber experiments' 5 + 5
+        assert [size for size, _ in calls] == [4, 14]
+        assert [kwargs.get("per_state") is not None for _, kwargs in calls] == [True, True]
+
+    def test_sym_profile_verdict_reads_the_sym_field_lanes(self, monkeypatch):
+        # feeding the skew part of entry (2, 1) into (3, 1) takes the
+        # sym_field runs off the Hessenberg profile; the field still
+        # vanishes on symmetric matrices, so each run reaches its stop
+        def leaking(x):
+            leak = np.zeros_like(x)
+            leak[..., 2, 0] = 1e-3 * (x[..., 1, 0] - x[..., 0, 1])
+            return sym_field(x) + leak
+
+        verdicts = []
+
+        def swapping(field, starts, cfg, **kwargs):
+            trajs = integrate_many(leaking if field is sym_field else field, starts, cfg, **kwargs)
+            verdicts.append([bool(traj.per_state[:, 2].all()) for traj in trajs])
+            return trajs
+
+        monkeypatch.setattr(toda_atlas.analysis, "integrate_many", swapping)
+        reports = {r.name: r for r in toda_atlas.analysis.sym_suite(3, 7)}
+        toda_verdicts, sym_verdicts = verdicts
+        assert toda_verdicts == [True] * 4
+        assert not any(sym_verdicts[:4])
+        assert not reports["sym.profile_preservation"].passed
+        assert reports["sym.profile_preservation"].samples == 8
 
     def test_toda_suite_runs_its_exact_flow_as_one_batch(self, monkeypatch):
         calls = self.record_calls(monkeypatch)

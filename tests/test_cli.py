@@ -205,6 +205,13 @@ class TestVerify:
         summary = json.loads((out / "summary.json").read_text())
         assert len(list(out.glob("check_*.json"))) == summary["checks"]
 
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_sym_suite_at_the_ends_of_the_range(self, tmp_path, n):
+        out = tmp_path / f"sym{n}"
+        code = run_cli(["verify", "--suite", "sym", "--n", str(n), "--seed", "7", "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["failures"] == 0
+
     def test_bad_n_rejected(self, tmp_path):
         code = run_cli(["verify", "--n", "1", "--out", str(tmp_path)])
         assert code == 2
