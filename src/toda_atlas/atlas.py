@@ -7,11 +7,12 @@ dense open subset of those points with the affine space of strictly
 lower perturbations of the permuted diagonal matrix ``h_conjugate(h, w)``.
 The forward map strips the permutation from the eigenframe a flag point
 carries, factors it through the unit-lower projection, and conjugates the
-permuted diagonal; the inverse is one graded QR (``_chart_point``).
+permuted diagonal; the inverse is one graded QR (``_chart_matrices``).
 
 The module owns the chart dynamics: in each chart the sorting flow is
 linear, coordinate (i, j) growing at the gap d_i - d_j of the permuted
-diagonal d (``chart_linear_field``, ``chart_flow_exact``, ``_chart_point``).
+diagonal d (``chart_linear_field``, ``chart_flow_exact``, and
+``_chart_points`` at a time t).
 Public functions validate their arguments, and a ``FlagPoint`` or
 ``ChartCoords`` is valid by construction; the private ``_`` kernels do
 not validate.
@@ -25,8 +26,10 @@ stack gets the bits it gets alone. A kernel does not raise for a point
 it refuses: it returns ``failures``, a dict from the index of each
 refused point to the exception the one-point function raises for it,
 with its type and message, and hands the point on in a form the next
-stage takes without a warning. The public functions are the one-point
-cases of these kernels.
+stage takes without a warning. The public chart maps are one-point
+calls of these kernels: ``chart_inverse`` of ``_chart_points``,
+``chart_forward`` of ``_chart_forwards`` and ``chart_domain_test`` of
+``_chart_nbars``; each raises the failure of its point.
 """
 
 import functools
@@ -257,27 +260,38 @@ def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
 
 
 def _chart_matrices(coords, t):
-    """The symmetric matrices of ``_chart_point`` for each of a list of
-    chart coordinates of one size, at time t (a float, or one per point).
+    """The symmetric matrix of the flag point of each of a list of chart
+    coordinates of one size, flowed for time t >= 0 (a float, or one per
+    point) by the linear chart flow.
+
+    The flow conjugates g = nbar_from_affine of c by diag(exp(t d)), d the
+    permuted diagonal, so the frame is Q^T P_w for the Q factor of g^-1
+    with rows weighted by exp(t (d - max d)). Householder QR is accurate on
+    such a row-graded matrix taken heaviest first (Cox & Higham, BIT 38,
+    1998), where inverting the flowed g(t) loses every digit. At t = 0 the
+    weights are 1 and the rows keep their order. Coordinates so large that
+    g^-1 overflows reach the QR as non-finite rows, without a warning.
 
     Returns ``(y, failures)``, y (B, n, n); failures maps the index of
-    each point whose graded QR refuses it to its FactorizationError (its
-    matrix means nothing, and may not be finite). Every other point gets
-    the bits it gets alone.
+    each point whose graded QR refuses it (some |R_ii| / weight_i below
+    1e-12 or NaN, or a weight underflowed to 0) to its FactorizationError
+    (its matrix means nothing, and may not be finite). Every other point
+    gets the bits it gets alone.
     """
     hs = [c.h for c in coords]
     ws = [c.w for c in coords]
     d = _permuted_diagonals(hs, ws)
-    g_inv = _unit_lower_inverse(_nbar_from_affine(np.array([c.lower for c in coords]), d))
     perms = np.array([_chart_constants(w).perm for w in ws])
-    if np.ndim(t) or t != 0.0:
-        weights = np.exp(np.reshape(t, (-1, 1)) * (d - np.max(d, axis=1, keepdims=True)))
-        # each point's rows, heaviest first
-        rows = np.arange(len(coords))[:, None], np.argsort(-weights, axis=1, kind="stable")
-        weights = weights[rows]
-        g_inv, perms = weights[:, :, None] * g_inv[rows], perms[rows]
-    else:  # every weight is exp(0) = 1, and the rows keep their order
-        weights = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_inv = _unit_lower_inverse(_nbar_from_affine(np.array([c.lower for c in coords]), d))
+        if np.ndim(t) or t != 0.0:
+            weights = np.exp(np.reshape(t, (-1, 1)) * (d - np.max(d, axis=1, keepdims=True)))
+            # each point's rows, heaviest first
+            rows = np.arange(len(coords))[:, None], np.argsort(-weights, axis=1, kind="stable")
+            weights = weights[rows]
+            g_inv, perms = weights[:, :, None] * g_inv[rows], perms[rows]
+        else:  # every weight is exp(0) = 1, and the rows keep their order
+            weights = 1.0
     q, _, failures = _signed_qr(g_inv, weights)
     frame = q.swapaxes(1, 2) @ perms
     spectra = _diagonals(np.array([h.values for h in hs]))
@@ -286,9 +300,9 @@ def _chart_matrices(coords, t):
 
 
 def _chart_points(coords, t):
-    """Unchecked ``_chart_point`` of each of a list of chart coordinates,
-    as :func:`_chart_matrices` takes them: ``(points, failures)``, the
-    QR's failures before FlagPoint's."""
+    """Unchecked flag point of each of a list of chart coordinates, as
+    :func:`_chart_matrices` takes them: ``(points, failures)``, the QR's
+    failures before FlagPoint's."""
     y, failures = _chart_matrices(coords, t)
     points, flag_failures = _flag_points(y, [c.h for c in coords])
     for i, err in flag_failures.items():
@@ -296,36 +310,25 @@ def _chart_points(coords, t):
     return points, failures
 
 
-def _chart_point(c: ChartCoords, t: float) -> FlagPoint:
-    """Flag point of c flowed for time t >= 0 by the linear chart flow.
-
-    The flow conjugates g = nbar_from_affine of c by diag(exp(t d)), d the
-    permuted diagonal, so the frame is Q^T P_w for the Q factor of g^-1
-    with rows weighted by exp(t (d - max d)). Householder QR is accurate on
-    such a row-graded matrix taken heaviest first (Cox & Higham, BIT 38,
-    1998), where inverting the flowed g(t) loses every digit. At t = 0 the
-    weights are 1 and the rows keep their order. Raises
-    FactorizationError when some |R_ii| / weight_i < 1e-12, or a weight
-    underflows to 0. The one-point case of :func:`_chart_matrices`.
-    """
-    y, failures = _chart_matrices([c], t)
-    if failures:
-        raise failures[0]
-    return FlagPoint(y[0], c.h)
-
-
 def chart_inverse(c: ChartCoords) -> FlagPoint:
     """Flag point with the given chart coordinates.
 
     Pipeline: affine point -> unit lower conjugator -> big-cell frame ->
     conjugate the spectrum by frame times permutation. Globally defined on
-    the whole coordinate space.
+    the whole coordinate space. Raises FactorizationError when the graded
+    QR refuses the point, as it does for coordinates so large that the
+    conjugator overflows.
     """
-    return _chart_point(c, 0.0)
+    points, failures = _chart_points([c], 0.0)
+    if failures:
+        raise failures[0]
+    return points[0]
 
 
 def _frames(points, ws) -> np.ndarray:
-    """``_frame`` of each point for its chart, as a (B, n, n) stack."""
+    """Special orthogonal frame Q P_w^-1 of each point for its chart, as a
+    (B, n, n) stack; det Q = +1, so an odd w flips the last column of the
+    point's frame Q."""
     constants = [_chart_constants(w) for w in ws]
     q = np.array([y.frame for y in points])
     odd = [c.odd for c in constants]
@@ -334,18 +337,16 @@ def _frames(points, ws) -> np.ndarray:
     return q @ np.array([c.perm for c in constants]).swapaxes(1, 2)
 
 
-def _frame(y: FlagPoint, w: Permutation) -> np.ndarray:
-    """Special orthogonal frame Q P_w^-1 for the chart at w; det Q = +1, so
-    an odd w flips the last column of the point's frame Q."""
-    return _frames([y], [w])[0]
-
-
 def _chart_nbars(points, ws):
-    """Unchecked ``_chart_nbar`` of each point for its chart.
+    """Unit-lower factor of the frame of each point, for its chart.
 
-    Returns ``(nbar, failures)``, nbar (B, n, n); failures maps the index
-    of each point outside its chart to the ChartDomainError
-    ``_chart_nbar`` raises (or a sign-factor FactorizationError).
+    One elimination gives both the factor and the trailing minors, as
+    running products of its pivots; minor magnitudes do not depend on the
+    eigenvector sign choices. Returns ``(nbar, failures)``, nbar
+    (B, n, n); failures maps the index of each point outside its chart
+    (a trailing minor at or below DOMAIN_MINOR_TOL in magnitude, or a
+    vanishing pivot) to its ChartDomainError, or to a sign-factor
+    FactorizationError.
     """
     u, nbar, _, failures = _crout(_frames(points, ws))
     for i, err in failures.items():
@@ -362,22 +363,9 @@ def _chart_nbars(points, ws):
     return nbar, failures
 
 
-def _chart_nbar(y: FlagPoint, w: Permutation) -> np.ndarray:
-    """Unit-lower factor of the frame of y, if y lies in the chart at w.
-
-    One elimination gives both the factor and the trailing minors, as
-    running products of its pivots. Raises ValueError when y and w differ
-    in size, and ChartDomainError when a trailing minor is at or below
-    DOMAIN_MINOR_TOL in magnitude, or when a pivot vanishes. Minor
-    magnitudes do not depend on the eigenvector sign choices. The
-    one-point case of :func:`_chart_nbars`.
-    """
+def _require_same_size(y: FlagPoint, w: Permutation) -> None:
     if y.h.n != w.n:
         raise ValueError(f"dimension mismatch: point is {y.h.n}, permutation is {w.n}")
-    nbar, failures = _chart_nbars([y], [w])
-    if failures:
-        raise failures[0]
-    return nbar[0]
 
 
 def chart_domain_test(y: FlagPoint, w: Permutation) -> bool:
@@ -386,11 +374,11 @@ def chart_domain_test(y: FlagPoint, w: Permutation) -> bool:
     True when every trailing principal minor of the de-permuted
     eigenframe exceeds DOMAIN_MINOR_TOL in magnitude.
     """
-    try:
-        _chart_nbar(y, w)
-    except ChartDomainError:
-        return False
-    return True
+    _require_same_size(y, w)
+    _, failures = _chart_nbars([y], [w])
+    if failures and not isinstance(failures[0], ChartDomainError):
+        raise failures[0]
+    return not failures
 
 
 def _coords_from_nbars(nbar, d) -> np.ndarray:
@@ -398,10 +386,6 @@ def _coords_from_nbars(nbar, d) -> np.ndarray:
     permuted diagonal d, or of each of a stack around a row of d."""
     dmat = _diagonals(d)
     return np.tril(nbar @ dmat @ _unit_lower_inverse(nbar) - dmat, -1)
-
-
-def _coords_from_nbar(nbar, w: Permutation, h: Spectrum) -> ChartCoords:
-    return ChartCoords(w=w, lower=_coords_from_nbars(nbar, _permuted_diagonal(h, w)), h=h)
 
 
 def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
@@ -414,7 +398,7 @@ def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
     nbar = unbar_factorize(kp).nbar
     if len(nbar) != w.n:
         raise ValueError(f"dimension mismatch: frame is {len(nbar)}, permutation is {w.n}")
-    return _coords_from_nbar(nbar, w, h)
+    return ChartCoords(w=w, lower=_coords_from_nbars(nbar, _permuted_diagonal(h, w)), h=h)
 
 
 def _chart_forwards(points, ws):
@@ -433,7 +417,11 @@ def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
     Raises ChartDomainError when a trailing minor of the frame is at or
     below the domain threshold.
     """
-    return _coords_from_nbar(_chart_nbar(y, w), w, y.h)
+    _require_same_size(y, w)
+    lower, failures = _chart_forwards([y], [w])
+    if failures:
+        raise failures[0]
+    return ChartCoords(w=w, lower=lower[0], h=y.h)
 
 
 _CLASSES = {

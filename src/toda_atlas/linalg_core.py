@@ -209,9 +209,27 @@ def pi_u(x) -> np.ndarray:
 
 
 def isospectral_witness(x) -> IsospectralWitness:
-    """Power traces of x up to order n."""
+    """Power traces of x up to order n.
+
+    Raises ValueError, without a warning, when a power trace or its drift
+    ruler ||x||_F^k overflows: drift measured against such a witness
+    would mean nothing.
+    """
     x = as_matrix(x)
-    return IsospectralWitness(tuple(_power_traces(x).tolist()), float(np.linalg.norm(x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = _power_traces(x)
+        frobenius = float(np.linalg.norm(x))
+    witness = IsospectralWitness(tuple(traces.tolist()), frobenius)
+    try:
+        finite = np.isfinite(traces).all() and np.isfinite(witness._drift_scale()).all()
+    except OverflowError:  # a Python float power out of range
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"matrix is too large for its power-trace witness: a trace of a power up to "
+            f"{x.shape[0]} or its ruler overflows (Frobenius norm {frobenius:.3e})"
+        )
+    return witness
 
 
 def _eigen_stack(y: np.ndarray):

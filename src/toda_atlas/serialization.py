@@ -50,6 +50,8 @@ def matrix_from_dict(payload) -> np.ndarray:
         entries = payload["entries"]
     except (KeyError, TypeError) as err:
         raise ValueError(f"matrix JSON needs 'n' and 'entries': {err}") from err
+    if n > 12:
+        raise ValueError(f"matrix JSON declares n={n}, above the supported 2 <= n <= 12")
     mat = np.asarray(entries, dtype=float)
     if mat.shape != (n, n):
         raise ValueError(f"matrix JSON declares n={n} but entries have shape {mat.shape}")

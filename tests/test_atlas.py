@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from toda_atlas.atlas import (
     BruhatClass,
     ChartCoords,
     FlagPoint,
-    _frame,
+    _frames,
     bruhat_classify,
     chart_domain_test,
     chart_flow_exact,
@@ -87,7 +89,7 @@ class TestFlagPoint:
         bruhat_classify(point, accepted[-1], 1e-9)
         assert len(calls) == 1
         for w in Permutation.all(4):
-            assert np.linalg.det(_frame(point, w)) > 0.0
+            assert np.linalg.det(_frames([point], [w])[0]) > 0.0
         assert len(calls) == 1
 
     def test_coords_require_exact_upper_zeros(self):
@@ -213,6 +215,20 @@ class TestChartInverse:
             eigs = np.linalg.eigvalsh(point.y)[::-1]
             np.testing.assert_allclose(eigs, h.values, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    @pytest.mark.parametrize("entry", [1e150, 1e200, -1e250, 1e300, 1.7e308])
+    def test_huge_coordinates_are_refused_by_the_qr_without_a_warning(self, n, entry):
+        # the unit-lower conjugator overflows; its non-finite rows reach
+        # the graded QR, which refuses them
+        rng = rng_from_seed(n)
+        h = default_spectrum(n)
+        for _ in range(3):
+            coords = ChartCoords(random_permutation(n, rng), np.tril(np.full((n, n), entry), -1), h)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FactorizationError, match="numerically dependent"):
+                    chart_inverse(coords)
+
 
 def composed_chart_inverse(c):
     """chart_inverse as the composition f_inverse -> permutation -> FlagPoint."""
@@ -327,7 +343,7 @@ class TestChartDomain:
             y[-1, -1] = h.values[0]
             point = FlagPoint(0.5 * (y + y.T), h)
             w = Permutation.identity(n)
-            assert abs(trailing_minors(_frame(point, w))[0]) < 1e-14
+            assert abs(trailing_minors(_frames([point], [w])[0])[0]) < 1e-14
             assert not chart_domain_test(point, w)
             with pytest.raises(ChartDomainError):
                 chart_forward(point, w)
@@ -391,7 +407,7 @@ class TestSignIndependence:
         for _ in range(10):
             w = Permutation(tuple(int(v) + 1 for v in RNG.permutation(4)))
             point = chart_inverse(random_chart_coords(w, h, RNG))
-            frame = _frame(point, w)
+            frame = _frames([point], [w])[0]
             reference = coords_from_frame(frame, w, h)
             signs = np.ones(4)
             flips = RNG.choice(4, size=2, replace=False)

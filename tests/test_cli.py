@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -93,20 +94,31 @@ class TestChart:
     def test_forward_without_spectrum_flag_solves_each_point_once(
         self, tmp_path, flag_matrix, monkeypatch
     ):
-        original = linalg_core.symmetric_eigen
+        original = linalg_core._eigen_stack
         calls = []
 
         def counting(y):
-            calls.append(1)
+            calls.append(len(y))
             return original(y)
 
         for name, module in list(sys.modules.items()):
-            if name.startswith("toda_atlas") and getattr(module, "symmetric_eigen", None) is original:
-                monkeypatch.setattr(module, "symmetric_eigen", counting)
+            if name.startswith("toda_atlas") and getattr(module, "_eigen_stack", None) is original:
+                monkeypatch.setattr(module, "_eigen_stack", counting)
         code = run_cli(["chart", "--w", "2 3 1", "--forward", str(flag_matrix), "--out", str(tmp_path)])
         assert code == 0
         # the input's flag point and the round trip's, nothing for the spectrum
-        assert len(calls) == 2
+        assert calls == [1, 1]
+
+    def test_inverse_of_huge_coordinates_is_failure(self, tmp_path, capsys):
+        coords_path = tmp_path / "coords.json"
+        write_matrix(coords_path, np.tril(np.full((3, 3), 1e200), -1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                ["chart", "--w", "2 1 3", "--h", "2,0,-2", "--inverse", str(coords_path), "--out", str(tmp_path)]
+            )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("failure: column ")
 
     def test_bad_spectrum_is_input_error(self, tmp_path, flag_matrix):
         code = run_cli(
@@ -133,6 +145,25 @@ class TestFlow:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["power_trace_drift"] < 1e-8
         assert diag["t_final"] == pytest.approx(2.0)
+
+    def test_start_whose_witness_overflows_is_input_error(self, tmp_path, overflowing_start, capsys):
+        path = tmp_path / "big.json"
+        write_matrix(path, overflowing_start)
+        out = tmp_path / "flow"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["flow", "--x0", str(path), "--out", str(out)])
+        assert code == 2
+        assert "power-trace witness" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_matrix_above_twelve_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "x13.json"
+        write_matrix(path, np.diag(np.linspace(1.0, -1.0, 13)))
+        code = run_cli(["flow", "--x0", str(path), "--out", str(tmp_path / "flow")])
+        assert code == 2
+        assert "n=13" in capsys.readouterr().err
+        assert not (tmp_path / "flow" / "trajectory.csv").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, flag_matrix):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -538,6 +538,22 @@ class TestIntegrateMany:
             integrate_many(counted, starts)
         assert calls == []
 
+    def test_a_start_whose_witness_overflows_is_refused_before_the_field_is_called(
+        self, overflowing_start
+    ):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return toda_field(x)
+
+        calm = np.diag(np.linspace(1.0, -1.0, len(overflowing_start)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="power-trace witness"):
+                integrate_many(counted, [calm, overflowing_start])
+        assert calls == []
+
     def test_underflowing_lane_raises_with_its_partial_run(self):
         # entries above 0.5 see a wildly oscillating field that defeats the
         # error estimate; the small lane decays smoothly and is still

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,12 @@ class TestWitness:
     def test_witness_validates(self):
         with pytest.raises(ValueError, match="finite"):
             isospectral_witness(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+    def test_an_overflowing_trace_or_ruler_is_refused_without_a_warning(self, overflowing_start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="power-trace witness"):
+                isospectral_witness(overflowing_start)
 
     def test_traceless_first_entry(self):
         x = RNG.standard_normal((5, 5))

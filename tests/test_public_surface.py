@@ -66,3 +66,30 @@ def test_module_layering():
     assert relative_imports("flows") == {"errors", "linalg_core"}
     above_the_charts = {"flows", "analysis", "sampling", "serialization", "cli"}
     assert not relative_imports("atlas") & above_the_charts
+
+
+def test_every_private_definition_is_loaded_in_the_package():
+    # a module-level "_" function or class that no code of the package
+    # loads is dead, or a twin of a kernel kept only for the tests
+    sources = [toda_atlas] + [
+        importlib.import_module(f"toda_atlas.{info.name}")
+        for info in pkgutil.iter_modules(toda_atlas.__path__)
+    ]
+    trees = {module.__name__: ast.parse(inspect.getsource(module)) for module in sources}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    unloaded = [
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in loaded
+    ]
+    assert not unloaded, f"private definitions nothing in the package loads: {unloaded}"

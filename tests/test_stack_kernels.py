@@ -18,10 +18,8 @@ from toda_atlas.atlas import (
     _chart_forwards,
     _chart_matrices,
     _chart_nbars,
-    _chart_point,
     _chart_points,
     _flag_points,
-    _frame,
     _frames,
     _nbar_from_affine,
     _permuted_diagonal,
@@ -172,6 +170,15 @@ def flowed_coords(n, t, count, seed):
     ]
 
 
+def chart_point_alone(c, t):
+    """The flag point of c flowed for time t in a stack of its own, or the
+    failure that stack reports for it, raised."""
+    points, failures = _chart_points([c], t)
+    if failures:
+        raise failures[0]
+    return points[0]
+
+
 class TestChartPoints:
     @pytest.mark.parametrize("n, t", [(10, 2.0), (12, 2.0)])
     def test_equal_chart_point_per_point(self, n, t):
@@ -182,7 +189,7 @@ class TestChartPoints:
         times = [0.0] * len(coords) + [t, 2 * t, 40.0, 80.0]
         coords = coords + drawn
         points, failures = _chart_points(coords, times)
-        outcomes = one_point_outcomes(lambda ct: _chart_point(*ct), zip(coords, times))
+        outcomes = one_point_outcomes(lambda ct: chart_point_alone(*ct), zip(coords, times))
         assert_failures_match(failures, outcomes)
         for i, outcome in enumerate(outcomes):
             if outcome[0] == "ok":
@@ -196,7 +203,7 @@ class TestChartPoints:
         coords = flowed_coords(6, 1.0, 5, seed=2)
         y, _ = _chart_matrices(coords, 0.7)
         assert same_bits(y, _chart_matrices(coords, [0.7] * 5)[0])
-        assert all(same_bits(y[i], _chart_point(c, 0.7).y) for i, c in enumerate(coords))
+        assert all(same_bits(y[i], chart_point_alone(c, 0.7).y) for i, c in enumerate(coords))
 
     def test_an_underflowed_weight_is_a_dependent_column(self):
         # past t * spread of about 745 the lightest row weight is 0; its
@@ -207,7 +214,7 @@ class TestChartPoints:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FactorizationError, match="numerically dependent"):
-                _chart_point(c, 40.0)
+                chart_point_alone(c, 40.0)
 
     def test_signed_qr_counts_zero_weights_and_nan_ratios_as_dependent(self):
         m = np.array([np.eye(3), np.eye(3), np.eye(3)])
@@ -281,7 +288,9 @@ class TestChartNbars:
     def test_frames_equal_frame_per_point(self):
         points, charts = mixed_chart_stack(6, seed=1)
         frames = _frames(points, charts)
-        assert all(same_bits(frames[i], _frame(y, w)) for i, (y, w) in enumerate(zip(points, charts)))
+        assert all(
+            same_bits(frames[i], _frames([y], [w])[0]) for i, (y, w) in enumerate(zip(points, charts))
+        )
 
     def test_crout_equals_unbar_factorize_per_matrix(self):
         rng = rng_from_seed(12)
