@@ -286,6 +286,13 @@ def _richardson_report(coarse: float, fine: float, w: Permutation) -> CheckRepor
 # ---------------------------------------------------------------------------
 # Stable/unstable manifolds versus cells
 
+def _no_rows(x) -> np.ndarray:
+    """A zero-width row per state of a (k, n, n) stack: the ``per_state``
+    of a lean run read only through its final state, final field norm
+    and drift."""
+    return np.empty((len(x), 0))
+
+
 def _single_pair_coords(w, h, i, j, eps) -> ChartCoords:
     lower = np.zeros((h.n, h.n))
     lower[i - 1, j - 1] = eps
@@ -319,8 +326,9 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     The sorting field is even, F(-X) = F(X), so a backward leg from y is
     minus the forward run from -y, step for step. The legs of all charts
     that share a horizon (equal gaps give equal horizons) run forward as
-    one :func:`integrate_many` batch, and the escape runs, each with its
-    own horizon, as one more. Every lane has the bits of its run alone,
+    one lean :func:`integrate_many` batch (a leg reads only its final
+    state and field norm), and the escape runs, each with its own
+    horizon, as one more. Every lane has the bits of its run alone,
     so each report equals the one its chart's legs and escape give when
     integrated one at a time. Likewise the starts of every chart are one
     stack of chart points, and their Bruhat classes one stack of chart
@@ -379,7 +387,7 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     ends = {}
     for horizon, members in batches.items():
         keys, starts = zip(*members)
-        trajs = integrate_many(toda_field, starts, replace(cfg, t_max=horizon))
+        trajs = integrate_many(toda_field, starts, replace(cfg, t_max=horizon), per_state=_no_rows)
         for (k, pair, sign), traj in zip(keys, trajs):
             distance = float(np.linalg.norm(traj.final_state - sign * targets[k]))
             ends[k, pair] = (distance, traj.final_field_norm)
@@ -876,7 +884,7 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
     worst = 0.0
     drift_worst = 0.0
     starts = [random_symmetric_with_spectrum(h, rng) for _ in range(10)]
-    for traj in integrate_many(toda_field, starts, sort_cfg):
+    for traj in integrate_many(toda_field, starts, sort_cfg, per_state=_no_rows):
         if traj.final_field_norm >= sort_cfg.stop_field_norm:
             worst = math.inf
             continue

@@ -7,7 +7,9 @@ dense open subset of those points with the affine space of strictly
 lower perturbations of the permuted diagonal matrix ``h_conjugate(h, w)``.
 The forward map strips the permutation from the eigenframe a flag point
 carries, factors it through the unit-lower projection, and conjugates the
-permuted diagonal; the inverse is one graded QR (``_chart_matrices``).
+permuted diagonal; the inverse is one graded QR (``_chart_matrices``),
+whose frame the point it builds keeps, so each chart point is
+diagonalized once, by construction.
 
 The module owns the chart dynamics: in each chart the sorting flow is
 linear, coordinate (i, j) growing at the gap d_i - d_j of the permuted
@@ -18,18 +20,20 @@ Public functions validate their arguments, and a ``FlagPoint`` or
 not validate.
 
 Every stage of the pipeline is a stack kernel that takes B points at
-once: ``_chart_matrices`` (the graded QR of the inverse),
-``_flag_points`` (the eigensolve and checks of ``FlagPoint``),
-``_chart_nbars`` (the Crout elimination and domain test of the forward
-map), ``_coords_from_nbars`` and ``_bruhat_classes``. Each point of a
-stack gets the bits it gets alone. A kernel does not raise for a point
-it refuses: it returns ``failures``, a dict from the index of each
-refused point to the exception the one-point function raises for it,
-with its type and message, and hands the point on in a form the next
-stage takes without a warning. The public chart maps are one-point
-calls of these kernels: ``chart_inverse`` of ``_chart_points``,
-``chart_forward`` of ``_chart_forwards`` and ``chart_domain_test`` of
-``_chart_nbars``; each raises the failure of its point.
+once: ``_chart_matrices`` (the graded QR of the inverse, giving y and
+its frame), ``_chart_points`` (its flag points, with no eigensolve),
+``_flag_points`` (the eigensolve and checks of ``FlagPoint``, for
+matrices from elsewhere), ``_chart_nbars`` (the Crout elimination and
+domain test of the forward map), ``_coords_from_nbars`` and
+``_bruhat_classes``. Each point of a stack gets the bits it gets alone.
+A kernel does not raise for a point it refuses: it returns ``failures``,
+a dict from the index of each refused point to the exception the
+one-point function raises for it, with its type and message, and hands
+the point on in a form the next stage takes without a warning. The
+public chart maps are one-point calls of these kernels:
+``chart_inverse`` of ``_chart_points``, ``chart_forward`` of
+``_chart_forwards`` and ``chart_domain_test`` of ``_chart_nbars``; each
+raises the failure of its point.
 """
 
 import functools
@@ -41,7 +45,15 @@ import numpy as np
 
 from .errors import ChartDomainError
 from .factorizations import _crout, _identities, _signed_qr, _unit_lower_inverse, unbar_factorize
-from .linalg_core import Spectrum, _eigen_stack, _strict_lower_mask, as_matrix, symmetric_eigen
+from .linalg_core import (
+    GAP_TOL,
+    Spectrum,
+    _collision,
+    _eigen_stack,
+    _strict_lower_mask,
+    as_matrix,
+    symmetric_eigen,
+)
 from .weyl_profiles import Permutation, _inverted_mask, perm_matrix
 
 __all__ = [
@@ -71,9 +83,12 @@ _EXP_LIMIT = 700.0  # double-precision exponent range guard
 
 @dataclass(frozen=True)
 class FlagPoint:
-    """A symmetric matrix with the fixed simple spectrum h; ``frame`` is the
-    read-only special orthogonal eigenframe of its validating symmetric_eigen.
-    Without h, the spectrum is the one that same eigensolve finds."""
+    """A symmetric matrix with the fixed simple spectrum h and a read-only
+    special orthogonal eigenframe ``frame`` (columns in the order of h).
+    A constructed point's frame is that of its validating symmetric_eigen;
+    without h, the spectrum is the one that same eigensolve finds. A chart
+    point (``chart_inverse``) keeps the frame its graded QR builds y from,
+    with no eigensolve."""
 
     y: np.ndarray
     h: Spectrum | None = None
@@ -272,11 +287,14 @@ def _chart_matrices(coords, t):
     weights are 1 and the rows keep their order. Coordinates so large that
     g^-1 overflows reach the QR as non-finite rows, without a warning.
 
-    Returns ``(y, failures)``, y (B, n, n); failures maps the index of
-    each point whose graded QR refuses it (some |R_ii| / weight_i below
-    1e-12 or NaN, or a weight underflowed to 0) to its FactorizationError
-    (its matrix means nothing, and may not be finite). Every other point
-    gets the bits it gets alone.
+    Returns ``(y, frame, failures)``, y and frame (B, n, n): frame is the
+    special orthogonal Q^T P_w (rows heaviest first), its last column
+    negated where det Q^T P_w is -1, and y = frame diag(h) frame^T
+    symmetrized, so frame is an eigenframe of y by construction. failures
+    maps the index of each point whose graded QR refuses it (some
+    |R_ii| / weight_i below 1e-12 or NaN, or a weight underflowed to 0) to
+    its FactorizationError; such a point's frame is the identity and its
+    y the zero matrix. Every other point gets the bits it gets alone.
     """
     hs = [c.h for c in coords]
     ws = [c.w for c in coords]
@@ -294,20 +312,38 @@ def _chart_matrices(coords, t):
             weights = 1.0
     q, _, failures = _signed_qr(g_inv, weights)
     frame = q.swapaxes(1, 2) @ perms
+    refused = list(failures)
+    if refused:  # a refused frame may not be finite
+        frame[refused] = np.eye(frame.shape[-1])
+    flip = np.linalg.det(frame) < 0.0
+    if flip.any():
+        frame[flip, :, -1] *= -1.0
     spectra = _diagonals(np.array([h.values for h in hs]))
     y = frame @ spectra @ frame.swapaxes(1, 2)
-    return 0.5 * (y + y.swapaxes(1, 2)), failures
+    y = 0.5 * (y + y.swapaxes(1, 2))
+    if refused:
+        y[refused] = 0.0
+    return y, frame, failures
 
 
 def _chart_points(coords, t):
     """Unchecked flag point of each of a list of chart coordinates, as
-    :func:`_chart_matrices` takes them: ``(points, failures)``, the QR's
-    failures before FlagPoint's."""
-    y, failures = _chart_matrices(coords, t)
-    points, flag_failures = _flag_points(y, [c.h for c in coords])
-    for i, err in flag_failures.items():
-        failures.setdefault(i, err)
-    return points, failures
+    :func:`_chart_matrices` takes them, with the y and frame it builds:
+    ``(points, failures)``, the QR's failures before FlagPoint's.
+
+    No eigensolve runs. Of FlagPoint's checks, only the gap of the spectrum
+    can refuse such a y: symmetry, trace, residual and the spectrum match
+    hold by construction. The gap is read from h, and refused with
+    FlagPoint's ValueError.
+    """
+    y, frame, failures = _chart_matrices(coords, t)
+    for i, c in enumerate(coords):
+        gaps = [a - b for a, b in zip(c.h.values, c.h.values[1:])]
+        if min(gaps) <= GAP_TOL:
+            failures.setdefault(i, _collision(gaps))
+    y.setflags(write=False)
+    frame.setflags(write=False)
+    return [FlagPoint._of(y[i], c.h, frame[i]) for i, c in enumerate(coords)], failures
 
 
 def chart_inverse(c: ChartCoords) -> FlagPoint:
@@ -317,7 +353,8 @@ def chart_inverse(c: ChartCoords) -> FlagPoint:
     conjugate the spectrum by frame times permutation. Globally defined on
     the whole coordinate space. Raises FactorizationError when the graded
     QR refuses the point, as it does for coordinates so large that the
-    conjugator overflows.
+    conjugator overflows, and FlagPoint's ValueError when two eigenvalues
+    of h are within the regularity gap. The point's frame is the QR's.
     """
     points, failures = _chart_points([c], 0.0)
     if failures:

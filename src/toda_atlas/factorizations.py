@@ -69,11 +69,13 @@ _TRIANGLE_TOL = 1e-12
 
 def _require_special_orthogonal(k):
     k = as_matrix(k)
-    n = k.shape[0]
-    if np.linalg.norm(k.T @ k - np.eye(n)) > _ORTHO_TOL:
-        raise ValueError("matrix is not orthogonal")
-    if abs(np.linalg.det(k) - 1.0) > _ORTHO_TOL:
-        raise ValueError("matrix is orthogonal but has determinant -1")
+    # huge entries overflow k^T k or the determinant; a norm or
+    # determinant that is then inf or NaN fails its check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.linalg.norm(k.T @ k - np.eye(k.shape[0])) <= _ORTHO_TOL:
+            raise ValueError("matrix is not orthogonal")
+        if not abs(np.linalg.det(k) - 1.0) <= _ORTHO_TOL:
+            raise ValueError("matrix is orthogonal but has determinant -1")
     return k
 
 

@@ -250,11 +250,17 @@ def _eigen_stack(y: np.ndarray):
     flip = np.linalg.det(q) < 0.0
     if flip.any():
         q[flip, :, -1] *= -1.0
-    # Frobenius norms of y, of y - y^T and of the residual, one row each
-    checks = np.concatenate([y, y - yt, (q * lam[:, None, :]) @ q.swapaxes(1, 2) - y])
-    flat = checks.reshape(3, len(y), -1)
+    # Frobenius norms of y, of y - y^T and of the residual, one row each,
+    # taken on each matrix scaled by a power of two to a largest entry in
+    # [1/2, 1): exact, so the checks decide as unscaled wherever nothing
+    # overflows, and no square overflows
+    _, exponents = np.frexp(np.max(np.abs(y), axis=(1, 2)))
+    scale = np.ldexp(1.0, -exponents)[:, None, None]
+    ys = scale * y
+    residual = (q * (scale * lam[:, None, :])) @ q.swapaxes(1, 2) - ys
+    flat = np.concatenate([ys, ys - ys.swapaxes(1, 2), residual]).reshape(3, len(y), -1)
     norms = np.sqrt(np.vecdot(flat, flat))
-    bound = 1e-10 * np.maximum(1.0, norms[0])
+    bound = 1e-10 * np.maximum(scale[:, 0, 0], norms[0])
     gaps = lam[:, :-1] - lam[:, 1:]
     totals = [sum(row) for row in lam.tolist()]  # Spectrum's trace check, summed as it sums
 
@@ -265,18 +271,24 @@ def _eigen_stack(y: np.ndarray):
             if norms[1, i] > bound[i]:
                 failures[i] = ValueError("matrix is not symmetric")
             elif np.any(gaps[i] <= GAP_TOL):
-                k = int(np.argmin(gaps[i]))
-                failures[i] = ValueError(
-                    f"eigenvalue collision: gap {gaps[i, k]:.3e} between eigenvalues "
-                    f"{k + 1} and {k + 2} is below {GAP_TOL:.0e}"
-                )
+                failures[i] = _collision(gaps[i])
             elif abs(total) > TRACE_TOL:
                 failures[i] = ValueError(f"eigenvalues must sum to zero, got {total!r}")
             elif norms[2, i] > bound[i]:
                 failures[i] = RuntimeError(
-                    f"eigendecomposition residual {norms[2, i]:.3e} too large"
+                    f"eigendecomposition residual {norms[2, i] / scale[i, 0, 0]:.3e} too large"
                 )
     return lam, q, failures
+
+
+def _collision(gaps) -> ValueError:
+    """The ValueError for a spectrum whose consecutive gaps (1-D, in
+    order) include one at or below GAP_TOL, naming the smallest."""
+    k = int(np.argmin(gaps))
+    return ValueError(
+        f"eigenvalue collision: gap {gaps[k]:.3e} between eigenvalues "
+        f"{k + 1} and {k + 2} is below {GAP_TOL:.0e}"
+    )
 
 
 def symmetric_eigen(y):

@@ -350,9 +350,23 @@ class TestSuiteBatches:
         calls = self.record_calls(monkeypatch)
         reports = toda_atlas.analysis.toda_suite(3, 7)
         assert all(report.passed for report in reports)
-        exact = [kwargs for _, kwargs in calls if "per_state" in kwargs]
+        exact = [kwargs for _, kwargs in calls if "horizons" in kwargs and "per_state" in kwargs]
         assert len(exact) == 1
         assert list(exact[0]["horizons"]) == [0.5] * 3 + [1.0] * 3 + [2.0] * 3
+
+    def test_toda_suite_keeps_states_only_for_the_escape_runs(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        reports = toda_atlas.analysis.toda_suite(3, 7)
+        assert all(report.passed for report in reports)
+        # the lean exact flow; the 18 legs, lean, in one batch per horizon
+        # (the gaps 2 and 4 of h = (2, 0, -2)); the escape runs of the five
+        # charts with unstable pairs, which read every state; the 10
+        # attractor lanes, lean
+        kinds = {"_skew_norms": "exact", "_no_rows": "lean", None: "full"}
+        runs = [
+            (size, kinds[getattr(kwargs.get("per_state"), "__name__", None)]) for size, kwargs in calls
+        ]
+        assert runs == [(9, "exact"), (12, "lean"), (6, "lean"), (5, "full"), (10, "lean")]
 
 
 class TestSymLinearization:

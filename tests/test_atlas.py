@@ -9,6 +9,7 @@ from toda_atlas.atlas import (
     BruhatClass,
     ChartCoords,
     FlagPoint,
+    _chart_points,
     _frames,
     bruhat_classify,
     chart_domain_test,
@@ -215,6 +216,57 @@ class TestChartInverse:
             eigs = np.linalg.eigvalsh(point.y)[::-1]
             np.testing.assert_allclose(eigs, h.values, atol=1e-9)
 
+    def test_frame_is_the_read_only_frame_of_the_qr(self):
+        rng = rng_from_seed(31)
+        for n in range(2, 13):
+            h = default_spectrum(n)
+            coords = [random_chart_coords(random_permutation(n, rng), h, rng) for _ in range(4)]
+            flowed, failures = _chart_points(coords, 0.8)
+            assert not failures
+            for point in [chart_inverse(c) for c in coords] + flowed:
+                assert not point.frame.flags.writeable
+                with pytest.raises(ValueError):
+                    point.frame[0, 0] = 1.0
+                assert np.linalg.det(point.frame) == pytest.approx(1.0, abs=1e-12)
+                rebuilt = point.frame @ h.diag() @ point.frame.T
+                assert np.max(np.abs(rebuilt - point.y)) <= 1e-13 * max(map(abs, h.values))
+
+    def test_close_eigenvalues_are_refused_as_flag_point_refuses_them(self):
+        h = Spectrum((1.0, 1.0 - 5e-9, -2.0 + 5e-9))
+        with pytest.raises(ValueError) as flag_point:
+            FlagPoint(h.diag(), h)
+        for w in Permutation.all(3):
+            with pytest.raises(ValueError) as inverse:
+                chart_inverse(ChartCoords(w, np.tril(np.full((3, 3), 0.3), -1), h))
+            assert str(inverse.value) == str(flag_point.value)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e10])
+    def test_wide_spectra_are_not_refused(self, scale):
+        # an eigensolve of y re-derives h with an absolute error that fails
+        # the 1e-12 trace check at such scales; h itself sums to zero
+        rng = rng_from_seed(3)
+        for n in (3, 6, 12):
+            values = np.array(default_spectrum(n).values) * scale
+            h = Spectrum(tuple(values - values.mean()))
+            for _ in range(10):
+                coords = random_chart_coords(random_permutation(n, rng), h, rng)
+                point = chart_inverse(coords)
+                assert point.h == h
+                back = chart_forward(point, coords.w)
+                assert np.max(np.abs(back.lower - coords.lower)) < 1e-13
+
+    def test_round_trips_at_roundoff_at_n12(self):
+        # the forward map reads the frame the inverse built, not one
+        # re-derived from y by an eigensolve (2-3e-14 then)
+        rng = rng_from_seed(0)
+        h = default_spectrum(12)
+        worst = 0.0
+        for _ in range(200):
+            coords = random_chart_coords(random_permutation(12, rng), h, rng)
+            back = chart_forward(chart_inverse(coords), coords.w)
+            worst = max(worst, float(np.linalg.norm(back.lower - coords.lower)))
+        assert worst < 1e-14
+
     @pytest.mark.parametrize("n", [3, 6, 12])
     @pytest.mark.parametrize("entry", [1e150, 1e200, -1e250, 1e300, 1.7e308])
     def test_huge_coordinates_are_refused_by_the_qr_without_a_warning(self, n, entry):
@@ -231,10 +283,13 @@ class TestChartInverse:
 
 
 def composed_chart_inverse(c):
-    """chart_inverse as the composition f_inverse -> permutation -> FlagPoint."""
+    """chart_inverse as the composition f_inverse -> permutation -> FlagPoint,
+    with the frame it builds y from, made special orthogonal."""
     frame = f_inverse(nbar_from_affine(c)) @ perm_matrix(c.w)
+    if np.linalg.det(frame) < 0.0:
+        frame[:, -1] *= -1.0
     y = frame @ c.h.diag() @ frame.T
-    return FlagPoint(0.5 * (y + y.T), c.h)
+    return FlagPoint(0.5 * (y + y.T), c.h), frame
 
 
 @pytest.fixture
@@ -276,7 +331,9 @@ class TestChartInverseIsTheComposition:
                     assert np.signbit(lower).any()
                 coords = ChartCoords(w=coords.w, lower=lower, h=h)
                 point = inverse_without_kan(coords, kan_calls)
-                assert point.y.tobytes() == composed_chart_inverse(coords).y.tobytes()
+                composed, frame = composed_chart_inverse(coords)
+                assert point.y.tobytes() == composed.y.tobytes()
+                assert point.frame.tobytes() == frame.tobytes()
         assert len(kan_calls) == 11 * 6
 
     def test_raises_exactly_where_the_composition_raises(self, kan_calls):
@@ -287,7 +344,7 @@ class TestChartInverseIsTheComposition:
             for _ in range(50):
                 coords = chart_flow_exact(random_chart_coords(random_permutation(n, rng), h, rng), t)
                 try:
-                    composed = composed_chart_inverse(coords)
+                    composed, _ = composed_chart_inverse(coords)
                 except FactorizationError as err:
                     with pytest.raises(FactorizationError, match=str(err)):
                         inverse_without_kan(coords, kan_calls)

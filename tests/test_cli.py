@@ -56,6 +56,15 @@ class TestFactorize:
         assert code == 1
         assert capsys.readouterr().err.startswith("failure: column 3")
 
+    def test_unbar_of_huge_entries_is_input_error_without_a_warning(self, tmp_path, capsys):
+        src = tmp_path / "k.json"
+        write_matrix(src, np.diag([1e200, 1e-200, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["factorize", "--input", str(src), "--kind", "unbar", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: matrix is not orthogonal\n"
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = run_cli(["factorize", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2
@@ -106,8 +115,19 @@ class TestChart:
                 monkeypatch.setattr(module, "_eigen_stack", counting)
         code = run_cli(["chart", "--w", "2 3 1", "--forward", str(flag_matrix), "--out", str(tmp_path)])
         assert code == 0
-        # the input's flag point and the round trip's, nothing for the spectrum
-        assert calls == [1, 1]
+        # the input's flag point only: nothing for the spectrum, and the
+        # round trip's point keeps the frame of its graded QR
+        assert calls == [1]
+
+    def test_forward_of_a_huge_diagonal_without_spectrum_flag(self, tmp_path, capsys):
+        src = tmp_path / "y.json"
+        write_matrix(src, np.diag([1e200, 0.0, -1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["chart", "--w", "1 2 3", "--forward", str(src), "--out", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "chart_coords.json").read_text())["h"] == [1e200, 0.0, -1e200]
 
     def test_inverse_of_huge_coordinates_is_failure(self, tmp_path, capsys):
         coords_path = tmp_path / "coords.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,14 @@ class TestUNbar:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError, match="not orthogonal"):
             unbar_factorize(np.eye(3) + 0.1)
+
+    def test_rejects_huge_entries_without_a_warning(self):
+        # k^T k overflows: its infinite or NaN norm fails the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (np.diag([1e200, 1e-200, 1.0]), np.full((3, 3), 1e300)):
+                with pytest.raises(ValueError, match="not orthogonal"):
+                    unbar_factorize(k)
 
 
 class TestChevalley:

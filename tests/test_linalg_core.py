@@ -215,6 +215,17 @@ class TestSymmetricEigen:
         with pytest.raises(ValueError, match="collision"):
             symmetric_eigen(y)
 
+    def test_huge_entries_are_checked_without_a_warning(self):
+        # the checks' Frobenius norms are taken on a power-of-two rescaling,
+        # so they do not overflow to an infinite bound that passes anything
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not symmetric"):
+                symmetric_eigen(np.array([[1e200, 3e200], [0.0, -1e200]]))
+            spectrum, q = symmetric_eigen(np.diag([1e200, 0.0, -1e200]))
+        assert spectrum.values == (1e200, 0.0, -1e200)
+        assert np.array_equal(np.abs(q), np.eye(3))
+
 
 class TestWitness:
     def test_power_sums(self):

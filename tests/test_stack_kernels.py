@@ -195,15 +195,18 @@ class TestChartPoints:
             if outcome[0] == "ok":
                 assert same_bits(points[i].y, outcome[1].y)
                 assert same_bits(points[i].frame, outcome[1].frame)
-        y, qr_failures = _chart_matrices(coords, times)
+        _, _, qr_failures = _chart_matrices(coords, times)
         assert set(qr_failures) <= set(failures)
         assert all(type(failures[i]) is FactorizationError for i in qr_failures)
 
     def test_a_scalar_time_is_every_point_at_that_time(self):
         coords = flowed_coords(6, 1.0, 5, seed=2)
-        y, _ = _chart_matrices(coords, 0.7)
-        assert same_bits(y, _chart_matrices(coords, [0.7] * 5)[0])
-        assert all(same_bits(y[i], chart_point_alone(c, 0.7).y) for i, c in enumerate(coords))
+        y, frame, _ = _chart_matrices(coords, 0.7)
+        listed = _chart_matrices(coords, [0.7] * 5)
+        assert same_bits(y, listed[0]) and same_bits(frame, listed[1])
+        for i, c in enumerate(coords):
+            alone = chart_point_alone(c, 0.7)
+            assert same_bits(y[i], alone.y) and same_bits(frame[i], alone.frame)
 
     def test_an_underflowed_weight_is_a_dependent_column(self):
         # past t * spread of about 745 the lightest row weight is 0; its
