@@ -38,15 +38,30 @@ caller's per-state figures of it; a full run keeps its states and folds
 them when it ends.
 
 Public functions validate their arguments; the private ``_`` kernels
-they call per step do not. Each field validates once and then computes
-in the same order as the public ``commutator``/``pi_k``/``pi_u``
-composition, so it returns the same bits. The integrator validates its
+they call per step do not. Each field validates once and returns the
+bits of the public ``commutator``/``pi_k``/``pi_u`` composition, though
+it takes its projection as one multiply by a constant of its size
+(``_projection_weights``). ``toda_field`` takes pi_k(x) as L - L^T with
+L = x * M, M being 1 strictly below the diagonal: for finite x, L holds
+x_ij * 0 where ``pi_k``'s masked copy holds +0.0, so the two can differ
+only in the sign of a zero. ``sym_field`` takes pi_u(c) as c * W, W
+being 2 above the diagonal, 1 on it and 0 below, for c = x x^T - x^T x.
+numpy computes that c exactly symmetric (``syrk`` and a mirrored
+triangle, or one loop whose products and sums come in the same order
+for c_ij and c_ji), so c_ij + c_ji = 2 c_ij exactly, and again only the
+sign of a zero below the diagonal can differ. A matmul adds its products
+onto +0.0, where a signed zero changes nothing, so those zeros never
+reach the field's bits. A stage that is not finite gives a field that is
+not finite either way, and the integrator rejects that step. The tests
+hold both kernels to the composition, and c to its symmetry, on stacks,
+views, triangular matrices and signed zeros. The integrator validates its
 starts and then steps the unchecked kernel of a field it knows (looked
 up by identity); any other callable is called as given, with stacks.
 The integrator keeps the arrays it hands to the field as states, so a
 field must not modify its argument.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,7 +70,6 @@ import numpy as np
 from .errors import StiffnessError
 from .linalg_core import (
     Spectrum,
-    _pi_k,
     _power_traces,
     _relative_drift,
     as_matrices,
@@ -194,15 +208,28 @@ def stable_step_for_symmetrization(h: Spectrum) -> float:
     return min(1.0, 2.5 / (2.0 * spread * spread))
 
 
+@functools.lru_cache(maxsize=64)
+def _projection_weights(n: int) -> tuple:
+    """Read-only float weights ``(M, W)`` of the fields' projections of an
+    n x n matrix: M is 1 strictly below the diagonal and 0 elsewhere, so
+    ``L = x * M`` gives pi_k(x) = L - L^T; W = 1 - M + M^T is 2 above the
+    diagonal, 1 on it and 0 below, so ``c * W`` is pi_u(c) of a symmetric c."""
+    lower = np.tri(n, n, -1)
+    weights = 1.0 - lower + lower.T
+    lower.flags.writeable = weights.flags.writeable = False
+    return lower, weights
+
+
 def _toda_kernel(x: np.ndarray) -> np.ndarray:
-    k = _pi_k(x)
+    low = x * _projection_weights(x.shape[-1])[0]
+    k = low - low.swapaxes(-1, -2)
     return x @ k - k @ x
 
 
 def _sym_kernel(x: np.ndarray) -> np.ndarray:
     xt = x.swapaxes(-1, -2)
     c = x @ xt - xt @ x
-    u = c - _pi_k(c)
+    u = c * _projection_weights(x.shape[-1])[1]
     return x @ u - u @ x
 
 

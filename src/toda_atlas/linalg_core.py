@@ -165,7 +165,9 @@ def _strict_lower_mask(n: int) -> np.ndarray:
 
 
 def _pi_k(x: np.ndarray) -> np.ndarray:
-    """Unchecked :func:`pi_k` of a validated float matrix or stack."""
+    """Unchecked :func:`pi_k` of a validated float matrix or stack; the
+    kernel of the public ``pi_k`` and ``pi_u`` (the flow fields take
+    their projections as masked multiplies with the same bits)."""
     low = np.where(_strict_lower_mask(x.shape[-1]), x, 0.0)
     return low - low.swapaxes(-1, -2)
 
@@ -239,12 +241,23 @@ def _eigen_stack(y: np.ndarray):
     Returns ``(lam, q, failures)``: lam (B, n) holds each spectrum in
     strictly decreasing order, q (B, n, n) the frames, and failures maps
     the index of each matrix that ``symmetric_eigen`` refuses to the
-    exception it raises, checked in its order: symmetry, gap, trace,
-    residual. The lam and q of a refused matrix mean nothing. Every other
-    matrix gets the bits it gets alone.
+    exception it raises, checked in its order: symmetry, overflow of the
+    symmetric part ``0.5 * (y + y^T)`` (solved as zero instead, with no
+    warning), gap, trace, residual. The lam and q of a refused matrix
+    mean nothing. Every other matrix gets the bits it gets alone.
     """
     yt = y.swapaxes(1, 2)
-    eigs, q = np.linalg.eigh(0.5 * (y + yt))
+    _, exponents = np.frexp(np.max(np.abs(y), axis=(1, 2)))
+    # an entry of y + y^T can overflow only where one of y reaches 2**1023
+    overflow = exponents > 1023
+    if overflow.any():
+        with np.errstate(over="ignore"):
+            sym = 0.5 * (y + yt)
+        overflow = ~np.isfinite(sym).all(axis=(1, 2))
+        sym[overflow] = 0.0
+    else:
+        sym = 0.5 * (y + yt)
+    eigs, q = np.linalg.eigh(sym)
     lam = eigs[:, ::-1]
     q = q[:, :, ::-1]
     flip = np.linalg.det(q) < 0.0
@@ -254,7 +267,6 @@ def _eigen_stack(y: np.ndarray):
     # taken on each matrix scaled by a power of two to a largest entry in
     # [1/2, 1): exact, so the checks decide as unscaled wherever nothing
     # overflows, and no square overflows
-    _, exponents = np.frexp(np.max(np.abs(y), axis=(1, 2)))
     scale = np.ldexp(1.0, -exponents)[:, None, None]
     ys = scale * y
     residual = (q * (scale * lam[:, None, :])) @ q.swapaxes(1, 2) - ys
@@ -270,6 +282,11 @@ def _eigen_stack(y: np.ndarray):
         for i, total in enumerate(totals):
             if norms[1, i] > bound[i]:
                 failures[i] = ValueError("matrix is not symmetric")
+            elif overflow[i]:
+                failures[i] = ValueError(
+                    "matrix is too large to diagonalize: its symmetric part "
+                    "0.5 * (y + y^T) overflows"
+                )
             elif np.any(gaps[i] <= GAP_TOL):
                 failures[i] = _collision(gaps[i])
             elif abs(total) > TRACE_TOL:
@@ -299,10 +316,11 @@ def symmetric_eigen(y):
     decreasing eigenvalue, and ``q @ spectrum.diag() @ q.T`` equal to y
     within 1e-10.
 
-    Raises ValueError for non-symmetric input, when two eigenvalues
-    collide below the regularity gap (the constructions downstream need
-    a simple spectrum), or when they do not sum to zero. The one-matrix
-    case of :func:`_eigen_stack`.
+    Raises ValueError for non-symmetric input, for input too large to
+    average with its transpose (an entry of 2**1023 or more, in a
+    symmetric matrix), when two eigenvalues collide below the regularity
+    gap (the constructions downstream need a simple spectrum), or when
+    they do not sum to zero. The one-matrix case of :func:`_eigen_stack`.
     """
     y = as_matrix(y)
     lam, q, failures = _eigen_stack(y[None])

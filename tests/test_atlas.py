@@ -59,6 +59,14 @@ class TestFlagPoint:
         with pytest.raises(ValueError, match="spectrum"):
             FlagPoint(np.diag([3.0, 0.0, -3.0]), h)
 
+    def test_rejects_an_overflowing_matrix_without_a_warning(self):
+        y = np.diag([1.7e308, 0.0, -1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in (None, Spectrum((1.0, 0.0, -1.0))):
+                with pytest.raises(ValueError, match="too large to diagonalize"):
+                    FlagPoint(y, h)
+
     def test_rejects_close_eigenvalues(self):
         h = Spectrum((1.0, 1.0 - 5e-9, -2.0 + 5e-9))
         with pytest.raises(ValueError, match="collision"):

@@ -42,6 +42,7 @@ from toda_atlas.linalg_core import (
 from toda_atlas.sampling import (
     default_spectrum,
     random_chart_coords,
+    random_permutation,
     random_profile,
     random_symmetric_with_spectrum,
     rng_from_seed,
@@ -88,6 +89,49 @@ def random_matrix(n, rng):
     return x - np.trace(x) / n * np.eye(n)
 
 
+def kernel_layouts(n, rng):
+    """Inputs on which a field kernel's triangular projection could lose a
+    bit: general, symmetric and triangular matrices, the symmetrization
+    fiber starts (a permuted diagonal plus a strictly upper part), exact
+    +0.0 and -0.0 entries, transposed, Fortran-ordered and strided views,
+    and (B, n, n) stacks, some of them views too."""
+    g = random_matrix(n, rng)
+    fiber = h_conjugate(default_spectrum(n), random_permutation(n, rng)) + np.triu(
+        rng.standard_normal((n, n)), 1
+    )
+    zeros = np.where(rng.random((n, n)) < 0.3, 0.0, g)
+    zeros[rng.random((n, n)) < 0.3] = -0.0
+    small = rng.integers(-1, 2, (n, n)) * -1.0  # exact cancellations, -0.0 entries
+    lower = np.tri(n, n, -1, dtype=bool)
+    singles = [
+        g,
+        random_symmetric_with_spectrum(default_spectrum(n), rng),
+        np.triu(g),
+        np.tril(g),
+        fiber,
+        np.where(lower, -0.0, fiber),
+        zeros,
+        small,
+        np.where(lower, -0.0, small),
+        np.full((n, n), -0.0),
+        g.T,
+        np.asfortranarray(fiber),
+        rng.standard_normal((2 * n, 3 * n))[1::2, ::3],
+    ]
+    yield from singles
+    yield np.stack(singles)
+    yield np.stack(singles).swapaxes(1, 2)
+    stack = rng.standard_normal((4, 2, 2 * n, 2 * n))
+    stack[stack > 1.0] = -0.0
+    yield stack[:, :, ::2, 1::2]
+    yield np.triu(stack[:, 1, :n, :n])
+
+
+def each_matrix(x):
+    """The matrices of an (n, n) array or an (..., n, n) stack."""
+    return x.reshape((-1,) + x.shape[-2:])
+
+
 class TestTodaField:
     def test_symmetric_two_by_two_formula(self):
         for _ in range(50):
@@ -108,8 +152,9 @@ class TestTodaField:
     def test_equals_public_composition_bitwise(self):
         rng = np.random.default_rng(11)
         for n in range(2, 13):
-            for x in (random_matrix(n, rng), random_symmetric_with_spectrum(default_spectrum(n), rng)):
-                assert_same_bits(toda_field(x), commutator(x, pi_k(x)))
+            for x in kernel_layouts(n, rng):
+                for got, xi in zip(each_matrix(toda_field(x)), each_matrix(x)):
+                    assert_same_bits(got, commutator(xi, pi_k(xi)))
 
 
 @pytest.mark.parametrize("field", [toda_field, sym_field])
@@ -237,8 +282,21 @@ class TestSymField:
     def test_equals_public_composition_bitwise(self):
         rng = np.random.default_rng(12)
         for n in range(2, 13):
-            x = random_matrix(n, rng)
-            assert_same_bits(sym_field(x), commutator(x, pi_u(commutator(x, x.T))))
+            for x in kernel_layouts(n, rng):
+                for got, xi in zip(each_matrix(sym_field(x)), each_matrix(x)):
+                    assert_same_bits(got, commutator(xi, pi_u(commutator(xi, xi.T))))
+
+    def test_commutator_with_the_transpose_is_exactly_symmetric(self):
+        # c = x x^T - x^T x as the kernel computes it has c_ij == c_ji, so
+        # pi_u(c), which holds c_ij + c_ji above the diagonal, is c * W (W
+        # being 2 there) exactly; where c_ij and c_ji are zeros of opposite
+        # signs, both forms keep c_ij's
+        rng = np.random.default_rng(13)
+        for n in range(2, 13):
+            for x in kernel_layouts(n, rng):
+                xt = x.swapaxes(-1, -2)
+                c = x @ xt - xt @ x
+                assert np.array_equal(c, c.swapaxes(-1, -2))
 
 
 class TestIntegrate:

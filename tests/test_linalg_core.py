@@ -226,6 +226,19 @@ class TestSymmetricEigen:
         assert spectrum.values == (1e200, 0.0, -1e200)
         assert np.array_equal(np.abs(q), np.eye(3))
 
+    def test_an_overflowing_symmetric_part_is_refused_without_a_warning(self):
+        # y + y^T overflows from an entry of 2**1023 up; one ulp below, the
+        # largest such matrix is still diagonalized
+        top = np.nextafter(2.0**1023, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for peak in (2.0**1023, 1.7e308):
+                with pytest.raises(ValueError, match="too large to diagonalize"):
+                    symmetric_eigen(np.diag([peak, 0.0, -peak]))
+            spectrum, q = symmetric_eigen(np.diag([top, 0.0, -top]))
+        np.testing.assert_allclose(spectrum.values, (top, 0.0, -top), rtol=1e-15)
+        assert np.array_equal(np.abs(q), np.eye(3))
+
 
 class TestWitness:
     def test_power_sums(self):

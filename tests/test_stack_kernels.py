@@ -158,6 +158,28 @@ class TestEigenStack:
                 assert points[i].h == outcome[1].h
                 assert not points[i].y.flags.writeable and not points[i].frame.flags.writeable
 
+    def test_an_overflowing_matrix_is_a_failure_of_its_own(self):
+        # 0.5 * (y + y^T) overflows for this y: it is refused, with no
+        # warning, and every other matrix of the stack keeps its outcome
+        y = mixed_symmetric_stack()
+        y[2] = np.diag([1.7e308, 0.0, 0.0, -1.7e308])
+        h = default_spectrum(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, q, failures = _eigen_stack(y.copy())
+            points, flag_failures = _flag_points(y.copy(), [h] * len(y))
+            outcomes = one_point_outcomes(symmetric_eigen, y)
+            flag_outcomes = one_point_outcomes(lambda m: FlagPoint(m, h), y)
+        assert_failures_match(failures, outcomes)
+        assert_failures_match(flag_failures, flag_outcomes)
+        for found in (outcomes[2], flag_outcomes[2]):
+            assert found[:2] == ("raises", ValueError) and "too large" in found[2]
+        for i, (outcome, flag_outcome) in enumerate(zip(outcomes, flag_outcomes)):
+            if flag_outcome[0] == "ok":
+                spectrum, frame = outcome[1]
+                assert same_bits(lam[i], spectrum.values) and same_bits(q[i], frame)
+                assert same_bits(points[i].frame, flag_outcome[1].frame)
+
 
 def flowed_coords(n, t, count, seed):
     """Chart coordinates flowed for time t: at t >= 2 the graded QR
