@@ -17,7 +17,11 @@ diagonal d (``chart_linear_field``, ``chart_flow_exact``, and
 ``_chart_points`` at a time t).
 Public functions validate their arguments, and a ``FlagPoint`` or
 ``ChartCoords`` is valid by construction; the private ``_`` kernels do
-not validate.
+not validate. What a kernel builds is valid by construction too, so a
+chart map wraps it unchecked (``FlagPoint._of``, ``ChartCoords._of``)
+rather than validating it a second time. Every strictly lower triangle
+is kept with the boolean mask cached once per size
+(``_strict_lower_mask``), with the bits of ``np.tril(x, -1)``.
 
 Every stage of the pipeline is a stack kernel that takes B points at
 once: ``_chart_matrices`` (the graded QR of the inverse, giving y and
@@ -37,6 +41,7 @@ raises the failure of its point.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -154,7 +159,9 @@ def _flag_points(y, hs):
 
 @dataclass(frozen=True)
 class ChartCoords:
-    """Chart value: strictly lower coordinates around the origin at w."""
+    """Chart value: strictly lower coordinates around the origin at w. The
+    constructor validates a copy of ``lower``; coordinates a kernel builds
+    (``chart_forward``) are valid by construction and skip it (``_of``)."""
 
     w: Permutation
     lower: np.ndarray
@@ -162,12 +169,23 @@ class ChartCoords:
 
     def __post_init__(self):
         lower = as_matrix(self.lower).copy()
-        if lower.shape[0] != self.h.n or self.w.n != self.h.n:
+        n = lower.shape[0]
+        if n != self.h.n or self.w.n != self.h.n:
             raise ValueError("permutation, spectrum, and coordinate sizes disagree")
-        if np.any(np.triu(lower) != 0.0):
+        # ndarray.any tests != 0.0 entrywise, so a -0.0 above passes
+        if lower[~_strict_lower_mask(n)].any():
             raise ValueError("coordinates must be strictly lower triangular (exact zeros above)")
         lower.setflags(write=False)
         object.__setattr__(self, "lower", lower)
+
+    @classmethod
+    def _of(cls, w, lower, h) -> "ChartCoords":
+        """Coordinates from a read-only, finite, strictly lower array of
+        h's size that a stack kernel has built."""
+        coords = object.__new__(cls)
+        for name, value in (("w", w), ("lower", lower), ("h", h)):
+            object.__setattr__(coords, name, value)
+        return coords
 
 
 class BruhatClass(Enum):
@@ -219,10 +237,14 @@ def _diagonals(d) -> np.ndarray:
     return out
 
 
-def h_conjugate(h: Spectrum, w: Permutation) -> np.ndarray:
-    """Diagonal matrix with entry i equal to h[w^-1(i)] (conjugation by w)."""
+def _require_spectrum_size(h: Spectrum, w: Permutation) -> None:
     if h.n != w.n:
         raise ValueError(f"dimension mismatch: spectrum is {h.n}, permutation is {w.n}")
+
+
+def h_conjugate(h: Spectrum, w: Permutation) -> np.ndarray:
+    """Diagonal matrix with entry i equal to h[w^-1(i)] (conjugation by w)."""
+    _require_spectrum_size(h, w)
     return np.diag(_permuted_diagonal(h, w))
 
 
@@ -250,28 +272,34 @@ def _nbar_from_affine(lower, d) -> np.ndarray:
 def _gaps(d) -> np.ndarray:
     """Gaps d_i - d_j of a permuted diagonal d below the diagonal, else 0,
     for one d or each row of a (B, n) array."""
-    return np.tril(d[..., :, None] - d[..., None, :], -1)
+    return np.where(_strict_lower_mask(d.shape[-1]), d[..., :, None] - d[..., None, :], 0.0)
 
 
 def chart_linear_field(c: ChartCoords) -> np.ndarray:
     """Linear chart dynamics: entry (i, j) scaled by the diagonal gap d_i - d_j."""
-    return np.tril(_gaps(_permuted_diagonal(c.h, c.w)) * c.lower, -1)
+    scaled = _gaps(_permuted_diagonal(c.h, c.w)) * c.lower
+    return np.where(_strict_lower_mask(c.h.n), scaled, 0.0)
 
 
 def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
     """Closed-form flow of the linear chart dynamics for time t.
 
     Each strictly-lower entry is scaled by exp(gap * t). Raises
-    OverflowError when an exponent would leave the double range.
+    ValueError when t is not finite, OverflowError when an exponent would
+    leave the double range, and ChartCoords' ValueError when a scaled
+    coordinate overflows.
     """
     t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"flow time t must be finite, got {t!r}")
     gaps = _gaps(_permuted_diagonal(c.h, c.w))
     max_exponent = float(np.max(np.abs(gaps))) * abs(t)
     if max_exponent > _EXP_LIMIT:
         raise OverflowError(
-            f"exponent {max_exponent:.1f} exceeds {_EXP_LIMIT:.0f}; shrink |t| or the gaps"
+            f"exponent {max_exponent:.3g} exceeds {_EXP_LIMIT:.0f}; shrink |t| or the gaps"
         )
-    return ChartCoords(c.w, np.tril(np.exp(gaps * t) * c.lower, -1), c.h)
+    flowed = np.where(_strict_lower_mask(c.h.n), np.exp(gaps * t) * c.lower, 0.0)
+    return ChartCoords(c.w, flowed, c.h)
 
 
 def _chart_matrices(coords, t):
@@ -422,7 +450,8 @@ def _coords_from_nbars(nbar, d) -> np.ndarray:
     """Strictly lower coordinates of a unit-lower factor around the
     permuted diagonal d, or of each of a stack around a row of d."""
     dmat = _diagonals(d)
-    return np.tril(nbar @ dmat @ _unit_lower_inverse(nbar) - dmat, -1)
+    affine = nbar @ dmat @ _unit_lower_inverse(nbar) - dmat
+    return np.where(_strict_lower_mask(d.shape[-1]), affine, 0.0)
 
 
 def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
@@ -435,30 +464,44 @@ def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
     nbar = unbar_factorize(kp).nbar
     if len(nbar) != w.n:
         raise ValueError(f"dimension mismatch: frame is {len(nbar)}, permutation is {w.n}")
+    _require_spectrum_size(h, w)
     return ChartCoords(w=w, lower=_coords_from_nbars(nbar, _permuted_diagonal(h, w)), h=h)
 
 
 def _chart_forwards(points, ws):
     """Unchecked ``chart_forward`` of each point in its chart: ``(lower,
     failures)``, lower (B, n, n) and failures as :func:`_chart_nbars`
-    gives them; a refused point's coordinates are zero."""
+    gives them, then a ValueError for each point whose coordinates
+    overflow (computed without a warning); a refused point's coordinates
+    are zero, so every row of lower is finite."""
     nbar, failures = _chart_nbars(points, ws)
     if failures:  # a refused factor may be huge; it is never read
         nbar[list(failures)] = np.eye(nbar.shape[-1])
-    return _coords_from_nbars(nbar, _permuted_diagonals([y.h for y in points], ws)), failures
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = _coords_from_nbars(nbar, _permuted_diagonals([y.h for y in points], ws))
+    if not np.isfinite(lower).all():
+        overflowed = (~np.isfinite(lower).all(axis=(1, 2))).nonzero()[0]
+        lower[overflowed] = 0.0
+        for i in overflowed:
+            failures[int(i)] = ValueError(
+                f"chart coordinates of the point overflow in the chart at {ws[i].images}"
+            )
+    return lower, failures
 
 
 def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
     """Chart coordinates of y in the chart at w.
 
     Raises ChartDomainError when a trailing minor of the frame is at or
-    below the domain threshold.
+    below the domain threshold, and ValueError when the coordinates
+    overflow.
     """
     _require_same_size(y, w)
     lower, failures = _chart_forwards([y], [w])
     if failures:
         raise failures[0]
-    return ChartCoords(w=w, lower=lower[0], h=y.h)
+    lower.setflags(write=False)
+    return ChartCoords._of(w, lower[0], y.h)
 
 
 _CLASSES = {

@@ -102,6 +102,13 @@ class Spectrum:
         if abs(total) > TRACE_TOL:
             raise ValueError(f"eigenvalues must sum to zero, got {total!r}")
 
+    @classmethod
+    def _of(cls, values: tuple) -> "Spectrum":
+        """A spectrum from a tuple of floats a kernel has checked."""
+        spectrum = object.__new__(cls)
+        object.__setattr__(spectrum, "values", values)
+        return spectrum
+
     @property
     def n(self) -> int:
         return len(self.values)
@@ -243,8 +250,11 @@ def _eigen_stack(y: np.ndarray):
     the index of each matrix that ``symmetric_eigen`` refuses to the
     exception it raises, checked in its order: symmetry, overflow of the
     symmetric part ``0.5 * (y + y^T)`` (solved as zero instead, with no
-    warning), gap, trace, residual. The lam and q of a refused matrix
-    mean nothing. Every other matrix gets the bits it gets alone.
+    warning), gap, trace, residual, and last the rest of :class:`Spectrum`'s
+    checks (an eigenvalue spread past the double range), so the spectrum of
+    an accepted matrix needs no check of its own. The lam and q of a
+    refused matrix mean nothing. Every other matrix gets the bits it gets
+    alone.
     """
     yt = y.swapaxes(1, 2)
     _, exponents = np.frexp(np.max(np.abs(y), axis=(1, 2)))
@@ -273,11 +283,22 @@ def _eigen_stack(y: np.ndarray):
     flat = np.concatenate([ys, ys - ys.swapaxes(1, 2), residual]).reshape(3, len(y), -1)
     norms = np.sqrt(np.vecdot(flat, flat))
     bound = 1e-10 * np.maximum(scale[:, 0, 0], norms[0])
-    gaps = lam[:, :-1] - lam[:, 1:]
-    totals = [sum(row) for row in lam.tolist()]  # Spectrum's trace check, summed as it sums
+    # Spectrum's trace and spread checks, summed and subtracted as it does
+    rows = lam.tolist()
+    totals = [sum(row) for row in rows]
+    finite_spreads = all(math.isfinite(row[0] - row[-1]) for row in rows)
+    if finite_spreads:  # each row is sorted, so no gap is wider than its spread
+        gaps = lam[:, :-1] - lam[:, 1:]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = lam[:, :-1] - lam[:, 1:]
 
     failures = {}
-    accepted = gaps.min(initial=np.inf) > GAP_TOL and (norms[1:] <= bound).all()
+    # a NaN gap fails the gap check, so past it Spectrum's checks are the
+    # trace and the spread
+    accepted = (
+        gaps.min(initial=np.inf) > GAP_TOL and (norms[1:] <= bound).all() and finite_spreads
+    )
     if not (accepted and max(map(abs, totals), default=0.0) <= TRACE_TOL):
         for i, total in enumerate(totals):
             if norms[1, i] > bound[i]:
@@ -295,6 +316,11 @@ def _eigen_stack(y: np.ndarray):
                 failures[i] = RuntimeError(
                     f"eigendecomposition residual {norms[2, i] / scale[i, 0, 0]:.3e} too large"
                 )
+            else:
+                try:  # a spectrum past the double range, refused as Spectrum refuses it
+                    Spectrum(tuple(rows[i]))
+                except ValueError as err:
+                    failures[i] = err
     return lam, q, failures
 
 
@@ -319,11 +345,14 @@ def symmetric_eigen(y):
     Raises ValueError for non-symmetric input, for input too large to
     average with its transpose (an entry of 2**1023 or more, in a
     symmetric matrix), when two eigenvalues collide below the regularity
-    gap (the constructions downstream need a simple spectrum), or when
-    they do not sum to zero. The one-matrix case of :func:`_eigen_stack`.
+    gap (the constructions downstream need a simple spectrum), when they
+    do not sum to zero, or when their spread passes the double range. The
+    one-matrix case of :func:`_eigen_stack`, whose checks cover
+    :class:`Spectrum`'s, so the spectrum is built without running them
+    again.
     """
     y = as_matrix(y)
     lam, q, failures = _eigen_stack(y[None])
     if failures:
         raise failures[0]
-    return Spectrum(tuple(lam[0].tolist())), q[0]
+    return Spectrum._of(tuple(lam[0].tolist())), q[0]

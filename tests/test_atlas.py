@@ -10,18 +10,22 @@ from toda_atlas.atlas import (
     ChartCoords,
     FlagPoint,
     _chart_points,
+    _coords_from_nbars,
     _frames,
+    _gaps,
+    _permuted_diagonals,
     bruhat_classify,
     chart_domain_test,
     chart_flow_exact,
     chart_forward,
     chart_inverse,
+    chart_linear_field,
     coords_from_frame,
     h_conjugate,
     nbar_from_affine,
 )
 from toda_atlas.errors import ChartDomainError, FactorizationError
-from toda_atlas.factorizations import f_inverse, trailing_minors
+from toda_atlas.factorizations import _unit_lower_inverse, f_inverse, trailing_minors
 from toda_atlas.linalg_core import Spectrum, symmetric_eigen
 from toda_atlas.sampling import (
     default_spectrum,
@@ -107,6 +111,83 @@ class TestFlagPoint:
         with pytest.raises(ValueError, match="strictly lower"):
             ChartCoords(w=Permutation.identity(3), lower=bad, h=h)
 
+    def test_coords_decide_as_the_upper_triangle_test(self):
+        # one entry on or above the diagonal at a time: refused exactly
+        # where np.any(np.triu(lower) != 0.0) is true, so +-0.0 passes and
+        # keeps its sign
+        rng = rng_from_seed(23)
+        for n in range(2, 13):
+            h = default_spectrum(n)
+            w = random_permutation(n, rng)
+            base = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1)
+            for i, j in zip(*np.triu_indices(n)):
+                for value in (5e-324, -2.5, 0.0, -0.0):
+                    lower = base.copy()
+                    lower[i, j] = value
+                    if np.any(np.triu(lower) != 0.0):
+                        with pytest.raises(ValueError, match="strictly lower"):
+                            ChartCoords(w=w, lower=lower, h=h)
+                    else:
+                        kept = ChartCoords(w=w, lower=lower, h=h).lower
+                        assert kept.tobytes() == lower.tobytes()
+            signed = np.where(np.tri(n, k=-1, dtype=bool), base, -0.0)
+            assert ChartCoords(w=w, lower=signed, h=h).lower.tobytes() == signed.tobytes()
+
+    def test_forward_coordinates_are_read_only_and_as_validated(self):
+        rng = rng_from_seed(37)
+        for n in (2, 5, 12):
+            h = default_spectrum(n)
+            for _ in range(4):
+                w = random_permutation(n, rng)
+                point = chart_inverse(random_chart_coords(w, h, rng))
+                coords = chart_forward(point, w)
+                validated = ChartCoords(w=w, lower=coords.lower, h=point.h)
+                assert not coords.lower.flags.writeable and coords.lower.flags.c_contiguous
+                assert coords.lower.dtype == validated.lower.dtype
+                assert coords.lower.shape == validated.lower.shape
+                assert coords.lower.tobytes() == validated.lower.tobytes()
+                assert coords.w is w and coords.h is point.h
+
+
+def signed_zeros(a, rng):
+    """a (..., n, n) with about a third of its off-diagonal entries,
+    above and below, replaced by -0.0."""
+    off = ~np.eye(a.shape[-1], dtype=bool)
+    return np.where((rng.random(a.shape) < 0.3) & off, -0.0, a)
+
+
+class TestMaskedTriangles:
+    """Each chart map that keeps a strictly lower triangle does it with
+    the cached mask; the bytes must be np.tril(., -1)'s, signed zeros and
+    all."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_each_site_equals_tril(self, n):
+        rng = rng_from_seed(41)
+        h = default_spectrum(n)
+        ws = [random_permutation(n, rng) for _ in range(6)]
+        d = _permuted_diagonals([h] * len(ws), ws)
+        for rows in (d, d[0]):
+            expected = np.tril(rows[..., :, None] - rows[..., None, :], -1)
+            assert _gaps(rows).tobytes() == expected.tobytes()
+
+        # the kernel reads nbar's strict lower triangle and multiplies by
+        # all of it: entries above its diagonal put signed values and
+        # signed zeros where the mask cuts
+        nbar = signed_zeros(np.eye(n) + rng.uniform(-1.0, 1.0, (len(ws), n, n)), rng)
+        dmat = np.array([np.diag(row) for row in d])
+        affine = nbar @ dmat @ _unit_lower_inverse(nbar) - dmat
+        assert _coords_from_nbars(nbar, d).tobytes() == np.tril(affine, -1).tobytes()
+
+        for k, w in enumerate(ws):
+            lower = signed_zeros(np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1), rng)
+            c = ChartCoords(w=w, lower=lower, h=h)
+            gaps = np.tril(d[k][:, None] - d[k][None, :], -1)
+            assert chart_linear_field(c).tobytes() == np.tril(gaps * c.lower, -1).tobytes()
+            for t in (0.0, -0.7, 1.3):
+                expected = np.tril(np.exp(gaps * t) * c.lower, -1)
+                assert chart_flow_exact(c, t).lower.tobytes() == expected.tobytes()
+
 
 class TestHConjugate:
     def test_identity(self):
@@ -146,6 +227,11 @@ class TestHConjugate:
     def test_size_mismatch_names_both_sizes(self):
         with pytest.raises(ValueError, match="spectrum is 3, permutation is 2"):
             h_conjugate(default_spectrum(3), Permutation((2, 1)))
+
+    def test_coords_from_frame_checks_the_spectrum_size(self):
+        message = "^dimension mismatch: spectrum is 4, permutation is 3$"
+        with pytest.raises(ValueError, match=message):
+            coords_from_frame(np.eye(3), Permutation.identity(3), default_spectrum(4))
 
 
 class TestNbarFromAffine:

@@ -249,6 +249,17 @@ class TestChartFlowExact:
         with pytest.raises(OverflowError):
             chart_flow_exact(coords, 1e6)
 
+    def test_a_huge_time_gets_a_short_exponent(self):
+        coords = random_chart_coords(Permutation.identity(3), default_spectrum(3), RNG)
+        with pytest.raises(OverflowError, match=r"^exponent 4e\+300 exceeds 700;"):
+            chart_flow_exact(coords, 1e300)
+
+    def test_a_time_that_is_not_finite_is_named(self):
+        coords = random_chart_coords(Permutation.identity(3), default_spectrum(3), RNG)
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"^flow time t must be finite, got -?(nan|inf)$"):
+                chart_flow_exact(coords, t)
+
 
 class TestSymField:
     def test_vanishes_on_symmetric(self):

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from toda_atlas.linalg_core import (
     IsospectralWitness,
+    _eigen_stack,
     _pi_k,
     _power_traces,
     Spectrum,
@@ -238,6 +239,35 @@ class TestSymmetricEigen:
             spectrum, q = symmetric_eigen(np.diag([top, 0.0, -top]))
         np.testing.assert_allclose(spectrum.values, (top, 0.0, -top), rtol=1e-15)
         assert np.array_equal(np.abs(q), np.eye(3))
+
+    def test_spectrum_equals_the_validated_spectrum_of_its_eigenvalues(self):
+        # the spectrum of an accepted matrix is built without Spectrum's
+        # checks; it must be the Spectrum they accept, value for value
+        rng = np.random.default_rng(31)
+        for n in range(2, 13):
+            for scale in (1e-3, 1.0, 3.0):
+                a = scale * rng.standard_normal((n, n))
+                y = 0.5 * (a + a.T)
+                y -= np.trace(y) / n * np.eye(n)
+                spectrum, _ = symmetric_eigen(y)
+                lam = _eigen_stack(y[None])[0][0]
+                checked = Spectrum(tuple(lam))
+                assert spectrum == checked
+                assert all(type(v) is float for v in spectrum.values)
+
+    def test_a_spread_past_the_double_range_is_refused_without_a_warning(self):
+        # every entry is below 2**1023, but the eigenvalues are +-a * sqrt(2)
+        # and their difference overflows: refused with Spectrum's message
+        for a in (6.4e307, 8.98e307):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as refused:
+                    symmetric_eigen(np.array([[a, a], [a, -a]]))
+            values = tuple(_eigen_stack(np.array([[[a, a], [a, -a]]]))[0][0].tolist())
+            with pytest.raises(ValueError) as expected:
+                Spectrum(values)
+            assert "finite spread" in str(refused.value)
+            assert str(refused.value) == str(expected.value)
 
 
 class TestWitness:

@@ -181,6 +181,27 @@ class TestEigenStack:
                 assert same_bits(points[i].frame, flag_outcome[1].frame)
 
 
+    def test_a_spread_past_the_double_range_is_a_failure_of_its_own(self):
+        # every entry of this y is below 2**1023 but its eigenvalue spread
+        # overflows: FlagPoint refuses it with Spectrum's error, and so
+        # does the stack, with no warning, whatever spectrum is declared
+        a = 8e307
+        y = mixed_symmetric_stack()
+        y[4] = np.diag([0.0, 0.0, 1.0, -1.0])
+        y[4, :2, :2] = [[a, a], [a, -a]]
+        h = default_spectrum(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, failures = _eigen_stack(y.copy())
+            _, flag_failures = _flag_points(y.copy(), [h] * len(y))
+            outcomes = one_point_outcomes(symmetric_eigen, y)
+            flag_outcomes = one_point_outcomes(lambda m: FlagPoint(m, h), y)
+        assert_failures_match(failures, outcomes)
+        assert_failures_match(flag_failures, flag_outcomes)
+        for found in (outcomes[4], flag_outcomes[4]):
+            assert found[:2] == ("raises", ValueError) and "finite spread" in found[2]
+
+
 def flowed_coords(n, t, count, seed):
     """Chart coordinates flowed for time t: at t >= 2 the graded QR
     refuses some of them at n >= 10."""
@@ -309,6 +330,29 @@ class TestChartNbars:
         assert [i not in domain_failures for i in range(len(points))] == [
             chart_domain_test(y, w) for y, w in zip(points, charts)
         ]
+
+    def test_overflowing_coordinates_are_refused_as_chart_forward_refuses_them(self):
+        # a point of a spectrum near the double range, drawn with huge
+        # coordinates in the identity chart: its coordinates overflow in
+        # every other chart of S3, which refuses it with a ValueError and
+        # no warning, and its row of lower is zero
+        h = Spectrum((1e306, 0.0, -1e306))
+        lower = np.tril(np.random.default_rng(0).uniform(-1.0, 1.0, (3, 3)), -1) * 1e300
+        point = chart_inverse(ChartCoords(w=Permutation.identity(3), lower=lower, h=h))
+        ordinary = chart_inverse(random_chart_coords(Permutation((2, 3, 1)), default_spectrum(3),
+                                                     rng_from_seed(4)))
+        charts = Permutation.all(3) + [Permutation((2, 3, 1))]
+        points = [point] * 6 + [ordinary]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coords, failures = _chart_forwards(points, charts)
+            outcomes = one_point_outcomes(lambda pw: chart_forward(*pw), zip(points, charts))
+        assert_failures_match(failures, outcomes)
+        assert sorted(failures) == [1, 2, 3, 4, 5]
+        assert all(type(err) is ValueError and "overflow" in str(err) for err in failures.values())
+        assert not coords[list(failures)].any()
+        for i in (0, 6):
+            assert same_bits(coords[i], outcomes[i][1].lower)
 
     def test_frames_equal_frame_per_point(self):
         points, charts = mixed_chart_stack(6, seed=1)
