@@ -19,10 +19,8 @@ from .atlas import (
     _chart_forwards,
     _chart_nbars,
     _chart_points,
-    _coords_from_nbars,
     _flag_points,
-    _frames,
-    _gaps,
+    _linear_fields,
     _permuted_diagonal,
     _permuted_diagonals,
     chart_inverse,
@@ -31,7 +29,6 @@ from .atlas import (
 from .errors import ChartDomainError
 from .factorizations import (
     CellStatus,
-    _crout,
     chevalley_test,
     f_inverse,
     f_map,
@@ -200,7 +197,7 @@ def _pushforward_residuals(points, ws, fd_steps):
     times. Every attempt of every point is one stack of chart work.
     """
     lower, failures = _chart_forwards(points, ws)
-    predicted = np.tril(_gaps(_permuted_diagonals([y.h for y in points], ws)) * lower, -1)
+    predicted = _linear_fields(lower, _permuted_diagonals([y.h for y in points], ws))
     steps = [float(step) for step in fd_steps]
     residuals = [None] * len(points)
     pending = [i for i in range(len(points)) if i not in failures]
@@ -768,16 +765,15 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
         picks.append((coords, signs))
     points, inverse_failures = _chart_points([c for c, _ in picks], 0.0)
     ws = [c.w for c, _ in picks]
-    twins = np.repeat(_frames(points, ws), 2, axis=0)
-    twins[1::2] *= np.array([signs for _, signs in picks])[:, None, :]
-    # the frames are special orthogonal by construction: _crout is
-    # coords_from_frame's factorization without its input check
-    _, nbar, _, factor_failures = _crout(twins)
-    _raise_first(inverse_failures, _by_point(factor_failures, [i // 2 for i in range(20)]))
-    lower = _coords_from_nbars(nbar, np.repeat(_permuted_diagonals([h] * 10, ws), 2, axis=0))
-    sign_worst = 0.0
-    for reference, twisted in zip(lower[::2], lower[1::2]):
-        sign_worst = max(sign_worst, float(np.linalg.norm(twisted - reference)))
+    # negating two columns of the chart frame Q P_w^-1 negates the
+    # matching columns of the point's frame Q
+    twins = [
+        FlagPoint._of(y.y, h, y.frame * signs[np.array(c.w.images) - 1])
+        for y, (c, signs) in zip(points, picks)
+    ]
+    lower, forward_failures = _chart_forwards(points + twins, ws * 2)
+    _raise_first(inverse_failures, _by_point(forward_failures, list(range(10)) * 2))
+    sign_worst = max(float(np.linalg.norm(d)) for d in lower[10:] - lower[:10])
     reports.append(CheckReport.create("atlas.sign_independence", sign_worst, 10, 1e-10))
 
     picks = []

@@ -28,16 +28,16 @@ once: ``_chart_matrices`` (the graded QR of the inverse, giving y and
 its frame), ``_chart_points`` (its flag points, with no eigensolve),
 ``_flag_points`` (the eigensolve and checks of ``FlagPoint``, for
 matrices from elsewhere), ``_chart_nbars`` (the Crout elimination and
-domain test of the forward map), ``_coords_from_nbars`` and
-``_bruhat_classes``. Each point of a stack gets the bits it gets alone.
+domain test of the forward map), ``_coords_from_nbars``, ``_linear_fields``
+and ``_bruhat_classes``. Each point of a stack gets the bits it gets alone.
 A kernel does not raise for a point it refuses: it returns ``failures``,
 a dict from the index of each refused point to the exception the
 one-point function raises for it, with its type and message, and hands
 the point on in a form the next stage takes without a warning. The
-public chart maps are one-point calls of these kernels:
-``chart_inverse`` of ``_chart_points``, ``chart_forward`` of
-``_chart_forwards`` and ``chart_domain_test`` of ``_chart_nbars``; each
-raises the failure of its point.
+public maps are one-point calls of these kernels: ``FlagPoint`` of
+``_flag_points``, ``chart_inverse`` of ``_chart_points``, ``chart_forward``
+of ``_chart_forwards``, ``chart_domain_test`` of ``_chart_nbars`` and
+``chart_linear_field`` of ``_linear_fields``; each raises its point's failure.
 """
 
 import functools
@@ -57,7 +57,6 @@ from .linalg_core import (
     _eigen_stack,
     _strict_lower_mask,
     as_matrix,
-    symmetric_eigen,
 )
 from .weyl_profiles import Permutation, _inverted_mask, perm_matrix
 
@@ -90,10 +89,10 @@ _EXP_LIMIT = 700.0  # double-precision exponent range guard
 class FlagPoint:
     """A symmetric matrix with the fixed simple spectrum h and a read-only
     special orthogonal eigenframe ``frame`` (columns in the order of h).
-    A constructed point's frame is that of its validating symmetric_eigen;
-    without h, the spectrum is the one that same eigensolve finds. A chart
-    point (``chart_inverse``) keeps the frame its graded QR builds y from,
-    with no eigensolve."""
+    The constructor checks y once and is the one-point call of
+    :func:`_flag_points`; without h, the spectrum is the one its eigensolve
+    finds. A chart point (``chart_inverse``) keeps the frame its graded QR
+    builds y from, with no eigensolve."""
 
     y: np.ndarray
     h: Spectrum | None = None
@@ -101,19 +100,13 @@ class FlagPoint:
 
     def __post_init__(self):
         y = as_matrix(self.y).copy()
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
         if self.h is not None and y.shape[0] != self.h.n:
             raise ValueError(f"dimension mismatch: matrix is {y.shape[0]}, spectrum is {self.h.n}")
-        spectrum, frame = symmetric_eigen(y)
-        if self.h is None:
-            object.__setattr__(self, "h", spectrum)
-        else:
-            failures = _spectrum_failures(np.array(spectrum.values)[None], [self.h], {})
-            if failures:
-                raise failures[0]
-        frame.setflags(write=False)
-        object.__setattr__(self, "frame", frame)
+        points, failures = _flag_points(y[None], [self.h])
+        if failures:
+            raise failures[0]
+        for name in ("y", "h", "frame"):
+            object.__setattr__(self, name, getattr(points[0], name))
 
     @classmethod
     def _of(cls, y, h, frame) -> "FlagPoint":
@@ -124,26 +117,14 @@ class FlagPoint:
         return point
 
 
-def _spectrum_failures(lam, hs, failures) -> dict:
-    """Add to failures, for each row of lam (B, n) not yet there that is
-    farther than _EIGENVALUE_TOL from its declared spectrum hs[i], the
-    ValueError FlagPoint raises; returns failures."""
-    off = np.abs(lam - [h.values for h in hs]) > _EIGENVALUE_TOL
-    if off.any():
-        for i in off.any(axis=1).nonzero()[0]:
-            failures.setdefault(int(i), ValueError(
-                f"matrix eigenvalues {tuple(map(float, lam[i]))} do not match "
-                f"the declared spectrum {hs[i].values}"
-            ))
-    return failures
-
-
 def _flag_points(y, hs):
     """Unchecked FlagPoint of each matrix of a (B, n, n) stack, with the
-    declared spectra hs: ``(points, failures)``, failures mapping the index
-    of each matrix FlagPoint refuses to the exception it raises (a refused
-    matrix's point means nothing). The points share y, which becomes
-    read-only, with any matrix that is not finite zeroed."""
+    declared spectra hs (None for the spectrum the eigensolve finds):
+    ``(points, failures)``, failures mapping the index of each matrix
+    FlagPoint refuses to the exception it raises, the eigensolve's before
+    a spectrum farther than _EIGENVALUE_TOL from the declared one (a
+    refused matrix's point means nothing). The points share y, which
+    becomes read-only, with any matrix that is not finite zeroed."""
     infinite = []
     if not np.isfinite(y).all():
         infinite = (~np.isfinite(y).all(axis=(1, 2))).nonzero()[0]
@@ -151,7 +132,14 @@ def _flag_points(y, hs):
     lam, q, failures = _eigen_stack(y)
     for i in infinite:
         failures[int(i)] = ValueError("matrix entries must be finite")
-    _spectrum_failures(lam, hs, failures)
+    rows = lam.tolist()
+    for i, h in enumerate(hs):
+        if h is not None and any(abs(a - b) > _EIGENVALUE_TOL for a, b in zip(rows[i], h.values)):
+            failures.setdefault(i, ValueError(
+                f"matrix eigenvalues {tuple(rows[i])} do not match "
+                f"the declared spectrum {h.values}"
+            ))
+    hs = [Spectrum._of(tuple(row)) if h is None else h for h, row in zip(hs, rows)]
     y.setflags(write=False)
     q.setflags(write=False)
     return [FlagPoint._of(y[i], hs[i], q[i]) for i in range(len(y))], failures
@@ -237,14 +225,14 @@ def _diagonals(d) -> np.ndarray:
     return out
 
 
-def _require_spectrum_size(h: Spectrum, w: Permutation) -> None:
-    if h.n != w.n:
-        raise ValueError(f"dimension mismatch: spectrum is {h.n}, permutation is {w.n}")
+def _require_size(what: str, n: int, w: Permutation) -> None:
+    if n != w.n:
+        raise ValueError(f"dimension mismatch: {what} is {n}, permutation is {w.n}")
 
 
 def h_conjugate(h: Spectrum, w: Permutation) -> np.ndarray:
     """Diagonal matrix with entry i equal to h[w^-1(i)] (conjugation by w)."""
-    _require_spectrum_size(h, w)
+    _require_size("spectrum", h.n, w)
     return np.diag(_permuted_diagonal(h, w))
 
 
@@ -275,10 +263,15 @@ def _gaps(d) -> np.ndarray:
     return np.where(_strict_lower_mask(d.shape[-1]), d[..., :, None] - d[..., None, :], 0.0)
 
 
+def _linear_fields(lower, d) -> np.ndarray:
+    """``chart_linear_field`` of strictly lower coordinates around diag(d),
+    for one matrix or each matrix of a stack (d then (B, n))."""
+    return np.where(_strict_lower_mask(d.shape[-1]), _gaps(d) * lower, 0.0)
+
+
 def chart_linear_field(c: ChartCoords) -> np.ndarray:
     """Linear chart dynamics: entry (i, j) scaled by the diagonal gap d_i - d_j."""
-    scaled = _gaps(_permuted_diagonal(c.h, c.w)) * c.lower
-    return np.where(_strict_lower_mask(c.h.n), scaled, 0.0)
+    return _linear_fields(c.lower, _permuted_diagonal(c.h, c.w))
 
 
 def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
@@ -286,8 +279,8 @@ def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
 
     Each strictly-lower entry is scaled by exp(gap * t). Raises
     ValueError when t is not finite, OverflowError when an exponent would
-    leave the double range, and ChartCoords' ValueError when a scaled
-    coordinate overflows.
+    leave the double range, and ValueError naming t, without a warning,
+    when a scaled coordinate overflows.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -298,8 +291,12 @@ def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
         raise OverflowError(
             f"exponent {max_exponent:.3g} exceeds {_EXP_LIMIT:.0f}; shrink |t| or the gaps"
         )
-    flowed = np.where(_strict_lower_mask(c.h.n), np.exp(gaps * t) * c.lower, 0.0)
-    return ChartCoords(c.w, flowed, c.h)
+    with np.errstate(over="ignore"):
+        flowed = np.where(_strict_lower_mask(c.h.n), np.exp(gaps * t) * c.lower, 0.0)
+    if not np.isfinite(flowed).all():
+        raise ValueError(f"chart coordinates overflow under the flow for time t = {t:.3g}")
+    flowed.setflags(write=False)
+    return ChartCoords._of(c.w, flowed, c.h)
 
 
 def _chart_matrices(coords, t):
@@ -428,18 +425,13 @@ def _chart_nbars(points, ws):
     return nbar, failures
 
 
-def _require_same_size(y: FlagPoint, w: Permutation) -> None:
-    if y.h.n != w.n:
-        raise ValueError(f"dimension mismatch: point is {y.h.n}, permutation is {w.n}")
-
-
 def chart_domain_test(y: FlagPoint, w: Permutation) -> bool:
     """Whether y lies in the chart at w.
 
     True when every trailing principal minor of the de-permuted
     eigenframe exceeds DOMAIN_MINOR_TOL in magnitude.
     """
-    _require_same_size(y, w)
+    _require_size("point", y.h.n, w)
     _, failures = _chart_nbars([y], [w])
     if failures and not isinstance(failures[0], ChartDomainError):
         raise failures[0]
@@ -462,9 +454,8 @@ def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
     supplied.
     """
     nbar = unbar_factorize(kp).nbar
-    if len(nbar) != w.n:
-        raise ValueError(f"dimension mismatch: frame is {len(nbar)}, permutation is {w.n}")
-    _require_spectrum_size(h, w)
+    _require_size("frame", len(nbar), w)
+    _require_size("spectrum", h.n, w)
     return ChartCoords(w=w, lower=_coords_from_nbars(nbar, _permuted_diagonal(h, w)), h=h)
 
 
@@ -496,7 +487,7 @@ def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
     below the domain threshold, and ValueError when the coordinates
     overflow.
     """
-    _require_same_size(y, w)
+    _require_size("point", y.h.n, w)
     lower, failures = _chart_forwards([y], [w])
     if failures:
         raise failures[0]

@@ -191,11 +191,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="integrate a vector field from a matrix JSON")
     p.add_argument("--field", choices=("toda", "sym"), default="toda")
     p.add_argument("--x0", required=True, type=Path)
-    p.add_argument("--tmax", type=float, default=30.0)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--max-step", type=float, default=1.0)
-    p.add_argument("--stop-field-norm", type=float, default=1e-10)
+    p.add_argument("--tmax", type=float, default=30.0)  # not IntegratorConfig's 50
+    p.add_argument("--rel-tol", type=float, default=IntegratorConfig.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=IntegratorConfig.abs_tol)
+    p.add_argument("--max-step", type=float, default=IntegratorConfig.max_step)
+    p.add_argument("--stop-field-norm", type=float, default=IntegratorConfig.stop_field_norm)
     add_out_and_handler(p, _run_flow)
 
     p = sub.add_parser("cells", help="stable/unstable pair classification for a chart")

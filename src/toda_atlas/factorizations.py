@@ -23,9 +23,10 @@ Public functions validate their arguments; the private kernels do not.
 ``_signed_qr`` and ``_crout`` work on stacks of matrices and return, in
 place of raising, the exception the public function raises for each
 refused matrix; ``kan_factorize`` and ``unbar_factorize`` are their
-one-matrix cases. ``_unit_lower_inverse``, the kernel of
-``unit_lower_inverse``, takes matrices that are unit lower by
-construction, one or a stack.
+one-matrix cases, and ``gs_embed`` (so every phi map) takes its q from
+``_signed_qr`` too. ``_unit_lower_inverse``, the kernel of
+``unit_lower_inverse``, takes matrices unit lower by construction, one
+or a stack.
 """
 
 from dataclasses import dataclass
@@ -146,6 +147,14 @@ def _signed_qr(m, weights):
     return q * signs[..., None, :], r * signs[..., :, None], failures
 
 
+def _require_det_one(g: np.ndarray) -> np.ndarray:
+    """Return g, raising ValueError unless det g = 1 within _DET_TOL."""
+    det = float(np.linalg.det(g))
+    if abs(det - 1.0) > _DET_TOL:
+        raise ValueError(f"input must have determinant one, got {det!r}")
+    return g
+
+
 def kan_factorize(g) -> KANFactors:
     """Gram-Schmidt split g = k a n of a determinant-one matrix.
 
@@ -160,11 +169,7 @@ def kan_factorize(g) -> KANFactors:
     diagonal entry of R falls below 1e-12, i.e. a column is numerically
     dependent on earlier ones although the determinant is one.
     """
-    g = as_matrix(g)
-    det = float(np.linalg.det(g))
-    if abs(det - 1.0) > _DET_TOL:
-        raise ValueError(f"input must have determinant one, got {det!r}")
-
+    g = _require_det_one(as_matrix(g))
     q, r, failures = _signed_qr(g, 1.0)
     if failures:
         raise failures[0]
@@ -297,20 +302,26 @@ def unit_lower_inverse(nbar) -> np.ndarray:
 def f_inverse(nbar) -> np.ndarray:
     """The unique big-cell matrix whose unit-lower factor is nbar.
 
-    Computed by inverting nbar, taking the orthogonal factor of the
-    Gram-Schmidt split of the inverse, and transposing.
+    Computed as the transpose of gs_embed of nbar's inverse; gs_embed
+    refuses an inverse that overflows.
     """
-    return kan_factorize(_unit_lower_inverse(require_unit_lower(nbar))).k.T
+    return gs_embed(_unit_lower_inverse(require_unit_lower(nbar))).T
 
 
 def gs_embed(g) -> np.ndarray:
     """Orthogonal factor of the Gram-Schmidt split of a unit lower g.
 
     Distinct from f_inverse in general; the composition f_map(gs_embed)
-    is the nontrivial comparison map phi.
+    is the nontrivial comparison map phi. The factor is kan_factorize's,
+    whose determinant check runs only when g is not unit lower exactly.
     """
     g = require_unit_lower(g)
-    return kan_factorize(g).k
+    if (np.diag(g) != 1.0).any() or np.triu(g, 1).any():
+        _require_det_one(g)  # 1e-12 above the diagonal can move det g anywhere
+    q, _, failures = _signed_qr(g, 1.0)
+    if failures:
+        raise failures[0]
+    return q
 
 
 def phi(g) -> np.ndarray:

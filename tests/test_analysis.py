@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import toda_atlas.analysis
+import toda_atlas.atlas
 import toda_atlas.flows
 import toda_atlas.sampling
 from toda_atlas.analysis import (
@@ -38,10 +39,12 @@ from toda_atlas.atlas import (
     h_conjugate,
 )
 from toda_atlas.errors import ChartDomainError
+from toda_atlas.factorizations import trailing_minors
 from toda_atlas.flows import (
     IntegratorConfig,
     integrate,
     integrate_many,
+    propagate,
     stable_step_for_sorting,
     sym_field,
     toda_field,
@@ -113,6 +116,54 @@ class TestPushforward:
         w = Permutation((2, 3, 1))
         report = pushforward_richardson(chart_point(w, h, RNG, scale=0.8), w)
         assert report.passed, report.details
+
+
+class TestPushforwardStepHalving:
+    """DOMAIN_MINOR_TOL moved between a chart point's smallest trailing
+    minor and its flowed points' makes the differencing step leave the
+    chart; at n = 4 a flow of 1e-5 moves that minor by 1e-7 to 3e-6
+    relative, far more than its roundoff."""
+
+    STEP = 1e-5
+
+    @pytest.fixture
+    def case(self):
+        rng = rng_from_seed(31)
+        h = default_spectrum(4)
+        w = random_permutation(4, rng)
+        y = chart_point(w, h, rng)
+
+        def smallest_minor(point):
+            return float(np.min(np.abs(trailing_minors(_frames([point], [w])[0]))))
+
+        def flowed_minor(step):
+            return min(
+                smallest_minor(FlagPoint(propagate(toda_field, y.y, t), h)) for t in (step, -step)
+            )
+
+        return y, w, smallest_minor(y), flowed_minor
+
+    def test_a_halved_step_is_the_step_halved(self, case, monkeypatch):
+        y, w, minor, flowed_minor = case
+        full = _pushforward_residual(y, w, self.STEP)
+        ahead, behind = flowed_minor(self.STEP), flowed_minor(self.STEP / 2)
+        assert ahead < behind < minor
+        monkeypatch.setattr(toda_atlas.atlas, "DOMAIN_MINOR_TOL", 0.5 * (ahead + behind))
+        residuals, failures = _pushforward_residuals([y, y], [w, w], [self.STEP, self.STEP / 2])
+        assert failures == {}
+        assert residuals[0] == residuals[1] == _pushforward_residual(y, w, self.STEP / 2)
+        assert residuals[0] != full
+
+    def test_a_step_outside_after_three_halvings_is_refused(self, case, monkeypatch):
+        y, w, minor, flowed_minor = case
+        eighth = flowed_minor(self.STEP / 8)
+        assert eighth < minor
+        monkeypatch.setattr(toda_atlas.atlas, "DOMAIN_MINOR_TOL", 0.5 * (eighth + minor))
+        residuals, failures = _pushforward_residuals([y], [w], [self.STEP])
+        assert residuals == [None] and list(failures) == [0]
+        with pytest.raises(ChartDomainError, match="even after 3 halvings$") as one_point:
+            _pushforward_residual(y, w, self.STEP)
+        assert str(failures[0]) == str(one_point.value)
 
 
 def flowed_point(coords, t):

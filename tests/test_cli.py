@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from toda_atlas import linalg_core
-from toda_atlas.cli import main
+from toda_atlas.cli import _build_parser, main
 from toda_atlas.flows import IntegratorConfig, integrate, toda_field
 from toda_atlas.sampling import default_spectrum, random_symmetric_with_spectrum, rng_from_seed
 from toda_atlas.serialization import read_matrix, read_trajectory_csv, write_matrix
@@ -329,6 +329,14 @@ class TestIntegratorFlags:
         assert len(states) == len(expected.states)
         for got, want in zip(states, expected.states):
             assert got.tobytes() == want.tobytes()
+
+    def test_defaults_are_the_integrator_config_defaults(self):
+        # one owner for the tolerances; --tmax keeps its own 30
+        args = _build_parser().parse_args(["flow", "--x0", "x.json"])
+        defaults = IntegratorConfig()
+        for name in ("rel_tol", "abs_tol", "max_step", "stop_field_norm"):
+            assert getattr(args, name) == getattr(defaults, name), name
+        assert args.tmax == 30.0
 
 
 def rng0():

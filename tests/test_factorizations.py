@@ -309,6 +309,54 @@ class TestGSEmbed:
         g = random_unit_lower(4, RNG)
         np.testing.assert_allclose(gs_embed_inverse(gs_embed(g)), g, atol=1e-10)
 
+    @pytest.mark.parametrize("n, scale", [(12, 10.0), (9, 30.0)])
+    def test_no_determinant_check_on_unit_lower_input(self, n, scale):
+        # a unit lower matrix has determinant one exactly, but with large
+        # entries the computed determinant drifts past kan_factorize's
+        # check for outside input; gs_embed and f_inverse take the same q
+        # without that check, bit for bit wherever kan_factorize accepts
+        rng = np.random.default_rng(1)
+        drifted = 0
+        for _ in range(300):
+            g = np.eye(n) + np.tril(rng.normal(0.0, scale, (n, n)), -1)
+            try:
+                k = gs_embed(g)
+            except FactorizationError:  # a numerically dependent column
+                continue
+            try:
+                expected = kan_factorize(g).k
+            except ValueError as err:
+                assert "determinant one" in str(err)
+                drifted += 1
+            else:
+                assert k.tobytes() == expected.tobytes()
+            assert np.linalg.norm(k.T @ k - np.eye(n)) < 1e-13
+            inverse = _unit_lower_inverse(g)
+            try:
+                expected = kan_factorize(inverse).k.T
+            except ValueError:
+                continue
+            assert f_inverse(g).tobytes() == expected.tobytes()
+        assert drifted > 0
+
+    def test_refuses_a_determinant_moved_by_the_tolerance(self):
+        # unit lower within 1e-12 but not exactly: 1e-12 above the
+        # diagonal times 5e12 below it makes det g = -4, and the
+        # Gram-Schmidt factor would leave SO(n)
+        g = np.array([[1.0, 1e-12, 0.0], [5e12, 1.0, 0.0], [0.0, 0.1, 1.0]])
+        for embed in (gs_embed, phi):
+            with pytest.raises(ValueError, match="input must have determinant one, got -3.99"):
+                embed(g)
+
+    def test_f_inverse_refuses_an_inverse_that_overflows(self):
+        nbar = np.eye(3)
+        nbar[1, 0] = nbar[2, 1] = 1e200  # finite, but the inverse holds 1e400
+        identity = Permutation((1, 2, 3))
+        with np.errstate(over="ignore"):
+            for inverse in (f_inverse, lambda y: phi_sigma_inverse(identity, y)):
+                with pytest.raises(ValueError, match="matrix entries must be finite"):
+                    inverse(nbar)
+
 
 class TestPhi:
     def test_closed_form(self):

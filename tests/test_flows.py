@@ -260,6 +260,20 @@ class TestChartFlowExact:
             with pytest.raises(ValueError, match=r"^flow time t must be finite, got -?(nan|inf)$"):
                 chart_flow_exact(coords, t)
 
+    def test_an_overflowing_coordinate_names_t_without_a_warning(self):
+        # the exponent 600 passes the guard, but 1e300 * exp(300) overflows
+        h = Spectrum((1.0, 0.0, -1.0))
+        coords = ChartCoords(Permutation.identity(3), np.tril(np.full((3, 3), 1e300), -1), h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match=r"^chart coordinates overflow under the flow for time t = -300$"
+            ):
+                chart_flow_exact(coords, -300.0)
+            # a time that keeps every coordinate finite still flows them
+            flowed = chart_flow_exact(coords, 300.0)
+        assert np.isfinite(flowed.lower).all() and not flowed.lower.flags.writeable
+
 
 class TestSymField:
     def test_vanishes_on_symmetric(self):
