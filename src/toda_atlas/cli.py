@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis
 from .atlas import ChartCoords, FlagPoint, _permuted_diagonal, chart_forward, chart_inverse
-from .errors import TodaAtlasError
+from .errors import StiffnessError, TodaAtlasError
 from .factorizations import kan_factorize, unbar_factorize
 from .flows import IntegratorConfig, integrate, sym_field, toda_field
 from .linalg_core import Spectrum
@@ -100,12 +100,21 @@ def _run_chart(args) -> int:
     return 0
 
 
+def _write_flow(out: Path, traj) -> None:
+    write_trajectory_csv(out / "trajectory.csv", traj)
+    write_json(out / "diagnostics.json", trajectory_diagnostics(traj))
+
+
 def _run_flow(args) -> int:
     x0 = read_matrix(args.x0)
     vector_field = toda_field if args.field == "toda" else sym_field
-    traj = integrate(vector_field, x0, args.integrator)
-    write_trajectory_csv(args.out / "trajectory.csv", traj)
-    write_json(args.out / "diagnostics.json", trajectory_diagnostics(traj))
+    try:
+        traj = integrate(vector_field, x0, args.integrator)
+    except StiffnessError as err:
+        # the run up to the underflow is written before main reports it
+        _write_flow(args.out, err.trajectory)
+        raise
+    _write_flow(args.out, traj)
     print(
         f"flow {args.field}: t_final {traj.final_time:.6g}, "
         f"{traj.accepted_steps} accepted / {traj.rejected_steps} rejected, "

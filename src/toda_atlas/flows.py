@@ -17,21 +17,28 @@ controller (safety 0.9, growth clamped to [0.2, 5.0], initial step
 traces is measured and reported instead, so integrator defects stay
 visible to the test suite.
 
-A step costs mostly numpy call overhead, so it makes few calls: each
-weighted stage sum is one ``np.add.reduce(..., initial=0.0)`` over the
-stage buffer. Starting from +0.0 and adding the terms in stage order is
-what ``sum`` over the terms does from its start 0, so every stage keeps
-the bits of that sum, signed zeros included. The error ratios are direct
-ufunc calls on one scratch array with the bits of the RMS written with
-``np.mean``.
+A step costs mostly numpy call overhead, so it makes few calls. The
+weighted stage sums are running accumulators: once a stage is known, one
+broadcast multiply and one in-place add put its weighted copies into the
+sums of every later stage and of the error estimate. Starting from +0.0
+and adding the terms in stage order is what ``sum`` over the terms does
+from its start 0, so every stage keeps the bits of that sum, signed
+zeros included. The error ratios are direct ufunc calls on one scratch
+array with the bits of the RMS written with ``np.mean``.
 
 ``integrate_many`` steps B starts in lockstep over a ``(B, n, n)``
 stack, one field call per stage for the whole batch. Each lane keeps its
 own step size, PI state, stop test and counts, and leaves the stack when
 it stops; control in Python floats and per-lane reductions give every
-lane the bits of a run alone. ``integrate`` is the B = 1 case. Every
-run's accepted states pass once through one walk, ``_Lane.fold``, in
-the stacks of at most 64 (start first) that ``_stacks`` yields: the
+lane the bits of a run alone. One start of a field with a kernel is
+stepped as its plain ``(n, n)`` matrix with a float step through the
+same loop and the same stage routine: on a matrix the kernels multiply
+with ``ndarray.dot``, on a stack with ``np.matmul``, which make the same
+BLAS call at about half of ``@``'s cost, and the error ratio and field
+norm take either rank. ``integrate`` is that one-start case, and
+``propagate`` steps its matrix the same way. Every run's accepted
+states pass once through one walk, ``_Lane.fold``, in the stacks of at
+most 64 (start first) that ``_stacks`` yields: the
 finiteness check and the power-trace drift are taken there. A lean run
 (``per_state``) folds each stack as soon as it fills and keeps only a
 caller's per-state figures of it; a full run keeps its states and folds
@@ -49,16 +56,17 @@ being 2 above the diagonal, 1 on it and 0 below, for c = x x^T - x^T x.
 numpy computes that c exactly symmetric (``syrk`` and a mirrored
 triangle, or one loop whose products and sums come in the same order
 for c_ij and c_ji), so c_ij + c_ji = 2 c_ij exactly, and again only the
-sign of a zero below the diagonal can differ. A matmul adds its products
-onto +0.0, where a signed zero changes nothing, so those zeros never
-reach the field's bits. A stage that is not finite gives a field that is
-not finite either way, and the integrator rejects that step. The tests
-hold both kernels to the composition, and c to its symmetry, on stacks,
-views, triangular matrices and signed zeros. The integrator validates its
-starts and then steps the unchecked kernel of a field it knows (looked
-up by identity); any other callable is called as given, with stacks.
-The integrator keeps the arrays it hands to the field as states, so a
-field must not modify its argument.
+sign of a zero below the diagonal can differ. A matrix product adds its
+products onto +0.0, where a signed zero changes nothing, so those zeros
+never reach the field's bits. A stage that is not finite gives a field
+that is not finite either way, and the integrator rejects that step. The
+tests hold both kernels to the composition, and c to its symmetry, on
+stacks, views, triangular matrices and signed zeros. The integrator
+validates its starts and then steps the unchecked kernel of a field it
+knows (looked up by identity); any other callable is called as given,
+with stacks, (1, n, n) ones for a single start. The integrator keeps
+the arrays it hands to the field as states, so a field must not modify
+its argument.
 """
 
 import functools
@@ -118,12 +126,15 @@ _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_ERR = _DP_B5 - _DP_B4
-# The same weights as columns that broadcast over the stage buffer of a
-# (B, n, n) stack: entry s holds the weights of stage s's input, entry 7
-# the error weights.
-_DP_COLUMNS = [_DP_A[s, :s].reshape(s, 1, 1, 1) for s in range(7)] + [
-    _DP_ERR.reshape(7, 1, 1, 1)
-]
+# Column j holds stage j's weight in every later stage's input (row s - 1
+# for stage s) and in the error estimate (row 6). _DP_ROWS[ndim][j] is
+# its part from row j down, shaped to broadcast over the (7, n, n)
+# accumulators of one matrix (ndim 2) or the (7, B, n, n) ones of a stack.
+_DP_WEIGHTS = np.vstack([_DP_A[1:], _DP_ERR])
+_DP_ROWS = {
+    ndim: [_DP_WEIGHTS[j:, j].reshape((7 - j,) + (1,) * ndim) for j in range(7)]
+    for ndim in (2, 3)
+}
 
 
 @dataclass(frozen=True)
@@ -220,17 +231,27 @@ def _projection_weights(n: int) -> tuple:
     return lower, weights
 
 
+def _product(x: np.ndarray):
+    """The matrix product the field kernels use on x: ``ndarray.dot`` for
+    one (n, n) matrix and ``np.matmul`` for a stack. Both make the same
+    BLAS call (gemm, or syrk for x x^T and x^T x), so a matrix gets the
+    same bits either way; ``dot`` costs about half of ``@``'s dispatch."""
+    return np.ndarray.dot if x.ndim == 2 else np.matmul
+
+
 def _toda_kernel(x: np.ndarray) -> np.ndarray:
     low = x * _projection_weights(x.shape[-1])[0]
     k = low - low.swapaxes(-1, -2)
-    return x @ k - k @ x
+    dot = _product(x)
+    return dot(x, k) - dot(k, x)
 
 
 def _sym_kernel(x: np.ndarray) -> np.ndarray:
     xt = x.swapaxes(-1, -2)
-    c = x @ xt - xt @ x
+    dot = _product(x)
+    c = dot(x, xt) - dot(xt, x)
     u = c * _projection_weights(x.shape[-1])[1]
-    return x @ u - u @ x
+    return dot(x, u) - dot(u, x)
 
 
 def toda_field(x) -> np.ndarray:
@@ -250,38 +271,52 @@ def sym_field(x) -> np.ndarray:
 _KERNELS = {toda_field: _toda_kernel, sym_field: _sym_kernel}
 
 
+def _stepped(field, starts) -> tuple:
+    """The callable a run steps and a fresh array of its starts: the plain
+    (n, n) matrix for one start of a field with a kernel, else the
+    (B, n, n) stack, so a caller's own field is always called with stacks."""
+    kernel = _KERNELS.get(field)
+    if kernel is not None and len(starts) == 1:
+        return kernel, starts[0].copy()
+    return kernel or field, np.stack(starts)
+
+
 def _dopri_stages(field, x, h, k1):
     """One embedded step: returns (x5, error_estimate, k7) with
     k7 = field(x5), the next step's first stage (FSAL).
 
-    x is a (B, n, n) stack and h a float or a (B, 1, 1) array of
-    per-lane steps. The seven stages share one (7, B, n, n) buffer. Each
-    weighted sum is an ``np.add.reduce`` over its leading axis with
-    ``initial=0.0``: it adds the weighted stages in stage order onto
-    +0.0, which is how ``sum`` adds them onto its start 0, so an entry
-    whose every term is -0.0 comes out +0.0 (``initial`` fixes that
-    start rather than leaving it to numpy's default). A running sum that
-    starts at +0.0 is never -0.0, so a zero weight's signed-zero term
-    leaves it unchanged, and each weighted sum has the bits of ``sum``
-    over the nonzero terms, in every lane of a stack.
+    x is one (n, n) matrix with a float step h, or a (B, n, n) stack with
+    h a float or a (B, 1, 1) array of per-lane steps. Each weighted stage
+    sum, and the error's, is a running accumulator: once stage j is known,
+    its weighted copies are added into the accumulators of every later
+    stage and of the error, so each adds its terms in stage order. The
+    accumulators start at +0.0 (``t + 0.0`` is ``0.0 + t``), which is how
+    ``sum`` adds the terms onto its start 0, so an entry whose every term
+    is -0.0 comes out +0.0. A running sum that starts at +0.0 is never
+    -0.0, so a zero weight's signed-zero term leaves it unchanged, and
+    each weighted sum has the bits of ``sum`` over the nonzero terms, in
+    every lane of a stack.
     """
-    k = np.empty((7,) + x.shape)
-    k[0] = k1
+    rows = _DP_ROWS[x.ndim]
+    acc = rows[0] * k1
+    acc += 0.0
     for s in range(1, 7):
-        stage = x + h * np.add.reduce(_DP_COLUMNS[s] * k[:s], axis=0, initial=0.0)
-        k[s] = field(stage)
-    err = h * np.add.reduce(_DP_COLUMNS[7] * k, axis=0, initial=0.0)
-    return stage, err, k[6]
+        stage = x + h * acc[s - 1]
+        k = field(stage)
+        acc[s:] += rows[s] * k
+    return stage, h * acc[6], k
 
 
 def _error_ratios(err, x_old, x_new, cfg) -> list:
-    """RMS of each lane's error over its tolerance scale, as Python floats.
+    """RMS of the error over its tolerance scale, as Python floats: one
+    for an (n, n) matrix, one per lane for a stack.
 
     Works in one scratch array with direct ufunc calls and gives the bits
-    of ``np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2)))`` with
-    ``scale = abs_tol + rel_tol * np.maximum(np.abs(x_old), np.abs(x_new))``:
-    the same elementwise operations, and ``np.mean``'s own sum over the
-    last two axes divided by their size.
+    of ``np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2)))`` over the
+    (B, n, n) stack with ``scale = abs_tol + rel_tol *
+    np.maximum(np.abs(x_old), np.abs(x_new))``: the same elementwise
+    operations, and ``np.mean``'s own sum over the last two axes divided
+    by their size.
     """
     q = np.abs(x_old)
     np.maximum(q, np.abs(x_new), out=q)
@@ -289,13 +324,18 @@ def _error_ratios(err, x_old, x_new, cfg) -> list:
     q += cfg.abs_tol
     np.divide(err, q, out=q)
     np.square(q, out=q)
-    ms = np.add.reduce(q, axis=(1, 2))
-    ms /= q.shape[1] * q.shape[2]
-    return np.sqrt(ms, out=ms).tolist()
+    n = q.shape[-1]
+    ms = np.add.reduce(q, axis=(-2, -1)) / (n * n)
+    return np.sqrt(ms).tolist() if q.ndim == 3 else [math.sqrt(ms)]
 
 
 def _frobenius_norms(f) -> list:
-    """Frobenius norm of each matrix of a stack, as Python floats."""
+    """Frobenius norm of an (n, n) matrix or of each matrix of a stack, as
+    a list of Python floats; ``ndarray.dot`` of one flat matrix and
+    ``np.vecdot`` of each in a stack are the same BLAS ``ddot``."""
+    if f.ndim == 2:
+        flat = f.ravel()
+        return [math.sqrt(flat.dot(flat))]
     flat = f.reshape(len(f), -1)
     return np.sqrt(np.vecdot(flat, flat)).tolist()
 
@@ -390,7 +430,10 @@ def integrate_many(
     the run alone with ``t_max`` equal to that horizon. ``horizons``
     gives one horizon per start; without it every run has ``cfg.t_max``.
     The field is called once per stage with the (A, n, n) stack of the A
-    runs still going.
+    runs still going. One start of ``toda_field`` or ``sym_field`` is
+    stepped as its plain (n, n) matrix instead, through the same loop and
+    stage routine and with the same bits; a field of the caller's own
+    always gets stacks, (1, n, n) ones for one start.
 
     With ``per_state=f`` the runs are lean: f maps a (k, n, n) stack of
     states to an array of k rows, one per state, and each trajectory
@@ -425,12 +468,14 @@ def integrate_many(
             if not (t_max > 0.0 and math.isfinite(t_max)):
                 raise ValueError(f"horizons must be positive and finite, got {t_max!r}")
     references = [isospectral_witness(x0) for x0 in starts]
-    x = np.stack(starts)
-    kernel = _KERNELS.get(field, field)
+    kernel, x = _stepped(field, starts)
+    stack = x.ndim == 3
     fx = kernel(x)
     lanes = [
         _Lane(x0, fnorm, t_max, cfg, per_state, reference)
-        for x0, fnorm, t_max, reference in zip(x, _frobenius_norms(fx), horizons, references)
+        for x0, fnorm, t_max, reference in zip(
+            x if stack else [x], _frobenius_norms(fx), horizons, references
+        )
     ]
 
     active = lanes
@@ -455,20 +500,25 @@ def integrate_many(
                         f"step size underflowed ({lane.h:.2e}) at t={lane.t:.6g}",
                         trajectory=lane.trajectory(),
                     )
-            h = np.array([lane.h for lane in active])[:, None, None]
+            h = np.array([lane.h for lane in active])[:, None, None] if stack else active[0].h
             x_new, err, k_last = _dopri_stages(kernel, x, h, fx)
             ratios = _error_ratios(err, x, x_new, cfg)
-            if all(ratio <= 1.0 for ratio in ratios):
+            took = [ratio <= 1.0 for ratio in ratios]
+            if all(took):
                 x, fx = x_new, k_last
-            else:
-                took = (np.array(ratios) <= 1.0)[:, None, None]
+            elif any(took):
+                took = np.array(took)[:, None, None]
                 x = np.where(took, x_new, x)
                 fx = np.where(took, k_last, fx)
-            for lane, ratio, fnorm, state in zip(active, ratios, _frobenius_norms(k_last), x_new):
+            for lane, ratio, fnorm, state in zip(
+                active, ratios, _frobenius_norms(k_last), x_new if stack else [x_new]
+            ):
                 if ratio <= 1.0:
                     lane.t += lane.h
                     lane.fnorm = fnorm
-                    lane.states.append(state.copy())
+                    # a row of a stack is copied out; one start's new state
+                    # is an array of its own, which nothing writes to
+                    lane.states.append(state.copy() if stack else state)
                     if lane.per_state is None:
                         lane.times.append(lane.t)
                     elif len(lane.states) == _DRIFT_CHUNK:
@@ -491,8 +541,10 @@ def integrate(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> Trajecto
     Stops when the field norm drops below ``cfg.stop_field_norm`` or when
     ``cfg.t_max`` is reached, whichever comes first. Raises
     StiffnessError with the partial trajectory attached if the step size
-    underflows. This is the one-start case of :func:`integrate_many`, so
-    a field of the caller's own is called with (1, n, n) stacks.
+    underflows. This is the one-start case of :func:`integrate_many`: it
+    steps x0 as a plain (n, n) matrix for ``toda_field`` and
+    ``sym_field``, and calls a field of the caller's own with (1, n, n)
+    stacks.
     """
     return integrate_many(field, [x0], cfg)[0]
 
@@ -503,17 +555,18 @@ def propagate(field, x0, t: float) -> np.ndarray:
     Uses the fifth-order solution only, in the fewest equal steps of size
     at most 1e-3 (_PROPAGATE_STEP); at that size the local error sits far
     below roundoff for the smooth fields here. Meant for the tiny,
-    exactly-timed displacements finite differencing needs. Steps x0 as a
-    (1, n, n) stack, as :func:`integrate` does.
+    exactly-timed displacements finite differencing needs. Steps x0
+    through :func:`integrate`'s stage routine, and as it does: as a plain
+    (n, n) matrix for ``toda_field`` and ``sym_field``, as a (1, n, n)
+    stack for a field of the caller's own.
     """
-    x = as_matrix(x0).copy()
+    x = as_matrix(x0)
     if t == 0.0:
-        return x
+        return x.copy()
     steps = max(1, int(math.ceil(abs(t) / _PROPAGATE_STEP)))
     h = t / steps
-    field = _KERNELS.get(field, field)
-    x = x[None]
-    k = field(x)
+    kernel, x = _stepped(field, [x])
+    k = kernel(x)
     for _ in range(steps):
-        x, _, k = _dopri_stages(field, x, h, k)
-    return x[0]
+        x, _, k = _dopri_stages(kernel, x, h, k)
+    return x.reshape(x.shape[-2:])

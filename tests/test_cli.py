@@ -8,9 +8,15 @@ import pytest
 
 from toda_atlas import linalg_core
 from toda_atlas.cli import _build_parser, main
-from toda_atlas.flows import IntegratorConfig, integrate, toda_field
+from toda_atlas.errors import StiffnessError
+from toda_atlas.flows import IntegratorConfig, integrate, sym_field, toda_field
 from toda_atlas.sampling import default_spectrum, random_symmetric_with_spectrum, rng_from_seed
-from toda_atlas.serialization import read_matrix, read_trajectory_csv, write_matrix
+from toda_atlas.serialization import (
+    read_matrix,
+    read_trajectory_csv,
+    trajectory_diagnostics,
+    write_matrix,
+)
 
 
 def run_cli(argv):
@@ -184,6 +190,28 @@ class TestFlow:
         assert code == 2
         assert "n=13" in capsys.readouterr().err
         assert not (tmp_path / "flow" / "trajectory.csv").exists()
+
+    def test_step_underflow_writes_the_partial_run(self, tmp_path, capsys):
+        # a stiff sym start: the first step is rejected until it underflows
+        x0 = np.array([[1e7, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, -1e7]])
+        path = tmp_path / "stiff.json"
+        write_matrix(path, x0)
+        out = tmp_path / "flow"
+        argv = ["flow", "--field", "sym", "--x0", str(path), "--tmax", "1", "--out", str(out)]
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        with pytest.raises(StiffnessError) as raised:
+            integrate(sym_field, x0, IntegratorConfig(t_max=1.0))
+        assert err == f"failure: {raised.value}\n"
+        assert err.startswith("failure: step size underflowed")
+        partial = raised.value.trajectory
+        times, states = read_trajectory_csv(out / "trajectory.csv")
+        assert times.tolist() == partial.times.tolist()
+        assert np.array_equal(states, np.stack(partial.states))
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag == trajectory_diagnostics(partial)
+        assert diag["rejected_steps"] > 0
 
     def test_rerun_is_byte_identical(self, tmp_path, flag_matrix):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

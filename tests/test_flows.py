@@ -28,6 +28,7 @@ from toda_atlas.flows import (
     toda_field,
     _dopri_stages,
     _error_ratios,
+    _frobenius_norms,
     _stacks,
 )
 from toda_atlas.linalg_core import (
@@ -421,25 +422,39 @@ class TestIntegrate:
         assert critical.field_evals == 1
         assert critical.min_step == critical.max_step == 0.0
 
-    def test_stage_sums_keep_the_bits_of_sum(self):
-        # an all -0.0 entry must come out of a stage sum as +0.0, as sum() gives
+    @pytest.mark.parametrize("rank", ["matrix", "stack"])
+    def test_stage_sums_keep_the_bits_of_sum(self, rank):
+        # an all -0.0 entry must come out of a stage sum as +0.0, as sum()
+        # gives: one matrix with a float step, and a stack whose lanes have
+        # their own (B, 1, 1) steps, each lane against its own sum()
         def field(x):
             return -np.abs(x)
 
-        x = np.array([[-0.0, 1.0], [-0.5, -0.0]])[None]
-        expected_stages, got_stages = [], []
+        one = np.array([[-0.0, 1.0], [-0.5, -0.0]])
+        if rank == "matrix":
+            x, h, lanes = one, 1e-3, [(one, 1e-3)]
+        else:
+            x = np.stack([one, -one, np.full((2, 2), -0.0)])
+            steps = [1e-3, 2.5e-2, 0.5]
+            h = np.array(steps)[:, None, None]
+            lanes = list(zip(x, steps))
+        got_stages = []
 
         def recording(x):
             got_stages.append(x.copy())
             return field(x)
 
-        want = generator_sum_step(field, x, 1e-3, field(x), expected_stages)
-        got = _dopri_stages(recording, x, 1e-3, field(x))
-        assert len(got_stages) == len(expected_stages) == 6
-        for a, b in zip(got_stages, expected_stages):
-            assert_same_bits(a, b)
-        for a, b in zip(got, want):
-            assert_same_bits(a, b)
+        got = _dopri_stages(recording, x, h, field(x))
+        assert len(got_stages) == 6
+        for i, (x0, step) in enumerate(lanes):
+            expected_stages = []
+            want = generator_sum_step(field, x0, step, field(x0), expected_stages)
+            lane = (lambda a: a) if rank == "matrix" else (lambda a: a[i])
+            for a, b in zip(got_stages, expected_stages):
+                assert_same_bits(lane(a), b)
+            for a, b in zip(got, want):
+                assert_same_bits(lane(a), b)
+        assert got[0].shape == x.shape
 
     def test_propagate_equals_pre_fsal_loop(self):
         rng = np.random.default_rng(13)
@@ -552,22 +567,25 @@ def assert_same_run(a, b):
 
 
 def lane_starts(field, n, rng):
-    """Four starts of one batch: a generic one, the same scaled by 2 (the
-    first step is too long for it, so the controller rejects steps), one
-    next to the zero set of the field (it stops early) and one on it (no
-    step)."""
+    """Four starts of one batch: a generic one, the same scaled (by 100
+    for the sorting field, whose rates grow linearly with the scale, and
+    by 2 for the cubic symmetrization field) so that the controller
+    rejects steps at every n = 2...12, one next to the zero set of the
+    field (it stops early) and one on it (no step)."""
     h = default_spectrum(n)
     if field is toda_field:
         generic = random_symmetric_with_spectrum(h, rng)
         offset = np.triu(rng.standard_normal((n, n)), 1)
-        return [generic, 2.0 * generic, h.diag() + 1e-6 * (offset + offset.T), h.diag()]
+        return [generic, 100.0 * generic, h.diag() + 1e-6 * (offset + offset.T), h.diag()]
     generic = h.diag() + np.triu(rng.standard_normal((n, n)), 1)
     near = h.diag() + 1e-6 * np.triu(rng.standard_normal((n, n)), 1)
     return [generic, 2.0 * generic, near, random_symmetric_with_spectrum(h, rng)]
 
 
 class TestIntegrateMany:
-    @pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+    # a one-start run multiplies with ndarray.dot and a lane of a batch with
+    # np.matmul, so their equality is shown at every size
+    @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("field", [toda_field, sym_field])
     def test_lanes_equal_serial_runs(self, field, n):
         starts = lane_starts(field, n, np.random.default_rng(40 + n))
@@ -654,6 +672,46 @@ class TestIntegrateMany:
         assert str(batched.value).startswith("step size underflowed (")
         assert_same_run(batched.value.trajectory, alone.value.trajectory)
         assert batched.value.trajectory.rejected_steps > 0
+
+
+class TestOneStart:
+    @pytest.mark.parametrize("lean", [False, True], ids=["full", "lean"])
+    @pytest.mark.parametrize("field", [toda_field, sym_field])
+    def test_a_callers_field_gets_stacks_and_the_bits_of_the_plain_run(
+        self, field, lean, monkeypatch
+    ):
+        # one start of a known field is stepped as its (n, n) matrix; the
+        # same field behind a wrapper is called with (1, n, n) stacks, and
+        # both runs have the same bits
+        n = 6
+        starts = lane_starts(field, n, np.random.default_rng(90))[:2]
+        cfg = IntegratorConfig(t_max=3.0 if field is toda_field else 1.0, stop_field_norm=1e-7)
+        per_state = norm_and_corner if lean else None
+        kernel = flows_module._KERNELS[field]
+        kernel_ranks, wrapped_shapes = set(), set()
+
+        def recording_kernel(x):
+            kernel_ranks.add(x.ndim)
+            return kernel(x)
+
+        def wrapped(x):
+            wrapped_shapes.add(x.shape)
+            return field(x)
+
+        monkeypatch.setitem(flows_module._KERNELS, field, recording_kernel)
+        for x0 in starts:
+            if lean:
+                (plain,) = integrate_many(field, [x0], cfg, per_state=per_state)
+                (stacked,) = integrate_many(wrapped, [x0], cfg, per_state=per_state)
+                assert_same_bits(plain.per_state, stacked.per_state)
+            else:
+                plain = integrate(field, x0, cfg)
+                stacked = integrate(wrapped, x0, cfg)
+            assert_same_run(plain, stacked)
+            assert stacked.accepted_steps > 10
+        assert kernel_ranks == {2}
+        assert wrapped_shapes == {(1, n, n)}
+        assert stacked.rejected_steps > 0
 
 
 class TestHorizons:
@@ -813,7 +871,7 @@ def reference_integrate(field, x0, cfg):
 
 
 class TestWholeRunBits:
-    @pytest.mark.parametrize("n", [3, 8, 12])
+    @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("field", [toda_field, sym_field])
     def test_integrate_equals_reference_loop(self, field, n):
         # the generic start and the same scaled by 2, whose run rejects steps
@@ -854,8 +912,25 @@ class TestErrorRatios:
             want = np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2))).tolist()
             got = _error_ratios(err, x_old, x_new, cfg)
             assert self.hex_list(got) == self.hex_list(want)
+            # one (n, n) matrix, as a one-start run steps it
+            for i in range(lanes):
+                got = _error_ratios(err[i], x_old[i], x_new[i], cfg)
+                assert self.hex_list(got) == self.hex_list(want[i:i + 1])
         zeros = np.zeros(shape)
         assert self.hex_list(_error_ratios(-zeros, zeros, -zeros, cfg)) == ["0x0.0p+0"] * lanes
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_field_norms_take_either_rank(n):
+    # ndarray.dot of one flat matrix and np.vecdot of a stack's rows,
+    # against the norm computed with a Python loop
+    rng = np.random.default_rng(200 + n)
+    f = rng.standard_normal((5, n, n)) * 10.0 ** rng.integers(-150, 150, (5, n, n))
+    f[rng.random((5, n, n)) < 0.2] = -0.0
+    want = [math.sqrt(math.fsum(float(v) ** 2 for v in m.ravel())) for m in f]
+    stacked = _frobenius_norms(f)
+    assert stacked == [_frobenius_norms(m)[0] for m in f]
+    np.testing.assert_allclose(stacked, want, rtol=1e-13)
 
 
 class TestStiffnessGuard:
