@@ -930,14 +930,18 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
             )
         )
         starts.append(u @ symmetric_start.y @ np.linalg.inv(u))
-    # each start runs once per field: to t = 3 under toda_field, and under
-    # sym_field in one lean batch with both fiber experiments' starts (drawn
-    # in the order of fiber_experiment calls); rows add the profile verdict
+    # each start runs once per field: to t = 3 under toda_field, with the
+    # profile verdict as its one row, and under sym_field in one lean batch
+    # with both fiber experiments' starts (drawn in the order of
+    # fiber_experiment calls), whose rows add the verdict as their last
+    def verdicts(x):
+        return v_p_membership(x, p, 1e-9)[:, None]
+
     def rows(x):
-        return np.column_stack([_norm_and_leak(x), v_p_membership(x, p, 1e-9)])
+        return np.column_stack([_norm_and_leak(x), verdicts(x)])
 
     profile_cfg = IntegratorConfig(t_max=3.0, stop_field_norm=1e-13)
-    toda_trajs = integrate_many(toda_field, starts, profile_cfg, per_state=rows)
+    toda_trajs = integrate_many(toda_field, starts, profile_cfg, per_state=verdicts)
     identity = Permutation.identity(n)
     base, fiber_starts = _fiber_starts(identity, h, 5, rng)
     # a second identity would give a second report of the same name
@@ -952,7 +956,7 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
     split = len(starts) + len(fiber_starts)
     sym_trajs = trajs[:len(starts)]
     profile_runs = toda_trajs + sym_trajs
-    profile_worst = 0.0 if all(traj.per_state[:, 2].all() for traj in profile_runs) else math.inf
+    profile_worst = 0.0 if all(traj.per_state[:, -1].all() for traj in profile_runs) else math.inf
     drift_worst = max([0.0] + [traj.power_trace_drift for traj in profile_runs])
     norm_increases = [np.max(np.diff(traj.per_state[:, 0]), initial=0.0) for traj in sym_trajs]
     monotone_worst = float(max([0.0] + norm_increases))

@@ -17,14 +17,21 @@ controller (safety 0.9, growth clamped to [0.2, 5.0], initial step
 traces is measured and reported instead, so integrator defects stay
 visible to the test suite.
 
-A step costs mostly numpy call overhead, so it makes few calls. The
-weighted stage sums are running accumulators: once a stage is known, one
-broadcast multiply and one in-place add put its weighted copies into the
-sums of every later stage and of the error estimate. Starting from +0.0
-and adding the terms in stage order is what ``sum`` over the terms does
-from its start 0, so every stage keeps the bits of that sum, signed
-zeros included. The error ratios are direct ufunc calls on one scratch
-array with the bits of the RMS written with ``np.mean``.
+A step costs mostly numpy call overhead, so it makes few calls (about
+55 per accepted step of a symmetric sorting run). The weighted stage
+sums are running accumulators: once a stage is known, one broadcast
+multiply and one in-place add put its weighted copies into the sums of
+every later stage and of the error estimate. Starting from +0.0 and
+adding the terms in stage order is what ``sum`` over the terms does from
+its start 0, so every stage keeps the bits of that sum, signed zeros
+included. The error ratios are direct ufunc calls on one scratch array
+with the bits of the RMS written with ``np.mean``; |x| of the state
+comes from the step that accepted it. A run makes its work arrays once
+(``_Work``: the accumulators and their terms, the stage array, the field
+and error scratch, and the two |x|), and again only when lanes leave
+its stack; they belong to the run, not the module, since a field may
+itself integrate. The last stage and its field stay new arrays, as they
+are kept as the state and as the next first stage (FSAL).
 
 ``integrate_many`` steps B starts in lockstep over a ``(B, n, n)``
 stack, one field call per stage for the whole batch. Each lane keeps its
@@ -36,9 +43,11 @@ same loop and the same stage routine: on a matrix the kernels multiply
 with ``ndarray.dot``, on a stack with ``np.matmul``, which make the same
 BLAS call at about half of ``@``'s cost, and the error ratio and field
 norm take either rank. ``integrate`` is that one-start case, and
-``propagate`` steps its matrix the same way. Every run's accepted
-states pass once through one walk, ``_Lane.fold``, in the stacks of at
-most 64 (start first) that ``_stacks`` yields: the
+``propagate`` steps its matrix the same way. ``_stepped`` binds a run's
+kernel once, with its size's weights and its product, and the kernel
+writes the field of a stage into the run's field scratch. Every run's
+accepted states pass once through one walk, ``_Lane.fold``, in the
+stacks of at most 64 (start first) that ``_stacks`` yields: the
 finiteness check and the power-trace drift are taken there. A lean run
 (``per_state``) folds each stack as soon as it fills and keeps only a
 caller's per-state figures of it; a full run keeps its states and folds
@@ -61,12 +70,29 @@ products onto +0.0, where a signed zero changes nothing, so those zeros
 never reach the field's bits. A stage that is not finite gives a field
 that is not finite either way, and the integrator rejects that step. The
 tests hold both kernels to the composition, and c to its symmetry, on
-stacks, views, triangular matrices and signed zeros. The integrator
-validates its starts and then steps the unchecked kernel of a field it
-knows (looked up by identity); any other callable is called as given,
-with stacks, (1, n, n) ones for a single start. The integrator keeps
-the arrays it hands to the field as states, so a field must not modify
-its argument.
+stacks, views, triangular matrices and signed zeros.
+
+A run of ``toda_field`` whose starts are all exactly symmetric
+(``np.array_equal(x0, x0.T)``) steps a kernel of 3 calls in place of 6:
+k = x * S, S being 1 below the diagonal and -1 above, p = x k, and
+f = p + p^T. The bits are those of the general kernel as long as a
+product forms each entry as one sequential sum started at +0.0, as
+assumed above. On an exactly symmetric x, k is exactly skew, so each
+term of (k x)_ij is minus the term of (x k)_ji in the same place and
+k x is exactly -(x k)^T: x k - k x is x k + (x k)^T. Where x * S and
+L - L^T differ, they differ in the sign of a zero, which never reaches
+a sum. f is exactly symmetric, so every stage, state and field of the
+run is too, and the one test of its starts holds for all of them. The
+public ``toda_field``, and a run with a start that is not symmetric,
+keep the general kernel.
+
+The integrator validates its starts and then steps the unchecked kernel
+of a field it knows (by identity); any other callable, a wrapper of one
+of the two fields included, is called as given, with stacks, (1, n, n)
+ones for a single start. Such a field gets a new array at every call,
+never a work array, and the integrator writes to none of the arrays it
+hands to it or gets from it, so a field may keep its argument; it must
+not modify it, since the integrator keeps those arrays as states.
 """
 
 import functools
@@ -221,111 +247,173 @@ def stable_step_for_symmetrization(h: Spectrum) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _projection_weights(n: int) -> tuple:
-    """Read-only float weights ``(M, W)`` of the fields' projections of an
-    n x n matrix: M is 1 strictly below the diagonal and 0 elsewhere, so
+    """Read-only float weights ``(M, W, S)`` of the fields' projections of
+    an n x n matrix: M is 1 strictly below the diagonal and 0 elsewhere, so
     ``L = x * M`` gives pi_k(x) = L - L^T; W = 1 - M + M^T is 2 above the
-    diagonal, 1 on it and 0 below, so ``c * W`` is pi_u(c) of a symmetric c."""
+    diagonal, 1 on it and 0 below, so ``c * W`` is pi_u(c) of a symmetric c;
+    S = M - M^T is 1 below the diagonal and -1 above, so ``x * S`` is
+    pi_k(x) of a symmetric x."""
     lower = np.tri(n, n, -1)
     weights = 1.0 - lower + lower.T
-    lower.flags.writeable = weights.flags.writeable = False
-    return lower, weights
+    signs = lower - lower.T
+    for w in (lower, weights, signs):
+        w.flags.writeable = False
+    return lower, weights, signs
 
 
-def _product(x: np.ndarray):
-    """The matrix product the field kernels use on x: ``ndarray.dot`` for
-    one (n, n) matrix and ``np.matmul`` for a stack. Both make the same
-    BLAS call (gemm, or syrk for x x^T and x^T x), so a matrix gets the
-    same bits either way; ``dot`` costs about half of ``@``'s dispatch."""
-    return np.ndarray.dot if x.ndim == 2 else np.matmul
+def _dot(plain: bool):
+    """The matrix product of the field kernels: ``ndarray.dot`` for one
+    (n, n) matrix (plain) and ``np.matmul`` for a stack. Both make the same
+    BLAS call (gemm, or syrk for x x^T and x^T x), so a matrix gets the same
+    bits either way; ``dot`` costs about half of ``@``'s dispatch."""
+    return np.ndarray.dot if plain else np.matmul
 
 
-def _toda_kernel(x: np.ndarray) -> np.ndarray:
-    low = x * _projection_weights(x.shape[-1])[0]
-    k = low - low.swapaxes(-1, -2)
-    dot = _product(x)
-    return dot(x, k) - dot(k, x)
+@functools.lru_cache(maxsize=64)
+def _toda_kernel(n: int, plain: bool, symmetric: bool):
+    """The unchecked kernel ``f(x, out=None)`` of ``toda_field`` on n x n
+    matrices, its weights and product bound; ``out`` takes the field.
+    With ``symmetric`` it is the kernel of an exactly symmetric x: 3 calls
+    in place of 6, with the same bits (see the module docstring)."""
+    lower, _, signs = _projection_weights(n)
+    dot = _dot(plain)
+    if symmetric:
+        def kernel(x, out=None):
+            p = dot(x, np.multiply(x, signs, out))
+            return np.add(p, p.mT, out)
+    else:
+        def kernel(x, out=None):
+            low = x * lower
+            k = low - low.mT
+            return np.subtract(dot(x, k), dot(k, x), out)
+    return kernel
 
 
-def _sym_kernel(x: np.ndarray) -> np.ndarray:
-    xt = x.swapaxes(-1, -2)
-    dot = _product(x)
-    c = dot(x, xt) - dot(xt, x)
-    u = c * _projection_weights(x.shape[-1])[1]
-    return dot(x, u) - dot(u, x)
+@functools.lru_cache(maxsize=64)
+def _sym_kernel(n: int, plain: bool):
+    """The unchecked kernel ``f(x, out=None)`` of ``sym_field`` on n x n
+    matrices, its weights and product bound; ``out`` takes the field."""
+    weights = _projection_weights(n)[1]
+    dot = _dot(plain)
+
+    def kernel(x, out=None):
+        xt = x.mT
+        u = (dot(x, xt) - dot(xt, x)) * weights
+        return np.subtract(dot(x, u), dot(u, x), out)
+    return kernel
 
 
 def toda_field(x) -> np.ndarray:
     """Sorting field [x, pi_k(x)] of a matrix or an (..., n, n) stack;
     vanishes on diagonal matrices."""
-    return _toda_kernel(as_matrices(x))
+    x = as_matrices(x)
+    return _toda_kernel(x.shape[-1], x.ndim == 2, False)(x)
 
 
 def sym_field(x) -> np.ndarray:
     """Symmetrization field [x, pi_u([x, x.T])] of a matrix or an
     (..., n, n) stack; vanishes exactly on normal matrices."""
-    return _sym_kernel(as_matrices(x))
-
-
-# The integrator steps these in place of the public fields. Looked up by
-# identity: a wrapper of a field (a tracer's, say) is called as given.
-_KERNELS = {toda_field: _toda_kernel, sym_field: _sym_kernel}
+    x = as_matrices(x)
+    return _sym_kernel(x.shape[-1], x.ndim == 2)(x)
 
 
 def _stepped(field, starts) -> tuple:
-    """The callable a run steps and a fresh array of its starts: the plain
-    (n, n) matrix for one start of a field with a kernel, else the
-    (B, n, n) stack, so a caller's own field is always called with stacks."""
-    kernel = _KERNELS.get(field)
-    if kernel is not None and len(starts) == 1:
-        return kernel, starts[0].copy()
-    return kernel or field, np.stack(starts)
+    """What a run steps: ``(kernel, x, own)``. x is a fresh array of the
+    starts, the plain (n, n) matrix for one start of ``toda_field`` or
+    ``sym_field`` and the (B, n, n) stack otherwise. kernel is the field's
+    unchecked kernel, bound here once for the run: ``toda_field``'s
+    symmetric one when every start is exactly symmetric, which keeps the
+    run so. Any other field is the caller's own (own is True): it is
+    called as given, on the stack, and the ``out`` the stage routine
+    passes is dropped."""
+    if field is toda_field or field is sym_field:
+        plain = len(starts) == 1
+        x = starts[0].copy() if plain else np.stack(starts)
+        if field is sym_field:
+            return _sym_kernel(x.shape[-1], plain), x, False
+        symmetric = all(np.array_equal(x0, x0.T) for x0 in starts)
+        return _toda_kernel(x.shape[-1], plain, symmetric), x, False
+
+    def own(x, out=None):
+        return field(x)
+    return own, np.stack(starts), True
 
 
-def _dopri_stages(field, x, h, k1):
+class _Work:
+    """The scratch arrays of a run at one shape of x, made once per run and
+    again when lanes leave its stack: the stage accumulators and their
+    terms, the step scratch (a kernel's stage array too), the field
+    scratch, the error and its scale, and |x| of the current state and of
+    the trial one. A caller's own field gets a new array for every stage
+    in place of the stage array and writes no field scratch. They belong
+    to one run, since a field may itself integrate."""
+
+    def __init__(self, x, own):
+        shape = x.shape
+        rows = _DP_ROWS[x.ndim]
+        acc, terms = np.empty((7,) + shape), np.empty((7,) + shape)
+        self.step = np.empty(shape)
+        stage, field = (None, None) if own else (self.step, np.empty(shape))
+        self.first = rows[0], acc
+        # per stage: the sum it starts from, its stage and field outputs,
+        # and its weights with the terms and accumulators they go into; the
+        # last stage and its field stay new arrays, kept as state and FSAL
+        self.stages = [
+            (acc[s - 1], stage, field, rows[s], terms[s:], acc[s:]) for s in range(1, 6)
+        ] + [(acc[5], None, None, rows[6], terms[6:], acc[6:])]
+        self.err = acc[6], np.empty(shape)
+        self.scale = np.empty(shape)
+        self.x_abs, self.trial_abs = np.abs(x), np.empty(shape)
+
+
+def _dopri_stages(field, x, h, k1, work):
     """One embedded step: returns (x5, error_estimate, k7) with
     k7 = field(x5), the next step's first stage (FSAL).
 
     x is one (n, n) matrix with a float step h, or a (B, n, n) stack with
-    h a float or a (B, 1, 1) array of per-lane steps. Each weighted stage
-    sum, and the error's, is a running accumulator: once stage j is known,
-    its weighted copies are added into the accumulators of every later
-    stage and of the error, so each adds its terms in stage order. The
-    accumulators start at +0.0 (``t + 0.0`` is ``0.0 + t``), which is how
-    ``sum`` adds the terms onto its start 0, so an entry whose every term
-    is -0.0 comes out +0.0. A running sum that starts at +0.0 is never
-    -0.0, so a zero weight's signed-zero term leaves it unchanged, and
-    each weighted sum has the bits of ``sum`` over the nonzero terms, in
-    every lane of a stack.
+    h a float or a (B, 1, 1) array of per-lane steps; work is the run's
+    ``_Work`` at x's shape, and the error estimate is its scratch. Each
+    weighted stage sum, and the error's, is a running accumulator: once
+    stage j is known, its weighted copies are added into the accumulators
+    of every later stage and of the error, so each adds its terms in
+    stage order. The accumulators start at +0.0 (``t + 0.0`` is
+    ``0.0 + t``), which is how ``sum`` adds the terms onto its start 0, so
+    an entry whose every term is -0.0 comes out +0.0. A running sum that
+    starts at +0.0 is never -0.0, so a zero weight's signed-zero term
+    leaves it unchanged, and each weighted sum has the bits of ``sum``
+    over the nonzero terms, in every lane of a stack.
     """
-    rows = _DP_ROWS[x.ndim]
-    acc = rows[0] * k1
+    row, acc = work.first
+    np.multiply(row, k1, acc)
     acc += 0.0
-    for s in range(1, 7):
-        stage = x + h * acc[s - 1]
-        k = field(stage)
-        acc[s:] += rows[s] * k
-    return stage, h * acc[6], k
+    step = work.step
+    for prev, stage_out, field_out, row, terms, sums in work.stages:
+        stage = np.add(x, np.multiply(h, prev, step), stage_out)
+        k = field(stage, field_out)
+        sums += np.multiply(row, k, terms)
+    total, err = work.err
+    return stage, np.multiply(h, total, err), k
 
 
-def _error_ratios(err, x_old, x_new, cfg) -> list:
+def _error_ratios(err, old_abs, new_abs, rel_tol, abs_tol, q) -> list:
     """RMS of the error over its tolerance scale, as Python floats: one
-    for an (n, n) matrix, one per lane for a stack.
+    for an (n, n) matrix, one per lane for a stack. old_abs and new_abs
+    are |x_old| and |x_new|, and q is a scratch array of their shape.
 
-    Works in one scratch array with direct ufunc calls and gives the bits
-    of ``np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2)))`` over the
+    Direct ufunc calls in one array give the bits of
+    ``np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2)))`` over the
     (B, n, n) stack with ``scale = abs_tol + rel_tol *
     np.maximum(np.abs(x_old), np.abs(x_new))``: the same elementwise
     operations, and ``np.mean``'s own sum over the last two axes divided
     by their size.
     """
-    q = np.abs(x_old)
-    np.maximum(q, np.abs(x_new), out=q)
-    q *= cfg.rel_tol
-    q += cfg.abs_tol
-    np.divide(err, q, out=q)
-    np.square(q, out=q)
+    np.maximum(old_abs, new_abs, out=q)
+    q *= rel_tol
+    q += abs_tol
+    np.divide(err, q, q)
+    np.square(q, q)
     n = q.shape[-1]
-    ms = np.add.reduce(q, axis=(-2, -1)) / (n * n)
+    ms = np.add.reduce(q, (-2, -1)) / (n * n)
     return np.sqrt(ms).tolist() if q.ndim == 3 else [math.sqrt(ms)]
 
 
@@ -432,8 +520,11 @@ def integrate_many(
     The field is called once per stage with the (A, n, n) stack of the A
     runs still going. One start of ``toda_field`` or ``sym_field`` is
     stepped as its plain (n, n) matrix instead, through the same loop and
-    stage routine and with the same bits; a field of the caller's own
-    always gets stacks, (1, n, n) ones for one start.
+    stage routine and with the same bits, and ``toda_field`` from starts
+    that are all exactly symmetric with its symmetric kernel, again with
+    the same bits. A field of the caller's own always gets stacks, (1, n, n)
+    ones for one start, each a new array that the integrator never
+    writes to.
 
     With ``per_state=f`` the runs are lean: f maps a (k, n, n) stack of
     states to an array of k rows, one per state, and each trajectory
@@ -468,9 +559,10 @@ def integrate_many(
             if not (t_max > 0.0 and math.isfinite(t_max)):
                 raise ValueError(f"horizons must be positive and finite, got {t_max!r}")
     references = [isospectral_witness(x0) for x0 in starts]
-    kernel, x = _stepped(field, starts)
+    kernel, x, own = _stepped(field, starts)
     stack = x.ndim == 3
     fx = kernel(x)
+    work = _Work(x, own)
     lanes = [
         _Lane(x0, fnorm, t_max, cfg, per_state, reference)
         for x0, fnorm, t_max, reference in zip(
@@ -493,6 +585,7 @@ def integrate_many(
             if len(going) < len(active):
                 active = [active[i] for i in going]
                 x, fx = x[going], fx[going]
+                work = _Work(x, own)
             for lane in active:
                 lane.h = min(lane.h, cfg.max_step, lane.t_max - lane.t)
                 if lane.h < _MIN_STEP:
@@ -501,15 +594,18 @@ def integrate_many(
                         trajectory=lane.trajectory(),
                     )
             h = np.array([lane.h for lane in active])[:, None, None] if stack else active[0].h
-            x_new, err, k_last = _dopri_stages(kernel, x, h, fx)
-            ratios = _error_ratios(err, x, x_new, cfg)
+            x_new, err, k_last = _dopri_stages(kernel, x, h, fx, work)
+            new_abs = np.abs(x_new, work.trial_abs)
+            ratios = _error_ratios(err, work.x_abs, new_abs, cfg.rel_tol, cfg.abs_tol, work.scale)
             took = [ratio <= 1.0 for ratio in ratios]
             if all(took):
                 x, fx = x_new, k_last
+                work.x_abs, work.trial_abs = new_abs, work.x_abs
             elif any(took):
                 took = np.array(took)[:, None, None]
                 x = np.where(took, x_new, x)
                 fx = np.where(took, k_last, fx)
+                np.abs(x, work.x_abs)
             for lane, ratio, fnorm, state in zip(
                 active, ratios, _frobenius_norms(k_last), x_new if stack else [x_new]
             ):
@@ -565,8 +661,9 @@ def propagate(field, x0, t: float) -> np.ndarray:
         return x.copy()
     steps = max(1, int(math.ceil(abs(t) / _PROPAGATE_STEP)))
     h = t / steps
-    kernel, x = _stepped(field, [x])
+    kernel, x, own = _stepped(field, [x])
+    work = _Work(x, own)
     k = kernel(x)
     for _ in range(steps):
-        x, _, k = _dopri_stages(kernel, x, h, k)
+        x, _, k = _dopri_stages(kernel, x, h, k, work)
     return x.reshape(x.shape[-2:])

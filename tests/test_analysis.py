@@ -382,15 +382,19 @@ class TestSuiteBatches:
             leak[..., 2, 0] = 1e-3 * (x[..., 1, 0] - x[..., 0, 1])
             return sym_field(x) + leak
 
-        verdicts = []
+        verdicts, widths = [], []
 
         def swapping(field, starts, cfg, **kwargs):
             trajs = integrate_many(leaking if field is sym_field else field, starts, cfg, **kwargs)
-            verdicts.append([bool(traj.per_state[:, 2].all()) for traj in trajs])
+            verdicts.append([bool(traj.per_state[:, -1].all()) for traj in trajs])
+            widths.append({traj.per_state.shape[1] for traj in trajs})
             return trajs
 
         monkeypatch.setattr(toda_atlas.analysis, "integrate_many", swapping)
         reports = {r.name: r for r in toda_atlas.analysis.sym_suite(3, 7)}
+        # the toda lanes keep the verdict alone, the sym lanes norm, leak
+        # and verdict
+        assert widths == [{1}, {3}]
         toda_verdicts, sym_verdicts = verdicts
         assert toda_verdicts == [True] * 4
         assert not any(sym_verdicts[:4])

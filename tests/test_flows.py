@@ -26,10 +26,13 @@ from toda_atlas.flows import (
     stable_step_for_symmetrization,
     sym_field,
     toda_field,
+    _Work,
     _dopri_stages,
     _error_ratios,
     _frobenius_norms,
     _stacks,
+    _stepped,
+    _toda_kernel,
 )
 from toda_atlas.linalg_core import (
     Spectrum,
@@ -95,7 +98,10 @@ def kernel_layouts(n, rng):
     bit: general, symmetric and triangular matrices, the symmetrization
     fiber starts (a permuted diagonal plus a strictly upper part), exact
     +0.0 and -0.0 entries, transposed, Fortran-ordered and strided views,
-    and (B, n, n) stacks, some of them views too."""
+    and (B, n, n) stacks, some of them views too. Exactly symmetric ones
+    among them: a dense one, a diagonal with negative entries, all -0.0,
+    one with zeros of either sign at mirrored places, and the dense one as
+    a Fortran-ordered and as a strided view."""
     g = random_matrix(n, rng)
     fiber = h_conjugate(default_spectrum(n), random_permutation(n, rng)) + np.triu(
         rng.standard_normal((n, n)), 1
@@ -104,9 +110,16 @@ def kernel_layouts(n, rng):
     zeros[rng.random((n, n)) < 0.3] = -0.0
     small = rng.integers(-1, 2, (n, n)) * -1.0  # exact cancellations, -0.0 entries
     lower = np.tri(n, n, -1, dtype=bool)
+    symmetric = random_symmetric_with_spectrum(default_spectrum(n), rng)
+    mirrored_zeros = np.where(lower, -0.0, np.where(lower.T, 0.0, symmetric))
+    wide = rng.standard_normal((2 * n, 2 * n))
     singles = [
         g,
-        random_symmetric_with_spectrum(default_spectrum(n), rng),
+        symmetric,
+        default_spectrum(n).diag(),
+        mirrored_zeros,
+        np.asfortranarray(symmetric),
+        (wide + wide.T)[1::2, 1::2],
         np.triu(g),
         np.tril(g),
         fiber,
@@ -133,6 +146,10 @@ def each_matrix(x):
     return x.reshape((-1,) + x.shape[-2:])
 
 
+def is_symmetric(x):
+    return np.array_equal(x, x.swapaxes(-1, -2))
+
+
 class TestTodaField:
     def test_symmetric_two_by_two_formula(self):
         for _ in range(50):
@@ -156,6 +173,25 @@ class TestTodaField:
             for x in kernel_layouts(n, rng):
                 for got, xi in zip(each_matrix(toda_field(x)), each_matrix(x)):
                     assert_same_bits(got, commutator(xi, pi_k(xi)))
+
+    def test_symmetric_kernel_equals_the_general_one_bitwise(self):
+        # on an exactly symmetric x, [x, k] = x k + (x k)^T with k = x * S;
+        # with and without an out array, on each symmetric layout alone, on
+        # a stack of them and on a stack of their transposed views
+        rng = np.random.default_rng(15)
+        for n in range(2, 13):
+            singles = [x for x in kernel_layouts(n, rng) if x.ndim == 2 and is_symmetric(x)]
+            assert len(singles) >= 6
+            stack = np.stack(singles)
+            for x in singles + [stack, stack.swapaxes(1, 2)]:
+                plain = x.ndim == 2
+                want = _toda_kernel(n, plain, False)(x)
+                symmetric = _toda_kernel(n, plain, True)
+                assert_same_bits(symmetric(x), want)
+                out = np.empty(x.shape)
+                assert symmetric(x, out) is out
+                assert_same_bits(out, want)
+                assert is_symmetric(out)
 
 
 @pytest.mark.parametrize("field", [toda_field, sym_field])
@@ -426,7 +462,8 @@ class TestIntegrate:
     def test_stage_sums_keep_the_bits_of_sum(self, rank):
         # an all -0.0 entry must come out of a stage sum as +0.0, as sum()
         # gives: one matrix with a float step, and a stack whose lanes have
-        # their own (B, 1, 1) steps, each lane against its own sum()
+        # their own (B, 1, 1) steps, each lane against its own sum(); in a
+        # kernel's work arrays and in a caller's field's new ones
         def field(x):
             return -np.abs(x)
 
@@ -438,23 +475,24 @@ class TestIntegrate:
             steps = [1e-3, 2.5e-2, 0.5]
             h = np.array(steps)[:, None, None]
             lanes = list(zip(x, steps))
-        got_stages = []
+        for own in (False, True):
+            got_stages = []
 
-        def recording(x):
-            got_stages.append(x.copy())
-            return field(x)
+            def recording(x, out=None):
+                got_stages.append(x.copy())
+                return np.negative(np.abs(x), out)
 
-        got = _dopri_stages(recording, x, h, field(x))
-        assert len(got_stages) == 6
-        for i, (x0, step) in enumerate(lanes):
-            expected_stages = []
-            want = generator_sum_step(field, x0, step, field(x0), expected_stages)
-            lane = (lambda a: a) if rank == "matrix" else (lambda a: a[i])
-            for a, b in zip(got_stages, expected_stages):
-                assert_same_bits(lane(a), b)
-            for a, b in zip(got, want):
-                assert_same_bits(lane(a), b)
-        assert got[0].shape == x.shape
+            got = _dopri_stages(recording, x, h, field(x), _Work(x, own))
+            assert len(got_stages) == 6
+            for i, (x0, step) in enumerate(lanes):
+                expected_stages = []
+                want = generator_sum_step(field, x0, step, field(x0), expected_stages)
+                lane = (lambda a: a) if rank == "matrix" else (lambda a: a[i])
+                for a, b in zip(got_stages, expected_stages):
+                    assert_same_bits(lane(a), b)
+                for a, b in zip(got, want):
+                    assert_same_bits(lane(a), b)
+            assert got[0].shape == x.shape
 
     def test_propagate_equals_pre_fsal_loop(self):
         rng = np.random.default_rng(13)
@@ -687,18 +725,22 @@ class TestOneStart:
         starts = lane_starts(field, n, np.random.default_rng(90))[:2]
         cfg = IntegratorConfig(t_max=3.0 if field is toda_field else 1.0, stop_field_norm=1e-7)
         per_state = norm_and_corner if lean else None
-        kernel = flows_module._KERNELS[field]
-        kernel_ranks, wrapped_shapes = set(), set()
+        stepped, kernel_ranks, wrapped_shapes = flows_module._stepped, set(), set()
 
-        def recording_kernel(x):
-            kernel_ranks.add(x.ndim)
-            return kernel(x)
+        def recording_stepped(field, starts):
+            kernel, x, own = stepped(field, starts)
+
+            def recording_kernel(x, out=None):
+                if not own:
+                    kernel_ranks.add(x.ndim)
+                return kernel(x, out)
+            return recording_kernel, x, own
 
         def wrapped(x):
             wrapped_shapes.add(x.shape)
             return field(x)
 
-        monkeypatch.setitem(flows_module._KERNELS, field, recording_kernel)
+        monkeypatch.setattr(flows_module, "_stepped", recording_stepped)
         for x0 in starts:
             if lean:
                 (plain,) = integrate_many(field, [x0], cfg, per_state=per_state)
@@ -712,6 +754,60 @@ class TestOneStart:
         assert kernel_ranks == {2}
         assert wrapped_shapes == {(1, n, n)}
         assert stacked.rejected_steps > 0
+
+    def test_a_callers_field_gets_new_arrays_and_none_changes(self):
+        # it may keep what it is given: no array comes twice or is written
+        # after the call, in a one-start run, a batch and propagate
+        seen = []
+
+        def keeping(x):
+            seen.append((x, x.copy()))
+            return toda_field(x)
+
+        starts = lane_starts(toda_field, 4, np.random.default_rng(91))
+        cfg = IntegratorConfig(t_max=3.0, stop_field_norm=1e-7)
+        integrate(keeping, starts[1], cfg)
+        integrate_many(keeping, starts, cfg)
+        propagate(keeping, starts[0], 0.01)
+        assert len(seen) > 100
+        assert len({id(x) for x, _ in seen}) == len(seen)
+        for x, copy in seen:
+            assert_same_bits(x, copy)
+
+
+def nudged(x, i, j):
+    """x with its (i, j) entry one ulp up."""
+    x = x.copy()
+    x[i, j] = np.nextafter(x[i, j], np.inf)
+    return x
+
+
+class TestSymmetricRuns:
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_a_start_one_ulp_off_symmetric_takes_the_general_kernel(self, n):
+        generic, scaled = lane_starts(toda_field, n, np.random.default_rng(60 + n))[:2]
+        cfg = IntegratorConfig(t_max=3.0, stop_field_norm=1e-7)
+        assert _stepped(toda_field, [generic])[0] is _toda_kernel(n, True, True)
+        for x0 in (nudged(generic, n - 1, 0), nudged(scaled, 0, n - 1)):
+            assert _stepped(toda_field, [x0])[0] is _toda_kernel(n, True, False)
+            assert _stepped(toda_field, [generic, x0])[0] is _toda_kernel(n, False, False)
+            run = integrate(toda_field, x0, cfg)
+            assert_same_run(run, reference_integrate(toda_field, x0, cfg))
+            assert run.accepted_steps > 10
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_a_batch_of_symmetric_and_other_starts_equals_serial_runs(self, n):
+        # the symmetric starts run alone on the symmetric kernel, and in the
+        # batch on the general one
+        generic, scaled, near, _ = lane_starts(toda_field, n, np.random.default_rng(70 + n))
+        starts = [generic, nudged(generic, 1, 0), scaled, nudged(near, 0, 1)]
+        cfg = IntegratorConfig(t_max=3.0, stop_field_norm=1e-7)
+        lanes = integrate_many(toda_field, starts, cfg)
+        for lane, x0 in zip(lanes, starts):
+            assert_same_run(lane, integrate(toda_field, x0, cfg))
+        for lane in lanes[::2]:
+            assert all(is_symmetric(x) for x in lane.states)
+        assert lanes[2].rejected_steps > 0
 
 
 class TestHorizons:
@@ -910,14 +1006,17 @@ class TestErrorRatios:
         for cfg in (IntegratorConfig(), IntegratorConfig(rel_tol=3e-7, abs_tol=1e-300)):
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x_old), np.abs(x_new))
             want = np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2))).tolist()
-            got = _error_ratios(err, x_old, x_new, cfg)
+            tols = cfg.rel_tol, cfg.abs_tol
+            old_abs, new_abs = np.abs(x_old), np.abs(x_new)
+            got = _error_ratios(err, old_abs, new_abs, *tols, np.empty(shape))
             assert self.hex_list(got) == self.hex_list(want)
             # one (n, n) matrix, as a one-start run steps it
             for i in range(lanes):
-                got = _error_ratios(err[i], x_old[i], x_new[i], cfg)
+                got = _error_ratios(err[i], old_abs[i], new_abs[i], *tols, np.empty((n, n)))
                 assert self.hex_list(got) == self.hex_list(want[i:i + 1])
         zeros = np.zeros(shape)
-        assert self.hex_list(_error_ratios(-zeros, zeros, -zeros, cfg)) == ["0x0.0p+0"] * lanes
+        got = _error_ratios(-zeros, zeros, zeros, *tols, np.empty(shape))
+        assert self.hex_list(got) == ["0x0.0p+0"] * lanes
 
 
 @pytest.mark.parametrize("n", range(2, 13))
