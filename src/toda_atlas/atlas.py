@@ -270,8 +270,15 @@ def _linear_fields(lower, d) -> np.ndarray:
 
 
 def chart_linear_field(c: ChartCoords) -> np.ndarray:
-    """Linear chart dynamics: entry (i, j) scaled by the diagonal gap d_i - d_j."""
-    return _linear_fields(c.lower, _permuted_diagonal(c.h, c.w))
+    """Linear chart dynamics: entry (i, j) scaled by the diagonal gap d_i - d_j.
+
+    Raises ValueError, without a warning, when a scaled coordinate
+    overflows."""
+    with np.errstate(over="ignore"):
+        field = _linear_fields(c.lower, _permuted_diagonal(c.h, c.w))
+    if not np.isfinite(field).all():
+        raise ValueError("chart linear field overflows: a coordinate times its gap is not finite")
+    return field
 
 
 def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:

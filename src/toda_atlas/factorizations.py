@@ -148,9 +148,13 @@ def _signed_qr(m, weights):
 
 
 def _require_det_one(g: np.ndarray) -> np.ndarray:
-    """Return g, raising ValueError unless det g = 1 within _DET_TOL."""
-    det = float(np.linalg.det(g))
-    if abs(det - 1.0) > _DET_TOL:
+    """Return g, raising ValueError unless det g = 1 within _DET_TOL. A
+    determinant that leaves the double range in the elimination (inf, a
+    NaN from inf - inf, or the reciprocal of a subnormal pivot) is refused
+    the same way, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det = float(np.linalg.det(g))
+    if not abs(det - 1.0) <= _DET_TOL:
         raise ValueError(f"input must have determinant one, got {det!r}")
     return g
 

@@ -17,35 +17,49 @@ controller (safety 0.9, growth clamped to [0.2, 5.0], initial step
 traces is measured and reported instead, so integrator defects stay
 visible to the test suite.
 
-A step costs mostly numpy call overhead, so it makes few calls (about
-55 per accepted step of a symmetric sorting run). The weighted stage
-sums are running accumulators: once a stage is known, one broadcast
-multiply and one in-place add put its weighted copies into the sums of
-every later stage and of the error estimate. Starting from +0.0 and
-adding the terms in stage order is what ``sum`` over the terms does from
-its start 0, so every stage keeps the bits of that sum, signed zeros
-included. The error ratios are direct ufunc calls on one scratch array
-with the bits of the RMS written with ``np.mean``; |x| of the state
-comes from the step that accepted it. A run makes its work arrays once
-(``_Work``: the accumulators and their terms, the stage array, the field
-and error scratch, and the two |x|), and again only when lanes leave
-its stack; they belong to the run, not the module, since a field may
-itself integrate. The last stage and its field stay new arrays, as they
-are kept as the state and as the next first stage (FSAL).
+A step costs mostly numpy call overhead, so every call of the stage
+routine is on operands of one shape, with no Python float to convert and
+no size-1 operand to broadcast. An accepted step of one (n, n) matrix
+makes 40 + 6K numpy calls, K being its kernel's: 58 for a symmetric
+sorting run (K = 3), 70 for another sorting run (K = 5) and 82 for a
+symmetrization run (K = 7). A stack of B lanes makes 6 more, and one copy
+per lane of its new state; a caller's own field 5 more reshapes, besides
+its own calls. The weighted stage sums are running accumulators: once a
+stage is known, one BLAS outer product of its weight column with its
+flat field and one in-place add put its weighted copies into the sums of
+every later stage and of the error estimate. With K = 1 each entry of the
+outer product is one rounded product, as ``np.multiply`` gives it, but
+for the sign of a zero. Starting from +0.0 and adding the terms in stage
+order is what ``sum`` over the terms does from its start 0, and a sum
+started at +0.0 is never -0.0, so the sign of a zero term never shows:
+every stage keeps the bits of that sum, signed zeros included. The step
+is an array of x's shape, written once per step, and the tolerances are
+arrays bound once per run. The error ratios are direct ufunc calls on
+one scratch array with the bits of the RMS written with ``np.mean``; |x|
+of the state comes from the step that accepted it. A run makes its work
+arrays once (``_Work``: the step, the accumulators and their terms, the
+stage array, the field scratch, the kernel's scratch for each of its
+temporaries, the error scratch, the tolerances and the two |x|), and
+again only when lanes leave its stack. They belong to the run, never to
+the module or to the cached kernels, which hold only read-only weights:
+a field may itself integrate, and two runs may step at once on different
+threads. The last stage and its field stay new arrays, as they are kept
+as the state and as the next first stage (FSAL).
 
 ``integrate_many`` steps B starts in lockstep over a ``(B, n, n)``
 stack, one field call per stage for the whole batch. Each lane keeps its
 own step size, PI state, stop test and counts, and leaves the stack when
 it stops; control in Python floats and per-lane reductions give every
 lane the bits of a run alone. One start of a field with a kernel is
-stepped as its plain ``(n, n)`` matrix with a float step through the
-same loop and the same stage routine: on a matrix the kernels multiply
+stepped as its plain ``(n, n)`` matrix through the same loop and the
+same stage routine: on a matrix the kernels multiply
 with ``ndarray.dot``, on a stack with ``np.matmul``, which make the same
 BLAS call at about half of ``@``'s cost, and the error ratio and field
 norm take either rank. ``integrate`` is that one-start case, and
 ``propagate`` steps its matrix the same way. ``_stepped`` binds a run's
 kernel once, with its size's weights and its product, and the kernel
-writes the field of a stage into the run's field scratch. Every run's
+writes the field of a stage into the run's field scratch and its
+temporaries into the run's kernel scratch. Every run's
 accepted states pass once through one walk, ``_Lane.fold``, in the
 stacks of at most 64 (start first) that ``_stacks`` yields: the
 finiteness check and the power-trace drift are taken there. A lean run
@@ -73,7 +87,7 @@ tests hold both kernels to the composition, and c to its symmetry, on
 stacks, views, triangular matrices and signed zeros.
 
 A run of ``toda_field`` whose starts are all exactly symmetric
-(``np.array_equal(x0, x0.T)``) steps a kernel of 3 calls in place of 6:
+(``np.array_equal(x0, x0.T)``) steps a kernel of 3 calls in place of 5:
 k = x * S, S being 1 below the diagonal and -1 above, p = x k, and
 f = p + p^T. The bits are those of the general kernel as long as a
 product forms each entry as one sequential sum started at +0.0, as
@@ -153,14 +167,13 @@ _DP_B4 = np.array(
 )
 _DP_ERR = _DP_B5 - _DP_B4
 # Column j holds stage j's weight in every later stage's input (row s - 1
-# for stage s) and in the error estimate (row 6). _DP_ROWS[ndim][j] is
-# its part from row j down, shaped to broadcast over the (7, n, n)
-# accumulators of one matrix (ndim 2) or the (7, B, n, n) ones of a stack.
+# for stage s) and in the error estimate (row 6). _DP_COLUMNS[j] is its
+# part from row j down as a (7 - j, 1) column: its outer product with the
+# flat field of stage j gives that stage's terms in every sum.
 _DP_WEIGHTS = np.vstack([_DP_A[1:], _DP_ERR])
-_DP_ROWS = {
-    ndim: [_DP_WEIGHTS[j:, j].reshape((7 - j,) + (1,) * ndim) for j in range(7)]
-    for ndim in (2, 3)
-}
+_DP_COLUMNS = [_DP_WEIGHTS[j:, j:j + 1].copy() for j in range(7)]
+_KERNEL_TEMPS = 6  # scratch arrays a field kernel may take (sym_field's six)
+_FRESH = (None,) * _KERNEL_TEMPS  # no scratch: each temporary a new array
 
 
 @dataclass(frozen=True)
@@ -271,35 +284,44 @@ def _dot(plain: bool):
 
 @functools.lru_cache(maxsize=64)
 def _toda_kernel(n: int, plain: bool, symmetric: bool):
-    """The unchecked kernel ``f(x, out=None)`` of ``toda_field`` on n x n
-    matrices, its weights and product bound; ``out`` takes the field.
-    With ``symmetric`` it is the kernel of an exactly symmetric x: 3 calls
-    in place of 6, with the same bits (see the module docstring)."""
+    """The unchecked kernel ``f(x, out=None, tmp=_FRESH)`` of ``toda_field``
+    on n x n matrices, its weights and product bound; ``out`` takes the
+    field and ``tmp`` holds scratch arrays of x's shape for its temporaries
+    (L, k and the two products; p alone for the symmetric kernel), or None
+    for new ones. With ``symmetric`` it is the kernel of an exactly
+    symmetric x: 3 calls in place of 5, with the same bits (see the module
+    docstring). The kernel holds no array of its own, so runs on other
+    threads can share it."""
     lower, _, signs = _projection_weights(n)
     dot = _dot(plain)
     if symmetric:
-        def kernel(x, out=None):
-            p = dot(x, np.multiply(x, signs, out))
+        def kernel(x, out=None, tmp=_FRESH):
+            p = dot(x, np.multiply(x, signs, out), tmp[0])
             return np.add(p, p.mT, out)
     else:
-        def kernel(x, out=None):
-            low = x * lower
-            k = low - low.mT
-            return np.subtract(dot(x, k), dot(k, x), out)
+        def kernel(x, out=None, tmp=_FRESH):
+            low, k, xk, kx = tmp[:4]
+            low = np.multiply(x, lower, low)
+            k = np.subtract(low, low.mT, k)
+            return np.subtract(dot(x, k, xk), dot(k, x, kx), out)
     return kernel
 
 
 @functools.lru_cache(maxsize=64)
 def _sym_kernel(n: int, plain: bool):
-    """The unchecked kernel ``f(x, out=None)`` of ``sym_field`` on n x n
-    matrices, its weights and product bound; ``out`` takes the field."""
+    """The unchecked kernel ``f(x, out=None, tmp=_FRESH)`` of ``sym_field``
+    on n x n matrices, its weights and product bound; ``out`` takes the
+    field and ``tmp`` six scratch arrays of x's shape for x x^T, x^T x,
+    their difference, u, x u and u x, or None for new ones."""
     weights = _projection_weights(n)[1]
     dot = _dot(plain)
 
-    def kernel(x, out=None):
+    def kernel(x, out=None, tmp=_FRESH):
+        xxt, xtx, c, u, xu, ux = tmp
         xt = x.mT
-        u = (dot(x, xt) - dot(xt, x)) * weights
-        return np.subtract(dot(x, u), dot(u, x), out)
+        c = np.subtract(dot(x, xt, xxt), dot(xt, x, xtx), c)
+        u = np.multiply(c, weights, u)
+        return np.subtract(dot(x, u, xu), dot(u, x, ux), out)
     return kernel
 
 
@@ -324,8 +346,8 @@ def _stepped(field, starts) -> tuple:
     unchecked kernel, bound here once for the run: ``toda_field``'s
     symmetric one when every start is exactly symmetric, which keeps the
     run so. Any other field is the caller's own (own is True): it is
-    called as given, on the stack, and the ``out`` the stage routine
-    passes is dropped."""
+    called as given, on the stack, and the ``out`` and scratch the stage
+    routine passes are dropped."""
     if field is toda_field or field is sym_field:
         plain = len(starts) == 1
         x = starts[0].copy() if plain else np.stack(starts)
@@ -334,71 +356,88 @@ def _stepped(field, starts) -> tuple:
         symmetric = all(np.array_equal(x0, x0.T) for x0 in starts)
         return _toda_kernel(x.shape[-1], plain, symmetric), x, False
 
-    def own(x, out=None):
+    def own(x, out=None, tmp=None):
         return field(x)
     return own, np.stack(starts), True
 
 
 class _Work:
     """The scratch arrays of a run at one shape of x, made once per run and
-    again when lanes leave its stack: the stage accumulators and their
-    terms, the step scratch (a kernel's stage array too), the field
-    scratch, the error and its scale, and |x| of the current state and of
-    the trial one. A caller's own field gets a new array for every stage
-    in place of the stage array and writes no field scratch. They belong
-    to one run, since a field may itself integrate."""
+    again when lanes leave its stack: the step h as an array of x's shape,
+    the stage accumulators and their terms (flat, as the outer products
+    write them), the step scratch (a kernel's stage array too), the field
+    scratch and its flat view, the kernel's scratch, the error and its
+    scale, the tolerances as arrays (tols, a run's ``(rel_tol, abs_tol)``),
+    and |x| of the current state and of the trial one. A caller's own field
+    gets a new array for every stage in place of the stage array and writes
+    no field or kernel scratch. They belong to one run, never to the
+    module or to a cached kernel, since a field may itself integrate and
+    two runs may step at once on different threads."""
 
-    def __init__(self, x, own):
-        shape = x.shape
-        rows = _DP_ROWS[x.ndim]
-        acc, terms = np.empty((7,) + shape), np.empty((7,) + shape)
+    def __init__(self, x, own, tols=None):
+        shape, size = x.shape, x.size
+        acc, terms = np.empty((7,) + shape), np.empty((7, size))
+        sums = acc.reshape(7, size)
+        self.h = np.empty(shape)
         self.step = np.empty(shape)
-        stage, field = (None, None) if own else (self.step, np.empty(shape))
-        self.first = rows[0], acc
-        # per stage: the sum it starts from, its stage and field outputs,
-        # and its weights with the terms and accumulators they go into; the
-        # last stage and its field stay new arrays, kept as state and FSAL
+        if own:
+            stage = field = flat = self.tmp = None
+        else:
+            stage, field = self.step, np.empty(shape)
+            flat = field.reshape(1, size)
+            self.tmp = tuple(np.empty((_KERNEL_TEMPS,) + shape))
+        self.first = _DP_COLUMNS[0], sums
+        # per stage: the sum it starts from, its stage and field outputs (the
+        # field's flat view too), and its weight column with the terms and
+        # sums it goes into; the last stage and its field stay new arrays,
+        # kept as state and FSAL
         self.stages = [
-            (acc[s - 1], stage, field, rows[s], terms[s:], acc[s:]) for s in range(1, 6)
-        ] + [(acc[5], None, None, rows[6], terms[6:], acc[6:])]
+            (acc[s - 1], stage, field, flat, _DP_COLUMNS[s], terms[s:], sums[s:])
+            for s in range(1, 6)
+        ] + [(acc[5], None, None, None, _DP_COLUMNS[6], terms[6:], sums[6:])]
         self.err = acc[6], np.empty(shape)
+        if tols is not None:
+            self.rel_tol, self.abs_tol = (np.full(shape, tol) for tol in tols)
         self.scale = np.empty(shape)
         self.x_abs, self.trial_abs = np.abs(x), np.empty(shape)
 
 
-def _dopri_stages(field, x, h, k1, work):
-    """One embedded step: returns (x5, error_estimate, k7) with
-    k7 = field(x5), the next step's first stage (FSAL).
+def _dopri_stages(field, x, k1, work):
+    """One embedded step of size ``work.h``: returns (x5, error_estimate,
+    k7) with k7 = field(x5), the next step's first stage (FSAL).
 
-    x is one (n, n) matrix with a float step h, or a (B, n, n) stack with
-    h a float or a (B, 1, 1) array of per-lane steps; work is the run's
-    ``_Work`` at x's shape, and the error estimate is its scratch. Each
-    weighted stage sum, and the error's, is a running accumulator: once
-    stage j is known, its weighted copies are added into the accumulators
-    of every later stage and of the error, so each adds its terms in
-    stage order. The accumulators start at +0.0 (``t + 0.0`` is
-    ``0.0 + t``), which is how ``sum`` adds the terms onto its start 0, so
-    an entry whose every term is -0.0 comes out +0.0. A running sum that
-    starts at +0.0 is never -0.0, so a zero weight's signed-zero term
-    leaves it unchanged, and each weighted sum has the bits of ``sum``
-    over the nonzero terms, in every lane of a stack.
+    x is one (n, n) matrix or a (B, n, n) stack, and work is the run's
+    ``_Work`` at x's shape, whose h holds the step of each entry (each
+    lane's own in a stack); the error estimate is its scratch. Every call
+    is on operands of one shape. Each weighted stage sum, and the error's,
+    is a running accumulator started at +0.0: once stage j is known, one
+    BLAS outer product of its (7 - j, 1) weight column with its flat field
+    puts its weighted copies into the terms of every later sum, and one
+    add puts them into the sums. So each sum adds its terms in stage order
+    and, for finite stages, has the bits of ``sum`` over its nonzero
+    terms, in every lane of a stack (the module docstring says why); a
+    stage that is not finite gives a zero weight's 0 * inf = NaN, as
+    ``np.multiply`` does.
     """
-    row, acc = work.first
-    np.multiply(row, k1, acc)
-    acc += 0.0
-    step = work.step
-    for prev, stage_out, field_out, row, terms, sums in work.stages:
+    column, sums = work.first
+    column.dot(k1.reshape(1, -1), sums)
+    sums += 0.0
+    h, step, tmp = work.h, work.step, work.tmp
+    for prev, stage_out, field_out, flat, column, terms, sums in work.stages:
         stage = np.add(x, np.multiply(h, prev, step), stage_out)
-        k = field(stage, field_out)
-        sums += np.multiply(row, k, terms)
+        k = field(stage, field_out, tmp)
+        column.dot(k.reshape(1, -1) if flat is None else flat, terms)
+        sums += terms
     total, err = work.err
     return stage, np.multiply(h, total, err), k
 
 
-def _error_ratios(err, old_abs, new_abs, rel_tol, abs_tol, q) -> list:
-    """RMS of the error over its tolerance scale, as Python floats: one
-    for an (n, n) matrix, one per lane for a stack. old_abs and new_abs
-    are |x_old| and |x_new|, and q is a scratch array of their shape.
+def _error_ratios(err, old_abs, new_abs, rel_tol, abs_tol, q):
+    """RMS of the error over its tolerance scale, as Python floats: a
+    one-tuple for an (n, n) matrix, a list with one per lane for a stack.
+    old_abs and new_abs are |x_old| and |x_new|, rel_tol and abs_tol
+    arrays of their shape holding the run's tolerances, and q a scratch
+    array of that shape.
 
     Direct ufunc calls in one array give the bits of
     ``np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2)))`` over the
@@ -408,22 +447,22 @@ def _error_ratios(err, old_abs, new_abs, rel_tol, abs_tol, q) -> list:
     by their size.
     """
     np.maximum(old_abs, new_abs, out=q)
-    q *= rel_tol
-    q += abs_tol
+    np.multiply(q, rel_tol, q)
+    np.add(q, abs_tol, q)
     np.divide(err, q, q)
     np.square(q, q)
     n = q.shape[-1]
     ms = np.add.reduce(q, (-2, -1)) / (n * n)
-    return np.sqrt(ms).tolist() if q.ndim == 3 else [math.sqrt(ms)]
+    return np.sqrt(ms).tolist() if q.ndim == 3 else (math.sqrt(ms),)
 
 
-def _frobenius_norms(f) -> list:
-    """Frobenius norm of an (n, n) matrix or of each matrix of a stack, as
-    a list of Python floats; ``ndarray.dot`` of one flat matrix and
-    ``np.vecdot`` of each in a stack are the same BLAS ``ddot``."""
+def _frobenius_norms(f):
+    """Frobenius norm of an (n, n) matrix, as a one-tuple, or of each matrix
+    of a stack, as a list, of Python floats; ``ndarray.dot`` of one flat
+    matrix and ``np.vecdot`` of each in a stack are the same BLAS ``ddot``."""
     if f.ndim == 2:
         flat = f.ravel()
-        return [math.sqrt(flat.dot(flat))]
+        return (math.sqrt(flat.dot(flat)),)
     flat = f.reshape(len(f), -1)
     return np.sqrt(np.vecdot(flat, flat)).tolist()
 
@@ -452,13 +491,13 @@ class _Lane:
     and folds them once, when the run ends: folding them during the run
     measured about 7 % slower per step in B = 1 sorting runs at n = 12."""
 
-    def __init__(self, x0, fnorm, t_max, cfg, per_state, reference):
+    def __init__(self, x0, fnorm, t_max, max_step, per_state, reference):
         self.t = 0.0
         self.t_max = t_max
         # rounding of the final clamped step can leave t one ulp short of
         # t_max; a leftover below this is the endpoint, not a stalled step
         self.t_end = t_max * (1.0 - 1e-12)
-        self.h = min(_INITIAL_STEP, cfg.max_step, t_max)
+        self.h = min(_INITIAL_STEP, max_step, t_max)
         self.err_prev = 1e-4
         self.fnorm = fnorm
         self.times = [0.0]
@@ -562,56 +601,59 @@ def integrate_many(
     kernel, x, own = _stepped(field, starts)
     stack = x.ndim == 3
     fx = kernel(x)
-    work = _Work(x, own)
+    stop, max_step, tols = cfg.stop_field_norm, cfg.max_step, (cfg.rel_tol, cfg.abs_tol)
+    work = _Work(x, own, tols)
     lanes = [
-        _Lane(x0, fnorm, t_max, cfg, per_state, reference)
+        _Lane(x0, fnorm, t_max, max_step, per_state, reference)
         for x0, fnorm, t_max, reference in zip(
             x if stack else [x], _frobenius_norms(fx), horizons, references
         )
     ]
 
-    active = lanes
+    active, stopped = lanes, True
     # a trial step can overflow in its error ratio or field norm; the
     # step is then rejected, and an accepted non-finite state fails the
     # fold, so the whole loop runs without those warnings
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            going = [
-                i for i, lane in enumerate(active)
-                if lane.fnorm >= cfg.stop_field_norm and lane.t < lane.t_end
-            ]
-            if not going:
-                break
-            if len(going) < len(active):
-                active = [active[i] for i in going]
-                x, fx = x[going], fx[going]
-                work = _Work(x, own)
+            # a lane's stop test changes only when it accepts a step
+            if stopped:
+                going = [
+                    i for i, lane in enumerate(active)
+                    if lane.fnorm >= stop and lane.t < lane.t_end
+                ]
+                if not going:
+                    break
+                if len(going) < len(active):
+                    active = [active[i] for i in going]
+                    x, fx = x[going], fx[going]
+                    work = _Work(x, own, tols)
+                stopped = False
             for lane in active:
-                lane.h = min(lane.h, cfg.max_step, lane.t_max - lane.t)
+                lane.h = min(lane.h, max_step, lane.t_max - lane.t)
                 if lane.h < _MIN_STEP:
                     raise StiffnessError(
                         f"step size underflowed ({lane.h:.2e}) at t={lane.t:.6g}",
                         trajectory=lane.trajectory(),
                     )
-            h = np.array([lane.h for lane in active])[:, None, None] if stack else active[0].h
-            x_new, err, k_last = _dopri_stages(kernel, x, h, fx, work)
+            if stack:
+                np.copyto(work.h, np.array([lane.h for lane in active])[:, None, None])
+            else:
+                work.h.fill(active[0].h)
+            x_new, err, k_last = _dopri_stages(kernel, x, fx, work)
             new_abs = np.abs(x_new, work.trial_abs)
-            ratios = _error_ratios(err, work.x_abs, new_abs, cfg.rel_tol, cfg.abs_tol, work.scale)
-            took = [ratio <= 1.0 for ratio in ratios]
-            if all(took):
-                x, fx = x_new, k_last
-                work.x_abs, work.trial_abs = new_abs, work.x_abs
-            elif any(took):
-                took = np.array(took)[:, None, None]
-                x = np.where(took, x_new, x)
-                fx = np.where(took, k_last, fx)
-                np.abs(x, work.x_abs)
+            ratios = _error_ratios(
+                err, work.x_abs, new_abs, work.rel_tol, work.abs_tol, work.scale
+            )
+            taken = 0
             for lane, ratio, fnorm, state in zip(
-                active, ratios, _frobenius_norms(k_last), x_new if stack else [x_new]
+                active, ratios, _frobenius_norms(k_last), x_new if stack else (x_new,)
             ):
                 if ratio <= 1.0:
+                    taken += 1
                     lane.t += lane.h
                     lane.fnorm = fnorm
+                    stopped = stopped or not (fnorm >= stop and lane.t < lane.t_end)
                     # a row of a stack is copied out; one start's new state
                     # is an array of its own, which nothing writes to
                     lane.states.append(state.copy() if stack else state)
@@ -627,6 +669,14 @@ def integrate_many(
                     lane.rejected += 1
                     factor = _SAFETY * ratio ** (-0.2)
                     lane.h *= min(1.0, max(_SHRINK_MIN, factor))
+            if taken == len(active):
+                x, fx = x_new, k_last
+                work.x_abs, work.trial_abs = new_abs, work.x_abs
+            elif taken:
+                took = np.array([ratio <= 1.0 for ratio in ratios])[:, None, None]
+                x = np.where(took, x_new, x)
+                fx = np.where(took, k_last, fx)
+                np.abs(x, work.x_abs)
 
     return [lane.trajectory() for lane in lanes]
 
@@ -660,10 +710,10 @@ def propagate(field, x0, t: float) -> np.ndarray:
     if t == 0.0:
         return x.copy()
     steps = max(1, int(math.ceil(abs(t) / _PROPAGATE_STEP)))
-    h = t / steps
     kernel, x, own = _stepped(field, [x])
     work = _Work(x, own)
+    work.h.fill(t / steps)
     k = kernel(x)
     for _ in range(steps):
-        x, _, k = _dopri_stages(kernel, x, h, k, work)
+        x, _, k = _dopri_stages(kernel, x, k, work)
     return x.reshape(x.shape[-2:])

@@ -276,8 +276,9 @@ def _eigen_stack(y: np.ndarray):
     # Frobenius norms of y, of y - y^T and of the residual, one row each,
     # taken on each matrix scaled by a power of two to a largest entry in
     # [1/2, 1): exact, so the checks decide as unscaled wherever nothing
-    # overflows, and no square overflows
-    scale = np.ldexp(1.0, -exponents)[:, None, None]
+    # overflows, and no square overflows; a subnormal largest entry takes
+    # the largest finite power, 2**1023, and lands below 2
+    scale = np.ldexp(1.0, -np.maximum(exponents, -1023))[:, None, None]
     ys = scale * y
     residual = (q * (scale * lam[:, None, :])) @ q.swapaxes(1, 2) - ys
     flat = np.concatenate([ys, ys - ys.swapaxes(1, 2), residual]).reshape(3, len(y), -1)

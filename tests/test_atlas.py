@@ -76,6 +76,11 @@ class TestFlagPoint:
         h = Spectrum((1.0, 1.0 - 5e-9, -2.0 + 5e-9))
         with pytest.raises(ValueError, match="collision"):
             FlagPoint(h.diag(), h)
+        # a subnormal matrix collides too, without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="collision: gap 9.881e-324"):
+                FlagPoint(5e-324 * np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_frame_is_the_read_only_eigenframe(self):
         rng = rng_from_seed(13)

@@ -109,6 +109,18 @@ class TestKAN:
         with pytest.raises(ValueError, match="determinant"):
             kan_factorize(2.0 * np.eye(3))
 
+    def test_an_overflowing_determinant_is_refused_without_a_warning(self):
+        # det of 1e160 I is 1e480, past the double range; the elimination of
+        # the second matrix takes inf - inf, a NaN determinant, and that of
+        # the third the reciprocal of a subnormal pivot
+        nan_det = 1e308 * np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
+        subnormal = 5e-324 * np.array([[0.0, -1.0], [-1.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for g, got in ((1e160 * np.eye(3), "inf"), (nan_det, "nan"), (subnormal, "0.0")):
+                with pytest.raises(ValueError, match=f"^input must have determinant one, got {got}$"):
+                    kan_factorize(g)
+
     def test_dependent_column_is_factorization_error(self):
         g = np.diag([1e7, 1e7, 1e-14])
         assert np.linalg.det(g) == 1.0

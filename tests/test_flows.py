@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -57,20 +59,23 @@ from toda_atlas.analysis import sl2_coords, sl2_cubic_model, sl2_matrix
 RNG = rng_from_seed(31)
 
 
-def generator_sum_step(field, x, h, k1, stages=None):
+def generator_sum_step(field, x, h, k1, stages=None, every_term=False):
     """A Dormand-Prince step written with ``sum`` over generators and a
     separate fifth-order sum: the form ``_dopri_stages`` must match bit
-    for bit. Appends every stage input to ``stages`` when given."""
+    for bit. Appends every stage input to ``stages`` when given. A zero
+    weight's term is left out, as it changes no finite sum; with
+    ``every_term`` it is added too, as the stage routine adds it, so that a
+    non-finite stage gives its 0 * inf = NaN in the same places."""
+    def weighted(weights, k):
+        return sum(w * ki for w, ki in zip(weights, k) if every_term or w != 0.0)
+
     k = [k1]
     for row in _DP_A[1:]:
-        increment = sum(coeff * ki for coeff, ki in zip(row, k) if coeff != 0.0)
-        stage = x + h * increment
+        stage = x + h * weighted(row, k)
         if stages is not None:
             stages.append(stage)
         k.append(field(stage))
-    x5 = x + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
-    return x5, err, k[6]
+    return x + h * weighted(_DP_B5, k), h * weighted(_DP_ERR, k), k[6]
 
 
 def pre_fsal_propagate(field, x0, t, max_step=1e-3):
@@ -86,6 +91,13 @@ def pre_fsal_propagate(field, x0, t, max_step=1e-3):
 def assert_same_bits(a, b):
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_same_or_nan(a, b):
+    """The same bits, NaN standing for any NaN."""
+    assert np.array_equal(a, b, equal_nan=True)
+    numbers = ~np.isnan(a)
+    assert np.array_equal(np.signbit(a[numbers]), np.signbit(b[numbers]))
 
 
 def random_matrix(n, rng):
@@ -242,6 +254,18 @@ class TestChartLinearField:
             d = h_conjugate(h, w)
             expected = np.tril(commutator(d, d + coords.lower), -1)
             np.testing.assert_allclose(chart_linear_field(coords), expected, atol=1e-13)
+
+    def test_an_overflowing_field_is_refused_without_a_warning(self):
+        # the gaps 1e300 and 2e300 times coordinates 1e300 leave the double
+        # range; a coordinate that keeps every product finite is still taken
+        h = Spectrum((1e300, 0.0, -1e300))
+        lower = np.tril(np.full((3, 3), 1e300), -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^chart linear field overflows: "):
+                chart_linear_field(ChartCoords(Permutation.identity(3), lower, h))
+            field = chart_linear_field(ChartCoords(Permutation.identity(3), lower * 1e-300, h))
+        np.testing.assert_array_equal(field, -np.tril([[0, 0, 0], [1e300, 0, 0], [2e300, 1e300, 0]]))
 
 
 class TestChartFlowExact:
@@ -458,41 +482,87 @@ class TestIntegrate:
         assert critical.field_evals == 1
         assert critical.min_step == critical.max_step == 0.0
 
-    @pytest.mark.parametrize("rank", ["matrix", "stack"])
-    def test_stage_sums_keep_the_bits_of_sum(self, rank):
-        # an all -0.0 entry must come out of a stage sum as +0.0, as sum()
-        # gives: one matrix with a float step, and a stack whose lanes have
-        # their own (B, 1, 1) steps, each lane against its own sum(); in a
-        # kernel's work arrays and in a caller's field's new ones
-        def field(x):
-            return -np.abs(x)
-
-        one = np.array([[-0.0, 1.0], [-0.5, -0.0]])
-        if rank == "matrix":
-            x, h, lanes = one, 1e-3, [(one, 1e-3)]
-        else:
-            x = np.stack([one, -one, np.full((2, 2), -0.0)])
-            steps = [1e-3, 2.5e-2, 0.5]
-            h = np.array(steps)[:, None, None]
-            lanes = list(zip(x, steps))
+    @staticmethod
+    def stages_against_sum(field, x, steps, every_term=False):
+        """Run ``_dopri_stages`` on x, one matrix or a (B, n, n) stack with
+        step steps[b] in lane b, in a kernel's work arrays and in a caller's
+        field's new ones, and hold each lane's stages and outputs to
+        ``generator_sum_step`` on that lane alone."""
+        lanes = [x] if x.ndim == 2 else list(x)
         for own in (False, True):
             got_stages = []
 
-            def recording(x, out=None):
+            def recording(x, out=None, tmp=None):
                 got_stages.append(x.copy())
-                return np.negative(np.abs(x), out)
+                if out is None:
+                    return field(x)
+                out[...] = field(x)
+                return out
 
-            got = _dopri_stages(recording, x, h, field(x), _Work(x, own))
+            work = _Work(x, own)
+            work.h[...] = steps[0] if x.ndim == 2 else np.array(steps)[:, None, None]
+            got = _dopri_stages(recording, x, field(x), work)
             assert len(got_stages) == 6
-            for i, (x0, step) in enumerate(lanes):
-                expected_stages = []
-                want = generator_sum_step(field, x0, step, field(x0), expected_stages)
-                lane = (lambda a: a) if rank == "matrix" else (lambda a: a[i])
-                for a, b in zip(got_stages, expected_stages):
-                    assert_same_bits(lane(a), b)
-                for a, b in zip(got, want):
-                    assert_same_bits(lane(a), b)
             assert got[0].shape == x.shape
+            for i, (x0, step) in enumerate(zip(lanes, steps)):
+                expected_stages = []
+                want = generator_sum_step(
+                    field, x0, step, field(x0), expected_stages, every_term
+                )
+                lane = (lambda a: a) if x.ndim == 2 else (lambda a: a[i])
+                for a, b in zip(got_stages + list(got), expected_stages + list(want)):
+                    assert_same_or_nan(lane(a), b)
+
+    @pytest.mark.parametrize("rank", ["matrix", "stack"])
+    def test_stage_sums_keep_the_bits_of_sum(self, rank):
+        # an all -0.0 entry must come out of a stage sum as +0.0, as sum()
+        # gives: one matrix with its step, and a stack whose lanes have
+        # their own steps, each lane against its own sum()
+        one = np.array([[-0.0, 1.0], [-0.5, -0.0]])
+        if rank == "matrix":
+            x, steps = one, [1e-3]
+        else:
+            x, steps = np.stack([one, -one, np.full((2, 2), -0.0)]), [1e-3, 2.5e-2, 0.5]
+        self.stages_against_sum(lambda x: -np.abs(x), x, steps)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("rank", ["matrix", "stack"])
+    def test_stage_terms_keep_the_bits_of_sum(self, rank, n):
+        # x and the field's values hold +0.0, -0.0, subnormals and normal
+        # numbers of both signs, stepped forward and backward (propagate's
+        # t < 0); the smallest subnormals among the values make weighted
+        # terms that round to -0.0, which the sums' +0.0 start must make
+        # +0.0 where x is -0.0; then a start whose first stage overflows,
+        # so later stages hold inf and NaN (a step the integrator
+        # rejects), against the sums with every term, zero weights' NaN
+        # included
+        rng = np.random.default_rng(300 + n)
+        shape = (n, n) if rank == "matrix" else (3, n, n)
+        kinds = rng.integers(0, 5, shape)
+        x = np.select(
+            [kinds == 0, kinds == 1, kinds == 2],
+            [0.0, -0.0, rng.integers(-3, 4, shape) * 5e-324],
+            rng.standard_normal(shape),
+        )
+        picks = rng.integers(0, 3, (n, n))
+        weights = np.select(
+            [picks == 0, picks == 1],
+            [-0.0, rng.integers(1, 9, (n, n)) * 2.0 ** -1070],
+            rng.standard_normal((n, n)),
+        )
+        offsets = rng.integers(-2, 3, (n, n)) * 5e-324
+        offsets[offsets == 0.0] = -0.0  # x * weights + -0.0 keeps every bit
+
+        def field(x):
+            return x * weights + offsets
+
+        lanes = 1 if rank == "matrix" else 3
+        for sign in (1.0, -1.0):
+            steps = [sign * 10.0 ** -k for k in range(3, 3 + lanes)]
+            self.stages_against_sum(field, x, steps)
+            huge = np.where(kinds == 2, 1e308, x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.stages_against_sum(lambda x: field(x) * 1e300, huge, steps, every_term=True)
 
     def test_propagate_equals_pre_fsal_loop(self):
         rng = np.random.default_rng(13)
@@ -730,10 +800,10 @@ class TestOneStart:
         def recording_stepped(field, starts):
             kernel, x, own = stepped(field, starts)
 
-            def recording_kernel(x, out=None):
+            def recording_kernel(x, *out_and_scratch):
                 if not own:
                     kernel_ranks.add(x.ndim)
-                return kernel(x, out)
+                return kernel(x, *out_and_scratch)
             return recording_kernel, x, own
 
         def wrapped(x):
@@ -808,6 +878,46 @@ class TestSymmetricRuns:
         for lane in lanes[::2]:
             assert all(is_symmetric(x) for x in lane.states)
         assert lanes[2].rejected_steps > 0
+
+
+class TestThreads:
+    def test_kernel_scratch_belongs_to_the_run(self):
+        # two threads step the same cached kernels at once, switching every
+        # microsecond so that each enters the other's kernel calls: sym_field
+        # fiber starts and exactly symmetric toda_field starts, one at a time
+        # (plain matrices) and as a batch (stacks); every run has the bits
+        # of the same run done serially
+        n = 8
+        rng = np.random.default_rng(85)
+        cfg = IntegratorConfig(t_max=0.5, stop_field_norm=1e-7)
+        sym_starts = lane_starts(sym_field, n, rng)[:2]
+        toda_starts = [random_symmetric_with_spectrum(default_spectrum(n), rng) for _ in range(2)]
+        jobs = [(sym_field, [x0]) for x0 in sym_starts] + [(toda_field, [x0]) for x0 in toda_starts]
+        jobs += [(sym_field, sym_starts), (toda_field, toda_starts)]
+        serial = [integrate_many(field, starts, cfg) for field, starts in jobs]
+        results = [[], []]
+
+        def worker(out, order):
+            for _ in range(3):
+                for i in order:
+                    out.append((i, integrate_many(*jobs[i], cfg)))
+
+        orders = [range(len(jobs)), range(len(jobs) - 1, -1, -1)]
+        threads = [threading.Thread(target=worker, args=args) for args in zip(results, orders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(out) for out in results] == [3 * len(jobs)] * 2
+        for i, runs in (pair for out in results for pair in out):
+            for run, alone in zip(runs, serial[i]):
+                assert_same_run(run, alone)
 
 
 class TestHorizons:
@@ -1006,17 +1116,56 @@ class TestErrorRatios:
         for cfg in (IntegratorConfig(), IntegratorConfig(rel_tol=3e-7, abs_tol=1e-300)):
             scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x_old), np.abs(x_new))
             want = np.sqrt(np.mean((err / scale) ** 2, axis=(1, 2))).tolist()
-            tols = cfg.rel_tol, cfg.abs_tol
+            tols = np.full(shape, cfg.rel_tol), np.full(shape, cfg.abs_tol)
             old_abs, new_abs = np.abs(x_old), np.abs(x_new)
             got = _error_ratios(err, old_abs, new_abs, *tols, np.empty(shape))
             assert self.hex_list(got) == self.hex_list(want)
             # one (n, n) matrix, as a one-start run steps it
             for i in range(lanes):
-                got = _error_ratios(err[i], old_abs[i], new_abs[i], *tols, np.empty((n, n)))
+                lane_tols = [tol[i] for tol in tols]
+                got = _error_ratios(err[i], old_abs[i], new_abs[i], *lane_tols, np.empty((n, n)))
                 assert self.hex_list(got) == self.hex_list(want[i:i + 1])
         zeros = np.zeros(shape)
         got = _error_ratios(-zeros, zeros, zeros, *tols, np.empty(shape))
         assert self.hex_list(got) == ["0x0.0p+0"] * lanes
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_outer_products_are_the_rounded_products(n):
+    # the stage routine's one BLAS assumption: ndarray.dot of an (m, 1)
+    # column with a (1, N) row, K = 1, into a view of a larger array, gives
+    # each entry as np.multiply does, but for the sign of a zero; on the
+    # stage weights and on random columns, for one matrix and a stack, with
+    # rows holding zeros of both signs, subnormals, overflowing products,
+    # inf and NaN. A (1, 1) column is a scalar to numpy, which may skip a
+    # zero one (giving 0 for 0 * inf), so the one of the routine is nonzero.
+    rng = np.random.default_rng(400 + n)
+    assert flows_module._DP_COLUMNS[6].shape == (1, 1) and flows_module._DP_COLUMNS[6][0, 0] != 0.0
+    for size in (n * n, 5 * n * n):
+        row = rng.standard_normal((1, size)) * 10.0 ** rng.integers(-320, 300, (1, size))
+        specials = rng.integers(0, 8, (1, size))
+        row[specials == 0] = 0.0
+        row[specials == 1] = -0.0
+        row[specials == 2] = rng.integers(-9, 10, (specials == 2).sum()) * 5e-324
+        row[specials == 3] = np.inf
+        row[specials == 4] = -np.inf
+        row[specials == 5] = np.nan
+        columns = list(flows_module._DP_COLUMNS)
+        for m in range(1, 8):
+            column = rng.standard_normal((m, 1)) * 10.0 ** rng.integers(-300, 300, (m, 1))
+            if m > 1:
+                column[rng.integers(0, m)] = rng.choice([0.0, -0.0, 5e-324])
+            columns.append(column)
+        for column in columns:
+            m = len(column)
+            terms = np.full((7, size), 7.0)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                got = column.dot(row, out=terms[7 - m:])
+                want = np.multiply(column, row)
+            assert got.base is terms and np.all(terms[:7 - m] == 7.0)
+            assert np.array_equal(got, want, equal_nan=True)
+            signed = (want != 0.0) & ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
 
 
 @pytest.mark.parametrize("n", range(2, 13))

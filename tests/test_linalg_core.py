@@ -216,6 +216,14 @@ class TestSymmetricEigen:
         with pytest.raises(ValueError, match="collision"):
             symmetric_eigen(y)
 
+    def test_subnormal_entries_are_checked_without_a_warning(self):
+        # the rescaling of a subnormal largest entry stops at 2**1023, where
+        # 2**1073 would overflow; the eigenvalues +-5e-324 still collide
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="collision: gap 9.881e-324"):
+                symmetric_eigen(5e-324 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+
     def test_huge_entries_are_checked_without_a_warning(self):
         # the checks' Frobenius norms are taken on a power-of-two rescaling,
         # so they do not overflow to an infinite bound that passes anything
