@@ -21,7 +21,6 @@ from .atlas import (
     _chart_points,
     _flag_points,
     _linear_fields,
-    _permuted_diagonal,
     _permuted_diagonals,
     chart_inverse,
     h_conjugate,
@@ -349,7 +348,7 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     # pairs sorted, then stable pairs sorted. Every start is one chart
     # point of one stack, in the order of the per-point loop: each chart's
     # leg starts, then its escape start.
-    diags = [_permuted_diagonal(h, w) for w in charts]
+    diags = [_permuted_diagonals(h, w) for w in charts]
     targets = [np.diag(d) for d in diags]
     legs = [[] for _ in charts]
     coords = []

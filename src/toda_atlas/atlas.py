@@ -23,21 +23,38 @@ rather than validating it a second time. Every strictly lower triangle
 is kept with the boolean mask cached once per size
 (``_strict_lower_mask``), with the bits of ``np.tril(x, -1)``.
 
-Every stage of the pipeline is a stack kernel that takes B points at
-once: ``_chart_matrices`` (the graded QR of the inverse, giving y and
-its frame), ``_chart_points`` (its flag points, with no eigensolve),
+Every stage of the pipeline is a kernel of either rank, with one code
+path for both (axes -1/-2, ``.mT`` and ``...``): it takes one point's
+objects (a ``ChartCoords``; a ``FlagPoint`` and a ``Permutation``) and
+works on their plain (n, n) arrays, or lists of them and works on
+(B, n, n) stacks, and a point gets the same bits either way:
+``_chart_matrices`` (the graded QR of the inverse, giving y and its
+frame), ``_chart_points`` (its flag points, with no eigensolve),
 ``_flag_points`` (the eigensolve and checks of ``FlagPoint``, for
-matrices from elsewhere), ``_chart_nbars`` (the Crout elimination and
-domain test of the forward map), ``_coords_from_nbars``, ``_linear_fields``
-and ``_bruhat_classes``. Each point of a stack gets the bits it gets alone.
-A kernel does not raise for a point it refuses: it returns ``failures``,
-a dict from the index of each refused point to the exception the
-one-point function raises for it, with its type and message, and hands
-the point on in a form the next stage takes without a warning. The
-public maps are one-point calls of these kernels: ``FlagPoint`` of
-``_flag_points``, ``chart_inverse`` of ``_chart_points``, ``chart_forward``
-of ``_chart_forwards``, ``chart_domain_test`` of ``_chart_nbars`` and
-``chart_linear_field`` of ``_linear_fields``; each raises its point's failure.
+matrices from elsewhere), ``_frames``, ``_chart_nbars`` (the Crout
+elimination and domain test of the forward map), ``_chart_forwards``,
+``_coords_from_nbars``, ``_permuted_diagonals``, ``_linear_fields`` and
+``_bruhat_classes``. A kernel does not raise for a point it refuses: it
+returns ``failures``, a dict from the index of each refused point (0 for
+one point) to the exception the one-point function raises for it, with
+its type and message, and hands the point on in a form the next stage
+takes without a warning. The public maps are one-point calls of these
+kernels, on the point's plain arrays and with no list built: ``FlagPoint``
+of ``_flag_points``, ``chart_inverse`` of ``_chart_points``,
+``chart_forward`` of ``_chart_forwards``, ``chart_domain_test`` of
+``_chart_nbars``, ``bruhat_classify`` of ``_chart_forwards`` and
+``_bruhat_classes``, and ``chart_linear_field`` of ``_linear_fields``;
+each raises its point's failure.
+
+numpy calls per one-point map (functions, ufuncs, array methods and
+operators on arrays, counted on a run of the map; indexing and numpy
+scalar arithmetic not counted), at n = 4 / 12, when the maps ran as
+(1, n, n) stacks and now: ``chart_inverse`` 52 / 84 and 41 / 73,
+``chart_forward`` 66 / 122 and 57 / 113, ``chart_domain_test`` 46 / 86 and
+38 / 78, ``bruhat_classify`` 79 / 135 and 67 / 123, ``FlagPoint`` 45 / 44
+and 45 / 44. Most of the time saved is in the calls' cost, not their
+number: a plain call skips the batched loops, the list packing and the
+reduction wrappers of a one-point stack.
 """
 
 import functools
@@ -49,12 +66,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ChartDomainError
-from .factorizations import _crout, _identities, _signed_qr, _unit_lower_inverse, unbar_factorize
+from .factorizations import (
+    _crout,
+    _identities,
+    _signed_qr,
+    _unit_lower_inverse,
+    unbar_factorize,
+)
 from .linalg_core import (
     GAP_TOL,
     Spectrum,
     _collision,
+    _dot,
     _eigen_stack,
+    _make_special,
     _strict_lower_mask,
     as_matrix,
 )
@@ -102,11 +127,11 @@ class FlagPoint:
         y = as_matrix(self.y).copy()
         if self.h is not None and y.shape[0] != self.h.n:
             raise ValueError(f"dimension mismatch: matrix is {y.shape[0]}, spectrum is {self.h.n}")
-        points, failures = _flag_points(y[None], [self.h])
+        point, failures = _flag_points(y, self.h)
         if failures:
             raise failures[0]
         for name in ("y", "h", "frame"):
-            object.__setattr__(self, name, getattr(points[0], name))
+            object.__setattr__(self, name, getattr(point, name))
 
     @classmethod
     def _of(cls, y, h, frame) -> "FlagPoint":
@@ -118,31 +143,37 @@ class FlagPoint:
 
 
 def _flag_points(y, hs):
-    """Unchecked FlagPoint of each matrix of a (B, n, n) stack, with the
-    declared spectra hs (None for the spectrum the eigensolve finds):
-    ``(points, failures)``, failures mapping the index of each matrix
-    FlagPoint refuses to the exception it raises, the eigensolve's before
-    a spectrum farther than _EIGENVALUE_TOL from the declared one (a
-    refused matrix's point means nothing). The points share y, which
-    becomes read-only, with any matrix that is not finite zeroed."""
+    """Unchecked FlagPoint of one (n, n) matrix with the declared spectrum
+    hs, or of each matrix of a (B, n, n) stack with a list hs (None for the
+    spectrum the eigensolve finds): ``(points, failures)``, one point or a
+    list, failures mapping the index of each matrix FlagPoint refuses to
+    the exception it raises, the eigensolve's before a spectrum farther
+    than _EIGENVALUE_TOL from the declared one (a refused matrix's point
+    means nothing). The points share y, which becomes read-only, with any
+    matrix that is not finite zeroed."""
+    n = y.shape[-1]
     infinite = []
     if not np.isfinite(y).all():
-        infinite = (~np.isfinite(y).all(axis=(1, 2))).nonzero()[0]
-        y[infinite] = 0.0
+        refused = ~np.isfinite(y).all(axis=(-2, -1))
+        y[refused] = 0.0
+        infinite = np.flatnonzero(refused).tolist()
     lam, q, failures = _eigen_stack(y)
     for i in infinite:
-        failures[int(i)] = ValueError("matrix entries must be finite")
-    rows = lam.tolist()
-    for i, h in enumerate(hs):
+        failures[i] = ValueError("matrix entries must be finite")
+    rows = lam.reshape(-1, n).tolist()
+    declared = _items(hs)
+    for i, h in enumerate(declared):
         if h is not None and any(abs(a - b) > _EIGENVALUE_TOL for a, b in zip(rows[i], h.values)):
             failures.setdefault(i, ValueError(
                 f"matrix eigenvalues {tuple(rows[i])} do not match "
                 f"the declared spectrum {h.values}"
             ))
-    hs = [Spectrum._of(tuple(row)) if h is None else h for h, row in zip(hs, rows)]
+    spectra = [Spectrum._of(tuple(row)) if h is None else h for h, row in zip(declared, rows)]
     y.setflags(write=False)
     q.setflags(write=False)
-    return [FlagPoint._of(y[i], hs[i], q[i]) for i in range(len(y))], failures
+    if y.ndim == 2:
+        return FlagPoint._of(y, spectra[0], q), failures
+    return [FlagPoint._of(y[i], spectra[i], q[i]) for i in range(len(y))], failures
 
 
 @dataclass(frozen=True)
@@ -186,34 +217,53 @@ class BruhatClass(Enum):
 class _ChartConstants(NamedTuple):
     images: np.ndarray  # the images of w less one
     perm: np.ndarray  # perm_matrix(w)
-    odd: bool  # whether w has an odd inversion count
+    unpermute: np.ndarray  # P_w^-1, its last row negated for an odd w (see _frames)
     unstable: np.ndarray  # the mask of the unstable pairs of inversion_sets(w)
 
 
 @functools.lru_cache(maxsize=1024)
 def _chart_constants(w: Permutation) -> _ChartConstants:
     """Read-only constants of the chart at w, made once per w."""
+    perm = np.ascontiguousarray(perm_matrix(w))
+    unpermute = perm.T.copy()
+    if w.inversion_count() % 2 == 1:
+        unpermute[-1] *= -1.0
     constants = _ChartConstants(
-        np.array(w.images) - 1,
-        np.ascontiguousarray(perm_matrix(w)),
-        w.inversion_count() % 2 == 1,
-        _inverted_mask(w.inverse()),
+        np.array(w.images) - 1, perm, unpermute, _inverted_mask(w.inverse())
     )
-    for a in (constants.images, constants.perm, constants.unstable):
+    for a in constants:
         a.setflags(write=False)
     return constants
 
 
+def _one(items) -> bool:
+    """Whether a kernel's argument is one point's item (a FlagPoint,
+    ChartCoords, Permutation, Spectrum or None) rather than a list of
+    them: the kernel then works on plain (n, n) arrays."""
+    return not isinstance(items, (list, tuple))
+
+
+def _items(items):
+    """A kernel's list argument as it is, or one point's item as a 1-tuple."""
+    return (items,) if _one(items) else items
+
+
+def _stacked(items, get):
+    """get(item) of one point's item, a plain array, or the arrays of a
+    list of items stacked along a new first axis."""
+    if _one(items):
+        return get(items)
+    return np.array([get(item) for item in items])
+
+
 def _permuted_diagonals(hs, ws) -> np.ndarray:
-    """Unchecked permuted diagonal d, d_i = h[w^-1(i)], of each pair of
-    spectra hs and permutations ws, as a (B, n) array."""
-    return np.array([_permuted_diagonal(h, w) for h, w in zip(hs, ws)])
-
-
-def _permuted_diagonal(h: Spectrum, w: Permutation) -> np.ndarray:
-    """Unchecked permuted diagonal d, d_i = h[w^-1(i)], as a 1-D array."""
-    d = np.empty(h.n)
-    d[_chart_constants(w).images] = h.values
+    """Unchecked permuted diagonal d, d_i = h[w^-1(i)], of a spectrum hs and
+    a permutation ws, 1-D, or of each pair of the lists hs and ws, as a
+    (B, n) array."""
+    if not _one(ws):
+        return np.array([_permuted_diagonals(h, w) for h, w in zip(hs, ws)])
+    d = np.empty(hs.n)
+    d[_chart_constants(ws).images] = hs.values
     return d
 
 
@@ -233,7 +283,7 @@ def _require_size(what: str, n: int, w: Permutation) -> None:
 def h_conjugate(h: Spectrum, w: Permutation) -> np.ndarray:
     """Diagonal matrix with entry i equal to h[w^-1(i)] (conjugation by w)."""
     _require_size("spectrum", h.n, w)
-    return np.diag(_permuted_diagonal(h, w))
+    return np.diag(_permuted_diagonals(h, w))
 
 
 def nbar_from_affine(c: ChartCoords) -> np.ndarray:
@@ -243,17 +293,20 @@ def nbar_from_affine(c: ChartCoords) -> np.ndarray:
     diagonal gaps of a regular permuted diagonal never vanish. A -0.0
     coordinate enters as +0.0.
     """
-    return _nbar_from_affine(c.lower, _permuted_diagonal(c.h, c.w))
+    return _nbar_from_affine(c.lower, _permuted_diagonals(c.h, c.w))
 
 
 def _nbar_from_affine(lower, d) -> np.ndarray:
     """``nbar_from_affine`` of strictly lower coordinates around diag(d),
-    for one matrix or each matrix of a stack (d then (B, n))."""
+    for one (n, n) matrix or each matrix of a (B, n, n) stack (d then
+    (B, n))."""
     x = lower + 0.0
     g = _identities(x.shape)
     gaps = d[..., None, :] - d[..., :, None]  # row i holds d_j - d_i
     for i in range(1, d.shape[-1]):
-        g[..., i, :i] = np.vecmat(x[..., i, :i], g[..., :i, :i]) / gaps[..., i, :i]
+        row = g[..., i, :i]
+        np.vecmat(x[..., i, :i], g[..., :i, :i], out=row)
+        np.divide(row, gaps[..., i, :i], out=row)
     return g
 
 
@@ -275,7 +328,7 @@ def chart_linear_field(c: ChartCoords) -> np.ndarray:
     Raises ValueError, without a warning, when a scaled coordinate
     overflows."""
     with np.errstate(over="ignore"):
-        field = _linear_fields(c.lower, _permuted_diagonal(c.h, c.w))
+        field = _linear_fields(c.lower, _permuted_diagonals(c.h, c.w))
     if not np.isfinite(field).all():
         raise ValueError("chart linear field overflows: a coordinate times its gap is not finite")
     return field
@@ -292,7 +345,7 @@ def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"flow time t must be finite, got {t!r}")
-    gaps = _gaps(_permuted_diagonal(c.h, c.w))
+    gaps = _gaps(_permuted_diagonals(c.h, c.w))
     max_exponent = float(np.max(np.abs(gaps))) * abs(t)
     if max_exponent > _EXP_LIMIT:
         raise OverflowError(
@@ -307,9 +360,10 @@ def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
 
 
 def _chart_matrices(coords, t):
-    """The symmetric matrix of the flag point of each of a list of chart
-    coordinates of one size, flowed for time t >= 0 (a float, or one per
-    point) by the linear chart flow.
+    """The symmetric matrix of the flag point of chart coordinates, as
+    plain (n, n) arrays, or of each of a list of chart coordinates of one
+    size, as (B, n, n) stacks, flowed for time t >= 0 (a float, or one per
+    point of a list) by the linear chart flow.
 
     The flow conjugates g = nbar_from_affine of c by diag(exp(t d)), d the
     permuted diagonal, so the frame is Q^T P_w for the Q factor of g^-1
@@ -319,49 +373,51 @@ def _chart_matrices(coords, t):
     weights are 1 and the rows keep their order. Coordinates so large that
     g^-1 overflows reach the QR as non-finite rows, without a warning.
 
-    Returns ``(y, frame, failures)``, y and frame (B, n, n): frame is the
-    special orthogonal Q^T P_w (rows heaviest first), its last column
-    negated where det Q^T P_w is -1, and y = frame diag(h) frame^T
-    symmetrized, so frame is an eigenframe of y by construction. failures
-    maps the index of each point whose graded QR refuses it (some
+    Returns ``(y, frame, failures)``: frame is the special orthogonal
+    Q^T P_w (rows heaviest first), its last column negated where
+    det Q^T P_w is -1, and y = frame diag(h) frame^T symmetrized, so frame
+    is an eigenframe of y by construction. failures maps the index of each
+    point (0 for one point) whose graded QR refuses it (some
     |R_ii| / weight_i below 1e-12 or NaN, or a weight underflowed to 0) to
     its FactorizationError; such a point's frame is the identity and its
-    y the zero matrix. Every other point gets the bits it gets alone.
+    y the zero matrix. Every other point gets the same bits alone, plain,
+    and in any stack.
     """
-    hs = [c.h for c in coords]
-    ws = [c.w for c in coords]
-    d = _permuted_diagonals(hs, ws)
-    perms = np.array([_chart_constants(w).perm for w in ws])
+    dot = _dot(_one(coords))
+    lower = _stacked(coords, lambda c: c.lower)
+    d = _stacked(coords, lambda c: _permuted_diagonals(c.h, c.w))
+    perm = _stacked(coords, lambda c: _chart_constants(c.w).perm)
+    spectra = _diagonals(np.asarray(_stacked(coords, lambda c: c.h.values)))
+    n = d.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        g_inv = _unit_lower_inverse(_nbar_from_affine(np.array([c.lower for c in coords]), d))
-        if np.ndim(t) or t != 0.0:
-            weights = np.exp(np.reshape(t, (-1, 1)) * (d - np.max(d, axis=1, keepdims=True)))
+        g_inv = _unit_lower_inverse(_nbar_from_affine(lower, d))
+        if not isinstance(t, float) or t != 0.0:
+            weights = np.exp(np.asarray(t)[..., None] * (d - d.max(axis=-1, keepdims=True)))
             # each point's rows, heaviest first
-            rows = np.arange(len(coords))[:, None], np.argsort(-weights, axis=1, kind="stable")
-            weights = weights[rows]
-            g_inv, perms = weights[:, :, None] * g_inv[rows], perms[rows]
+            order = np.argsort(-weights, axis=-1, kind="stable")
+            weights = np.take_along_axis(weights, order, axis=-1)
+            g_inv = weights[..., None] * np.take_along_axis(g_inv, order[..., None], axis=-2)
+            perm = np.take_along_axis(perm, order[..., None], axis=-2)
         else:  # every weight is exp(0) = 1, and the rows keep their order
             weights = 1.0
     q, _, failures = _signed_qr(g_inv, weights)
-    frame = q.swapaxes(1, 2) @ perms
+    frame = dot(q.mT, perm)
     refused = list(failures)
     if refused:  # a refused frame may not be finite
-        frame[refused] = np.eye(frame.shape[-1])
-    flip = np.linalg.det(frame) < 0.0
-    if flip.any():
-        frame[flip, :, -1] *= -1.0
-    spectra = _diagonals(np.array([h.values for h in hs]))
-    y = frame @ spectra @ frame.swapaxes(1, 2)
-    y = 0.5 * (y + y.swapaxes(1, 2))
+        frame.reshape(-1, n, n)[refused] = np.eye(n)
+    _make_special(frame)
+    y = dot(dot(frame, spectra), frame.mT)
+    y = 0.5 * (y + y.mT)
     if refused:
-        y[refused] = 0.0
+        y.reshape(-1, n, n)[refused] = 0.0
     return y, frame, failures
 
 
 def _chart_points(coords, t):
-    """Unchecked flag point of each of a list of chart coordinates, as
-    :func:`_chart_matrices` takes them, with the y and frame it builds:
-    ``(points, failures)``, the QR's failures before FlagPoint's.
+    """Unchecked flag point of chart coordinates, or of each of a list of
+    them, as :func:`_chart_matrices` takes them, with the y and frame it
+    builds: ``(points, failures)``, one point or a list, the QR's failures
+    before FlagPoint's.
 
     No eigensolve runs. Of FlagPoint's checks, only the gap of the spectrum
     can refuse such a y: symmetry, trace, residual and the spectrum match
@@ -369,12 +425,14 @@ def _chart_points(coords, t):
     FlagPoint's ValueError.
     """
     y, frame, failures = _chart_matrices(coords, t)
-    for i, c in enumerate(coords):
+    for i, c in enumerate(_items(coords)):
         gaps = [a - b for a, b in zip(c.h.values, c.h.values[1:])]
         if min(gaps) <= GAP_TOL:
             failures.setdefault(i, _collision(gaps))
     y.setflags(write=False)
     frame.setflags(write=False)
+    if _one(coords):
+        return FlagPoint._of(y, coords.h, frame), failures
     return [FlagPoint._of(y[i], c.h, frame[i]) for i, c in enumerate(coords)], failures
 
 
@@ -388,47 +446,52 @@ def chart_inverse(c: ChartCoords) -> FlagPoint:
     conjugator overflows, and FlagPoint's ValueError when two eigenvalues
     of h are within the regularity gap. The point's frame is the QR's.
     """
-    points, failures = _chart_points([c], 0.0)
+    point, failures = _chart_points(c, 0.0)
     if failures:
         raise failures[0]
-    return points[0]
+    return point
 
 
 def _frames(points, ws) -> np.ndarray:
-    """Special orthogonal frame Q P_w^-1 of each point for its chart, as a
-    (B, n, n) stack; det Q = +1, so an odd w flips the last column of the
-    point's frame Q."""
-    constants = [_chart_constants(w) for w in ws]
-    q = np.array([y.frame for y in points])
-    odd = [c.odd for c in constants]
-    if any(odd):
-        q[odd, :, -1] *= -1.0
-    return q @ np.array([c.perm for c in constants]).swapaxes(1, 2)
+    """Special orthogonal frame Q P_w^-1 of a point for its chart, (n, n),
+    or of each of a list of points, (B, n, n). det Q = +1, so for an odd w
+    the last column of the point's frame Q is negated, by the negated last
+    row of the chart's ``unpermute``: each entry of the product is then the
+    one nonzero term of the negated column's, with the zero terms signed
+    alike, so the bits are those of negating the column first."""
+    q = _stacked(points, lambda y: y.frame)
+    unpermute = _stacked(ws, lambda w: _chart_constants(w).unpermute)
+    return _dot(_one(ws))(q, unpermute)
 
 
 def _chart_nbars(points, ws):
-    """Unit-lower factor of the frame of each point, for its chart.
+    """Unit-lower factor of the frame of a point for its chart, or of each
+    of a list of points.
 
     One elimination gives both the factor and the trailing minors, as
     running products of its pivots; minor magnitudes do not depend on the
-    eigenvector sign choices. Returns ``(nbar, failures)``, nbar
-    (B, n, n); failures maps the index of each point outside its chart
-    (a trailing minor at or below DOMAIN_MINOR_TOL in magnitude, or a
-    vanishing pivot) to its ChartDomainError, or to a sign-factor
-    FactorizationError.
+    eigenvector sign choices. Returns ``(nbar, failures)``, nbar (n, n) or
+    (B, n, n); failures maps the index of each point (0 for one point)
+    outside its chart (a trailing minor at or below DOMAIN_MINOR_TOL in
+    magnitude, or a vanishing pivot) to its ChartDomainError, or to a
+    sign-factor FactorizationError.
     """
     u, nbar, _, failures = _crout(_frames(points, ws))
+    charts = _items(ws)
     for i, err in failures.items():
         if err.minor_index is not None:
-            failures[i] = ChartDomainError(f"point is outside the chart at {ws[i].images}: {err}")
+            failures[i] = ChartDomainError(f"point is outside the chart at {charts[i].images}: {err}")
             failures[i].__cause__ = err
-    minors = np.cumprod(np.diagonal(u, axis1=1, axis2=2)[:, ::-1], axis=1)[:, :-1]
-    for i in (np.min(minors, axis=1) <= DOMAIN_MINOR_TOL).nonzero()[0]:
-        j = int(np.argmin(minors[i])) + 1
-        failures.setdefault(int(i), ChartDomainError(
-            f"point is outside the chart at {ws[i].images}: trailing minor of size {j} "
-            f"is {minors[i, j - 1]:.2e}"
-        ))
+    minors = u.diagonal(axis1=-2, axis2=-1)[..., ::-1].cumprod(axis=-1)[..., :-1]
+    outside = minors.min(axis=-1, keepdims=True) <= DOMAIN_MINOR_TOL
+    if outside.any():
+        minors = minors.reshape(-1, minors.shape[-1])
+        for i in np.flatnonzero(outside).tolist():
+            j = int(np.argmin(minors[i])) + 1
+            failures.setdefault(i, ChartDomainError(
+                f"point is outside the chart at {charts[i].images}: trailing minor of size {j} "
+                f"is {minors[i, j - 1]:.2e}"
+            ))
     return nbar, failures
 
 
@@ -439,7 +502,7 @@ def chart_domain_test(y: FlagPoint, w: Permutation) -> bool:
     eigenframe exceeds DOMAIN_MINOR_TOL in magnitude.
     """
     _require_size("point", y.h.n, w)
-    _, failures = _chart_nbars([y], [w])
+    _, failures = _chart_nbars(y, w)
     if failures and not isinstance(failures[0], ChartDomainError):
         raise failures[0]
     return not failures
@@ -447,9 +510,10 @@ def chart_domain_test(y: FlagPoint, w: Permutation) -> bool:
 
 def _coords_from_nbars(nbar, d) -> np.ndarray:
     """Strictly lower coordinates of a unit-lower factor around the
-    permuted diagonal d, or of each of a stack around a row of d."""
+    permuted diagonal d, or of each of a (B, n, n) stack around a row of d."""
+    dot = _dot(nbar.ndim == 2)
     dmat = _diagonals(d)
-    affine = nbar @ dmat @ _unit_lower_inverse(nbar) - dmat
+    affine = dot(dot(nbar, dmat), _unit_lower_inverse(nbar)) - dmat
     return np.where(_strict_lower_mask(d.shape[-1]), affine, 0.0)
 
 
@@ -463,26 +527,29 @@ def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
     nbar = unbar_factorize(kp).nbar
     _require_size("frame", len(nbar), w)
     _require_size("spectrum", h.n, w)
-    return ChartCoords(w=w, lower=_coords_from_nbars(nbar, _permuted_diagonal(h, w)), h=h)
+    return ChartCoords(w=w, lower=_coords_from_nbars(nbar, _permuted_diagonals(h, w)), h=h)
 
 
 def _chart_forwards(points, ws):
-    """Unchecked ``chart_forward`` of each point in its chart: ``(lower,
-    failures)``, lower (B, n, n) and failures as :func:`_chart_nbars`
-    gives them, then a ValueError for each point whose coordinates
-    overflow (computed without a warning); a refused point's coordinates
-    are zero, so every row of lower is finite."""
+    """Unchecked ``chart_forward`` of a point in its chart, or of each of a
+    list of points: ``(lower, failures)``, lower (n, n) or (B, n, n) and
+    failures as :func:`_chart_nbars` gives them, then a ValueError for each
+    point whose coordinates overflow (computed without a warning); a
+    refused point's coordinates are zero, so lower is finite."""
     nbar, failures = _chart_nbars(points, ws)
+    n = nbar.shape[-1]
     if failures:  # a refused factor may be huge; it is never read
-        nbar[list(failures)] = np.eye(nbar.shape[-1])
+        nbar.reshape(-1, n, n)[list(failures)] = np.eye(n)
+    hs = points.h if _one(points) else [y.h for y in points]
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = _coords_from_nbars(nbar, _permuted_diagonals([y.h for y in points], ws))
+        lower = _coords_from_nbars(nbar, _permuted_diagonals(hs, ws))
     if not np.isfinite(lower).all():
-        overflowed = (~np.isfinite(lower).all(axis=(1, 2))).nonzero()[0]
+        overflowed = ~np.isfinite(lower).all(axis=(-2, -1))
         lower[overflowed] = 0.0
-        for i in overflowed:
-            failures[int(i)] = ValueError(
-                f"chart coordinates of the point overflow in the chart at {ws[i].images}"
+        charts = _items(ws)
+        for i in np.flatnonzero(overflowed).tolist():
+            failures[i] = ValueError(
+                f"chart coordinates of the point overflow in the chart at {charts[i].images}"
             )
     return lower, failures
 
@@ -495,11 +562,11 @@ def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
     overflow.
     """
     _require_size("point", y.h.n, w)
-    lower, failures = _chart_forwards([y], [w])
+    lower, failures = _chart_forwards(y, w)
     if failures:
         raise failures[0]
     lower.setflags(write=False)
-    return ChartCoords._of(w, lower[0], y.h)
+    return ChartCoords._of(w, lower, y.h)
 
 
 _CLASSES = {
@@ -510,16 +577,19 @@ _CLASSES = {
 }
 
 
-def _bruhat_classes(lower, ws, tol: float) -> list:
-    """``bruhat_classify`` verdict of each chart coordinate matrix of a
+def _bruhat_classes(lower, ws, tol: float):
+    """``bruhat_classify`` verdict of a chart coordinate matrix in the chart
+    at the permutation ws, or the list of verdicts of each matrix of a
     (B, n, n) stack, in the chart of its permutation."""
     support = (np.abs(lower) > tol) & _strict_lower_mask(lower.shape[-1])
-    unstable = np.array([_chart_constants(w).unstable for w in ws])
-    in_cell = ~np.any(support & ~unstable, axis=(1, 2))
-    in_opposite = ~np.any(support & unstable, axis=(1, 2))
-    return [_CLASSES[pair] for pair in zip(in_cell.tolist(), in_opposite.tolist())]
+    unstable = _stacked(ws, lambda w: _chart_constants(w).unstable)
+    in_cell = (~(support & ~unstable).any(axis=(-2, -1))).tolist()
+    in_opposite = (~(support & unstable).any(axis=(-2, -1))).tolist()
+    if _one(ws):
+        return _CLASSES[in_cell, in_opposite]
+    return [_CLASSES[pair] for pair in zip(in_cell, in_opposite)]
 
 
 def bruhat_classify(y: FlagPoint, w: Permutation, tol: float) -> BruhatClass:
     """Classify y against the two cells at w by its coordinate support."""
-    return _bruhat_classes(chart_forward(y, w).lower[None], [w], tol)[0]
+    return _bruhat_classes(chart_forward(y, w).lower, w, tol)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .atlas import ChartCoords, FlagPoint, _permuted_diagonal, chart_forward, chart_inverse
+from .atlas import ChartCoords, FlagPoint, _permuted_diagonals, chart_forward, chart_inverse
 from .errors import StiffnessError, TodaAtlasError
 from .factorizations import kan_factorize, unbar_factorize
 from .flows import IntegratorConfig, integrate, sym_field, toda_field
@@ -126,7 +126,7 @@ def _run_flow(args) -> int:
 def _run_cells(args) -> int:
     w, h = args.w, args.h
     sets = inversion_sets(w)
-    d = _permuted_diagonal(h, w)
+    d = _permuted_diagonals(h, w)
     rows = []
     for i, j in lower_pairs(w.n):
         rows.append(

@@ -118,6 +118,7 @@ import numpy as np
 from .errors import StiffnessError
 from .linalg_core import (
     Spectrum,
+    _dot,
     _power_traces,
     _relative_drift,
     as_matrices,
@@ -272,14 +273,6 @@ def _projection_weights(n: int) -> tuple:
     for w in (lower, weights, signs):
         w.flags.writeable = False
     return lower, weights, signs
-
-
-def _dot(plain: bool):
-    """The matrix product of the field kernels: ``ndarray.dot`` for one
-    (n, n) matrix (plain) and ``np.matmul`` for a stack. Both make the same
-    BLAS call (gemm, or syrk for x x^T and x^T x), so a matrix gets the same
-    bits either way; ``dot`` costs about half of ``@``'s dispatch."""
-    return np.ndarray.dot if plain else np.matmul
 
 
 @functools.lru_cache(maxsize=64)
@@ -704,7 +697,9 @@ def propagate(field, x0, t: float) -> np.ndarray:
     exactly-timed displacements finite differencing needs. Steps x0
     through :func:`integrate`'s stage routine, and as it does: as a plain
     (n, n) matrix for ``toda_field`` and ``sym_field``, as a (1, n, n)
-    stack for a field of the caller's own.
+    stack for a field of the caller's own. Raises ValueError naming t,
+    without a warning, when the steps blow up and the state is not finite
+    (a caller's own field may raise first, on its non-finite input).
     """
     x = as_matrix(x0)
     if t == 0.0:
@@ -713,7 +708,12 @@ def propagate(field, x0, t: float) -> np.ndarray:
     kernel, x, own = _stepped(field, [x])
     work = _Work(x, own)
     work.h.fill(t / steps)
-    k = kernel(x)
-    for _ in range(steps):
-        x, _, k = _dopri_stages(kernel, x, k, work)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = kernel(x)
+        for _ in range(steps):
+            x, _, k = _dopri_stages(kernel, x, k, work)
+    if not np.isfinite(x).all():
+        raise ValueError(
+            f"the state is not finite after the fixed steps of propagate for time t = {t:.3g}"
+        )
     return x.reshape(x.shape[-2:])

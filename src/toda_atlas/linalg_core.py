@@ -13,15 +13,20 @@ Public functions validate their arguments with :func:`as_matrix` (or
 ``_`` kernels do not: they take float matrices a caller has already
 checked, so inner loops (the flow fields, the integrator) validate once
 per call instead of once per primitive. The public functions wrap the
-kernels and give the same bits. ``_pi_k`` and ``_power_traces`` act on
-the last two axes, so they take an ``(..., n, n)`` stack as well as one
-matrix, and each matrix of a stack gets the bits it would get alone.
+kernels and give the same bits. ``_pi_k``, ``_power_traces`` and
+``_eigen_stack`` act on the last two axes, so they take a stack as well as
+one plain (n, n) matrix, and each matrix of a stack gets the bits it
+would get alone: ``symmetric_eigen`` and ``FlagPoint`` diagonalize their
+matrix plain (``symmetric_eigen`` at n = 4 / 12 makes 39 / 38 numpy calls,
+40 / 39 as a (1, n, n) stack, counted as in ``atlas``). ``_dot`` is the
+matrix product of the plain and stack kernels.
 
 The inner product throughout is the trace form ``trace(X Y)``. It is a
 positive multiple of the Killing form, and only signs and monotonicity
 of norms ever matter here, so the constant is dropped.
 """
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -43,6 +48,8 @@ __all__ = [
 
 TRACE_TOL = 1e-12
 GAP_TOL = 1e-8
+
+_KEEP_ERRSTATE = contextlib.nullcontext()  # leaves numpy's error state as it is
 
 
 def as_matrix(x) -> np.ndarray:
@@ -171,6 +178,14 @@ def _strict_lower_mask(n: int) -> np.ndarray:
     return mask
 
 
+def _dot(plain: bool):
+    """The matrix product of the kernels: ``ndarray.dot`` for one (n, n)
+    matrix (plain) and ``np.matmul`` for a stack. Both make the same BLAS
+    call (gemm, or syrk for x x^T and x^T x), so a matrix gets the same
+    bits either way; ``dot`` costs about half of ``@``'s dispatch."""
+    return np.ndarray.dot if plain else np.matmul
+
+
 def _pi_k(x: np.ndarray) -> np.ndarray:
     """Unchecked :func:`pi_k` of a validated float matrix or stack; the
     kernel of the public ``pi_k`` and ``pi_u`` (the flow fields take
@@ -242,65 +257,68 @@ def isospectral_witness(x) -> IsospectralWitness:
 
 
 def _eigen_stack(y: np.ndarray):
-    """Unchecked :func:`symmetric_eigen` of each matrix of a finite
-    (B, n, n) stack.
+    """Unchecked :func:`symmetric_eigen` of one finite (n, n) matrix, or of
+    each matrix of a finite (B, n, n) stack.
 
-    Returns ``(lam, q, failures)``: lam (B, n) holds each spectrum in
-    strictly decreasing order, q (B, n, n) the frames, and failures maps
-    the index of each matrix that ``symmetric_eigen`` refuses to the
-    exception it raises, checked in its order: symmetry, overflow of the
-    symmetric part ``0.5 * (y + y^T)`` (solved as zero instead, with no
-    warning), gap, trace, residual, and last the rest of :class:`Spectrum`'s
-    checks (an eigenvalue spread past the double range), so the spectrum of
-    an accepted matrix needs no check of its own. The lam and q of a
-    refused matrix mean nothing. Every other matrix gets the bits it gets
-    alone.
+    Returns ``(lam, q, failures)``: lam, (n,) or (B, n), holds each spectrum
+    in strictly decreasing order, q, of y's shape, the frames, and failures
+    maps the index of each matrix (0 for one matrix) that
+    ``symmetric_eigen`` refuses to the exception it raises, checked in its
+    order: symmetry, overflow of the symmetric part ``0.5 * (y + y^T)``
+    (solved as zero instead, with no warning), gap, trace, residual, and
+    last the rest of :class:`Spectrum`'s checks (an eigenvalue spread past
+    the double range, whose residual is taken with no warning), so the
+    spectrum of an accepted matrix needs no check of its own. The lam and
+    q of a refused matrix mean nothing. A matrix gets the same bits alone,
+    plain, and in any stack.
     """
-    yt = y.swapaxes(1, 2)
-    _, exponents = np.frexp(np.max(np.abs(y), axis=(1, 2)))
+    n = y.shape[-1]
+    yt = y.mT
+    # (..., 1, 1), so one matrix's reductions stay arrays and broadcast
+    _, exponents = np.frexp(np.abs(y).max(axis=(-2, -1), keepdims=True))
     # an entry of y + y^T can overflow only where one of y reaches 2**1023
     overflow = exponents > 1023
     if overflow.any():
         with np.errstate(over="ignore"):
             sym = 0.5 * (y + yt)
-        overflow = ~np.isfinite(sym).all(axis=(1, 2))
+        overflow = ~np.isfinite(sym).all(axis=(-2, -1))
         sym[overflow] = 0.0
     else:
         sym = 0.5 * (y + yt)
     eigs, q = np.linalg.eigh(sym)
-    lam = eigs[:, ::-1]
-    q = q[:, :, ::-1]
-    flip = np.linalg.det(q) < 0.0
-    if flip.any():
-        q[flip, :, -1] *= -1.0
+    lam = eigs[..., ::-1]
+    q = q[..., ::-1]
+    _make_special(q)
+    # Spectrum's trace and spread checks, summed and subtracted as it does
+    rows = lam.reshape(-1, n).tolist()
+    totals = [sum(row) for row in rows]
+    finite_spreads = all(math.isfinite(row[0] - row[-1]) for row in rows)
     # Frobenius norms of y, of y - y^T and of the residual, one row each,
     # taken on each matrix scaled by a power of two to a largest entry in
     # [1/2, 1): exact, so the checks decide as unscaled wherever nothing
     # overflows, and no square overflows; a subnormal largest entry takes
-    # the largest finite power, 2**1023, and lands below 2
-    scale = np.ldexp(1.0, -np.maximum(exponents, -1023))[:, None, None]
+    # the largest finite power, 2**1023, and lands below 2. An infinite
+    # eigenvalue (a spread past the double range) makes the residual and
+    # the gaps inf or NaN; they are taken with no warning
+    scale = np.ldexp(1.0, -np.maximum(exponents, -1023))
     ys = scale * y
-    residual = (q * (scale * lam[:, None, :])) @ q.swapaxes(1, 2) - ys
-    flat = np.concatenate([ys, ys - ys.swapaxes(1, 2), residual]).reshape(3, len(y), -1)
+    with np.errstate(over="ignore", invalid="ignore") if not finite_spreads else _KEEP_ERRSTATE:
+        residual = (q * (scale * lam[..., None, :])) @ q.mT - ys
+        gaps = (lam[..., :-1] - lam[..., 1:]).reshape(-1, n - 1)
+    flat = np.concatenate([ys, ys - ys.mT, residual]).reshape(3, -1, n * n)
     norms = np.sqrt(np.vecdot(flat, flat))
-    bound = 1e-10 * np.maximum(scale[:, 0, 0], norms[0])
-    # Spectrum's trace and spread checks, summed and subtracted as it does
-    rows = lam.tolist()
-    totals = [sum(row) for row in rows]
-    finite_spreads = all(math.isfinite(row[0] - row[-1]) for row in rows)
-    if finite_spreads:  # each row is sorted, so no gap is wider than its spread
-        gaps = lam[:, :-1] - lam[:, 1:]
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gaps = lam[:, :-1] - lam[:, 1:]
+    scales = scale.reshape(-1)
+    bound = 1e-10 * np.maximum(scales, norms[0])
 
     failures = {}
     # a NaN gap fails the gap check, so past it Spectrum's checks are the
-    # trace and the spread
+    # trace and the spread; each row is sorted, so no gap is wider than its
+    # spread
     accepted = (
         gaps.min(initial=np.inf) > GAP_TOL and (norms[1:] <= bound).all() and finite_spreads
     )
     if not (accepted and max(map(abs, totals), default=0.0) <= TRACE_TOL):
+        overflow = overflow.reshape(-1)
         for i, total in enumerate(totals):
             if norms[1, i] > bound[i]:
                 failures[i] = ValueError("matrix is not symmetric")
@@ -315,7 +333,7 @@ def _eigen_stack(y: np.ndarray):
                 failures[i] = ValueError(f"eigenvalues must sum to zero, got {total!r}")
             elif norms[2, i] > bound[i]:
                 failures[i] = RuntimeError(
-                    f"eigendecomposition residual {norms[2, i] / scale[i, 0, 0]:.3e} too large"
+                    f"eigendecomposition residual {norms[2, i] / scales[i]:.3e} too large"
                 )
             else:
                 try:  # a spectrum past the double range, refused as Spectrum refuses it
@@ -323,6 +341,14 @@ def _eigen_stack(y: np.ndarray):
                 except ValueError as err:
                     failures[i] = err
     return lam, q, failures
+
+
+def _make_special(q) -> None:
+    """Negate, in place, the last column of an orthogonal (n, n) q, or of
+    each matrix of a (B, n, n) stack, whose determinant is negative."""
+    flip = np.linalg.det(q) < 0.0
+    if flip.any():
+        q[..., -1][flip] *= -1.0
 
 
 def _collision(gaps) -> ValueError:
@@ -352,8 +378,7 @@ def symmetric_eigen(y):
     :class:`Spectrum`'s, so the spectrum is built without running them
     again.
     """
-    y = as_matrix(y)
-    lam, q, failures = _eigen_stack(y[None])
+    lam, q, failures = _eigen_stack(as_matrix(y))
     if failures:
         raise failures[0]
-    return Spectrum._of(tuple(lam[0].tolist())), q[0]
+    return Spectrum._of(tuple(lam.tolist())), q

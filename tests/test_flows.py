@@ -50,6 +50,7 @@ from toda_atlas.sampling import (
     random_chart_coords,
     random_permutation,
     random_profile,
+    random_special_orthogonal,
     random_symmetric_with_spectrum,
     rng_from_seed,
 )
@@ -572,6 +573,20 @@ class TestIntegrate:
             for field, start in ((toda_field, x0), (sym_field, upper), (toda_field, upper)):
                 for t in (1e-3, -2.5e-3, 0.0137):
                     assert_same_bits(propagate(field, start, t), pre_fsal_propagate(field, start, t))
+
+    def test_propagate_refuses_a_state_that_blows_up(self):
+        # the symmetrization field stepped backward from this start blows
+        # up within t = -0.05: a typed error naming t, and no warning, as a
+        # caller's own field raises on the non-finite stage it is handed
+        n = 8
+        x0 = np.diag(np.linspace(1.0, -1.0, n)) + np.triu(np.random.default_rng(5).standard_normal((n, n)), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"not finite .* for time t = -0\.05"):
+                propagate(sym_field, x0, -0.05)
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                propagate(lambda x: sym_field(x), x0, -0.05)
+            assert np.isfinite(propagate(sym_field, x0, 0.05)).all()
 
     def test_backward_propagation_inverts_forward(self):
         x0 = random_symmetric_with_spectrum(default_spectrum(3), RNG)
@@ -1166,6 +1181,34 @@ def test_outer_products_are_the_rounded_products(n):
             assert np.array_equal(got, want, equal_nan=True)
             signed = (want != 0.0) & ~np.isnan(want)
             assert np.array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_crout_products_take_either_rank(n):
+    # the plain Crout elimination's one BLAS assumption: ndarray.dot of a
+    # column update's (n - c, c) slice with its (c,) column gives the bits
+    # of np.matvec, which the stack elimination calls on the same slice of
+    # each matrix of a (B, n, n) stack; the row updates call np.vecmat at
+    # either rank. Checked on the slices of the elimination itself, for
+    # special orthogonal matrices and for general ones of mixed scales.
+    rng = np.random.default_rng(600 + n)
+    matrices = [random_special_orthogonal(n, rng) for _ in range(20)] + [
+        rng.standard_normal((n, n)) * 10.0 ** rng.integers(-4, 5, (n, n)) for _ in range(20)
+    ]
+    for k in matrices:
+        flipped = k[::-1, ::-1].copy()
+        low, upp = np.zeros((n, n)), np.eye(n)
+        for c in range(n):
+            lows, upps = np.array([2.0 * low, low, -low]), np.array([upp, upp, 0.5 * upp])
+            column = low[c:, :c].dot(upp[:c, c])
+            assert column.tobytes() == np.matvec(low[c:, :c], upp[:c, c]).tobytes()
+            assert column.tobytes() == np.matvec(lows[:, c:, :c], upps[:, :c, c])[1].tobytes()
+            low[c:, c] = flipped[c:, c] - column
+            if c + 1 < n:
+                row = np.vecmat(low[c, :c], upp[:c, c + 1:])
+                lows[1] = low
+                assert row.tobytes() == np.vecmat(lows[:, c, :c], upps[:, :c, c + 1:])[1].tobytes()
+                upp[c, c + 1:] = (flipped[c, c + 1:] - row) / low[c, c]
 
 
 @pytest.mark.parametrize("n", range(2, 13))

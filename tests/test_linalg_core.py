@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from toda_atlas.atlas import FlagPoint
 from toda_atlas.linalg_core import (
     IsospectralWitness,
     _eigen_stack,
@@ -247,6 +248,26 @@ class TestSymmetricEigen:
             spectrum, q = symmetric_eigen(np.diag([top, 0.0, -top]))
         np.testing.assert_allclose(spectrum.values, (top, 0.0, -top), rtol=1e-15)
         assert np.array_equal(np.abs(q), np.eye(3))
+
+    @pytest.mark.parametrize("draw, n", [(0, 11), (1, 9)])
+    def test_a_huge_unit_lower_matrix_is_not_symmetric_without_a_warning(self, draw, n):
+        # unit lower with entries below the diagonal up to 1.7e308: eigh of
+        # its symmetric part returns infinite eigenvalues, whose residual
+        # product was inf - inf; the symmetry check refuses it, quietly.
+        # Draws 0 and 1 of default_rng(0), each n then its entries.
+        rng = np.random.default_rng(0)
+        for _ in range(draw + 1):
+            size = int(rng.integers(2, 13))
+            g = np.eye(size) + np.tril(rng.uniform(-1.0, 1.0, (size, size)), -1) * 1.7e308
+        assert size == n
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not symmetric"):
+                symmetric_eigen(g)
+            with pytest.raises(ValueError, match="not symmetric"):
+                FlagPoint(g)
+            _, _, failures = _eigen_stack(np.array([g, g.T, np.eye(n) - np.eye(n)[::-1]]))
+        assert [str(failures[i]) for i in (0, 1)] == ["matrix is not symmetric"] * 2
 
     def test_spectrum_equals_the_validated_spectrum_of_its_eigenvalues(self):
         # the spectrum of an accepted matrix is built without Spectrum's

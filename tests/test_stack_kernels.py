@@ -22,7 +22,7 @@ from toda_atlas.atlas import (
     _flag_points,
     _frames,
     _nbar_from_affine,
-    _permuted_diagonal,
+    _permuted_diagonals,
     bruhat_classify,
     chart_domain_test,
     chart_flow_exact,
@@ -288,7 +288,7 @@ class TestChartPoints:
     def test_affine_and_unit_lower_kernels_equal_one_matrix(self):
         coords = flowed_coords(7, 0.5, 6, seed=4)
         lower = np.array([c.lower for c in coords])
-        d = np.array([_permuted_diagonal(c.h, c.w) for c in coords])
+        d = np.array([_permuted_diagonals(c.h, c.w) for c in coords])
         g = _nbar_from_affine(lower, d)
         inverse = _unit_lower_inverse(g)
         for i in range(len(coords)):
