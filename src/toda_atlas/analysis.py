@@ -7,7 +7,7 @@ exposes; every suite is deterministic given a seed.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .flows import (
     IntegratorConfig,
     _frobenius_norms,
     _stacks,
-    integrate,  # unused here; the benchmark tracer patches analysis.integrate
     integrate_many,
     propagate,
     stable_step_for_sorting,
@@ -321,10 +320,10 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
 
     The sorting field is even, F(-X) = F(X), so a backward leg from y is
     minus the forward run from -y, step for step. The legs of all charts
-    that share a horizon (equal gaps give equal horizons) run forward as
-    one lean :func:`integrate_many` batch (a leg reads only its final
-    state and field norm), and the escape runs, each with its own
-    horizon, as one more. Every lane has the bits of its run alone,
+    run forward, in loop order and each to its own horizon, as one lean
+    :func:`integrate_many` batch (a leg reads only its final state and
+    field norm), and the escape runs, each with its own horizon, as one
+    more. Every lane has the bits of its run alone,
     so each report equals the one its chart's legs and escape give when
     integrated one at a time. Likewise the starts of every chart are one
     stack of chart points, and their Bruhat classes one stack of chart
@@ -375,18 +374,18 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     _raise_first(inverse_failures, _by_point(forward_failures, slots))
     classified = dict(zip(slots, _bruhat_classes(lower, ws, eps * 1e-3)))
 
-    batches = {}
-    for k, chart_legs in enumerate(legs):
-        for pair, sign, horizon, slot in chart_legs:
-            batches.setdefault(horizon, []).append(((k, pair, sign), sign * points[slot].y))
-
+    runs = [(k, leg) for k, chart_legs in enumerate(legs) for leg in chart_legs]
+    trajs = integrate_many(
+        toda_field,
+        [sign * points[slot].y for _, (_, sign, _, slot) in runs],
+        cfg,
+        horizons=[horizon for _, (_, _, horizon, _) in runs],
+        per_state=_no_rows,
+    )
     ends = {}
-    for horizon, members in batches.items():
-        keys, starts = zip(*members)
-        trajs = integrate_many(toda_field, starts, replace(cfg, t_max=horizon), per_state=_no_rows)
-        for (k, pair, sign), traj in zip(keys, trajs):
-            distance = float(np.linalg.norm(traj.final_state - sign * targets[k]))
-            ends[k, pair] = (distance, traj.final_field_norm)
+    for (k, (pair, sign, _, _)), traj in zip(runs, trajs):
+        distance = float(np.linalg.norm(traj.final_state - sign * targets[k]))
+        ends[k, pair] = (distance, traj.final_field_norm)
     radii = {}
     if escapes:
         slots, horizons = zip(*escapes.values())

@@ -48,13 +48,9 @@ each raises its point's failure.
 
 numpy calls per one-point map (functions, ufuncs, array methods and
 operators on arrays, counted on a run of the map; indexing and numpy
-scalar arithmetic not counted), at n = 4 / 12, when the maps ran as
-(1, n, n) stacks and now: ``chart_inverse`` 52 / 84 and 41 / 73,
-``chart_forward`` 66 / 122 and 57 / 113, ``chart_domain_test`` 46 / 86 and
-38 / 78, ``bruhat_classify`` 79 / 135 and 67 / 123, ``FlagPoint`` 45 / 44
-and 45 / 44. Most of the time saved is in the calls' cost, not their
-number: a plain call skips the batched loops, the list packing and the
-reduction wrappers of a one-point stack.
+scalar arithmetic not counted), at n = 4 / 12: ``chart_inverse`` 41 / 73,
+``chart_forward`` 57 / 113, ``chart_domain_test`` 38 / 78,
+``bruhat_classify`` 67 / 123, ``FlagPoint`` 43 / 42.
 """
 
 import functools
@@ -79,6 +75,7 @@ from .linalg_core import (
     _collision,
     _dot,
     _eigen_stack,
+    _finite,
     _make_special,
     _strict_lower_mask,
     as_matrix,
@@ -143,23 +140,18 @@ class FlagPoint:
 
 
 def _flag_points(y, hs):
-    """Unchecked FlagPoint of one (n, n) matrix with the declared spectrum
-    hs, or of each matrix of a (B, n, n) stack with a list hs (None for the
-    spectrum the eigensolve finds): ``(points, failures)``, one point or a
-    list, failures mapping the index of each matrix FlagPoint refuses to
-    the exception it raises, the eigensolve's before a spectrum farther
-    than _EIGENVALUE_TOL from the declared one (a refused matrix's point
-    means nothing). The points share y, which becomes read-only, with any
-    matrix that is not finite zeroed."""
+    """Unchecked FlagPoint of one finite (n, n) matrix with the declared
+    spectrum hs, or of each matrix of a finite (B, n, n) stack with a list
+    hs (None for the spectrum the eigensolve finds): ``(points,
+    failures)``, one point or a list, failures mapping the index of each
+    matrix FlagPoint refuses to the exception it raises, the eigensolve's
+    before a spectrum farther than _EIGENVALUE_TOL from the declared one (a
+    refused matrix's point means nothing). The points share y, which
+    becomes read-only. Every caller hands it finite matrices: FlagPoint
+    through ``as_matrix``, and the suites their samples and the states
+    ``propagate`` returns, which it checks."""
     n = y.shape[-1]
-    infinite = []
-    if not np.isfinite(y).all():
-        refused = ~np.isfinite(y).all(axis=(-2, -1))
-        y[refused] = 0.0
-        infinite = np.flatnonzero(refused).tolist()
     lam, q, failures = _eigen_stack(y)
-    for i in infinite:
-        failures[i] = ValueError("matrix entries must be finite")
     rows = lam.reshape(-1, n).tolist()
     declared = _items(hs)
     for i, h in enumerate(declared):
@@ -291,9 +283,13 @@ def nbar_from_affine(c: ChartCoords) -> np.ndarray:
 
     Solved row by row by forward substitution; solvable because the
     diagonal gaps of a regular permuted diagonal never vanish. A -0.0
-    coordinate enters as +0.0.
+    coordinate enters as +0.0. Raises ValueError, without a warning, when
+    an entry of g overflows.
     """
-    return _nbar_from_affine(c.lower, _permuted_diagonals(c.h, c.w))
+    return _finite(
+        "nbar_from_affine overflows: an entry of the forward substitution is not finite",
+        _nbar_from_affine, c.lower, _permuted_diagonals(c.h, c.w),
+    )
 
 
 def _nbar_from_affine(lower, d) -> np.ndarray:
@@ -327,11 +323,10 @@ def chart_linear_field(c: ChartCoords) -> np.ndarray:
 
     Raises ValueError, without a warning, when a scaled coordinate
     overflows."""
-    with np.errstate(over="ignore"):
-        field = _linear_fields(c.lower, _permuted_diagonals(c.h, c.w))
-    if not np.isfinite(field).all():
-        raise ValueError("chart linear field overflows: a coordinate times its gap is not finite")
-    return field
+    return _finite(
+        "chart linear field overflows: a coordinate times its gap is not finite",
+        _linear_fields, c.lower, _permuted_diagonals(c.h, c.w),
+    )
 
 
 def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
@@ -351,10 +346,10 @@ def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
         raise OverflowError(
             f"exponent {max_exponent:.3g} exceeds {_EXP_LIMIT:.0f}; shrink |t| or the gaps"
         )
-    with np.errstate(over="ignore"):
-        flowed = np.where(_strict_lower_mask(c.h.n), np.exp(gaps * t) * c.lower, 0.0)
-    if not np.isfinite(flowed).all():
-        raise ValueError(f"chart coordinates overflow under the flow for time t = {t:.3g}")
+    flowed = _finite(
+        f"chart coordinates overflow under the flow for time t = {t:.3g}",
+        lambda: np.where(_strict_lower_mask(c.h.n), np.exp(gaps * t) * c.lower, 0.0),
+    )
     flowed.setflags(write=False)
     return ChartCoords._of(c.w, flowed, c.h)
 

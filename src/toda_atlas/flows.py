@@ -50,16 +50,16 @@ as the state and as the next first stage (FSAL).
 stack, one field call per stage for the whole batch. Each lane keeps its
 own step size, PI state, stop test and counts, and leaves the stack when
 it stops; control in Python floats and per-lane reductions give every
-lane the bits of a run alone. One start of a field with a kernel is
-stepped as its plain ``(n, n)`` matrix through the same loop and the
-same stage routine: on a matrix the kernels multiply
-with ``ndarray.dot``, on a stack with ``np.matmul``, which make the same
-BLAS call at about half of ``@``'s cost, and the error ratio and field
-norm take either rank. ``integrate`` is that one-start case, and
-``propagate`` steps its matrix the same way. ``_stepped`` binds a run's
-kernel once, with its size's weights and its product, and the kernel
-writes the field of a stage into the run's field scratch and its
-temporaries into the run's kernel scratch. Every run's
+lane the bits of a run alone. One rank rule holds for every field: one
+start is stepped as its plain ``(n, n)`` matrix, several as a
+``(B, n, n)`` stack, through the same loop and the same stage routine.
+On a matrix the kernels multiply with ``ndarray.dot``, on a stack with
+``np.matmul``, which make the same BLAS call at about half of ``@``'s
+cost, and the error ratio and field norm take either rank. ``integrate``
+is that one-start case, and ``propagate`` steps its matrix the same way.
+``_stepped`` binds a run's kernel once, with its size's weights and its
+product, and the kernel writes the field of a stage into the run's field
+scratch and its temporaries into the run's kernel scratch. Every run's
 accepted states pass once through one walk, ``_Lane.fold``, in the
 stacks of at most 64 (start first) that ``_stacks`` yields: the
 finiteness check and the power-trace drift are taken there. A lean run
@@ -102,8 +102,9 @@ keep the general kernel.
 
 The integrator validates its starts and then steps the unchecked kernel
 of a field it knows (by identity); any other callable, a wrapper of one
-of the two fields included, is called as given, with stacks, (1, n, n)
-ones for a single start. Such a field gets a new array at every call,
+of the two fields included, is called as given, under the same rank
+rule: with the plain (n, n) matrix of one start and the (B, n, n) stack
+of several. Such a field gets a new array at every call,
 never a work array, and the integrator writes to none of the arrays it
 hands to it or gets from it, so a field may keep its argument; it must
 not modify it, since the integrator keeps those arrays as states.
@@ -119,6 +120,7 @@ from .errors import StiffnessError
 from .linalg_core import (
     Spectrum,
     _dot,
+    _finite,
     _power_traces,
     _relative_drift,
     as_matrices,
@@ -320,38 +322,46 @@ def _sym_kernel(n: int, plain: bool):
 
 def toda_field(x) -> np.ndarray:
     """Sorting field [x, pi_k(x)] of a matrix or an (..., n, n) stack;
-    vanishes on diagonal matrices."""
+    vanishes on diagonal matrices. Raises ValueError, without a warning,
+    when an entry of the field overflows."""
     x = as_matrices(x)
-    return _toda_kernel(x.shape[-1], x.ndim == 2, False)(x)
+    return _finite(
+        "sorting field overflows: an entry of [x, pi_k(x)] is not finite",
+        _toda_kernel(x.shape[-1], x.ndim == 2, False), x,
+    )
 
 
 def sym_field(x) -> np.ndarray:
     """Symmetrization field [x, pi_u([x, x.T])] of a matrix or an
-    (..., n, n) stack; vanishes exactly on normal matrices."""
+    (..., n, n) stack; vanishes exactly on normal matrices. Raises
+    ValueError, without a warning, when an entry of the field overflows."""
     x = as_matrices(x)
-    return _sym_kernel(x.shape[-1], x.ndim == 2)(x)
+    return _finite(
+        "symmetrization field overflows: an entry of [x, pi_u([x, x.T])] is not finite",
+        _sym_kernel(x.shape[-1], x.ndim == 2), x,
+    )
 
 
 def _stepped(field, starts) -> tuple:
     """What a run steps: ``(kernel, x, own)``. x is a fresh array of the
-    starts, the plain (n, n) matrix for one start of ``toda_field`` or
-    ``sym_field`` and the (B, n, n) stack otherwise. kernel is the field's
-    unchecked kernel, bound here once for the run: ``toda_field``'s
-    symmetric one when every start is exactly symmetric, which keeps the
-    run so. Any other field is the caller's own (own is True): it is
-    called as given, on the stack, and the ``out`` and scratch the stage
+    starts, the plain (n, n) matrix for one start and the (B, n, n) stack
+    for several, whatever the field. kernel is the unchecked kernel of
+    ``toda_field`` or ``sym_field``, bound here once for the run:
+    ``toda_field``'s symmetric one when every start is exactly symmetric,
+    which keeps the run so. Any other field is the caller's own (own is
+    True): it is called as given, and the ``out`` and scratch the stage
     routine passes are dropped."""
-    if field is toda_field or field is sym_field:
-        plain = len(starts) == 1
-        x = starts[0].copy() if plain else np.stack(starts)
-        if field is sym_field:
-            return _sym_kernel(x.shape[-1], plain), x, False
+    plain = len(starts) == 1
+    x = starts[0].copy() if plain else np.stack(starts)
+    if field is sym_field:
+        return _sym_kernel(x.shape[-1], plain), x, False
+    if field is toda_field:
         symmetric = all(np.array_equal(x0, x0.T) for x0 in starts)
         return _toda_kernel(x.shape[-1], plain, symmetric), x, False
 
     def own(x, out=None, tmp=None):
         return field(x)
-    return own, np.stack(starts), True
+    return own, x, True
 
 
 class _Work:
@@ -550,13 +560,13 @@ def integrate_many(
     the run alone with ``t_max`` equal to that horizon. ``horizons``
     gives one horizon per start; without it every run has ``cfg.t_max``.
     The field is called once per stage with the (A, n, n) stack of the A
-    runs still going. One start of ``toda_field`` or ``sym_field`` is
-    stepped as its plain (n, n) matrix instead, through the same loop and
-    stage routine and with the same bits, and ``toda_field`` from starts
-    that are all exactly symmetric with its symmetric kernel, again with
-    the same bits. A field of the caller's own always gets stacks, (1, n, n)
-    ones for one start, each a new array that the integrator never
-    writes to.
+    runs still going. One start is stepped as its plain (n, n) matrix
+    instead, through the same loop and stage routine and with the same
+    bits; this rank rule is the same for every field, a caller's own
+    included, which gets a new array at each call that the integrator
+    never writes to. ``toda_field`` from starts that are all exactly
+    symmetric is stepped with its symmetric kernel, again with the same
+    bits.
 
     With ``per_state=f`` the runs are lean: f maps a (k, n, n) stack of
     states to an array of k rows, one per state, and each trajectory
@@ -681,9 +691,8 @@ def integrate(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> Trajecto
     ``cfg.t_max`` is reached, whichever comes first. Raises
     StiffnessError with the partial trajectory attached if the step size
     underflows. This is the one-start case of :func:`integrate_many`: it
-    steps x0 as a plain (n, n) matrix for ``toda_field`` and
-    ``sym_field``, and calls a field of the caller's own with (1, n, n)
-    stacks.
+    steps x0 as a plain (n, n) matrix, and a field of the caller's own is
+    called with (n, n) matrices too.
     """
     return integrate_many(field, [x0], cfg)[0]
 
@@ -696,8 +705,7 @@ def propagate(field, x0, t: float) -> np.ndarray:
     below roundoff for the smooth fields here. Meant for the tiny,
     exactly-timed displacements finite differencing needs. Steps x0
     through :func:`integrate`'s stage routine, and as it does: as a plain
-    (n, n) matrix for ``toda_field`` and ``sym_field``, as a (1, n, n)
-    stack for a field of the caller's own. Raises ValueError naming t,
+    (n, n) matrix, for every field. Raises ValueError naming t,
     without a warning, when the steps blow up and the state is not finite
     (a caller's own field may raise first, on its non-finite input).
     """
@@ -716,4 +724,4 @@ def propagate(field, x0, t: float) -> np.ndarray:
         raise ValueError(
             f"the state is not finite after the fixed steps of propagate for time t = {t:.3g}"
         )
-    return x.reshape(x.shape[-2:])
+    return x

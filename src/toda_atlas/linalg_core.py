@@ -18,8 +18,8 @@ kernels and give the same bits. ``_pi_k``, ``_power_traces`` and
 one plain (n, n) matrix, and each matrix of a stack gets the bits it
 would get alone: ``symmetric_eigen`` and ``FlagPoint`` diagonalize their
 matrix plain (``symmetric_eigen`` at n = 4 / 12 makes 39 / 38 numpy calls,
-40 / 39 as a (1, n, n) stack, counted as in ``atlas``). ``_dot`` is the
-matrix product of the plain and stack kernels.
+counted as in ``atlas``). ``_dot`` is the matrix product of the plain and
+stack kernels.
 
 The inner product throughout is the trace form ``trace(X Y)``. It is a
 positive multiple of the Killing form, and only signs and monotonicity
@@ -72,6 +72,17 @@ def as_matrices(x) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def _finite(message: str, kernel, *args) -> np.ndarray:
+    """kernel(*args), run with no overflow or invalid-value warning; raises
+    ValueError(message) when the result is not finite. The guard of a
+    public map whose kernel can overflow on finite input."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = kernel(*args)
+    if not np.isfinite(result).all():
+        raise ValueError(message)
+    return result
 
 
 def require_unit_lower(g, tol: float = 1e-12) -> np.ndarray:

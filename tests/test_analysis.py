@@ -313,34 +313,43 @@ class TestUnstableManifoldBatch:
             list(r.details["pairs"]) for r in serial
         ]
 
-    def test_four_leg_batches_and_one_escape_batch(self, monkeypatch):
+    def test_one_leg_batch_and_one_escape_batch(self, monkeypatch):
         calls = []
-        escape_horizons = []
 
         def counting(field, starts, cfg, **kwargs):
-            calls.append(len(starts))
-            if "horizons" in kwargs:
-                escape_horizons.extend(kwargs["horizons"])
+            calls.append((len(starts), list(kwargs["horizons"])))
             return integrate_many(field, starts, cfg, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a run went through integrate")
 
         monkeypatch.setattr(toda_atlas.analysis, "integrate_many", counting)
-        monkeypatch.setattr(toda_atlas.analysis, "integrate", forbidden)
         monkeypatch.setattr(toda_atlas.flows, "integrate", forbidden)
-        reports = unstable_manifold_experiments(list(Permutation.all(3)), default_spectrum(3))
+        charts = list(Permutation.all(3))
+        h = default_spectrum(3)
+        reports = unstable_manifold_experiments(charts, h)
         assert len(reports) == 6
-        # 18 legs in 2 horizon batches (backward legs run forward from
-        # the negated start), then 5 escape runs, each to its gap horizon
-        assert calls == [12, 6, 5]
-        # at h = (2, 0, -2): two charts with one unstable pair of gap 2,
-        # two with two pairs, the largest of gap 4, and one with all three
+        # the 18 legs in one batch (backward legs run forward from the
+        # negated start), then 5 escape runs, each to its gap horizon
+        assert [size for size, _ in calls] == [18, 5]
+        (_, leg_horizons), (_, escape_horizons) = calls
+        # each leg to ln(eps / coord_target) / gap of its own pair, in the
+        # order of the per-chart loop: a chart's pairs as its report lists
+        # them; at h = (2, 0, -2) the gaps are 2 and 4
+        expected = []
+        for w, report in zip(charts, reports):
+            d = np.diag(h_conjugate(h, w))
+            for pair in report.details["pairs"]:
+                i, j = map(int, pair.split(","))
+                expected.append(math.log(1e-4 / (1e-7 / 5.0)) / abs(d[i - 1] - d[j - 1]))
+        assert leg_horizons == expected
+        assert len(set(leg_horizons)) == 2
+        # two charts with one unstable pair of gap 2, two with two pairs,
+        # the largest of gap 4, and one with all three
         assert sorted(escape_horizons) == sorted(
             [math.log(100.0) / 2.0] * 2 + [math.log(100.0 * math.sqrt(2.0)) / 4.0] * 2
             + [math.log(100.0 * math.sqrt(3.0)) / 4.0]
         )
-
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_escape_runs_end_well_past_the_threshold(self, n):
@@ -405,7 +414,12 @@ class TestSuiteBatches:
         calls = self.record_calls(monkeypatch)
         reports = toda_atlas.analysis.toda_suite(3, 7)
         assert all(report.passed for report in reports)
-        exact = [kwargs for _, kwargs in calls if "horizons" in kwargs and "per_state" in kwargs]
+        # the leg batch also has horizons and per-state rows; the exact flow
+        # is the batch that keeps skew norms
+        exact = [
+            kwargs for _, kwargs in calls
+            if getattr(kwargs.get("per_state"), "__name__", None) == "_skew_norms"
+        ]
         assert len(exact) == 1
         assert list(exact[0]["horizons"]) == [0.5] * 3 + [1.0] * 3 + [2.0] * 3
 
@@ -413,15 +427,14 @@ class TestSuiteBatches:
         calls = self.record_calls(monkeypatch)
         reports = toda_atlas.analysis.toda_suite(3, 7)
         assert all(report.passed for report in reports)
-        # the lean exact flow; the 18 legs, lean, in one batch per horizon
-        # (the gaps 2 and 4 of h = (2, 0, -2)); the escape runs of the five
-        # charts with unstable pairs, which read every state; the 10
-        # attractor lanes, lean
+        # the lean exact flow; the 18 legs, lean, in one batch; the escape
+        # runs of the five charts with unstable pairs, which read every
+        # state; the 10 attractor lanes, lean
         kinds = {"_skew_norms": "exact", "_no_rows": "lean", None: "full"}
         runs = [
             (size, kinds[getattr(kwargs.get("per_state"), "__name__", None)]) for size, kwargs in calls
         ]
-        assert runs == [(9, "exact"), (12, "lean"), (6, "lean"), (5, "full"), (10, "lean")]
+        assert runs == [(9, "exact"), (18, "lean"), (5, "full"), (10, "lean")]
 
 
 class TestSymLinearization:

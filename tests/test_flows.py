@@ -576,15 +576,16 @@ class TestIntegrate:
 
     def test_propagate_refuses_a_state_that_blows_up(self):
         # the symmetrization field stepped backward from this start blows
-        # up within t = -0.05: a typed error naming t, and no warning, as a
-        # caller's own field raises on the non-finite stage it is handed
+        # up within t = -0.05: a typed error naming t, and no warning, as
+        # the public field behind a caller's wrapper raises on the stage
+        # whose field overflows
         n = 8
         x0 = np.diag(np.linspace(1.0, -1.0, n)) + np.triu(np.random.default_rng(5).standard_normal((n, n)), 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"not finite .* for time t = -0\.05"):
                 propagate(sym_field, x0, -0.05)
-            with pytest.raises(ValueError, match="matrix entries must be finite"):
+            with pytest.raises(ValueError, match="symmetrization field overflows"):
                 propagate(lambda x: sym_field(x), x0, -0.05)
             assert np.isfinite(propagate(sym_field, x0, 0.05)).all()
 
@@ -800,12 +801,13 @@ class TestIntegrateMany:
 class TestOneStart:
     @pytest.mark.parametrize("lean", [False, True], ids=["full", "lean"])
     @pytest.mark.parametrize("field", [toda_field, sym_field])
-    def test_a_callers_field_gets_stacks_and_the_bits_of_the_plain_run(
+    def test_a_callers_field_gets_the_rank_of_the_run_and_its_bits(
         self, field, lean, monkeypatch
     ):
-        # one start of a known field is stepped as its (n, n) matrix; the
-        # same field behind a wrapper is called with (1, n, n) stacks, and
-        # both runs have the same bits
+        # one rank rule for every field: one start is stepped as its (n, n)
+        # matrix and a batch as its (B, n, n) stack, for a known field and
+        # for the same field behind a wrapper, and both runs have the same
+        # bits
         n = 6
         starts = lane_starts(field, n, np.random.default_rng(90))[:2]
         cfg = IntegratorConfig(t_max=3.0 if field is toda_field else 1.0, stop_field_norm=1e-7)
@@ -825,20 +827,33 @@ class TestOneStart:
             wrapped_shapes.add(x.shape)
             return field(x)
 
+        def same_runs(known, own):
+            for a, b in zip(known, own, strict=True):
+                assert_same_run(a, b)
+                if lean:
+                    assert_same_bits(a.per_state, b.per_state)
+
         monkeypatch.setattr(flows_module, "_stepped", recording_stepped)
         for x0 in starts:
             if lean:
-                (plain,) = integrate_many(field, [x0], cfg, per_state=per_state)
-                (stacked,) = integrate_many(wrapped, [x0], cfg, per_state=per_state)
-                assert_same_bits(plain.per_state, stacked.per_state)
+                same_runs(
+                    integrate_many(field, [x0], cfg, per_state=per_state),
+                    integrate_many(wrapped, [x0], cfg, per_state=per_state),
+                )
             else:
-                plain = integrate(field, x0, cfg)
-                stacked = integrate(wrapped, x0, cfg)
-            assert_same_run(plain, stacked)
-            assert stacked.accepted_steps > 10
+                same_runs([integrate(field, x0, cfg)], [integrate(wrapped, x0, cfg)])
         assert kernel_ranks == {2}
-        assert wrapped_shapes == {(1, n, n)}
-        assert stacked.rejected_steps > 0
+        assert wrapped_shapes == {(n, n)}
+
+        kernel_ranks.clear()
+        wrapped_shapes.clear()
+        batch = integrate_many(wrapped, starts, cfg, per_state=per_state)
+        same_runs(integrate_many(field, starts, cfg, per_state=per_state), batch)
+        assert kernel_ranks == {3}
+        assert (2, n, n) in wrapped_shapes
+        assert {shape[1:] for shape in wrapped_shapes} == {(n, n)}
+        assert all(run.accepted_steps > 10 for run in batch)
+        assert any(run.rejected_steps > 0 for run in batch)
 
     def test_a_callers_field_gets_new_arrays_and_none_changes(self):
         # it may keep what it is given: no array comes twice or is written

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from toda_atlas.atlas import FlagPoint
+from toda_atlas.atlas import ChartCoords, FlagPoint, nbar_from_affine
+from toda_atlas.factorizations import f_inverse, unit_lower_inverse
+from toda_atlas.flows import sym_field, toda_field
 from toda_atlas.linalg_core import (
     IsospectralWitness,
     _eigen_stack,
@@ -20,6 +22,7 @@ from toda_atlas.linalg_core import (
     pi_u,
     symmetric_eigen,
 )
+from toda_atlas.weyl_profiles import Permutation
 
 RNG = np.random.default_rng(12345)
 
@@ -382,3 +385,63 @@ class TestSpectrum:
             base.frobenius,
         )
         assert bumped.drift_from(base) == pytest.approx(1e-6, rel=1e-6)
+
+
+def overflowing_unit_lower():
+    """A finite unit lower matrix whose inverse overflows."""
+    rng = np.random.default_rng(1)
+    rng.standard_normal((4, 4))
+    return np.eye(4) + np.tril(1e160 * rng.standard_normal((4, 4)), -1)
+
+
+def tiny_spectrum_coords():
+    """Coordinates of 1 in the identity chart of a spectrum with gaps near
+    1e-300, whose unit lower g overflows."""
+    h = Spectrum((3e-300, 1e-300, -1e-300, -3e-300))
+    return ChartCoords(w=Permutation.identity(4), lower=np.tril(np.ones((4, 4)), -1), h=h)
+
+
+def nan_matrix():
+    y = np.diag([3.0, 1.0, -1.0, -3.0])
+    y[0, 0] = np.nan
+    return y
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: toda_field(1e160 * np.random.default_rng(1).standard_normal((4, 4))),
+            "sorting field overflows: an entry of [x, pi_k(x)] is not finite",
+        ),
+        (
+            lambda: sym_field(1e160 * np.random.default_rng(1).standard_normal((4, 4))),
+            "symmetrization field overflows: an entry of [x, pi_u([x, x.T])] is not finite",
+        ),
+        (
+            lambda: unit_lower_inverse(overflowing_unit_lower()),
+            "unit lower inverse overflows: an entry of the forward substitution is not finite",
+        ),
+        (
+            lambda: f_inverse(overflowing_unit_lower()),
+            "unit lower inverse overflows: an entry of the forward substitution is not finite",
+        ),
+        (
+            lambda: nbar_from_affine(tiny_spectrum_coords()),
+            "nbar_from_affine overflows: an entry of the forward substitution is not finite",
+        ),
+        (lambda: FlagPoint(nan_matrix()), "matrix entries must be finite"),
+    ],
+    ids=["toda_field", "sym_field", "unit_lower_inverse", "f_inverse", "nbar_from_affine",
+         "FlagPoint_nan"],
+)
+def test_a_public_map_refuses_what_overflows_with_its_typed_error_and_no_warning(call, message):
+    # the guard of each public map runs its kernel with no warning and
+    # refuses a result that is not finite; FlagPoint refuses a matrix that
+    # is not finite at its own boundary, so no kernel after it sees one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            call()
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message

@@ -146,7 +146,6 @@ class TestEigenStack:
     def test_flag_points_equal_flag_point_per_matrix(self):
         y = mixed_symmetric_stack()
         h = default_spectrum(4)
-        y[5, 0, 0] = np.nan
         y[6] = h_conjugate(Spectrum((4.0, 1.0, -1.0, -4.0)), Permutation.identity(4))
         points, failures = _flag_points(y.copy(), [h] * len(y))
         outcomes = one_point_outcomes(lambda m: FlagPoint(m, h), y)
