@@ -25,17 +25,24 @@ code path for both, and a matrix gets the same bits either way.
 ``_signed_qr`` and ``_crout`` return, in place of raising, the exception
 the public function raises for each refused matrix (keyed 0 for one
 matrix); ``kan_factorize`` and ``unbar_factorize`` are their plain
-calls, and ``gs_embed`` (so every phi map) takes its q from
-``_signed_qr`` too. ``_unit_lower_inverse``, the kernel of
-``unit_lower_inverse``, takes matrices unit lower by construction.
+calls. ``_unit_lower_inverse``, the kernel of ``unit_lower_inverse``,
+takes matrices unit lower by construction.
+
+Each comparison map checks its input once and composes these kernels:
+``gs_embed`` and ``f_inverse`` take their orthogonal factor from
+``_signed_qr``, and ``phi``, ``phi_sigma`` and ``phi_sigma_inverse``
+project the frame they build with ``_f_map``, the unit-lower factor of
+``_crout`` (``phi_sigma_inverse`` then inverts it with
+``_unit_lower_inverse``), so a frame a map builds is validated again
+only where ``_f_map`` refuses it.
 
 The triangular recurrences (``_crout``, ``_unit_lower_inverse``, and
 ``atlas._nbar_from_affine``) write each row or column into its view with
 ``out=``. On one matrix, Crout's column update is ``ndarray.dot``, which
-gives np.matvec's bits at half its cost (``_matvec``), each row is
-divided by its pivot as a 0-d view, and a vanishing pivot is caught at
-its column, so no error state is entered: ``unbar_factorize`` at
-n = 4 / 12 makes 41 / 81 numpy calls (counted as in ``atlas``).
+gives np.matvec's bits at half its cost, each row is divided by its
+pivot as a 0-d view, and a vanishing pivot is caught at its column, so
+no error state is entered: ``unbar_factorize`` at n = 4 / 12 makes
+41 / 81 numpy calls (counted as in ``atlas``).
 """
 
 from dataclasses import dataclass
@@ -158,6 +165,16 @@ def _signed_qr(m, weights):
     return q * signs[..., None, :], r * signs[..., :, None], failures
 
 
+def _gs_qr(g):
+    """``_signed_qr`` of one checked matrix with unit weights, raising its
+    refusal: the Gram-Schmidt split of ``kan_factorize``, ``gs_embed``
+    and ``f_inverse``."""
+    q, r, failures = _signed_qr(g, 1.0)
+    if failures:
+        raise failures[0]
+    return q, r
+
+
 def _require_det_one(g: np.ndarray) -> np.ndarray:
     """Return g, raising ValueError unless det g = 1 within _DET_TOL. A
     determinant that leaves the double range in the elimination (inf, a
@@ -184,25 +201,11 @@ def kan_factorize(g) -> KANFactors:
     diagonal entry of R falls below 1e-12, i.e. a column is numerically
     dependent on earlier ones although the determinant is one.
     """
-    g = _require_det_one(as_matrix(g))
-    q, r, failures = _signed_qr(g, 1.0)
-    if failures:
-        raise failures[0]
+    q, r = _gs_qr(_require_det_one(as_matrix(g)))
     a = np.diag(np.diag(r))
     unit_upper = np.triu(r / np.diag(r)[:, None])
     np.fill_diagonal(unit_upper, 1.0)
     return KANFactors(k=q, a=a, n=unit_upper)
-
-
-def _matvec(plain: bool):
-    """The matrix-vector product of Crout's column update: ``ndarray.dot``
-    (M.dot(v)) for one (n, n) matrix (plain), ``np.matvec`` for a stack.
-    Both give a matrix the same bits (the tests hold them bitwise equal on
-    the update's slices), and dot costs about half of matvec's dispatch.
-    The row updates of the triangular recurrences keep ``np.vecmat`` at
-    either rank: ``v.dot(M)`` does not give its bits, and ``v @ M``, which
-    does, is no cheaper."""
-    return np.ndarray.dot if plain else np.matvec
 
 
 def _crout(k):
@@ -219,7 +222,12 @@ def _crout(k):
     """
     n = k.shape[-1]
     plain = k.ndim == 2
-    matvec = _matvec(plain)
+    # the column update's product: on one matrix ndarray.dot (M.dot(v)),
+    # which gives np.matvec's bits (the tests hold them bitwise equal on
+    # the update's slices) at about half its dispatch cost. The row
+    # updates keep np.vecmat at either rank: v.dot(M) does not give its
+    # bits, and v @ M, which does, is no cheaper
+    matvec = np.ndarray.dot if plain else np.matvec
     flipped = k[..., ::-1, ::-1].copy()
     low = np.zeros(k.shape)
     upp = _identities(k.shape)
@@ -293,25 +301,33 @@ def chevalley_test(k) -> ChevalleyResult:
     but only up to a nontrivial sign diagonal. OUTSIDE: some trailing
     principal minor vanishes (its index is reported).
     """
-    try:
-        factors = unbar_factorize(k)
-    except FactorizationError as err:
-        if err.minor_index is None:
-            raise
-        return ChevalleyResult(CellStatus.OUTSIDE, minor_index=err.minor_index)
-    if np.array_equal(factors.m, np.eye(factors.m.shape[0])):
-        return ChevalleyResult(CellStatus.IN_C, m=factors.m)
-    return ChevalleyResult(CellStatus.IN_CM_ONLY, m=factors.m)
+    _, _, signs, failures = _crout(_require_special_orthogonal(k))
+    if failures:
+        if failures[0].minor_index is None:
+            raise failures[0]
+        return ChevalleyResult(CellStatus.OUTSIDE, minor_index=failures[0].minor_index)
+    status = CellStatus.IN_C if (signs == 1.0).all() else CellStatus.IN_CM_ONLY
+    return ChevalleyResult(status, m=np.diag(signs))
+
+
+def _f_map(k) -> np.ndarray:
+    """Unchecked :func:`f_map` of a special orthogonal k, raising what
+    f_map raises. A frame a comparison map builds from numerically
+    singular input can leave SO(n) (determinant -1) or hold NaN; such a
+    frame never factors with a trivial sign diagonal, and on that path
+    it is refused as f_map refuses a matrix from outside."""
+    _, nbar, signs, failures = _crout(k)
+    if failures or (signs != 1.0).any():
+        _require_special_orthogonal(k)
+        raise failures[0] if failures else FactorizationError(
+            "matrix factors only up to a nontrivial sign diagonal; it is outside the big cell"
+        )
+    return nbar
 
 
 def f_map(k) -> np.ndarray:
     """Unit-lower factor of k = u nbar; defined only on the big cell."""
-    factors = unbar_factorize(k)
-    if not np.array_equal(factors.m, np.eye(factors.m.shape[0])):
-        raise FactorizationError(
-            "matrix factors only up to a nontrivial sign diagonal; it is outside the big cell"
-        )
-    return factors.nbar
+    return _f_map(_require_special_orthogonal(k))
 
 
 def _unit_lower_inverse(nbar: np.ndarray) -> np.ndarray:
@@ -339,11 +355,11 @@ def unit_lower_inverse(nbar) -> np.ndarray:
 def f_inverse(nbar) -> np.ndarray:
     """The unique big-cell matrix whose unit-lower factor is nbar.
 
-    Computed as the transpose of gs_embed of nbar's inverse; raises
-    ValueError, as :func:`unit_lower_inverse` does, when the inverse
-    overflows.
+    Computed as the transpose of gs_embed of nbar's inverse, whose checks
+    that inverse passes by construction; raises ValueError, as
+    :func:`unit_lower_inverse` does, when the inverse overflows.
     """
-    return gs_embed(unit_lower_inverse(nbar)).T
+    return _gs_qr(unit_lower_inverse(nbar))[0].T
 
 
 def gs_embed(g) -> np.ndarray:
@@ -356,15 +372,12 @@ def gs_embed(g) -> np.ndarray:
     g = require_unit_lower(g)
     if (np.diag(g) != 1.0).any() or np.triu(g, 1).any():
         _require_det_one(g)  # 1e-12 above the diagonal can move det g anywhere
-    q, _, failures = _signed_qr(g, 1.0)
-    if failures:
-        raise failures[0]
-    return q
+    return _gs_qr(g)[0]
 
 
 def phi(g) -> np.ndarray:
     """Compare the two triangular splittings: f_map after gs_embed."""
-    return f_map(gs_embed(g))
+    return _f_map(gs_embed(g))
 
 
 def phi_sigma(sigma: Permutation, g) -> np.ndarray:
@@ -384,13 +397,12 @@ def phi_sigma(sigma: Permutation, g) -> np.ndarray:
     permutation: undoing the construction requires undoing the two
     projections in the opposite order, which is a different composition.
     """
-    g = require_unit_lower(g, _TRIANGLE_TOL)
     if not l_sigma_membership(g, sigma.inverse(), _TRIANGLE_TOL):
         raise ValueError(
             "matrix does not stay lower triangular under conjugation by the inverse permutation"
         )
     p = perm_matrix(sigma)
-    return f_map(p.T @ gs_embed(g) @ p)
+    return _f_map(p.T @ gs_embed(g) @ p)
 
 
 def gs_embed_inverse(k) -> np.ndarray:
@@ -410,10 +422,9 @@ def phi_sigma_inverse(sigma: Permutation, y) -> np.ndarray:
     y must be unit lower triangular and stay lower triangular under
     conjugation by sigma, both within 1e-12 (_TRIANGLE_TOL).
     """
-    y = require_unit_lower(y, _TRIANGLE_TOL)
     if not l_sigma_membership(y, sigma, _TRIANGLE_TOL):
         raise ValueError(
             "matrix does not stay lower triangular under conjugation by the permutation"
         )
     p = perm_matrix(sigma)
-    return gs_embed_inverse(p @ f_inverse(y) @ p.T)
+    return _unit_lower_inverse(_f_map((p @ f_inverse(y) @ p.T).T))

@@ -221,12 +221,16 @@ def _power_traces(x: np.ndarray) -> np.ndarray:
 
 
 def commutator(a, b) -> np.ndarray:
-    """Matrix commutator a b - b a."""
+    """Matrix commutator a b - b a.
+
+    Raises ValueError, without a warning, when an entry overflows."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
+    return _finite(
+        "commutator overflows: an entry of a b - b a is not finite", lambda: a @ b - b @ a
+    )
 
 
 def pi_k(x) -> np.ndarray:
@@ -238,9 +242,12 @@ def pi_k(x) -> np.ndarray:
 
 
 def pi_u(x) -> np.ndarray:
-    """Upper-triangular component of the skew + upper-triangular splitting."""
+    """Upper-triangular component of the skew + upper-triangular splitting.
+
+    Raises ValueError, without a warning, when an entry above the
+    diagonal, x_ij + x_ji, overflows."""
     x = as_matrix(x)
-    return x - _pi_k(x)
+    return _finite("pi_u overflows: an entry of x - pi_k(x) is not finite", lambda: x - _pi_k(x))
 
 
 def isospectral_witness(x) -> IsospectralWitness:

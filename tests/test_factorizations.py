@@ -1,9 +1,11 @@
+import collections
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from toda_atlas import factorizations, linalg_core, weyl_profiles
 from toda_atlas.errors import FactorizationError
 from toda_atlas.factorizations import (
     CellStatus,
@@ -465,3 +467,144 @@ class TestPhiSigma:
             assert np.array_equal(fac.m, np.eye(4))
             assert np.min(np.diag(fac.u)) > 0
             assert np.linalg.norm(fac.u @ phi_sigma(sigma, g) - conj) < 1e-10
+
+
+def in_l_sigma(n, sigma, rng):
+    """A unit lower g that stays lower triangular under conjugation by
+    sigma: only the pairs sigma does not invert are filled."""
+    g = np.eye(n)
+    for i, j in lower_pairs(n):
+        if sigma(i) > sigma(j):
+            g[i - 1, j - 1] = rng.standard_normal()
+    return g
+
+
+def refusal(call):
+    """(type, message) of what call raises, with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as raised:
+            call()
+    return type(raised.value), str(raised.value)
+
+
+def frame_of_determinant_minus_one():
+    """A unit lower y whose inverse has entries up to 7.4e15: the Q of that
+    inverse's QR, f_inverse(y), has determinant -1."""
+    return np.array(
+        [[1.0, 0, 0, 0], [-5.06e5, 1, 0, 0], [-8.18e5, 7.32e5, 1, 0], [-1.07e6, 9.14e5, -2.0e4, 1]]
+    )
+
+
+class TestComparisonMapsComposeKernels:
+    """Each comparison map checks its input once and composes the
+    kernels; it gives the bits and refusals of the public composition."""
+
+    def test_each_map_equals_its_public_composition_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for n in range(2, 13):
+            for _ in range(6):
+                sigma = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
+                p = perm_matrix(sigma)
+                g = random_unit_lower(n, rng, 0.5)
+                assert phi(g).tobytes() == f_map(gs_embed(g)).tobytes()
+                expected = gs_embed(unit_lower_inverse(g)).T
+                assert f_inverse(g).tobytes() == expected.tobytes()
+                k = f_inverse(g)
+                assert f_map(k).tobytes() == unbar_factorize(k).nbar.tobytes()
+                for frame in (k, k.T, p @ k @ p.T):
+                    factors = unbar_factorize(frame)
+                    result = chevalley_test(frame)
+                    trivial = np.array_equal(factors.m, np.eye(n))
+                    assert result.status is (CellStatus.IN_C if trivial else CellStatus.IN_CM_ONLY)
+                    assert result.m.tobytes() == factors.m.tobytes()
+                g = in_l_sigma(n, sigma.inverse(), rng)
+                expected = f_map(p.T @ gs_embed(g) @ p)
+                assert phi_sigma(sigma, g).tobytes() == expected.tobytes()
+                y = in_l_sigma(n, sigma, rng)
+                expected = gs_embed_inverse(p @ f_inverse(y) @ p.T)
+                assert phi_sigma_inverse(sigma, y).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda g: g + np.diag([0.0, 1e-11, 0.0, 0.0]),
+             "matrix is not unit lower triangular: diagonal differs from 1"),
+            (lambda g: g + 1e-11 * np.eye(4, k=2),
+             "matrix is not unit lower triangular: nonzero entries above the diagonal"),
+        ],
+        ids=["diagonal", "above_diagonal"],
+    )
+    def test_each_map_refuses_what_is_not_unit_lower(self, make, expected):
+        bad = make(random_unit_lower(4, np.random.default_rng(5)))
+        sigma = Permutation((1, 2, 3, 4))
+        for call in (
+            lambda: phi(bad),
+            lambda: phi_sigma(sigma, bad),
+            lambda: phi_sigma_inverse(sigma, bad),
+            lambda: f_inverse(bad),
+        ):
+            assert refusal(call) == (ValueError, expected)
+
+    def test_each_sigma_map_refuses_what_is_outside_its_subgroup(self):
+        sigma = Permutation((2, 1, 3))
+        g = embed_lower(0.5, 0.1, -0.2)  # (2, 1) is inverted by sigma and its inverse
+        assert refusal(lambda: phi_sigma(sigma, g)) == (
+            ValueError,
+            "matrix does not stay lower triangular under conjugation by the inverse permutation",
+        )
+        assert refusal(lambda: phi_sigma_inverse(sigma, g)) == (
+            ValueError,
+            "matrix does not stay lower triangular under conjugation by the permutation",
+        )
+
+    def test_a_frame_of_determinant_minus_one_is_refused_as_from_outside(self):
+        # f_inverse returns that frame; phi_sigma_inverse projects it, and
+        # refuses it as gs_embed_inverse refuses it from outside
+        y = frame_of_determinant_minus_one()
+        assert np.linalg.det(f_inverse(y)) < 0.0
+        expected = (ValueError, "matrix is orthogonal but has determinant -1")
+        assert refusal(lambda: gs_embed_inverse(f_inverse(y))) == expected
+        assert refusal(lambda: phi_sigma_inverse(Permutation.identity(4), y)) == expected
+        reflection = np.diag([-1.0, 1.0, 1.0])
+        for call in (f_map, chevalley_test, unbar_factorize):
+            assert refusal(lambda: call(reflection)) == expected
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Counts of as_matrix, require_unit_lower and orthogonality checks."""
+        counts = collections.Counter()
+
+        def counted(name, check):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return check(*args, **kwargs)
+            return wrapper
+
+        as_matrix = counted("as_matrix", linalg_core.as_matrix)
+        unit_lower = counted("unit_lower", linalg_core.require_unit_lower)
+        for module in (linalg_core, factorizations):
+            monkeypatch.setattr(module, "as_matrix", as_matrix)
+        for module in (linalg_core, factorizations, weyl_profiles):
+            monkeypatch.setattr(module, "require_unit_lower", unit_lower)
+        monkeypatch.setattr(
+            factorizations,
+            "_require_special_orthogonal",
+            counted("orthogonal", factorizations._require_special_orthogonal),
+        )
+        return counts
+
+    def test_each_map_checks_its_input_once(self, checks):
+        rng = np.random.default_rng(41)
+        sigma = Permutation((3, 1, 4, 2))
+        g = random_unit_lower(4, rng, 0.5)
+        cases = [
+            (lambda: phi(g), 1, 1),
+            (lambda: f_inverse(g), 1, 1),
+            (lambda: phi_sigma(sigma, in_l_sigma(4, sigma.inverse(), rng)), 2, 2),
+            (lambda: phi_sigma_inverse(sigma, in_l_sigma(4, sigma, rng)), 2, 2),
+        ]
+        for call, unit_lower, as_matrix in cases:
+            checks.clear()
+            call()
+            assert checks == collections.Counter(unit_lower=unit_lower, as_matrix=as_matrix)

@@ -401,6 +401,12 @@ def tiny_spectrum_coords():
     return ChartCoords(w=Permutation.identity(4), lower=np.tril(np.ones((4, 4)), -1), h=h)
 
 
+def overflowing_pair():
+    """x and x^T with entries near 1e160: every product entry overflows."""
+    x = 1e160 * np.random.default_rng(1).standard_normal((4, 4))
+    return x, x.T
+
+
 def nan_matrix():
     y = np.diag([3.0, 1.0, -1.0, -3.0])
     y[0, 0] = np.nan
@@ -430,10 +436,18 @@ def nan_matrix():
             lambda: nbar_from_affine(tiny_spectrum_coords()),
             "nbar_from_affine overflows: an entry of the forward substitution is not finite",
         ),
+        (
+            lambda: commutator(*overflowing_pair()),
+            "commutator overflows: an entry of a b - b a is not finite",
+        ),
+        (
+            lambda: pi_u([[0.0, 1e308], [1e308, 0.0]]),
+            "pi_u overflows: an entry of x - pi_k(x) is not finite",
+        ),
         (lambda: FlagPoint(nan_matrix()), "matrix entries must be finite"),
     ],
     ids=["toda_field", "sym_field", "unit_lower_inverse", "f_inverse", "nbar_from_affine",
-         "FlagPoint_nan"],
+         "commutator", "pi_u", "FlagPoint_nan"],
 )
 def test_a_public_map_refuses_what_overflows_with_its_typed_error_and_no_warning(call, message):
     # the guard of each public map runs its kernel with no warning and
