@@ -38,17 +38,21 @@ elimination and domain test of the forward map), ``_chart_forwards``,
 returns ``failures``, a dict from the index of each refused point (0 for
 one point) to the exception the one-point function raises for it, with
 its type and message, and hands the point on in a form the next stage
-takes without a warning. The public maps are one-point calls of these
-kernels, on the point's plain arrays and with no list built: ``FlagPoint``
-of ``_flag_points``, ``chart_inverse`` of ``_chart_points``,
-``chart_forward`` of ``_chart_forwards``, ``chart_domain_test`` of
-``_chart_nbars``, ``bruhat_classify`` of ``_chart_forwards`` and
-``_bruhat_classes``, and ``chart_linear_field`` of ``_linear_fields``;
-each raises its point's failure.
+takes without a warning. The kernel that refuses a point writes that
+form, and no caller patches it: the graded QR (``_signed_qr``) gives a
+refused point an identity q, so its frame and y are finite and mean
+nothing, and ``_chart_nbars`` gives one an identity nbar. The public
+maps are one-point calls of these kernels, on the point's plain arrays
+and with no list built: ``FlagPoint`` of ``_flag_points``,
+``chart_inverse`` of ``_chart_points``, ``chart_forward`` of
+``_chart_forwards``, ``chart_domain_test`` of ``_chart_nbars``,
+``bruhat_classify`` of ``_chart_forwards`` and ``_bruhat_classes``, and
+``chart_linear_field`` of ``_linear_fields``; each raises its point's
+failure.
 
 numpy calls per one-point map (functions, ufuncs, array methods and
 operators on arrays, counted on a run of the map; indexing and numpy
-scalar arithmetic not counted), at n = 4 / 12: ``chart_inverse`` 41 / 73,
+scalar arithmetic not counted), at n = 4 / 12: ``chart_inverse`` 43 / 75,
 ``chart_forward`` 57 / 113, ``chart_domain_test`` 38 / 78,
 ``bruhat_classify`` 67 / 123, ``FlagPoint`` 43 / 42.
 """
@@ -373,17 +377,17 @@ def _chart_matrices(coords, t):
     det Q^T P_w is -1, and y = frame diag(h) frame^T symmetrized, so frame
     is an eigenframe of y by construction. failures maps the index of each
     point (0 for one point) whose graded QR refuses it (some
-    |R_ii| / weight_i below 1e-12 or NaN, or a weight underflowed to 0) to
-    its FactorizationError; such a point's frame is the identity and its
-    y the zero matrix. Every other point gets the same bits alone, plain,
-    and in any stack.
+    |R_ii| / weight_i below 1e-12, NaN or infinite, or a weight
+    underflowed to 0) to its FactorizationError. Such a point is built
+    from the identity q ``_signed_qr`` hands it on with, so its frame and
+    y are finite and mean nothing; nothing here writes to it. Every other
+    point gets the same bits alone, plain, and in any stack.
     """
     dot = _dot(_one(coords))
     lower = _stacked(coords, lambda c: c.lower)
     d = _stacked(coords, lambda c: _permuted_diagonals(c.h, c.w))
     perm = _stacked(coords, lambda c: _chart_constants(c.w).perm)
     spectra = _diagonals(np.asarray(_stacked(coords, lambda c: c.h.values)))
-    n = d.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         g_inv = _unit_lower_inverse(_nbar_from_affine(lower, d))
         if not isinstance(t, float) or t != 0.0:
@@ -397,14 +401,9 @@ def _chart_matrices(coords, t):
             weights = 1.0
     q, _, failures = _signed_qr(g_inv, weights)
     frame = dot(q.mT, perm)
-    refused = list(failures)
-    if refused:  # a refused frame may not be finite
-        frame.reshape(-1, n, n)[refused] = np.eye(n)
     _make_special(frame)
     y = dot(dot(frame, spectra), frame.mT)
     y = 0.5 * (y + y.mT)
-    if refused:
-        y.reshape(-1, n, n)[refused] = 0.0
     return y, frame, failures
 
 
@@ -412,7 +411,8 @@ def _chart_points(coords, t):
     """Unchecked flag point of chart coordinates, or of each of a list of
     them, as :func:`_chart_matrices` takes them, with the y and frame it
     builds: ``(points, failures)``, one point or a list, the QR's failures
-    before FlagPoint's.
+    before FlagPoint's. A refused point's y and frame are finite and mean
+    nothing.
 
     No eigensolve runs. Of FlagPoint's checks, only the gap of the spectrum
     can refuse such a y: symmetry, trace, residual and the spectrum match
@@ -469,7 +469,9 @@ def _chart_nbars(points, ws):
     (B, n, n); failures maps the index of each point (0 for one point)
     outside its chart (a trailing minor at or below DOMAIN_MINOR_TOL in
     magnitude, or a vanishing pivot) to its ChartDomainError, or to a
-    sign-factor FactorizationError.
+    sign-factor FactorizationError. The kernel hands each refused point
+    on with the identity as its nbar, since a factor past the domain
+    threshold may be huge: finite, and meaning nothing.
     """
     u, nbar, _, failures = _crout(_frames(points, ws))
     charts = _items(ws)
@@ -487,6 +489,8 @@ def _chart_nbars(points, ws):
                 f"point is outside the chart at {charts[i].images}: trailing minor of size {j} "
                 f"is {minors[i, j - 1]:.2e}"
             ))
+    if failures:  # a refused factor may be huge
+        nbar.reshape(-1, *nbar.shape[-2:])[list(failures)] = np.eye(nbar.shape[-1])
     return nbar, failures
 
 
@@ -529,12 +533,11 @@ def _chart_forwards(points, ws):
     """Unchecked ``chart_forward`` of a point in its chart, or of each of a
     list of points: ``(lower, failures)``, lower (n, n) or (B, n, n) and
     failures as :func:`_chart_nbars` gives them, then a ValueError for each
-    point whose coordinates overflow (computed without a warning); a
-    refused point's coordinates are zero, so lower is finite."""
+    point whose coordinates overflow (computed without a warning). A point
+    ``_chart_nbars`` refuses comes out of the identity nbar it hands on
+    with zero coordinates, and those of a point that overflows are written
+    zero, so lower is finite."""
     nbar, failures = _chart_nbars(points, ws)
-    n = nbar.shape[-1]
-    if failures:  # a refused factor may be huge; it is never read
-        nbar.reshape(-1, n, n)[list(failures)] = np.eye(n)
     hs = points.h if _one(points) else [y.h for y in points]
     with np.errstate(over="ignore", invalid="ignore"):
         lower = _coords_from_nbars(nbar, _permuted_diagonals(hs, ws))

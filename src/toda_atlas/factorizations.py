@@ -24,9 +24,13 @@ The kernels take one plain (n, n) matrix or a (B, n, n) stack, with one
 code path for both, and a matrix gets the same bits either way.
 ``_signed_qr`` and ``_crout`` return, in place of raising, the exception
 the public function raises for each refused matrix (keyed 0 for one
-matrix); ``kan_factorize`` and ``unbar_factorize`` are their plain
-calls. ``_unit_lower_inverse``, the kernel of ``unit_lower_inverse``,
-takes matrices unit lower by construction.
+matrix), and hand each refused matrix on in a finite form that means
+nothing and that no caller patches up: ``_signed_qr`` with an identity
+q, ``_crout`` with identity factors where a pivot vanishes (a matrix
+refused for its sign factor keeps its finite factors).
+``kan_factorize`` and ``unbar_factorize`` are their plain calls.
+``_unit_lower_inverse``, the kernel of ``unit_lower_inverse``, takes
+matrices unit lower by construction.
 
 Each comparison map checks its input once and composes these kernels:
 ``gs_embed`` and ``f_inverse`` take their orthogonal factor from
@@ -144,25 +148,31 @@ def _signed_qr(m, weights):
     it gets alone. weights is 1.0 or one weight per row, (..., n).
     Returns ``(q, r, failures)``; failures maps the flat index of each
     matrix (0 for one matrix) with a column i whose |r_ii| / weight_i is
-    below 1e-12, NaN, or over a zero weight (numerically dependent on
-    earlier columns) to the FactorizationError naming the first such
-    column.
+    below 1e-12, NaN, over a zero weight (numerically dependent on
+    earlier columns), or infinite (a column norm past the double range)
+    to the FactorizationError naming the first such column, with the
+    dependent-column message for each kind. The kernel hands a refused
+    matrix on with the identity as its q, as ``_crout`` gives a matrix
+    with a vanishing pivot identity factors: finite, and meaning nothing.
     """
+    n = m.shape[-1]
     q, r = np.linalg.qr(m)
     pivots = r.diagonal(axis1=-2, axis2=-1)
     ratios = np.abs(pivots)  # over a weight of 1.0, exactly
     if isinstance(weights, np.ndarray):
         ratios = np.divide(ratios, weights, out=np.zeros(pivots.shape), where=weights > 0.0)
+    signs = np.where(pivots < 0.0, -1.0, 1.0)
+    q = q * signs[..., None, :]
     failures = {}
-    if not (ratios >= 1e-12).all():
-        dependent = ~(ratios >= 1e-12)
-        for i, columns in enumerate(dependent.reshape(-1, m.shape[-1])):
+    sound = (ratios >= 1e-12) & (ratios < np.inf)
+    if not sound.all():
+        for i, columns in enumerate(~sound.reshape(-1, n)):
             if columns.any():
                 failures[i] = FactorizationError(
                     f"column {np.argmax(columns) + 1} is numerically dependent on earlier columns"
                 )
-    signs = np.where(pivots < 0.0, -1.0, 1.0)
-    return q * signs[..., None, :], r * signs[..., :, None], failures
+        q.reshape(-1, n, n)[list(failures)] = np.eye(n)
+    return q, r * signs[..., :, None], failures
 
 
 def _gs_qr(g):

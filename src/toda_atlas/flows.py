@@ -705,11 +705,14 @@ def propagate(field, x0, t: float) -> np.ndarray:
     below roundoff for the smooth fields here. Meant for the tiny,
     exactly-timed displacements finite differencing needs. Steps x0
     through :func:`integrate`'s stage routine, and as it does: as a plain
-    (n, n) matrix, for every field. Raises ValueError naming t,
-    without a warning, when the steps blow up and the state is not finite
-    (a caller's own field may raise first, on its non-finite input).
+    (n, n) matrix, for every field. Raises ValueError naming t before
+    any step when t is not finite, and without a warning when the steps
+    blow up and the state is not finite (a caller's own field may raise
+    first, on its non-finite input).
     """
     x = as_matrix(x0)
+    if not math.isfinite(t):
+        raise ValueError(f"propagate time t must be finite, got {t!r}")
     if t == 0.0:
         return x.copy()
     steps = max(1, int(math.ceil(abs(t) / _PROPAGATE_STEP)))

@@ -7,6 +7,7 @@ files. The schemas are documented in FORMATS.md at the repository root.
 """
 
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +46,14 @@ def matrix_to_dict(mat) -> dict:
 
 
 def matrix_from_dict(payload) -> np.ndarray:
+    """The matrix of a matrix JSON payload. Raises ValueError unless n is
+    an integer (a JSON 2.7 or 1e400 is refused, not truncated) of at most
+    12 and the entries are n rows of n finite reals."""
     try:
-        n = int(payload["n"])
+        n = operator.index(payload["n"])
         entries = payload["entries"]
     except (KeyError, TypeError) as err:
-        raise ValueError(f"matrix JSON needs 'n' and 'entries': {err}") from err
+        raise ValueError(f"matrix JSON needs an integer 'n' and 'entries': {err}") from err
     if n > 12:
         raise ValueError(f"matrix JSON declares n={n}, above the supported 2 <= n <= 12")
     mat = np.asarray(entries, dtype=float)

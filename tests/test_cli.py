@@ -71,6 +71,15 @@ class TestFactorize:
         assert code == 2
         assert capsys.readouterr().err == "error: matrix is not orthogonal\n"
 
+    @pytest.mark.parametrize("n", ["1e400", "2.7"])
+    def test_an_n_that_is_not_an_integer_is_input_error(self, tmp_path, capsys, n):
+        src = tmp_path / "g.json"
+        src.write_text(f'{{"n": {n}, "entries": [[1.0, 0.0], [0.0, 1.0]]}}\n')
+        code = run_cli(["factorize", "--input", str(src), "--kind", "kan", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix JSON needs an integer 'n'") and err.count("\n") == 1
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = run_cli(["factorize", "--input", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2

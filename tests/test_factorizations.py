@@ -373,6 +373,51 @@ class TestGSEmbed:
                     inverse(nbar)
 
 
+def overflowing_first_column(n):
+    """A unit lower matrix whose first column has a norm past the double
+    range: its Householder pivot is infinite."""
+    g = np.eye(n)
+    g[1:, 0] = 1e308
+    return g
+
+
+class TestOverflowingColumns:
+    """The QR kernel refuses a column whose pivot ratio is infinite, as it
+    refuses a dependent one, and hands every refused matrix on with an
+    identity q."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_gs_embed_and_phi_refuse_an_infinite_pivot(self, n):
+        g = overflowing_first_column(n)
+        for embed in (gs_embed, phi):
+            assert refusal(lambda: embed(g)) == (
+                FactorizationError, "column 1 is numerically dependent on earlier columns"
+            )
+
+    def test_a_refused_matrix_gets_an_identity_q_plain_and_stacked(self):
+        rng = np.random.default_rng(30)
+        ok = random_unit_lower(5, rng)
+        dependent = np.diag([1e7, 1e7, 1e7, 1e7, 1e-14])
+        nan = np.eye(5)
+        nan[2, 2] = np.nan
+        stack = np.array([ok, overflowing_first_column(5), dependent, nan, ok])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (overflowing_first_column(5), dependent, nan):
+                q, _, failures = factorizations._signed_qr(m, 1.0)
+                assert list(failures) == [0]
+                assert q.tobytes() == np.eye(5).tobytes()
+            plain, _, _ = factorizations._signed_qr(ok, 1.0)
+            zero_weight = np.ones((5, 5))
+            zero_weight[4, 4] = 0.0  # the last matrix's last row weight underflowed
+            for weights, refused in ((1.0, [1, 2, 3]), (zero_weight, [1, 2, 3, 4])):
+                q, _, failures = factorizations._signed_qr(stack, weights)
+                assert sorted(failures) == refused
+                for i in range(5):
+                    expected = np.eye(5) if i in refused else plain
+                    assert q[i].tobytes() == expected.tobytes()
+
+
 class TestPhi:
     def test_closed_form(self):
         for _ in range(30):

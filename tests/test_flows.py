@@ -589,6 +589,14 @@ class TestIntegrate:
                 propagate(lambda x: sym_field(x), x0, -0.05)
             assert np.isfinite(propagate(sym_field, x0, 0.05)).all()
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_propagate_refuses_a_time_that_is_not_finite(self, t):
+        x0 = random_symmetric_with_spectrum(default_spectrum(3), np.random.default_rng(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"propagate time t must be finite, got {t!r}"):
+                propagate(toda_field, x0, t)
+
     def test_backward_propagation_inverts_forward(self):
         x0 = random_symmetric_with_spectrum(default_spectrum(3), RNG)
         there = propagate(toda_field, x0, 0.2)

@@ -277,3 +277,64 @@ class TestRefusals:
         assert failure[0] is ValueError and "overflow" in failure[1]
         assert raised(chart_forward, point, w) == failure
         assert not _chart_forwards(point, w)[0].any()
+
+
+def overflowing_coordinates():
+    """Finite coordinates in the identity chart of S3 whose conjugator has
+    an inverse with a first column past the double range: the graded QR
+    meets an infinite pivot."""
+    lower = np.array([[0.0, 0.0, 0.0], [1.7e308, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    return ChartCoords(Permutation.identity(3), lower, Spectrum((1.0, 0.0, -1.0)))
+
+
+class TestKernelsHandOnTheirRefusals:
+    """A kernel hands each point it refuses on in a finite form that means
+    nothing, so no later stage patches it up, and its neighbours in a
+    stack keep their plain bits."""
+
+    def test_chart_inverse_refuses_an_infinite_pivot(self):
+        assert raised(chart_inverse, overflowing_coordinates()) == (
+            FactorizationError, "column 1 is numerically dependent on earlier columns"
+        )
+
+    def test_chart_points_refuse_exactly_that_point(self):
+        huge = overflowing_coordinates()
+        rng = np.random.default_rng(30)
+        ok = [random_chart_coords(random_permutation(3, rng), huge.h, rng) for _ in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points, failures = _chart_points([ok[0], huge, ok[1]], 0.0)
+        assert list(failures) == [1]
+        assert (type(failures[1]), str(failures[1])) == raised(chart_inverse, huge)
+        for i, c in ((0, ok[0]), (2, ok[1])):
+            assert view(points[i], None) == view(_chart_points(c, 0.0)[0], None)
+        assert np.isfinite(points[1].y).all() and np.isfinite(points[1].frame).all()
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_chart_nbars_give_a_refused_point_an_identity_factor(self, n):
+        coords, points, _ = draws(n, seed=1700 + n)
+        h = coords[0].h
+        weyl = FlagPoint(h_conjugate(h, Permutation.identity(n)), h)
+        minor = 1e-12  # the trailing minor of size 1, at the domain threshold
+        k = np.eye(n)
+        k[-2:, -2:] = [[minor, -np.sqrt(1.0 - minor**2)], [np.sqrt(1.0 - minor**2), minor]]
+        y, flip = h.diag(), np.diag([1.0] * (n - 1) + [-1.0])
+        y.setflags(write=False)
+        flip.setflags(write=False)
+        identity, reversal = Permutation.identity(n), Permutation(tuple(range(n, 0, -1)))
+        stack = [
+            (points[0], coords[0].w),
+            (weyl, reversal),  # a vanishing pivot
+            (FlagPoint(k @ h.diag() @ k.T, h), identity),  # a minor at the threshold
+            (FlagPoint._of(y, h, flip), identity),  # a sign factor of determinant -1
+            (points[2], coords[2].w),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nbar, failures = _chart_nbars([p for p, _ in stack], [w for _, w in stack])
+        assert sorted(failures) == [1, 2, 3]
+        for i, (point, w) in enumerate(stack):
+            plain = _chart_nbars(point, w)[0]
+            assert nbar[i].tobytes() == plain.tobytes()
+            if i in failures:
+                assert plain.tobytes() == np.eye(n).tobytes()

@@ -33,6 +33,14 @@ class TestMatrixJSON:
         with pytest.raises(ValueError, match="entries"):
             matrix_from_dict({"n": 2})
 
+    @pytest.mark.parametrize("n", ["1e400", "2.7", "2.0", '"2"'])
+    def test_an_n_that_is_not_an_integer_is_refused(self, n):
+        # 1e400 reads as inf, which int() raises OverflowError on, and
+        # int() would read 2.7 as 2
+        payload = json.loads(f'{{"n": {n}, "entries": [[1.0, 0.0], [0.0, 1.0]]}}')
+        with pytest.raises(ValueError, match="needs an integer 'n'"):
+            matrix_from_dict(payload)
+
     def test_schema_shape(self):
         d = matrix_to_dict(np.eye(2))
         assert d == {"n": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}
