@@ -7,7 +7,7 @@ exposes; every suite is deterministic given a seed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,30 +93,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one verification experiment."""
+    """Outcome of one verification experiment.
+
+    The residual and tolerance are stored as floats and the sample count
+    as an int; ``passed`` is ``max_residual < tolerance``, so a NaN
+    residual fails.
+    """
 
     name: str
     max_residual: float
     samples: int
     tolerance: float
-    passed: bool
-    details: dict
+    passed: bool = field(init=False)
+    details: "dict | None" = None
 
     def __post_init__(self):
-        if self.passed != (self.max_residual < self.tolerance):
-            raise ValueError("pass verdict must equal (max_residual < tolerance)")
-
-    @classmethod
-    def create(cls, name, max_residual, samples, tolerance, details=None):
-        residual = float(max_residual)
-        return cls(
-            name=name,
-            max_residual=residual,
-            samples=int(samples),
-            tolerance=float(tolerance),
-            passed=bool(residual < tolerance),
-            details=details or {},
-        )
+        object.__setattr__(self, "max_residual", float(self.max_residual))
+        object.__setattr__(self, "samples", int(self.samples))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "passed", self.max_residual < self.tolerance)
+        object.__setattr__(self, "details", self.details or {})
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ def pushforward_check(y: FlagPoint, w: Permutation, tol: float = 1e-6) -> CheckR
     """
     fd_step = 1e-5
     residual = _pushforward_residual(y, w, fd_step)
-    return CheckReport.create(
+    return CheckReport(
         "pushforward",
         residual,
         1,
@@ -269,7 +265,7 @@ def pushforward_richardson(y: FlagPoint, w: Permutation) -> CheckReport:
 
 def _richardson_report(coarse: float, fine: float, w: Permutation) -> CheckReport:
     ratio = coarse / fine if fine > 0.0 else math.inf
-    return CheckReport.create(
+    return CheckReport(
         "pushforward_richardson",
         abs(ratio - 4.0),
         2,
@@ -417,7 +413,7 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
             if radii[k] <= 10.0 * eps:
                 worst = math.inf
         reports.append(
-            CheckReport.create(
+            CheckReport(
                 f"unstable_manifold.{'-'.join(map(str, w.images))}",
                 worst,
                 len(legs[k]) + (1 if escape else 0),
@@ -453,7 +449,7 @@ def sym_linearization_spectrum(h: Spectrum) -> CheckReport:
 
     eigs = np.linalg.eigvals(jac)
     if np.max(np.abs(eigs.imag)) > 1e-6:
-        return CheckReport.create(
+        return CheckReport(
             "sym_linearization_spectrum", math.inf, dim, rel_tol,
             {"error": "complex eigenvalues in the differenced Jacobian"},
         )
@@ -474,13 +470,13 @@ def sym_linearization_spectrum(h: Spectrum) -> CheckReport:
         "kernel_dim": kernel_dim,
     }
     if kernel_dim != n * (n - 1) // 2 or len(nonzero) != len(expected):
-        return CheckReport.create(
+        return CheckReport(
             "sym_linearization_spectrum", math.inf, dim, rel_tol, details
         )
     residual = max(
         abs(got - want) / abs(want) for got, want in zip(sorted(nonzero), expected)
     )
-    return CheckReport.create(
+    return CheckReport(
         "sym_linearization_spectrum", residual, dim, rel_tol, details
     )
 
@@ -519,7 +515,7 @@ def _fiber_report(w: Permutation, base, trajs, cfg) -> CheckReport:
         lower_leak = max(lower_leak, float(np.max(traj.per_state[:, 1])))
     if lower_leak > 1e-9:
         worst = math.inf
-    return CheckReport.create(
+    return CheckReport(
         f"fiber.{'-'.join(map(str, w.images))}",
         worst,
         len(trajs),
@@ -584,7 +580,7 @@ def example4_frame_check() -> CheckReport:
         )
         worst = max(worst, residual)
         per_point.append(residual)
-    return CheckReport.create(
+    return CheckReport(
         "example4_frame", worst, samples, 1e-6, {"radius": radius, "residuals": per_point}
     )
 
@@ -626,14 +622,14 @@ def factor_suite(n: int = 3, seed: int = 0) -> list:
             float(np.linalg.norm(fac.k.T @ fac.k - np.eye(n))),
             abs(float(np.prod(np.diag(fac.a))) - 1.0),
         )
-    reports.append(CheckReport.create("factor.kan_recomposition", worst, 25, 1e-10))
+    reports.append(CheckReport("factor.kan_recomposition", worst, 25, 1e-10))
 
     worst = 0.0
     for _ in range(25):
         k = random_special_orthogonal(n, rng)
         fac = unbar_factorize(k)
         worst = max(worst, float(np.linalg.norm(fac.u @ fac.nbar @ fac.m - k)))
-    reports.append(CheckReport.create("factor.unbar_recomposition", worst, 25, 1e-10))
+    reports.append(CheckReport("factor.unbar_recomposition", worst, 25, 1e-10))
 
     worst = 0.0
     for _ in range(25):
@@ -642,7 +638,7 @@ def factor_suite(n: int = 3, seed: int = 0) -> list:
         worst = max(worst, float(np.linalg.norm(f_map(k) - nbar)))
         if chevalley_test(k.T).status is not CellStatus.IN_C:
             worst = math.inf
-    reports.append(CheckReport.create("factor.f_round_trip_and_inverse_closure", worst, 25, 1e-10))
+    reports.append(CheckReport("factor.f_round_trip_and_inverse_closure", worst, 25, 1e-10))
 
     worst = 0.0
     for _ in range(50):
@@ -658,7 +654,7 @@ def factor_suite(n: int = 3, seed: int = 0) -> list:
             ]
         )
         worst = max(worst, float(np.max(np.abs(phi(g) - expected))))
-    reports.append(CheckReport.create("factor.phi_closed_form_3x3", worst, 50, 1e-10))
+    reports.append(CheckReport("factor.phi_closed_form_3x3", worst, 50, 1e-10))
 
     worst = 0.0
     identity_worst = 0.0
@@ -680,8 +676,8 @@ def factor_suite(n: int = 3, seed: int = 0) -> list:
         )
         if np.min(np.diag(fac.u)) <= 0.0:
             identity_worst = math.inf
-    reports.append(CheckReport.create("factor.phi_sigma_round_trip", worst, 20, 1e-9))
-    reports.append(CheckReport.create("factor.phi_sigma_defining_identity", identity_worst, 20, 1e-10))
+    reports.append(CheckReport("factor.phi_sigma_round_trip", worst, 20, 1e-9))
+    reports.append(CheckReport("factor.phi_sigma_defining_identity", identity_worst, 20, 1e-10))
     return reports
 
 
@@ -718,13 +714,13 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
         spectrum_worst = max(spectrum_worst, spectrum_errors[j])
         round_worst = max(round_worst, float(np.linalg.norm(back[j] - coords[i].lower)))
     reports.append(
-        CheckReport.create("atlas.round_trip", round_worst, 10 * len(charts), 1e-9)
+        CheckReport("atlas.round_trip", round_worst, 10 * len(charts), 1e-9)
     )
     reports.append(
-        CheckReport.create("atlas.spectrum", spectrum_worst, 10 * len(charts), 1e-9)
+        CheckReport("atlas.spectrum", spectrum_worst, 10 * len(charts), 1e-9)
     )
     reports.append(
-        CheckReport.create("atlas.origin", origin_worst, len(charts), 1e-12)
+        CheckReport("atlas.origin", origin_worst, len(charts), 1e-12)
     )
 
     # every point against every chart, as one stack
@@ -744,7 +740,7 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
         if hits == 0:
             cover_worst = math.inf
     reports.append(
-        CheckReport.create(
+        CheckReport(
             "atlas.cover",
             cover_worst,
             30,
@@ -772,7 +768,7 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
     lower, forward_failures = _chart_forwards(points + twins, ws * 2)
     _raise_first(inverse_failures, _by_point(forward_failures, list(range(10)) * 2))
     sign_worst = max(float(np.linalg.norm(d)) for d in lower[10:] - lower[:10])
-    reports.append(CheckReport.create("atlas.sign_independence", sign_worst, 10, 1e-10))
+    reports.append(CheckReport("atlas.sign_independence", sign_worst, 10, 1e-10))
 
     picks = []
     for _ in range(10):
@@ -789,7 +785,7 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
             profile_worst = math.inf
         outside = np.abs(lower[_outside_mask(p)])
         profile_worst = max(profile_worst, float(np.max(outside, initial=0.0)))
-    reports.append(CheckReport.create("atlas.profile_compat", profile_worst, 10, 1e-9))
+    reports.append(CheckReport("atlas.profile_compat", profile_worst, 10, 1e-9))
     return reports
 
 
@@ -810,7 +806,7 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
         y = np.array([[a, b], [b, -a]])
         expected = np.array([[2 * b * b, -2 * a * b], [-2 * a * b, -2 * b * b]])
         worst = max(worst, float(np.max(np.abs(toda_field(y) - expected))))
-    reports.append(CheckReport.create("toda.field_formula_2x2", worst, 50, 1e-12))
+    reports.append(CheckReport("toda.field_formula_2x2", worst, 50, 1e-12))
 
     h2 = Spectrum((0.5, -0.5))
     coords2 = ChartCoords(
@@ -818,7 +814,7 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
     )
     point2 = chart_inverse(coords2)
     residual2 = _pushforward_residual(point2, Permutation.identity(2), 1e-5)
-    reports.append(CheckReport.create("toda.pushforward_2x2", residual2, 1, 1e-10))
+    reports.append(CheckReport("toda.pushforward_2x2", residual2, 1, 1e-10))
 
     # ten pushforward points, then the Richardson point at two steps: their
     # chart work is one stack per stage
@@ -830,7 +826,7 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
         points + points[-1:], ws + ws[-1:], [1e-5] * 10 + [2e-3, 1e-3]
     )
     _raise_first(inverse_failures, _by_point(failures, list(range(11)) + [10]))
-    reports.append(CheckReport.create("toda.pushforward", max([0.0] + residuals[:10]), 10, 1e-6))
+    reports.append(CheckReport("toda.pushforward", max([0.0] + residuals[:10]), 10, 1e-6))
     reports.append(_richardson_report(*residuals[10:], charts[0]))
 
     worst = 0.0
@@ -857,9 +853,9 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
         worst = max(worst, float(np.linalg.norm(traj.final_state - point.y)))
         drift_worst = max(drift_worst, traj.power_trace_drift)
         symmetry_worst = max(symmetry_worst, float(np.max(traj.per_state)))
-    reports.append(CheckReport.create("toda.exact_vs_integrated", worst, 9, 1e-7))
-    reports.append(CheckReport.create("toda.isospectral_drift", drift_worst, 9, 1e-8))
-    reports.append(CheckReport.create("toda.symmetry_preservation", symmetry_worst, 9, 1e-9))
+    reports.append(CheckReport("toda.exact_vs_integrated", worst, 9, 1e-7))
+    reports.append(CheckReport("toda.isospectral_drift", drift_worst, 9, 1e-8))
+    reports.append(CheckReport("toda.symmetry_preservation", symmetry_worst, 9, 1e-9))
 
     bookkeeping = 0.0
     for w in Permutation.all(n) if n <= 4 else charts:
@@ -868,7 +864,7 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
             bookkeeping = math.inf
         if len(sets.unstable) != w.inversion_count():
             bookkeeping = math.inf
-    reports.append(CheckReport.create("toda.dimension_bookkeeping", bookkeeping, 1, 0.5))
+    reports.append(CheckReport("toda.dimension_bookkeeping", bookkeeping, 1, 0.5))
 
     experiment_charts = Permutation.all(n) if n <= 3 else charts[: min(4, len(charts))]
     reports.extend(unstable_manifold_experiments(experiment_charts, h))
@@ -884,8 +880,8 @@ def toda_suite(n: int = 3, seed: int = 0) -> list:
             continue
         worst = max(worst, float(np.linalg.norm(traj.final_state - target)))
         drift_worst = max(drift_worst, traj.power_trace_drift)
-    reports.append(CheckReport.create("toda.sorting_attractor", worst, 10, 1e-7))
-    reports.append(CheckReport.create("toda.sorting_drift", drift_worst, 10, 1e-8))
+    reports.append(CheckReport("toda.sorting_attractor", worst, 10, 1e-7))
+    reports.append(CheckReport("toda.sorting_drift", drift_worst, 10, 1e-8))
     return reports
 
 
@@ -899,7 +895,7 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
         v = rng.uniform(-1.5, 1.5, 3)
         got = sl2_coords(sym_field(sl2_matrix(v)))
         worst = max(worst, float(np.max(np.abs(got - 4.0 * sl2_cubic_model(v)))))
-    reports.append(CheckReport.create("sym.cubic_closed_form_2x2", worst, 50, 1e-12))
+    reports.append(CheckReport("sym.cubic_closed_form_2x2", worst, 50, 1e-12))
 
     worst = 0.0
     for _ in range(10):
@@ -911,7 +907,7 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
         lopsided = symmetric + np.triu(rng.standard_normal((n, n)), 1)
         if np.linalg.norm(sym_field(lopsided)) < 1e-8:
             worst = math.inf
-    reports.append(CheckReport.create("sym.normal_zero_set", worst, 30, 1e-12))
+    reports.append(CheckReport("sym.normal_zero_set", worst, 30, 1e-12))
 
     p = hessenberg_profile(n)
     starts = []
@@ -958,9 +954,9 @@ def sym_suite(n: int = 3, seed: int = 0) -> list:
     drift_worst = max([0.0] + [traj.power_trace_drift for traj in profile_runs])
     norm_increases = [np.max(np.diff(traj.per_state[:, 0]), initial=0.0) for traj in sym_trajs]
     monotone_worst = float(max([0.0] + norm_increases))
-    reports.append(CheckReport.create("sym.profile_preservation", profile_worst, 8, 1e-9))
-    reports.append(CheckReport.create("sym.norm_monotone", monotone_worst, 4, 1e-10))
-    reports.append(CheckReport.create("sym.isospectral_drift", drift_worst, 8, 1e-8))
+    reports.append(CheckReport("sym.profile_preservation", profile_worst, 8, 1e-9))
+    reports.append(CheckReport("sym.norm_monotone", monotone_worst, 4, 1e-10))
+    reports.append(CheckReport("sym.isospectral_drift", drift_worst, 8, 1e-8))
     reports.append(_fiber_report(identity, base, trajs[len(starts):split], fiber_cfg))
     reports.append(_fiber_report(sigma, sigma_base, trajs[split:], fiber_cfg))
     reports.append(sym_linearization_spectrum(h))

@@ -2,9 +2,10 @@
 
 Subcommands: factorize, chart, flow, cells, verify. All artifacts land in
 the output directory (flag --out, default from TODA_ATLAS_OUT, else the
-working directory). Exit codes: 0 success, 1 check or factorization
-failure, 2 input error. The random generator behind every seeded command
-is numpy's PCG64 (numpy.random.default_rng).
+working directory), made with the first artifact, so a command refused
+before it writes leaves no directory. Exit codes: 0 success, 1 check or
+factorization failure, 2 input error. The random generator behind every
+seeded command is numpy's PCG64 (numpy.random.default_rng).
 """
 
 import argparse
@@ -224,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _convert_flags(args) -> None:
     """Parse and check --w, --h, the integrator flags, --n and --seed, in place.
 
-    Runs before the output directory is made, so a bad flag creates nothing.
+    Runs before any handler, so a bad flag creates nothing.
     """
     if args.command in ("chart", "cells"):
         args.w = _parse_permutation(args.w)
@@ -259,7 +260,6 @@ def main(argv=None) -> None:
         sys.exit(2)
     if args.out is None:
         args.out = Path(os.environ.get("TODA_ATLAS_OUT", "."))
-    args.out.mkdir(parents=True, exist_ok=True)
     try:
         code = args.handler(args)
     except (ValueError, OSError, KeyError) as err:

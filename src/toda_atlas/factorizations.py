@@ -150,10 +150,10 @@ def _signed_qr(m, weights):
     matrix (0 for one matrix) with a column i whose |r_ii| / weight_i is
     below 1e-12, NaN, over a zero weight (numerically dependent on
     earlier columns), or infinite (a column norm past the double range)
-    to the FactorizationError naming the first such column, with the
-    dependent-column message for each kind. The kernel hands a refused
-    matrix on with the identity as its q, as ``_crout`` gives a matrix
-    with a vanishing pivot identity factors: finite, and meaning nothing.
+    to the FactorizationError naming the first such column and its kind.
+    The kernel hands a refused matrix on with the identity as its q, as
+    ``_crout`` gives a matrix with a vanishing pivot identity factors:
+    finite, and meaning nothing.
     """
     n = m.shape[-1]
     q, r = np.linalg.qr(m)
@@ -166,11 +166,14 @@ def _signed_qr(m, weights):
     failures = {}
     sound = (ratios >= 1e-12) & (ratios < np.inf)
     if not sound.all():
-        for i, columns in enumerate(~sound.reshape(-1, n)):
+        for i, (columns, row) in enumerate(zip(~sound.reshape(-1, n), ratios.reshape(-1, n))):
             if columns.any():
-                failures[i] = FactorizationError(
-                    f"column {np.argmax(columns) + 1} is numerically dependent on earlier columns"
+                j = np.argmax(columns)
+                kind = (
+                    "has a norm past the double range" if row[j] == np.inf
+                    else "is numerically dependent on earlier columns"
                 )
+                failures[i] = FactorizationError(f"column {j + 1} {kind}")
         q.reshape(-1, n, n)[list(failures)] = np.eye(n)
     return q, r * signs[..., :, None], failures
 

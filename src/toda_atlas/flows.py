@@ -212,9 +212,7 @@ class Trajectory:
     rejected_steps: int
     final_field_norm: float
     power_trace_drift: float
-    # field evaluations, and the smallest and largest accepted step
-    # (0.0 when no step was accepted)
-    field_evals: int = 0
+    # the smallest and largest accepted step (0.0 when no step was accepted)
     min_step: float = 0.0
     max_step: float = 0.0
     per_state: np.ndarray | None = None
@@ -238,6 +236,11 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+    @property
+    def field_evals(self) -> int:
+        """Field evaluations: one at the start, six per attempted step."""
+        return 1 + 6 * (self.accepted_steps + self.rejected_steps)
 
     @property
     def final_time(self) -> float:
@@ -535,7 +538,6 @@ class _Lane:
                 states.append(self.last)
         return Trajectory(
             times, _Folded(states), len(self.steps), self.rejected, self.fnorm, self.drift,
-            field_evals=1 + 6 * (len(self.steps) + self.rejected),
             min_step=min(self.steps, default=0.0),
             max_step=max(self.steps, default=0.0),
             per_state=values,

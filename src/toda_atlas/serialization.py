@@ -6,6 +6,7 @@ command with identical inputs and seed therefore produces byte-identical
 files. The schemas are documented in FORMATS.md at the repository root.
 """
 
+import dataclasses
 import json
 import operator
 from pathlib import Path
@@ -111,11 +112,4 @@ def trajectory_diagnostics(traj: Trajectory) -> dict:
 
 
 def report_to_dict(report: CheckReport) -> dict:
-    return {
-        "name": report.name,
-        "max_residual": report.max_residual,
-        "samples": report.samples,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "details": report.details,
-    }
+    return dataclasses.asdict(report)

@@ -146,6 +146,14 @@ class Profile:
     pairs: frozenset
 
 
+def _closure(pairs) -> frozenset:
+    """The given strictly-lower pairs and every pair they dominate: with
+    (i, j), each (ii, jj) with i >= ii > jj >= j, as axiom (b) asks."""
+    return frozenset(
+        (ii, jj) for i, j in pairs for ii in range(j + 1, i + 1) for jj in range(j, ii)
+    )
+
+
 def profile_validate(n: int, pairs) -> Profile:
     """Validate a pair set against the two profile axioms.
 
@@ -153,7 +161,8 @@ def profile_validate(n: int, pairs) -> Profile:
     Axiom (b): with (i, j) in the set, every (i', j') with
     i >= i' > j' >= j belongs to the set too.
 
-    Raises ProfileError naming the violated axiom and a witness pair.
+    Raises ProfileError naming the violated axiom and a witness pair:
+    for axiom (b), the smallest dominated pair missing from the set.
     """
     if n < 2:
         raise ValueError("profiles need n >= 2")
@@ -167,35 +176,31 @@ def profile_validate(n: int, pairs) -> Profile:
                 axiom="a",
                 witness=(i, j),
             )
-    for i, j in sorted(cleaned):
-        for ii in range(j + 1, i + 1):
-            for jj in range(j, ii):
-                if (ii, jj) not in cleaned:
-                    raise ProfileError(
-                        f"axiom (b) violated: {(i, j)} present but dominated pair "
-                        f"{(ii, jj)} missing",
-                        axiom="b",
-                        witness=(ii, jj),
-                    )
+    missing = _closure(cleaned) - cleaned
+    if missing:
+        witness = min(missing)
+        raise ProfileError(
+            f"axiom (b) violated: dominated pair {witness} missing",
+            axiom="b",
+            witness=witness,
+        )
     return Profile(n, cleaned)
 
 
 def profile_closure(n: int, pairs) -> Profile:
     """Smallest valid profile containing the given lower pairs."""
-    closed = set()
-    for i, j in pairs:
-        i, j = int(i), int(j)
+    if n < 2:
+        raise ValueError("profiles need n >= 2")
+    seeds = [(int(i), int(j)) for i, j in pairs]
+    for i, j in seeds:
         if i <= j or j < 1 or i > n:
             raise ValueError(f"pair {(i, j)} is not a strictly-lower pair for n={n}")
-        for ii in range(j + 1, i + 1):
-            for jj in range(j, ii):
-                closed.add((ii, jj))
-    return profile_validate(n, closed)
+    return Profile(n, _closure(seeds))
 
 
 def hessenberg_profile(n: int) -> Profile:
     """The subdiagonal profile {(2,1), (3,2), ..., (n,n-1)}."""
-    return profile_validate(n, {(i, i - 1) for i in range(2, n + 1)})
+    return profile_closure(n, [(i, i - 1) for i in range(2, n + 1)])
 
 
 def _outside_mask(p: Profile) -> np.ndarray:

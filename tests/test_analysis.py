@@ -76,14 +76,27 @@ def chart_point(w, h, rng, scale=1.0):
 
 class TestCheckReport:
     def test_pass_verdict_is_derived(self):
-        report = CheckReport.create("x", 0.5, 1, 1.0)
+        report = CheckReport("x", 0.5, 1, 1.0)
         assert report.passed
-        report = CheckReport.create("x", 2.0, 1, 1.0)
+        report = CheckReport("x", 2.0, 1, 1.0)
         assert not report.passed
 
-    def test_inconsistent_verdict_rejected(self):
-        with pytest.raises(ValueError, match="verdict"):
-            CheckReport("x", 2.0, 1, 1.0, True, {})
+    def test_verdict_is_not_an_input(self):
+        with pytest.raises(TypeError, match="passed"):
+            CheckReport("x", 2.0, 1, 1.0, passed=True)
+
+    def test_nan_residual_fails(self):
+        assert not CheckReport("x", math.nan, 1, 1.0).passed
+
+    def test_numpy_inputs_are_stored_as_python_numbers(self):
+        report = CheckReport("x", np.float64(0.5), np.int64(3), np.float32(1.0))
+        assert type(report.max_residual) is float
+        assert type(report.tolerance) is float
+        assert type(report.samples) is int
+        assert report.passed is True
+
+    def test_omitted_details_are_empty(self):
+        assert CheckReport("x", 0.5, 1, 1.0).details == {}
 
 
 class TestPushforward:
@@ -284,7 +297,7 @@ def serial_unstable_manifold_experiment(w, h, eps=1e-4):
         if radius <= 10.0 * eps:
             worst = math.inf
     samples = len(sets.stable) + len(sets.unstable) + (1 if escape else 0)
-    return CheckReport.create(
+    return CheckReport(
         f"unstable_manifold.{'-'.join(map(str, w.images))}",
         worst,
         samples,
@@ -568,9 +581,9 @@ def per_point_atlas_suite(n, seed):
             spectrum_worst = max(spectrum_worst, float(np.max(np.abs(eigs - np.array(h.values)))))
             back = chart_forward(point, w)
             round_worst = max(round_worst, float(np.linalg.norm(back.lower - coords.lower)))
-    reports.append(CheckReport.create("atlas.round_trip", round_worst, 10 * len(charts), 1e-9))
-    reports.append(CheckReport.create("atlas.spectrum", spectrum_worst, 10 * len(charts), 1e-9))
-    reports.append(CheckReport.create("atlas.origin", origin_worst, len(charts), 1e-12))
+    reports.append(CheckReport("atlas.round_trip", round_worst, 10 * len(charts), 1e-9))
+    reports.append(CheckReport("atlas.spectrum", spectrum_worst, 10 * len(charts), 1e-9))
+    reports.append(CheckReport("atlas.origin", origin_worst, len(charts), 1e-12))
 
     cover_worst = 0.0
     accepted_fraction = []
@@ -581,7 +594,7 @@ def per_point_atlas_suite(n, seed):
         accepted_fraction.append(hits / len(all_perms))
         if hits == 0:
             cover_worst = math.inf
-    reports.append(CheckReport.create(
+    reports.append(CheckReport(
         "atlas.cover", cover_worst, 30, 0.5,
         {"mean_accepting_fraction": float(np.mean(accepted_fraction))},
     ))
@@ -596,7 +609,7 @@ def per_point_atlas_suite(n, seed):
         signs[rng.choice(n, size=2, replace=False)] = -1.0
         twisted = coords_from_frame(frame * signs[None, :], w, h)
         sign_worst = max(sign_worst, float(np.linalg.norm(twisted.lower - reference.lower)))
-    reports.append(CheckReport.create("atlas.sign_independence", sign_worst, 10, 1e-10))
+    reports.append(CheckReport("atlas.sign_independence", sign_worst, 10, 1e-10))
 
     profile_worst = 0.0
     for _ in range(10):
@@ -609,7 +622,7 @@ def per_point_atlas_suite(n, seed):
             profile_worst = math.inf
         outside = np.abs(chart_forward(point, w).lower[_outside_mask(p)])
         profile_worst = max(profile_worst, float(np.max(outside, initial=0.0)))
-    reports.append(CheckReport.create("atlas.profile_compat", profile_worst, 10, 1e-9))
+    reports.append(CheckReport("atlas.profile_compat", profile_worst, 10, 1e-9))
     return reports
 
 
@@ -682,7 +695,7 @@ def per_point_unstable_manifold_experiments(charts, h, eps=1e-4):
             escape = {"max_radius": radii[k], "threshold": 10.0 * eps}
             if radii[k] <= 10.0 * eps:
                 worst = math.inf
-        reports.append(CheckReport.create(
+        reports.append(CheckReport(
             f"unstable_manifold.{'-'.join(map(str, w.images))}",
             worst,
             len(legs[k]) + (1 if escape else 0),

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from toda_atlas import linalg_core
-from toda_atlas.cli import _build_parser, main
+from toda_atlas.analysis import CheckReport
+from toda_atlas.cli import _SUITES, _build_parser, main
 from toda_atlas.errors import StiffnessError
 from toda_atlas.flows import IntegratorConfig, integrate, sym_field, toda_field
 from toda_atlas.sampling import default_spectrum, random_symmetric_with_spectrum, rng_from_seed
 from toda_atlas.serialization import (
     read_matrix,
     read_trajectory_csv,
+    report_to_dict,
     trajectory_diagnostics,
     write_matrix,
 )
@@ -300,6 +302,14 @@ class TestVerify:
         assert code == 0
         assert json.loads((out / "summary.json").read_text())["failures"] == 0
 
+    def test_failing_checks_are_written(self, tmp_path, monkeypatch):
+        failing = CheckReport("factor.x", 2.0, 1, 1.0)
+        monkeypatch.setitem(_SUITES, "factor", lambda n, seed: [failing])
+        out = tmp_path / "verify"
+        assert run_cli(["verify", "--suite", "factor", "--out", str(out)]) == 1
+        assert json.loads((out / "check_factor_x.json").read_text()) == report_to_dict(failing)
+        assert json.loads((out / "summary.json").read_text())["failures"] == 1
+
     def test_bad_n_rejected(self, tmp_path):
         code = run_cli(["verify", "--n", "1", "--out", str(tmp_path)])
         assert code == 2
@@ -338,12 +348,24 @@ class TestFlagErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
-    def test_missing_input_rejected_after_out_dir_is_made(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factorize", "--input", "one.json"],
+            ["flow", "--x0", "one.json"],
+            ["chart", "--w", "2 1", "--forward", "one.json"],
+            ["chart", "--w", "2 1", "--h", "1,-1", "--inverse", "one.json"],
+            ["factorize", "--input", "nope.json"],
+        ],
+        ids=["factorize", "flow", "chart-forward", "chart-inverse", "missing-file"],
+    )
+    def test_refused_input_leaves_no_out_dir(self, tmp_path, capsys, argv):
+        (tmp_path / "one.json").write_text('{"n": 1, "entries": [[1.0]]}')
         out = tmp_path / "out"
-        code = run_cli(["factorize", "--input", str(tmp_path / "nope.json"), "--out", str(out)])
-        assert code == 2
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert run_cli(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
-        assert out.is_dir()
+        assert not out.exists()
 
 
 class TestIntegratorFlags:

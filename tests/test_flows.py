@@ -1108,7 +1108,6 @@ def reference_integrate(field, x0, cfg):
     return Trajectory(
         times, states, len(steps), rejected, fnorm,
         max(isospectral_witness(s).drift_from(w0) for s in states),
-        field_evals=1 + 6 * (len(steps) + rejected),
         min_step=min(steps, default=0.0),
         max_step=max(steps, default=0.0),
     )
@@ -1307,6 +1306,10 @@ class TestConfigValidation:
                     integrate_many(huge, [np.eye(2)], per_state=norm_and_corner)
                 else:
                     integrate(huge, np.eye(2))
+
+    def test_field_evals_is_not_an_input(self):
+        with pytest.raises(TypeError, match="field_evals"):
+            Trajectory([0.0], [np.eye(2)], 0, 0, 0.0, 0.0, field_evals=7)
 
     def test_trajectory_rejects_decreasing_times(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -202,7 +202,9 @@ class TestRefusals:
         # a conjugator that overflows reaches the QR as non-finite rows
         huge = ChartCoords(w=coords[1].w, lower=np.tril(np.full((n, n), 1e300), -1), h=coords[1].h)
         failure = refused_in_a_stack(_chart_points, (huge,), [(coords[0],), (coords[2],)], 0.0)
-        assert failure[0] is FactorizationError and "numerically dependent" in failure[1]
+        # at n = 3 the first column holds an inf and no NaN
+        kind = "has a norm past the double range" if n == 3 else "is numerically dependent"
+        assert failure[0] is FactorizationError and kind in failure[1]
         assert raised(chart_inverse, huge) == failure
         # past t * spread of about 745 the lightest row weight underflows
         failure = refused_in_a_stack(_chart_points, (coords[1],), [(coords[0],), (coords[2],)], 800.0)
@@ -294,7 +296,7 @@ class TestKernelsHandOnTheirRefusals:
 
     def test_chart_inverse_refuses_an_infinite_pivot(self):
         assert raised(chart_inverse, overflowing_coordinates()) == (
-            FactorizationError, "column 1 is numerically dependent on earlier columns"
+            FactorizationError, "column 1 has a norm past the double range"
         )
 
     def test_chart_points_refuse_exactly_that_point(self):

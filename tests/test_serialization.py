@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from toda_atlas.analysis import CheckReport
 from toda_atlas.flows import IntegratorConfig, Trajectory, integrate, toda_field
 from toda_atlas.sampling import default_spectrum, random_symmetric_with_spectrum, rng_from_seed
 from toda_atlas.serialization import (
@@ -10,6 +11,7 @@ from toda_atlas.serialization import (
     matrix_to_dict,
     read_matrix,
     read_trajectory_csv,
+    report_to_dict,
     trajectory_diagnostics,
     write_matrix,
     write_trajectory_csv,
@@ -98,3 +100,17 @@ class TestTrajectoryCSV:
             "max_step",
         }
         json.dumps(diag)
+
+
+class TestReportJSON:
+    def test_report_dict_has_the_six_keys(self):
+        details = {"eps": 1e-4, "pairs": {"2,1": {"distance": 3e-8, "ws": [2, 1]}}, "escape": None}
+        report = CheckReport("unstable_manifold.2-1", np.float64(3e-8), 2, 1e-7, details)
+        assert report_to_dict(report) == {
+            "name": "unstable_manifold.2-1",
+            "max_residual": 3e-8,
+            "samples": 2,
+            "tolerance": 1e-7,
+            "passed": True,
+            "details": details,
+        }
