@@ -39,11 +39,11 @@ from .factorizations import (
     unbar_factorize,
 )
 from .flows import (
+    _EXACT_TIME,
     IntegratorConfig,
     _frobenius_norms,
     _stacks,
     integrate_many,
-    propagate,
     stable_step_for_sorting,
     stable_step_for_symmetrization,
     sym_field,
@@ -188,7 +188,11 @@ def _pushforward_residuals(points, ws, fd_steps):
     a point's index to the exception ``_pushforward_residual`` raises.
 
     A step whose flowed points leave the chart is halved, at most three
-    times. Every attempt of every point is one stack of chart work.
+    times. Every attempt of every point is one stack of chart work, and
+    its displacements one lean batch of runs to an exact time. The
+    sorting field is even, F(-X) = F(X), so the flow from y back by t is
+    minus the flow from -y ahead by t, step for step: each point's run
+    ahead starts from y, its run behind from -y.
     """
     lower, failures = _chart_forwards(points, ws)
     predicted = _linear_fields(lower, _permuted_diagonals([y.h for y in points], ws))
@@ -198,8 +202,14 @@ def _pushforward_residuals(points, ws, fd_steps):
     for _ in range(4):
         if not pending:
             break
+        starts = [points[i].y for i in pending]
+        runs = integrate_many(
+            toda_field, starts + [-y for y in starts], _EXACT_TIME,
+            horizons=[steps[i] for i in pending] * 2, per_state=_no_rows,
+        )
         moved = np.array([
-            propagate(toda_field, points[i].y, t) for i in pending for t in (steps[i], -steps[i])
+            x for ahead, back in zip(runs, runs[len(starts):])
+            for x in (ahead.final_state, -back.final_state)
         ])
         pairs = [i for i in pending for _ in range(2)]
         flowed, flow_failures = _flag_points(moved, [points[i].h for i in pairs])

@@ -152,8 +152,8 @@ def _flag_points(y, hs):
     before a spectrum farther than _EIGENVALUE_TOL from the declared one (a
     refused matrix's point means nothing). The points share y, which
     becomes read-only. Every caller hands it finite matrices: FlagPoint
-    through ``as_matrix``, and the suites their samples and the states
-    ``propagate`` returns, which it checks."""
+    through ``as_matrix``, and the suites their samples and the final
+    states of integrator runs, which the integrator checks."""
     n = y.shape[-1]
     lam, q, failures = _eigen_stack(y)
     rows = lam.reshape(-1, n).tolist()

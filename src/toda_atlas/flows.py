@@ -56,16 +56,22 @@ start is stepped as its plain ``(n, n)`` matrix, several as a
 On a matrix the kernels multiply with ``ndarray.dot``, on a stack with
 ``np.matmul``, which make the same BLAS call at about half of ``@``'s
 cost, and the error ratio and field norm take either rank. ``integrate``
-is that one-start case, and ``propagate`` steps its matrix the same way.
-``_stepped`` binds a run's kernel once, with its size's weights and its
-product, and the kernel writes the field of a stage into the run's field
-scratch and its temporaries into the run's kernel scratch. Every run's
-accepted states pass once through one walk, ``_Lane.fold``, in the
-stacks of at most 64 (start first) that ``_stacks`` yields: the
-finiteness check and the power-trace drift are taken there. A lean run
-(``per_state``) folds each stack as soon as it fills and keeps only a
-caller's per-state figures of it; a full run keeps its states and folds
-them when it ends.
+is that one-start case. ``_stepped`` binds a run's kernel once, with its
+size's weights and its product, and the kernel writes the field of a
+stage into the run's field scratch and its temporaries into the run's
+kernel scratch. Every run's accepted states pass once through one walk,
+``_Lane.fold``, in the stacks of at most 64 (start first) that
+``_stacks`` yields: the finiteness check and the power-trace drift are
+taken there. A lean run (``per_state``) folds each stack as soon as it
+fills and keeps only a caller's per-state figures of it; a full run
+keeps its states and folds them when it ends.
+
+A run to an exact time has the config ``_EXACT_TIME`` and its time as
+its horizon: its stop field norm is ``math.ulp(0.0)``, so it stops
+before its horizon only where the norm of its field is 0. ``propagate``
+is one such run, of the field or, backward, of the negated field; the
+pushforward checks of :mod:`toda_atlas.analysis` take their
+displacements as one batch of them.
 
 Public functions validate their arguments; the private ``_`` kernels
 they call per step do not. Each field validates once and returns the
@@ -112,7 +118,7 @@ not modify it, since the integrator keeps those arrays as states.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,7 +148,6 @@ __all__ = [
 
 _MIN_STEP = 1e-14
 _INITIAL_STEP = 1e-3
-_PROPAGATE_STEP = 1e-3  # largest fixed step of propagate
 _SAFETY = 0.9
 _SHRINK_MIN = 0.2
 _GROW_MAX = 5.0
@@ -192,6 +197,11 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+# The config of a run to an exact time, which is given as its horizon: the
+# run stops before it only where the norm of its field is 0.
+_EXACT_TIME = IntegratorConfig(stop_field_norm=math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -346,14 +356,14 @@ def sym_field(x) -> np.ndarray:
 
 
 def _stepped(field, starts) -> tuple:
-    """What a run steps: ``(kernel, x, own)``. x is a fresh array of the
-    starts, the plain (n, n) matrix for one start and the (B, n, n) stack
-    for several, whatever the field. kernel is the unchecked kernel of
-    ``toda_field`` or ``sym_field``, bound here once for the run:
-    ``toda_field``'s symmetric one when every start is exactly symmetric,
-    which keeps the run so. Any other field is the caller's own (own is
-    True): it is called as given, and the ``out`` and scratch the stage
-    routine passes are dropped."""
+    """What a run of :func:`integrate_many` steps: ``(kernel, x, own)``.
+    x is a fresh array of the starts, the plain (n, n) matrix for one
+    start and the (B, n, n) stack for several, whatever the field. kernel
+    is the unchecked kernel of ``toda_field`` or ``sym_field``, bound here
+    once for the run: ``toda_field``'s symmetric one when every start is
+    exactly symmetric, which keeps the run so. Any other field is the
+    caller's own (own is True): it is called as given, and the ``out`` and
+    scratch the stage routine passes are dropped."""
     plain = len(starts) == 1
     x = starts[0].copy() if plain else np.stack(starts)
     if field is sym_field:
@@ -380,7 +390,7 @@ class _Work:
     module or to a cached kernel, since a field may itself integrate and
     two runs may step at once on different threads."""
 
-    def __init__(self, x, own, tols=None):
+    def __init__(self, x, own, tols):
         shape, size = x.shape, x.size
         acc, terms = np.empty((7,) + shape), np.empty((7, size))
         sums = acc.reshape(7, size)
@@ -402,8 +412,7 @@ class _Work:
             for s in range(1, 6)
         ] + [(acc[5], None, None, None, _DP_COLUMNS[6], terms[6:], sums[6:])]
         self.err = acc[6], np.empty(shape)
-        if tols is not None:
-            self.rel_tol, self.abs_tol = (np.full(shape, tol) for tol in tols)
+        self.rel_tol, self.abs_tol = (np.full(shape, tol) for tol in tols)
         self.scale = np.empty(shape)
         self.x_abs, self.trial_abs = np.abs(x), np.empty(shape)
 
@@ -694,39 +703,28 @@ def integrate(field, x0, cfg: IntegratorConfig = IntegratorConfig()) -> Trajecto
     StiffnessError with the partial trajectory attached if the step size
     underflows. This is the one-start case of :func:`integrate_many`: it
     steps x0 as a plain (n, n) matrix, and a field of the caller's own is
-    called with (n, n) matrices too.
+    called with (n, n) matrices too. With ``_EXACT_TIME`` and a t_max of
+    its own it is a run to that exact time, as :func:`propagate` makes.
     """
     return integrate_many(field, [x0], cfg)[0]
 
 
 def propagate(field, x0, t: float) -> np.ndarray:
-    """Advance x0 by a (possibly negative) time t with fixed-size steps.
+    """Advance x0 by a (possibly negative) time t.
 
-    Uses the fifth-order solution only, in the fewest equal steps of size
-    at most 1e-3 (_PROPAGATE_STEP); at that size the local error sits far
-    below roundoff for the smooth fields here. Meant for the tiny,
-    exactly-timed displacements finite differencing needs. Steps x0
-    through :func:`integrate`'s stage routine, and as it does: as a plain
-    (n, n) matrix, for every field. Raises ValueError naming t before
-    any step when t is not finite, and without a warning when the steps
-    blow up and the state is not finite (a caller's own field may raise
-    first, on its non-finite input).
+    The final state of :func:`integrate` run to exactly |t| (with
+    ``_EXACT_TIME``): of x' = field(x) for t > 0, and of x' = -field(x)
+    for t < 0; a copy of x0 for t = 0. So it is adaptive, and its work is
+    bounded only as integrate's is. Raises ValueError naming t before any
+    step when t is not finite, and otherwise what integrate raises:
+    StiffnessError, without a warning, when a state blows up and the step
+    size underflows (a caller's own field may raise first, on its
+    non-finite input).
     """
     x = as_matrix(x0)
     if not math.isfinite(t):
         raise ValueError(f"propagate time t must be finite, got {t!r}")
     if t == 0.0:
         return x.copy()
-    steps = max(1, int(math.ceil(abs(t) / _PROPAGATE_STEP)))
-    kernel, x, own = _stepped(field, [x])
-    work = _Work(x, own)
-    work.h.fill(t / steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = kernel(x)
-        for _ in range(steps):
-            x, _, k = _dopri_stages(kernel, x, k, work)
-    if not np.isfinite(x).all():
-        raise ValueError(
-            f"the state is not finite after the fixed steps of propagate for time t = {t:.3g}"
-        )
-    return x
+    ahead = field if t > 0.0 else (lambda x: -field(x))
+    return integrate(ahead, x, replace(_EXACT_TIME, t_max=abs(t))).final_state

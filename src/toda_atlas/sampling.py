@@ -7,7 +7,8 @@ the package-wide generator is PCG64 via numpy.random.default_rng.
 import numpy as np
 
 from .atlas import ChartCoords, FlagPoint
-from .linalg_core import Spectrum
+from .factorizations import _gs_qr
+from .linalg_core import Spectrum, _make_special
 from .weyl_profiles import Permutation, Profile, lower_pairs, profile_closure
 
 __all__ = [
@@ -33,10 +34,10 @@ def default_spectrum(n: int) -> Spectrum:
 
 
 def random_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0.0:
-        q[:, -1] = -q[:, -1]
+    """The Q factor of a standard normal matrix, signed so that diag(R) > 0,
+    with its last column negated when its determinant is negative."""
+    q, _ = _gs_qr(rng.standard_normal((n, n)))
+    _make_special(q)
     return q
 
 

@@ -35,6 +35,7 @@ from toda_atlas.atlas import (
     chart_flow_exact,
     chart_forward,
     chart_inverse,
+    chart_linear_field,
     coords_from_frame,
     h_conjugate,
 )
@@ -129,6 +130,30 @@ class TestPushforward:
         w = Permutation((2, 3, 1))
         report = pushforward_richardson(chart_point(w, h, RNG, scale=0.8), w)
         assert report.passed, report.details
+
+    @pytest.mark.parametrize("n", [3, 8, 12])
+    def test_residuals_are_those_of_per_point_propagate(self, n):
+        # the displacements run as one batch, each one behind as minus the
+        # run ahead from -y (the sorting field is even); every residual,
+        # the Richardson steps' too, keeps the bits of differencing the
+        # chart through propagate, point by point
+        rng = rng_from_seed(40 + n)
+        h = default_spectrum(n)
+        picks = [random_chart_coords(random_permutation(n, rng), h, rng) for _ in range(4)]
+        picks += [random_chart_coords(picks[0].w, h, rng, scale=0.8)] * 2
+        points, failures = _chart_points(picks, 0.0)
+        assert failures == {}
+        ws = [c.w for c in picks]
+        steps = [1e-5] * 4 + [2e-3, 1e-3]
+        residuals, failures = _pushforward_residuals(points, ws, steps)
+        assert failures == {}
+        for y, w, step, residual in zip(points, ws, steps, residuals):
+            ahead, behind = (
+                chart_forward(FlagPoint(propagate(toda_field, y.y, t), h), w).lower
+                for t in (step, -step)
+            )
+            predicted = chart_linear_field(chart_forward(y, w))
+            assert residual == float(np.linalg.norm((ahead - behind) / (2.0 * step) - predicted))
 
 
 class TestPushforwardStepHalving:
@@ -440,14 +465,18 @@ class TestSuiteBatches:
         calls = self.record_calls(monkeypatch)
         reports = toda_atlas.analysis.toda_suite(3, 7)
         assert all(report.passed for report in reports)
-        # the lean exact flow; the 18 legs, lean, in one batch; the escape
-        # runs of the five charts with unstable pairs, which read every
-        # state; the 10 attractor lanes, lean
+        # the lean displacements, ahead and behind, of the 2 x 2 point and
+        # of the ten pushforward points and the Richardson point's two
+        # steps; the lean exact flow; the 18 legs, lean, in one batch; the
+        # escape runs of the five charts with unstable pairs, which read
+        # every state; the 10 attractor lanes, lean
         kinds = {"_skew_norms": "exact", "_no_rows": "lean", None: "full"}
         runs = [
             (size, kinds[getattr(kwargs.get("per_state"), "__name__", None)]) for size, kwargs in calls
         ]
-        assert runs == [(9, "exact"), (18, "lean"), (5, "full"), (10, "lean")]
+        assert runs == [
+            (2, "lean"), (24, "lean"), (9, "exact"), (18, "lean"), (5, "full"), (10, "lean")
+        ]
 
 
 class TestSymLinearization:

@@ -79,16 +79,6 @@ def generator_sum_step(field, x, h, k1, stages=None, every_term=False):
     return x + h * weighted(_DP_B5, k), h * weighted(_DP_ERR, k), k[6]
 
 
-def pre_fsal_propagate(field, x0, t, max_step=1e-3):
-    """Fixed-step propagation that evaluates the field afresh at every step."""
-    x = np.array(x0, dtype=float)
-    steps = max(1, int(math.ceil(abs(t) / max_step)))
-    h = t / steps
-    for _ in range(steps):
-        x, _, _ = generator_sum_step(field, x, h, field(x))
-    return x
-
-
 def assert_same_bits(a, b):
     assert np.array_equal(a, b)
     assert np.array_equal(np.signbit(a), np.signbit(b))
@@ -500,7 +490,7 @@ class TestIntegrate:
                 out[...] = field(x)
                 return out
 
-            work = _Work(x, own)
+            work = _Work(x, own, (IntegratorConfig.rel_tol, IntegratorConfig.abs_tol))
             work.h[...] = steps[0] if x.ndim == 2 else np.array(steps)[:, None, None]
             got = _dopri_stages(recording, x, field(x), work)
             assert len(got_stages) == 6
@@ -530,9 +520,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("rank", ["matrix", "stack"])
     def test_stage_terms_keep_the_bits_of_sum(self, rank, n):
         # x and the field's values hold +0.0, -0.0, subnormals and normal
-        # numbers of both signs, stepped forward and backward (propagate's
-        # t < 0); the smallest subnormals among the values make weighted
-        # terms that round to -0.0, which the sums' +0.0 start must make
+        # numbers of both signs, stepped forward and backward; the
+        # smallest subnormals among the values make weighted terms that
+        # round to -0.0, which the sums' +0.0 start must make
         # +0.0 where x is -0.0; then a start whose first stage overflows,
         # so later stages hold inf and NaN (a step the integrator
         # rejects), against the sums with every term, zero weights' NaN
@@ -565,28 +555,32 @@ class TestIntegrate:
             with np.errstate(over="ignore", invalid="ignore"):
                 self.stages_against_sum(lambda x: field(x) * 1e300, huge, steps, every_term=True)
 
-    def test_propagate_equals_pre_fsal_loop(self):
+    def test_propagate_is_the_integrator_run_to_an_exact_time(self):
+        # the final state of integrate run to exactly |t|, stopping early
+        # only where the field's norm is 0: of the field ahead, of the
+        # negated field behind
         rng = np.random.default_rng(13)
         for n in (3, 5):
             x0 = random_symmetric_with_spectrum(default_spectrum(n), rng)
             upper = -np.triu(rng.standard_normal((n, n)), 1) + default_spectrum(n).diag()
             for field, start in ((toda_field, x0), (sym_field, upper), (toda_field, upper)):
                 for t in (1e-3, -2.5e-3, 0.0137):
-                    assert_same_bits(propagate(field, start, t), pre_fsal_propagate(field, start, t))
+                    ahead = field if t > 0.0 else (lambda x: -field(x))
+                    cfg = IntegratorConfig(t_max=abs(t), stop_field_norm=math.ulp(0.0))
+                    assert_same_bits(propagate(field, start, t), integrate(ahead, start, cfg).final_state)
 
     def test_propagate_refuses_a_state_that_blows_up(self):
         # the symmetrization field stepped backward from this start blows
-        # up within t = -0.05: a typed error naming t, and no warning, as
-        # the public field behind a caller's wrapper raises on the stage
-        # whose field overflows
+        # up within t = -0.05: the step size underflows first, a typed
+        # error with no warning, whether the field is given or wrapped
         n = 8
         x0 = np.diag(np.linspace(1.0, -1.0, n)) + np.triu(np.random.default_rng(5).standard_normal((n, n)), 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"not finite .* for time t = -0\.05"):
-                propagate(sym_field, x0, -0.05)
-            with pytest.raises(ValueError, match="symmetrization field overflows"):
-                propagate(lambda x: sym_field(x), x0, -0.05)
+            for field in (sym_field, lambda x: sym_field(x)):
+                with pytest.raises(StiffnessError, match=r"step size underflowed \(.*\) at t=0\.02") as caught:
+                    propagate(field, x0, -0.05)
+                assert 0.02 < caught.value.trajectory.final_time < 0.025
             assert np.isfinite(propagate(sym_field, x0, 0.05)).all()
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
