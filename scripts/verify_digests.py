@@ -21,12 +21,18 @@ and numpy that made the digests, since another build can move last
 bits.
 
 Usage: python scripts/verify_digests.py [SRC]
+       python scripts/verify_digests.py --against REV
 
 SRC is the directory put on PYTHONPATH, by default this checkout's
-``src``. To check a change against its parent, run the script once with
-each tree's ``src`` and diff the two outputs.
+``src``. With ``--against REV`` the script exports REV's ``src`` with
+``git archive`` into a temporary directory, hashes that tree and this
+checkout's ``src``, prints each line that differs (REV's line, then this
+tree's) and exits 1 on any difference, 0 when every line is equal. Each
+side checks first that its child processes import ``toda_atlas`` from
+its own tree, not from an installed copy.
 """
 
+import argparse
 import hashlib
 import os
 import platform
@@ -118,18 +124,64 @@ def one_point_commands(src: Path, n: int, tmp: Path) -> list:
     ]
 
 
-def main() -> None:
-    src = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parents[1] / "src").resolve()
-    print(f"# python {platform.python_version()} numpy {np.__version__}")
+def require_own_package(src: Path) -> None:
+    """Exit unless a child with SRC on PYTHONPATH imports toda_atlas from
+    SRC (an installed copy could otherwise shadow it)."""
+    run = python(src, ["-c", "import toda_atlas; print(toda_atlas.__file__)"])
+    if run.returncode != 0:
+        sys.exit(f"a child with {src} on PYTHONPATH cannot import toda_atlas:\n"
+                 f"{run.stderr.decode()}")
+    found = Path(run.stdout.decode().strip()).resolve()
+    if not found.is_relative_to(src):
+        sys.exit(f"a child with {src} on PYTHONPATH imports toda_atlas from {found}, not from it")
+
+
+def lines(src: Path):
+    """Each output line of the script for the tree SRC, the header first."""
+    require_own_package(src)
+    yield f"# python {platform.python_version()} numpy {np.__version__}"
     for n in SIZES:
         for seed in SEEDS:
             verify = ["-m", "toda_atlas.cli", "verify", "--suite", "all",
                       "--n", str(n), "--seed", str(seed)]
-            print(f"n={n} seed={seed} {digest(src, verify)}", flush=True)
+            yield f"n={n} seed={seed} {digest(src, verify)}"
     for n in ONE_POINT_SIZES:
         with tempfile.TemporaryDirectory() as tmp:
             for name, args in one_point_commands(src, n, Path(tmp)):
-                print(f"n={n} {name} {digest(src, args)}", flush=True)
+                yield f"n={n} {name} {digest(src, args)}"
+
+
+def against(rev: str, src: Path) -> int:
+    """Hash REV's src and SRC; print the lines that differ. Returns the
+    exit code: 1 on any difference, else 0."""
+    root = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=root, capture_output=True)
+    if archive.returncode != 0:
+        sys.exit(f"git archive {rev} failed:\n{archive.stderr.decode()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        theirs = list(lines(Path(tmp).resolve() / "src"))
+    ours = list(lines(src))
+    differ = [(a, b) for a, b in zip(theirs, ours) if a != b]
+    for a, b in differ:
+        print(f"{rev}: {a}\nthis tree: {b}")
+    if len(theirs) != len(ours):
+        print(f"{rev} printed {len(theirs)} lines, this tree {len(ours)}")
+        return 1
+    print(f"{len(ours) - len(differ)} of {len(ours)} lines equal against {rev} ({ours[0][2:]})")
+    return 1 if differ else 0
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", nargs="?", type=Path, default=Path(__file__).parents[1] / "src")
+    parser.add_argument("--against", metavar="REV", help="compare with the src of this revision")
+    args = parser.parse_args()
+    src = args.src.resolve()
+    if args.against is not None:
+        sys.exit(against(args.against, src))
+    for line in lines(src):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

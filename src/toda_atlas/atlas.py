@@ -50,15 +50,30 @@ and with no list built: ``FlagPoint`` of ``_flag_points``,
 ``chart_linear_field`` of ``_linear_fields``; each raises its point's
 failure.
 
-numpy calls per one-point map (functions, ufuncs, array methods and
-operators on arrays, counted on a run of the map; indexing and numpy
-scalar arithmetic not counted), at n = 4 / 12: ``chart_inverse`` 43 / 75,
-``chart_forward`` 57 / 113, ``chart_domain_test`` 38 / 78,
-``bruhat_classify`` 67 / 123, ``FlagPoint`` 43 / 42.
+What depends on the chart alone is made once and kept read-only:
+``_chart_constants(w)`` per permutation, and ``_chart_record(h, w)`` per
+chart, which holds the permuted diagonal d, diag(d), the gap matrix
+(d_j - d_i in row i) and diag(h). The chart maps read those arrays
+(``_chart_matrices`` d, the gaps and diag(h); ``_nbar_from_affine`` the
+gaps; ``_coords_from_nbars`` diag(d)) rather than rebuilding them each
+call. The record is keyed on the bits of h's values, so spectra equal
+but for the sign of a zero do not share one, and both caches are
+bounded.
+
+numpy calls per one-point map, at n = 4 / 12 on one draw, with
+the caches warm: ``chart_inverse`` 39 / 70, ``chart_forward`` 51 / 107,
+``chart_domain_test`` 36 / 76, ``bruhat_classify`` 61 / 117,
+``FlagPoint`` 43 / 42. Counted are the calls made in the package's own
+frames of numpy functions, ufuncs and methods of arrays and numpy
+scalars, and operators with an array operand; indexing, attribute reads,
+numpy scalar arithmetic and ``np.errstate`` are not. ``_make_special``'s
+column negation adds one where a frame's determinant is -1 (the n = 4
+``chart_inverse`` draw).
 """
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -69,6 +84,7 @@ from .errors import ChartDomainError
 from .factorizations import (
     _crout,
     _identities,
+    _row_plan,
     _signed_qr,
     _unit_lower_inverse,
     unbar_factorize,
@@ -232,10 +248,41 @@ def _chart_constants(w: Permutation) -> _ChartConstants:
     return constants
 
 
+@dataclass(frozen=True)
+class _ChartRecord:
+    """Read-only arrays of the chart at w for the spectrum h."""
+
+    d: np.ndarray  # the permuted diagonal, d_i = h[w^-1(i)]
+    diagonal: np.ndarray  # diag(d)
+    gaps: np.ndarray  # d_j - d_i in row i, the divisors of nbar_from_affine
+    spectrum: np.ndarray  # diag(h)
+
+
+def _chart_record(h: Spectrum, w: Permutation) -> _ChartRecord:
+    """The record of the chart at w for h, made once per (h, w). Spectra
+    that differ only in the sign of a zero are equal and hash alike, so
+    the record is keyed on the bits of h's values, not on h."""
+    return _record(w, array("d", h.values).tobytes())
+
+
+@functools.lru_cache(maxsize=256)
+def _record(w: Permutation, bits: bytes) -> _ChartRecord:
+    """The record of the chart at w for the spectrum whose values, as
+    doubles, are the bytes ``bits``. The bound keeps at most 256 records,
+    about 1.1 MB at n = 12."""
+    values = np.frombuffer(bits)
+    d = np.empty(len(values))
+    d[_chart_constants(w).images] = values
+    record = _ChartRecord(d, np.diag(d), d[None, :] - d[:, None], np.diag(values))
+    for a in (record.d, record.diagonal, record.gaps, record.spectrum):
+        a.setflags(write=False)
+    return record
+
+
 def _one(items) -> bool:
     """Whether a kernel's argument is one point's item (a FlagPoint,
-    ChartCoords, Permutation, Spectrum or None) rather than a list of
-    them: the kernel then works on plain (n, n) arrays."""
+    ChartCoords, Permutation, Spectrum, chart record or None) rather than
+    a list of them: the kernel then works on plain (n, n) arrays."""
     return not isinstance(items, (list, tuple))
 
 
@@ -244,31 +291,31 @@ def _items(items):
     return (items,) if _one(items) else items
 
 
+def _each(items, get):
+    """get(item) of one point's item, or the list of get(item) of each of
+    a list of items."""
+    return get(items) if _one(items) else [get(item) for item in items]
+
+
 def _stacked(items, get):
     """get(item) of one point's item, a plain array, or the arrays of a
     list of items stacked along a new first axis."""
-    if _one(items):
-        return get(items)
-    return np.array([get(item) for item in items])
+    return get(items) if _one(items) else np.array(_each(items, get))
+
+
+def _records(hs, ws):
+    """The chart record of a spectrum hs and a permutation ws, or the list
+    of records of each pair of the lists hs and ws."""
+    if _one(ws):
+        return _chart_record(hs, ws)
+    return [_chart_record(h, w) for h, w in zip(hs, ws)]
 
 
 def _permuted_diagonals(hs, ws) -> np.ndarray:
     """Unchecked permuted diagonal d, d_i = h[w^-1(i)], of a spectrum hs and
-    a permutation ws, 1-D, or of each pair of the lists hs and ws, as a
-    (B, n) array."""
-    if not _one(ws):
-        return np.array([_permuted_diagonals(h, w) for h, w in zip(hs, ws)])
-    d = np.empty(hs.n)
-    d[_chart_constants(ws).images] = hs.values
-    return d
-
-
-def _diagonals(d) -> np.ndarray:
-    """``np.diag`` of a 1-D array, or of each row of an (..., n) array."""
-    n = d.shape[-1]
-    out = np.zeros(d.shape + (n,))
-    out.reshape(-1, n * n)[:, ::n + 1] = d.reshape(-1, n)
-    return out
+    a permutation ws, 1-D and read-only, or of each pair of the lists hs
+    and ws, as a (B, n) array."""
+    return _stacked(_records(hs, ws), lambda r: r.d)
 
 
 def _require_size(what: str, n: int, w: Permutation) -> None:
@@ -292,21 +339,20 @@ def nbar_from_affine(c: ChartCoords) -> np.ndarray:
     """
     return _finite(
         "nbar_from_affine overflows: an entry of the forward substitution is not finite",
-        _nbar_from_affine, c.lower, _permuted_diagonals(c.h, c.w),
+        _nbar_from_affine, c.lower, _chart_record(c.h, c.w).gaps,
     )
 
 
-def _nbar_from_affine(lower, d) -> np.ndarray:
+def _nbar_from_affine(lower, gaps) -> np.ndarray:
     """``nbar_from_affine`` of strictly lower coordinates around diag(d),
-    for one (n, n) matrix or each matrix of a (B, n, n) stack (d then
-    (B, n))."""
+    for one (n, n) matrix or each matrix of a (B, n, n) stack, gaps being
+    the chart record's gap matrix (row i holds d_j - d_i) of each."""
     x = lower + 0.0
     g = _identities(x.shape)
-    gaps = d[..., None, :] - d[..., :, None]  # row i holds d_j - d_i
-    for i in range(1, d.shape[-1]):
-        row = g[..., i, :i]
-        np.vecmat(x[..., i, :i], g[..., :i, :i], out=row)
-        np.divide(row, gaps[..., i, :i], out=row)
+    for row_at, block_at in _row_plan(x.shape[-1]):
+        row = g[row_at]
+        np.vecmat(x[row_at], g[block_at], out=row)
+        np.divide(row, gaps[row_at], out=row)
     return g
 
 
@@ -384,13 +430,13 @@ def _chart_matrices(coords, t):
     point gets the same bits alone, plain, and in any stack.
     """
     dot = _dot(_one(coords))
+    records = _each(coords, lambda c: _chart_record(c.h, c.w))
     lower = _stacked(coords, lambda c: c.lower)
-    d = _stacked(coords, lambda c: _permuted_diagonals(c.h, c.w))
     perm = _stacked(coords, lambda c: _chart_constants(c.w).perm)
-    spectra = _diagonals(np.asarray(_stacked(coords, lambda c: c.h.values)))
     with np.errstate(over="ignore", invalid="ignore"):
-        g_inv = _unit_lower_inverse(_nbar_from_affine(lower, d))
+        g_inv = _unit_lower_inverse(_nbar_from_affine(lower, _stacked(records, lambda r: r.gaps)))
         if not isinstance(t, float) or t != 0.0:
+            d = _stacked(records, lambda r: r.d)
             weights = np.exp(np.asarray(t)[..., None] * (d - d.max(axis=-1, keepdims=True)))
             # each point's rows, heaviest first
             order = np.argsort(-weights, axis=-1, kind="stable")
@@ -399,10 +445,10 @@ def _chart_matrices(coords, t):
             perm = np.take_along_axis(perm, order[..., None], axis=-2)
         else:  # every weight is exp(0) = 1, and the rows keep their order
             weights = 1.0
-    q, _, failures = _signed_qr(g_inv, weights)
+    q, _, _, failures = _signed_qr(g_inv, weights)
     frame = dot(q.mT, perm)
     _make_special(frame)
-    y = dot(dot(frame, spectra), frame.mT)
+    y = dot(dot(frame, _stacked(records, lambda r: r.spectrum)), frame.mT)
     y = 0.5 * (y + y.mT)
     return y, frame, failures
 
@@ -473,13 +519,13 @@ def _chart_nbars(points, ws):
     on with the identity as its nbar, since a factor past the domain
     threshold may be huge: finite, and meaning nothing.
     """
-    u, nbar, _, failures = _crout(_frames(points, ws))
+    low, nbar, _, failures = _crout(_frames(points, ws))
     charts = _items(ws)
     for i, err in failures.items():
         if err.minor_index is not None:
             failures[i] = ChartDomainError(f"point is outside the chart at {charts[i].images}: {err}")
             failures[i].__cause__ = err
-    minors = u.diagonal(axis1=-2, axis2=-1)[..., ::-1].cumprod(axis=-1)[..., :-1]
+    minors = np.abs(low.diagonal(axis1=-2, axis2=-1)).cumprod(axis=-1)[..., :-1]
     outside = minors.min(axis=-1, keepdims=True) <= DOMAIN_MINOR_TOL
     if outside.any():
         minors = minors.reshape(-1, minors.shape[-1])
@@ -507,13 +553,13 @@ def chart_domain_test(y: FlagPoint, w: Permutation) -> bool:
     return not failures
 
 
-def _coords_from_nbars(nbar, d) -> np.ndarray:
+def _coords_from_nbars(nbar, diagonal) -> np.ndarray:
     """Strictly lower coordinates of a unit-lower factor around the
-    permuted diagonal d, or of each of a (B, n, n) stack around a row of d."""
+    diagonal matrix diag(d) of a permuted diagonal d (a chart record's
+    ``diagonal``), or of each of a (B, n, n) stack around its own."""
     dot = _dot(nbar.ndim == 2)
-    dmat = _diagonals(d)
-    affine = dot(dot(nbar, dmat), _unit_lower_inverse(nbar)) - dmat
-    return np.where(_strict_lower_mask(d.shape[-1]), affine, 0.0)
+    affine = dot(dot(nbar, diagonal), _unit_lower_inverse(nbar)) - diagonal
+    return np.where(_strict_lower_mask(nbar.shape[-1]), affine, 0.0)
 
 
 def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
@@ -526,7 +572,7 @@ def coords_from_frame(kp, w: Permutation, h: Spectrum) -> ChartCoords:
     nbar = unbar_factorize(kp).nbar
     _require_size("frame", len(nbar), w)
     _require_size("spectrum", h.n, w)
-    return ChartCoords(w=w, lower=_coords_from_nbars(nbar, _permuted_diagonals(h, w)), h=h)
+    return ChartCoords(w=w, lower=_coords_from_nbars(nbar, _chart_record(h, w).diagonal), h=h)
 
 
 def _chart_forwards(points, ws):
@@ -538,9 +584,9 @@ def _chart_forwards(points, ws):
     with zero coordinates, and those of a point that overflows are written
     zero, so lower is finite."""
     nbar, failures = _chart_nbars(points, ws)
-    hs = points.h if _one(points) else [y.h for y in points]
+    records = _records(_each(points, lambda y: y.h), ws)
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = _coords_from_nbars(nbar, _permuted_diagonals(hs, ws))
+        lower = _coords_from_nbars(nbar, _stacked(records, lambda r: r.diagonal))
     if not np.isfinite(lower).all():
         overflowed = ~np.isfinite(lower).all(axis=(-2, -1))
         lower[overflowed] = 0.0

@@ -42,13 +42,22 @@ only where ``_f_map`` refuses it.
 
 The triangular recurrences (``_crout``, ``_unit_lower_inverse``, and
 ``atlas._nbar_from_affine``) write each row or column into its view with
-``out=``. On one matrix, Crout's column update is ``ndarray.dot``, which
-gives np.matvec's bits at half its cost, each row is divided by its
-pivot as a 0-d view, and a vanishing pivot is caught at its column, so
-no error state is entered: ``unbar_factorize`` at n = 4 / 12 makes
-41 / 81 numpy calls (counted as in ``atlas``).
+``out=``, and take the views through index plans made once per size and
+shared by both ranks: ``_crout_plan(n)`` holds Crout's seven index tuples
+for each column, ``_row_plan(n)`` the row and the block above it for each
+row of a forward substitution, so no step builds its slices afresh. On
+one matrix, Crout's column update is ``ndarray.dot``, which gives
+np.matvec's bits at half its cost, each row is divided by its pivot as a
+0-d view, and a vanishing pivot is caught at its column, so no error
+state is entered: ``unbar_factorize`` at n = 4 / 12 makes 41 / 81 numpy
+calls (counted as in ``atlas``). Each kernel builds only what its callers
+read: ``_crout`` hands on its lower factor, whose diagonal gives the chart
+path its trailing minors, and only ``unbar_factorize`` builds u from it;
+``_signed_qr`` hands on LAPACK's r with the signs, and only ``_gs_qr``
+signs it.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -146,13 +155,17 @@ def _signed_qr(m, weights):
     Negating a row of r and the matching column of q is exact, so the
     factors carry LAPACK's bits up to sign, and each matrix gets the bits
     it gets alone. weights is 1.0 or one weight per row, (..., n).
-    Returns ``(q, r, failures)``; failures maps the flat index of each
-    matrix (0 for one matrix) with a column i whose |r_ii| / weight_i is
-    below 1e-12, NaN, over a zero weight (numerically dependent on
-    earlier columns), or infinite (a column norm past the double range)
-    to the FactorizationError naming the first such column and its kind.
-    The kernel hands a refused matrix on with the identity as its q, as
-    ``_crout`` gives a matrix with a vanishing pivot identity factors:
+    Returns ``(q, r, signs, failures)``: q is signed, r is LAPACK's, and
+    ``r * signs[..., :, None]`` is the signed r, which only ``_gs_qr``
+    builds. failures maps the flat index of each matrix (0 for one
+    matrix) with a column i whose |r_ii| / weight_i is below 1e-12, NaN,
+    over a zero weight (numerically dependent on earlier columns), or
+    infinite (a column norm past the double range) to the
+    FactorizationError naming the first such column and its kind; past
+    those, a matrix whose q holds a non-finite column (a Householder
+    reflector overflowed on finite input) is refused naming the first
+    one. The kernel hands a refused matrix on with the identity as its q,
+    as ``_crout`` gives a matrix with a vanishing pivot identity factors:
     finite, and meaning nothing.
     """
     n = m.shape[-1]
@@ -165,8 +178,11 @@ def _signed_qr(m, weights):
     q = q * signs[..., None, :]
     failures = {}
     sound = (ratios >= 1e-12) & (ratios < np.inf)
-    if not sound.all():
-        for i, (columns, row) in enumerate(zip(~sound.reshape(-1, n), ratios.reshape(-1, n))):
+    if not (sound.all() and np.isfinite(q).all()):
+        finite = np.isfinite(q).all(axis=-2).reshape(-1, n)
+        for i, (columns, row, whole) in enumerate(
+            zip(~sound.reshape(-1, n), ratios.reshape(-1, n), finite)
+        ):
             if columns.any():
                 j = np.argmax(columns)
                 kind = (
@@ -174,18 +190,23 @@ def _signed_qr(m, weights):
                     else "is numerically dependent on earlier columns"
                 )
                 failures[i] = FactorizationError(f"column {j + 1} {kind}")
+            elif not whole.all():
+                failures[i] = FactorizationError(
+                    f"column {np.argmin(whole) + 1} of the orthogonal factor is not finite: "
+                    "a Householder reflector overflowed"
+                )
         q.reshape(-1, n, n)[list(failures)] = np.eye(n)
-    return q, r * signs[..., :, None], failures
+    return q, r, signs, failures
 
 
 def _gs_qr(g):
     """``_signed_qr`` of one checked matrix with unit weights, raising its
-    refusal: the Gram-Schmidt split of ``kan_factorize``, ``gs_embed``
-    and ``f_inverse``."""
-    q, r, failures = _signed_qr(g, 1.0)
+    refusal, and its signed r: the Gram-Schmidt split of
+    ``kan_factorize``, ``gs_embed`` and ``f_inverse``."""
+    q, r, signs, failures = _signed_qr(g, 1.0)
     if failures:
         raise failures[0]
-    return q, r
+    return q, r * signs[:, None]
 
 
 def _require_det_one(g: np.ndarray) -> np.ndarray:
@@ -221,12 +242,51 @@ def kan_factorize(g) -> KANFactors:
     return KANFactors(k=q, a=a, n=unit_upper)
 
 
+@functools.lru_cache(maxsize=64)
+def _crout_plan(n: int) -> tuple:
+    """Crout's index tuples for each column c of an n x n elimination,
+    made once per size and shared by both ranks: the column from the
+    diagonal down ``(..., c:, c)``, the block left of it ``(..., c:, :c)``,
+    the column above the diagonal ``(..., :c, c)``, the pivot
+    ``(..., c, c)``, the row right of the diagonal ``(..., c, c+1:)``, the
+    row left of it ``(..., c, :c)`` and the block above the row's right
+    part ``(..., :c, c+1:)``."""
+    return tuple(
+        (
+            (..., slice(c, None), c),
+            (..., slice(c, None), slice(None, c)),
+            (..., slice(None, c), c),
+            (..., c, c),
+            (..., c, slice(c + 1, None)),
+            (..., c, slice(None, c)),
+            (..., slice(None, c), slice(c + 1, None)),
+        )
+        for c in range(n)
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _row_plan(n: int) -> tuple:
+    """The index tuples of a forward substitution on n x n unit lower
+    matrices, made once per size and shared by both ranks: for each row
+    i = 1 .. n-1, the row left of the diagonal ``(..., i, :i)`` and the
+    block above it ``(..., :i, :i)``."""
+    return tuple(
+        ((..., i, slice(None, i)), (..., slice(None, i), slice(None, i))) for i in range(1, n)
+    )
+
+
 def _crout(k):
     """Unchecked Crout elimination of ``unbar_factorize`` on one (n, n)
     matrix or each matrix of a (B, n, n) stack.
 
-    Returns ``(u, nbar, signs, failures)``, signs being the diagonal of m,
-    (n,) or (B, n). failures maps the index of each matrix (0 for one
+    Returns ``(low, nbar, signs, failures)``: low is the lower factor of
+    the elimination of the antidiagonally flipped matrix, whose diagonal
+    holds the pivots (so |diag(low)| are the pivot magnitudes, and their
+    running products the magnitudes of the trailing minors of size 1, 2,
+    ..., n), signs the diagonal of m, (n,) or (B, n); u is built from low
+    only by ``unbar_factorize``, the one caller that reads more of it than
+    its diagonal. failures maps the index of each matrix (0 for one
     matrix) that ``unbar_factorize`` refuses to its FactorizationError:
     the first pivot below PIVOT_TOL, else a sign factor of determinant -1.
     A matrix with a vanishing pivot goes on as the identity, so nothing
@@ -245,11 +305,9 @@ def _crout(k):
     low = np.zeros(k.shape)
     upp = _identities(k.shape)
     failures = {}
-    for c in range(n):
-        np.subtract(
-            flipped[..., c:, c], matvec(low[..., c:, :c], upp[..., :c, c]), out=low[..., c:, c]
-        )
-        pivot = low[..., c, c]  # a 0-d view, or one pivot per matrix
+    for c, (column, left, above, at, right, row_left, above_right) in enumerate(_crout_plan(n)):
+        np.subtract(flipped[column], matvec(low[left], upp[above]), out=low[column])
+        pivot = low[at]  # a 0-d view, or one pivot per matrix
         if abs(float(pivot)) < PIVOT_TOL if plain else (np.abs(pivot) < PIVOT_TOL).any():
             pivots = pivot.reshape(-1)
             refused = np.flatnonzero(np.abs(pivots) < PIVOT_TOL)
@@ -262,13 +320,12 @@ def _crout(k):
             for a in (flipped, low, upp):
                 a.reshape(-1, n, n)[refused] = np.eye(n)
         if c + 1 < n:
-            row = upp[..., c, c + 1:]
-            np.vecmat(low[..., c, :c], upp[..., :c, c + 1:], out=row)
-            np.subtract(flipped[..., c, c + 1:], row, out=row)
+            row = upp[right]
+            np.vecmat(low[row_left], upp[above_right], out=row)
+            np.subtract(flipped[right], row, out=row)
             np.divide(row.T, pivot, out=row.T)  # (B, m).T over (B,) pivots
 
     signs = np.sign(low.diagonal(axis1=-2, axis2=-1))
-    u = (low * signs[..., None, :])[..., ::-1, ::-1].copy()
     nbar = (signs[..., :, None] * upp * signs[..., None, :])[..., ::-1, ::-1].copy()
     odd = signs.prod(axis=-1, keepdims=True) != 1.0
     if odd.any():
@@ -276,7 +333,7 @@ def _crout(k):
             failures.setdefault(i, FactorizationError(
                 "sign factor has determinant -1; input was not special orthogonal"
             ))
-    return u, nbar, signs[..., ::-1], failures
+    return low, nbar, signs[..., ::-1], failures
 
 
 def unbar_factorize(k) -> UNbarFactors:
@@ -294,9 +351,10 @@ def unbar_factorize(k) -> UNbarFactors:
     falls below PIVOT_TOL. The one-matrix case of :func:`_crout`.
     """
     k = _require_special_orthogonal(k)
-    u, nbar, signs, failures = _crout(k)
+    low, nbar, signs, failures = _crout(k)
     if failures:
         raise failures[0]
+    u = (low * signs[::-1])[::-1, ::-1].copy()
     return UNbarFactors(u=u, nbar=nbar, m=np.diag(signs))
 
 
@@ -347,9 +405,9 @@ def _unit_lower_inverse(nbar: np.ndarray) -> np.ndarray:
     """Forward substitution on one (n, n) matrix or each matrix of a
     (B, n, n) stack; reads only the strict lower triangle."""
     inv = _identities(nbar.shape)
-    for i in range(1, nbar.shape[-1]):
-        row = inv[..., i, :i]
-        np.vecmat(nbar[..., i, :i], inv[..., :i, :i], out=row)
+    for row_at, block_at in _row_plan(nbar.shape[-1]):
+        row = inv[row_at]
+        np.vecmat(nbar[row_at], inv[block_at], out=row)
         np.negative(row, out=row)
     return inv
 

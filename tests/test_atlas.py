@@ -184,7 +184,7 @@ class TestMaskedTriangles:
         nbar = signed_zeros(np.eye(n) + rng.uniform(-1.0, 1.0, (len(ws), n, n)), rng)
         dmat = np.array([np.diag(row) for row in d])
         affine = nbar @ dmat @ _unit_lower_inverse(nbar) - dmat
-        assert _coords_from_nbars(nbar, d).tobytes() == np.tril(affine, -1).tobytes()
+        assert _coords_from_nbars(nbar, dmat).tobytes() == np.tril(affine, -1).tobytes()
 
         for k, w in enumerate(ws):
             lower = signed_zeros(np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1), rng)

@@ -381,10 +381,17 @@ def overflowing_first_column(n):
     return g
 
 
+def overflowing_reflector():
+    """A finite unit lower matrix whose pivots are all sound (1.72e308,
+    1.68e308 and 0.975) but whose q gets a NaN column: a Householder
+    reflector overflows while LAPACK builds q."""
+    return np.array([[1.0, 0.0, 0.0], [1.7e308, 1.0, 0.0], [2.7e307, -1.7e308, 1.0]])
+
+
 class TestOverflowingColumns:
-    """The QR kernel refuses a column whose pivot ratio is infinite, with
-    a message of its own, and hands every refused matrix on with an
-    identity q."""
+    """The QR kernel refuses a column whose pivot ratio is infinite, and a
+    q with a column that is not finite, each with a message of its own,
+    and hands every refused matrix on with an identity q."""
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_gs_embed_and_phi_refuse_an_infinite_pivot(self, n):
@@ -394,26 +401,37 @@ class TestOverflowingColumns:
                 FactorizationError, "column 1 has a norm past the double range"
             )
 
+    def test_gs_embed_and_phi_refuse_a_q_that_is_not_finite(self):
+        g = overflowing_reflector()
+        for embed in (gs_embed, phi):
+            assert refusal(lambda: embed(g)) == (
+                FactorizationError,
+                "column 2 of the orthogonal factor is not finite: "
+                "a Householder reflector overflowed",
+            )
+
     def test_a_refused_matrix_gets_an_identity_q_plain_and_stacked(self):
         rng = np.random.default_rng(30)
         ok = random_unit_lower(5, rng)
         dependent = np.diag([1e7, 1e7, 1e7, 1e7, 1e-14])
         nan = np.eye(5)
         nan[2, 2] = np.nan
-        stack = np.array([ok, overflowing_first_column(5), dependent, nan, ok])
+        reflector = np.eye(5)
+        reflector[:3, :3] = overflowing_reflector()
+        stack = np.array([ok, overflowing_first_column(5), dependent, nan, reflector, ok])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for m in (overflowing_first_column(5), dependent, nan):
-                q, _, failures = factorizations._signed_qr(m, 1.0)
+            for m in (overflowing_first_column(5), dependent, nan, reflector):
+                q, _, _, failures = factorizations._signed_qr(m, 1.0)
                 assert list(failures) == [0]
                 assert q.tobytes() == np.eye(5).tobytes()
-            plain, _, _ = factorizations._signed_qr(ok, 1.0)
-            zero_weight = np.ones((5, 5))
-            zero_weight[4, 4] = 0.0  # the last matrix's last row weight underflowed
-            for weights, refused in ((1.0, [1, 2, 3]), (zero_weight, [1, 2, 3, 4])):
-                q, _, failures = factorizations._signed_qr(stack, weights)
+            plain, _, _, _ = factorizations._signed_qr(ok, 1.0)
+            zero_weight = np.ones((6, 5))
+            zero_weight[5, 4] = 0.0  # the last matrix's last row weight underflowed
+            for weights, refused in ((1.0, [1, 2, 3, 4]), (zero_weight, [1, 2, 3, 4, 5])):
+                q, _, _, failures = factorizations._signed_qr(stack, weights)
                 assert sorted(failures) == refused
-                for i in range(5):
+                for i in range(6):
                     expected = np.eye(5) if i in refused else plain
                     assert q[i].tobytes() == expected.tobytes()
 

@@ -23,6 +23,7 @@ from toda_atlas.atlas import (
     _chart_matrices,
     _chart_nbars,
     _chart_points,
+    _chart_record,
     _coords_from_nbars,
     _flag_points,
     _frames,
@@ -129,10 +130,11 @@ def test_chart_kernels_give_a_plain_point_its_stack_bits(n):
         return [assert_rank_free(kernel, args[k], [args[k - 1], args[(k + 1) % 3]], *shared)
                 for k in range(3)]
 
-    gs = rank_free(_nbar_from_affine, list(zip(lowers, ds)))
+    records = [_chart_record(h, w) for h, w in zip(hs, ws)]
+    gs = rank_free(_nbar_from_affine, [(lower, r.gaps) for lower, r in zip(lowers, records)])
     rank_free(_unit_lower_inverse, [(g,) for g in gs])
     rank_free(_linear_fields, list(zip(lowers, ds)))
-    rank_free(_coords_from_nbars, list(zip(gs, ds)))
+    rank_free(_coords_from_nbars, [(g, r.diagonal) for g, r in zip(gs, records)])
     for t in (0.0, 0.7):
         rank_free(_chart_matrices, [(c,) for c in coords], t)
         rank_free(_chart_points, [(c,) for c in coords], t)

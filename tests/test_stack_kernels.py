@@ -19,10 +19,10 @@ from toda_atlas.atlas import (
     _chart_matrices,
     _chart_nbars,
     _chart_points,
+    _chart_record,
     _flag_points,
     _frames,
     _nbar_from_affine,
-    _permuted_diagonals,
     bruhat_classify,
     chart_domain_test,
     chart_flow_exact,
@@ -267,7 +267,7 @@ class TestChartPoints:
         weights = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, failures = _signed_qr(m, weights)
+            _, _, _, failures = _signed_qr(m, weights)
         assert sorted(failures) == [1, 2]
         assert all(str(err) == "column 3 is numerically dependent on earlier columns"
                    for err in failures.values())
@@ -278,20 +278,20 @@ class TestChartPoints:
         g[:, :, 0] *= np.sign(np.linalg.det(g))[:, None]
         g /= np.linalg.det(g)[:, None, None] ** 0.25
         g[3, :, 2] = g[3, :, 1]  # a dependent column, of determinant 0
-        q, r, failures = _signed_qr(g, 1.0)
+        q, r, signs, failures = _signed_qr(g, 1.0)
         assert list(failures) == [3]
         for i in (0, 1, 2, 4):
             assert same_bits(q[i], kan_factorize(g[i]).k)
-            assert same_bits(np.diag(r[i]), np.diag(kan_factorize(g[i]).a))
+            assert same_bits(np.diag(r[i]) * signs[i], np.diag(kan_factorize(g[i]).a))
 
     def test_affine_and_unit_lower_kernels_equal_one_matrix(self):
         coords = flowed_coords(7, 0.5, 6, seed=4)
         lower = np.array([c.lower for c in coords])
-        d = np.array([_permuted_diagonals(c.h, c.w) for c in coords])
-        g = _nbar_from_affine(lower, d)
+        gaps = np.array([_chart_record(c.h, c.w).gaps for c in coords])
+        g = _nbar_from_affine(lower, gaps)
         inverse = _unit_lower_inverse(g)
         for i in range(len(coords)):
-            assert same_bits(g[i], _nbar_from_affine(lower[i], d[i]))
+            assert same_bits(g[i], _nbar_from_affine(lower[i], gaps[i]))
             assert same_bits(inverse[i], _unit_lower_inverse(g[i]))
 
 
@@ -365,7 +365,8 @@ class TestChartNbars:
         k = np.array([random_special_orthogonal(5, rng) for _ in range(6)])
         k[2] = np.eye(5)[:, [1, 0, 2, 3, 4]] @ np.diag([-1.0, 1, 1, 1, 1])  # a minor of 0
         k[4] = np.eye(5)[:, [0, 1, 2, 4, 3]] @ np.diag([1.0, 1, 1, 1, -1])
-        u, nbar, signs, failures = _crout(k.copy())
+        low, nbar, signs, failures = _crout(k.copy())
+        u = (low * signs[:, None, ::-1])[:, ::-1, ::-1]
         outcomes = one_point_outcomes(unbar_factorize, k)
         assert_failures_match(failures, outcomes)
         references = one_point_outcomes(reference_unbar, k)
