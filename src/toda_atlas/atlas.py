@@ -261,7 +261,10 @@ class _ChartRecord:
 def _chart_record(h: Spectrum, w: Permutation) -> _ChartRecord:
     """The record of the chart at w for h, made once per (h, w). Spectra
     that differ only in the sign of a zero are equal and hash alike, so
-    the record is keyed on the bits of h's values, not on h."""
+    the record is keyed on the bits of h's values, not on h. The cache
+    pays where charts recur, as in the analysis suites; a lookup that
+    misses costs a few microseconds more than building, in the map, only
+    the arrays it reads."""
     return _record(w, array("d", h.values).tobytes())
 
 
@@ -291,31 +294,23 @@ def _items(items):
     return (items,) if _one(items) else items
 
 
-def _each(items, get):
-    """get(item) of one point's item, or the list of get(item) of each of
-    a list of items."""
-    return get(items) if _one(items) else [get(item) for item in items]
+def _each(get, *items):
+    """get of one point's items, or, like ``map``, the list of get of each
+    point's items from lists of the same length."""
+    return get(*items) if _one(items[0]) else list(map(get, *items))
 
 
-def _stacked(items, get):
-    """get(item) of one point's item, a plain array, or the arrays of a
-    list of items stacked along a new first axis."""
-    return get(items) if _one(items) else np.array(_each(items, get))
-
-
-def _records(hs, ws):
-    """The chart record of a spectrum hs and a permutation ws, or the list
-    of records of each pair of the lists hs and ws."""
-    if _one(ws):
-        return _chart_record(hs, ws)
-    return [_chart_record(h, w) for h, w in zip(hs, ws)]
+def _stacked(get, *items):
+    """get of one point's items, a plain array, or the arrays of each
+    point of lists of items stacked along a new first axis."""
+    return get(*items) if _one(items[0]) else np.array(_each(get, *items))
 
 
 def _permuted_diagonals(hs, ws) -> np.ndarray:
     """Unchecked permuted diagonal d, d_i = h[w^-1(i)], of a spectrum hs and
     a permutation ws, 1-D and read-only, or of each pair of the lists hs
     and ws, as a (B, n) array."""
-    return _stacked(_records(hs, ws), lambda r: r.d)
+    return _stacked(lambda h, w: _chart_record(h, w).d, hs, ws)
 
 
 def _require_size(what: str, n: int, w: Permutation) -> None:
@@ -430,13 +425,13 @@ def _chart_matrices(coords, t):
     point gets the same bits alone, plain, and in any stack.
     """
     dot = _dot(_one(coords))
-    records = _each(coords, lambda c: _chart_record(c.h, c.w))
-    lower = _stacked(coords, lambda c: c.lower)
-    perm = _stacked(coords, lambda c: _chart_constants(c.w).perm)
+    records = _each(lambda c: _chart_record(c.h, c.w), coords)
+    lower = _stacked(lambda c: c.lower, coords)
+    perm = _stacked(lambda c: _chart_constants(c.w).perm, coords)
     with np.errstate(over="ignore", invalid="ignore"):
-        g_inv = _unit_lower_inverse(_nbar_from_affine(lower, _stacked(records, lambda r: r.gaps)))
+        g_inv = _unit_lower_inverse(_nbar_from_affine(lower, _stacked(lambda r: r.gaps, records)))
         if not isinstance(t, float) or t != 0.0:
-            d = _stacked(records, lambda r: r.d)
+            d = _stacked(lambda r: r.d, records)
             weights = np.exp(np.asarray(t)[..., None] * (d - d.max(axis=-1, keepdims=True)))
             # each point's rows, heaviest first
             order = np.argsort(-weights, axis=-1, kind="stable")
@@ -448,7 +443,7 @@ def _chart_matrices(coords, t):
     q, _, _, failures = _signed_qr(g_inv, weights)
     frame = dot(q.mT, perm)
     _make_special(frame)
-    y = dot(dot(frame, _stacked(records, lambda r: r.spectrum)), frame.mT)
+    y = dot(dot(frame, _stacked(lambda r: r.spectrum, records)), frame.mT)
     y = 0.5 * (y + y.mT)
     return y, frame, failures
 
@@ -500,8 +495,8 @@ def _frames(points, ws) -> np.ndarray:
     row of the chart's ``unpermute``: each entry of the product is then the
     one nonzero term of the negated column's, with the zero terms signed
     alike, so the bits are those of negating the column first."""
-    q = _stacked(points, lambda y: y.frame)
-    unpermute = _stacked(ws, lambda w: _chart_constants(w).unpermute)
+    q = _stacked(lambda y: y.frame, points)
+    unpermute = _stacked(lambda w: _chart_constants(w).unpermute, ws)
     return _dot(_one(ws))(q, unpermute)
 
 
@@ -584,9 +579,9 @@ def _chart_forwards(points, ws):
     with zero coordinates, and those of a point that overflows are written
     zero, so lower is finite."""
     nbar, failures = _chart_nbars(points, ws)
-    records = _records(_each(points, lambda y: y.h), ws)
+    diagonal = _stacked(lambda y, w: _chart_record(y.h, w).diagonal, points, ws)
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = _coords_from_nbars(nbar, _stacked(records, lambda r: r.diagonal))
+        lower = _coords_from_nbars(nbar, diagonal)
     if not np.isfinite(lower).all():
         overflowed = ~np.isfinite(lower).all(axis=(-2, -1))
         lower[overflowed] = 0.0
@@ -626,7 +621,7 @@ def _bruhat_classes(lower, ws, tol: float):
     at the permutation ws, or the list of verdicts of each matrix of a
     (B, n, n) stack, in the chart of its permutation."""
     support = (np.abs(lower) > tol) & _strict_lower_mask(lower.shape[-1])
-    unstable = _stacked(ws, lambda w: _chart_constants(w).unstable)
+    unstable = _stacked(lambda w: _chart_constants(w).unstable, ws)
     in_cell = (~(support & ~unstable).any(axis=(-2, -1))).tolist()
     in_opposite = (~(support & unstable).any(axis=(-2, -1))).tolist()
     if _one(ws):
