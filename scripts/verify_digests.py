@@ -1,30 +1,33 @@
-"""Print one sha256 per (n, seed) of ``verify --suite all``'s output, and
-one per one-point command CI runs at n = 3 and 12.
+"""Run each command CI checks outside pytest under ``-W error``, and
+print one sha256 per command: one per (n, seed) of ``verify --suite
+all``'s output, and one per one-point command at n = 3 and 12.
 
 For n = 2..12 and seeds 0, 3 and 7 it runs, one at a time,
 
-    python -m toda_atlas.cli verify --suite all --n N --seed S --out DIR
+    python -W error -m toda_atlas.cli verify --suite all --n N --seed S --out DIR
 
 with DIR a fresh temporary directory, and hashes the run's artifacts
 (each file's name and bytes, in name order), its stdout and its exit
-code. Then, for n = 3 and 12, it writes the seeded inputs of the tier-1
-workflow's one-point steps with the same code as the workflow, run on
-SRC's own ``sampling``, and hashes the same way each command of those
-steps, run as the workflow runs it, under ``-W error``: ``flow`` of the
-sorting field from the symmetric start, of the symmetrization field
-from the fiber start and of the sorting field from the general start;
-``chart --forward`` with and without ``--h``; ``chart --inverse``;
-``factorize --kind kan`` and ``--kind unbar``; and ``cells``. Two source
-trees that print the same lines wrote byte-identical artifacts over the
-whole grid and every one-point command; the first line names the Python
-and numpy that made the digests, since another build can move last
-bits.
+code. Then, for n = 3 and 12, it writes seeded inputs with SRC's own
+``sampling`` and hashes the same way each one-point command, also run
+as ``python -W error -m toda_atlas.cli``: ``flow`` of the sorting field
+from a symmetric start, of the symmetrization field from a fiber start
+and of the sorting field from a general start; ``chart --forward`` with
+and without ``--h``; ``chart --inverse``; ``factorize --kind kan`` and
+``--kind unbar``; and ``cells``. Two source trees that print the same
+lines wrote byte-identical artifacts over the whole grid and every
+one-point command; the first line names the Python and numpy that made
+the digests, since another build can move last bits.
 
 Usage: python scripts/verify_digests.py [SRC]
        python scripts/verify_digests.py --against REV
 
 SRC is the directory put on PYTHONPATH, by default this checkout's
-``src``. With ``--against REV`` the script exports REV's ``src`` with
+``src``. Without ``--against`` the script prints every line, then names
+on stderr each command that exited nonzero (a warning of any kind fails
+a command, as pytest's ``filterwarnings = ["error"]`` fails a test) and
+exits 1 if any did, else 0; the tier-1 workflow runs it so on every
+push. With ``--against REV`` the script exports REV's ``src`` with
 ``git archive`` into a temporary directory, hashes that tree and this
 checkout's ``src``, prints each line that differs (REV's line, then this
 tree's) and exits 1 on any difference, 0 when every line is equal. Each
@@ -46,82 +49,86 @@ import numpy as np
 SIZES = range(2, 13)
 SEEDS = (0, 3, 7)
 ONE_POINT_SIZES = (3, 12)
+CLI = ["-m", "toda_atlas.cli"]
 
-# The tier-1 workflow's input code, piece by piece: the flow starts (a
-# symmetric one, a fiber one and a general one) ...
-FLOW_INPUTS = (
+# The seeded inputs of the one-point commands, each set from a generator
+# of its own: the flow starts (a symmetric one, a fiber one and a general
+# one), then a flag point, chart coordinates, a unit lower and a special
+# orthogonal matrix; it prints the seeded chart's w and h
+INPUTS = (
     "import sys, numpy as np; "
     "from toda_atlas import sampling as s, serialization as io; "
     "n = int(sys.argv[1]); h = s.default_spectrum(n); rng = s.rng_from_seed(7); "
     "io.write_matrix(sys.argv[2], s.random_symmetric_with_spectrum(h, rng)); "
     "io.write_matrix(sys.argv[3], h.diag() + np.triu(rng.standard_normal((n, n)), 1)); "
     "io.write_matrix(sys.argv[4], h.diag() + np.tril(rng.standard_normal((n, n)), -1)"
-    " + 0.5 * np.triu(rng.standard_normal((n, n)), 1))"
-)
-# ... and a flag point, chart coordinates, a unit lower and a special
-# orthogonal matrix, printing the seeded chart's w and h
-POINT_INPUTS = (
-    "import sys, numpy as np; "
-    "from toda_atlas import sampling as s, serialization as io; "
-    "n = int(sys.argv[1]); h = s.default_spectrum(n); rng = s.rng_from_seed(7); "
-    "w = s.random_permutation(n, rng); "
-    "io.write_matrix(sys.argv[2], s.random_symmetric_with_spectrum(h, rng)); "
-    "io.write_matrix(sys.argv[3], s.random_chart_coords(w, h, rng).lower); "
-    "io.write_matrix(sys.argv[4], s.random_unit_lower(n, rng)); "
-    "io.write_matrix(sys.argv[5], s.random_special_orthogonal(n, rng)); "
+    " + 0.5 * np.triu(rng.standard_normal((n, n)), 1)); "
+    "rng = s.rng_from_seed(7); w = s.random_permutation(n, rng); "
+    "io.write_matrix(sys.argv[5], s.random_symmetric_with_spectrum(h, rng)); "
+    "io.write_matrix(sys.argv[6], s.random_chart_coords(w, h, rng).lower); "
+    "io.write_matrix(sys.argv[7], s.random_unit_lower(n, rng)); "
+    "io.write_matrix(sys.argv[8], s.random_special_orthogonal(n, rng)); "
     'print(",".join(map(str, w.images)), ",".join(map(repr, h.values)))'
 )
 
 
 def python(src: Path, args: list) -> subprocess.CompletedProcess:
-    """Run this Python with SRC on PYTHONPATH and no output directory set."""
+    """Run this Python under ``-W error`` with SRC on PYTHONPATH and no
+    output directory set."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("TODA_ATLAS_OUT", None)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, check=False)
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env, capture_output=True)
 
 
-def digest(src: Path, args: list) -> str:
-    """sha256 of one command's artifacts, stdout and exit code, the command
-    run with ``--out`` a fresh temporary directory."""
+def digest(src: Path, args: list):
+    """``(sha256, run)``: the digest of one command's artifacts, stdout and
+    exit code, the command run with ``--out`` a fresh temporary directory,
+    and the completed run."""
     with tempfile.TemporaryDirectory() as out:
         run = python(src, [*args, "--out", out])
         sha = hashlib.sha256()
         for path in sorted(Path(out).iterdir()):
             sha.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     sha.update(run.stdout + b"\0" + str(run.returncode).encode())
-    return sha.hexdigest()
-
-
-def inputs(src: Path, code: str, n: int, paths: list) -> str:
-    """Write one set of seeded inputs at size n; returns what the code prints."""
-    run = python(src, ["-c", code, str(n), *map(str, paths)])
-    if run.returncode != 0:
-        sys.exit(f"writing the inputs at n = {n} failed:\n{run.stderr.decode()}")
-    return run.stdout.decode()
+    return sha.hexdigest(), run
 
 
 def one_point_commands(src: Path, n: int, tmp: Path) -> list:
     """(name, argv) of each one-point command at size n, its inputs written
     into tmp."""
-    starts = [tmp / f"{kind}.json" for kind in ("toda", "sym", "general")]
-    inputs(src, FLOW_INPUTS, n, starts)
-    point, coords, lower, rotation = (
-        tmp / f"{kind}.json" for kind in ("point", "coords", "lower", "rotation")
-    )
-    w, h = inputs(src, POINT_INPUTS, n, [point, coords, lower, rotation]).split()
-    cli = ["-W", "error", "-m", "toda_atlas.cli"]
+    kinds = ("toda", "sym", "general", "point", "coords", "lower", "rotation")
+    paths = [tmp / f"{kind}.json" for kind in kinds]
+    run = python(src, ["-c", INPUTS, str(n), *map(str, paths)])
+    if run.returncode != 0:
+        sys.exit(f"writing the inputs at n = {n} failed:\n{run.stderr.decode()}")
+    w, h = run.stdout.decode().split()
+    *starts, point, coords, lower, rotation = (str(path) for path in paths)
     flows = [
-        (f"flow-{start.stem}", [*cli, "flow", "--field", field, "--x0", str(start)])
-        for field, start in zip(("toda", "sym", "toda"), starts)
+        (f"flow-{kind}", [*CLI, "flow", "--field", field, "--x0", start])
+        for kind, field, start in zip(kinds, ("toda", "sym", "toda"), starts)
     ]
     return flows + [
-        ("chart-forward", [*cli, "chart", "--w", w, "--h", h, "--forward", str(point)]),
-        ("chart-forward-noh", [*cli, "chart", "--w", w, "--forward", str(point)]),
-        ("chart-inverse", [*cli, "chart", "--w", w, "--h", h, "--inverse", str(coords)]),
-        ("factorize-kan", [*cli, "factorize", "--kind", "kan", "--input", str(lower)]),
-        ("factorize-unbar", [*cli, "factorize", "--kind", "unbar", "--input", str(rotation)]),
-        ("cells", [*cli, "cells", "--w", w, "--h", h]),
+        ("chart-forward", [*CLI, "chart", "--w", w, "--h", h, "--forward", point]),
+        ("chart-forward-noh", [*CLI, "chart", "--w", w, "--forward", point]),
+        ("chart-inverse", [*CLI, "chart", "--w", w, "--h", h, "--inverse", coords]),
+        ("factorize-kan", [*CLI, "factorize", "--kind", "kan", "--input", lower]),
+        ("factorize-unbar", [*CLI, "factorize", "--kind", "unbar", "--input", rotation]),
+        ("cells", [*CLI, "cells", "--w", w, "--h", h]),
     ]
+
+
+def commands(src: Path):
+    """(label, argv) of each command the script hashes, in line order: the
+    verify grid, then the one-point commands of each size, whose inputs
+    stay on disk until the next size's are written."""
+    for n in SIZES:
+        for seed in SEEDS:
+            verify = [*CLI, "verify", "--suite", "all", "--n", str(n), "--seed", str(seed)]
+            yield f"n={n} seed={seed}", verify
+    for n in ONE_POINT_SIZES:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, args in one_point_commands(src, n, Path(tmp)):
+                yield f"n={n} {name}", args
 
 
 def require_own_package(src: Path) -> None:
@@ -137,18 +144,28 @@ def require_own_package(src: Path) -> None:
 
 
 def lines(src: Path):
-    """Each output line of the script for the tree SRC, the header first."""
+    """(line, run) of each output line for the tree SRC: the header, with
+    run None, then one line per command, with its completed run."""
     require_own_package(src)
-    yield f"# python {platform.python_version()} numpy {np.__version__}"
-    for n in SIZES:
-        for seed in SEEDS:
-            verify = ["-m", "toda_atlas.cli", "verify", "--suite", "all",
-                      "--n", str(n), "--seed", str(seed)]
-            yield f"n={n} seed={seed} {digest(src, verify)}"
-    for n in ONE_POINT_SIZES:
-        with tempfile.TemporaryDirectory() as tmp:
-            for name, args in one_point_commands(src, n, Path(tmp)):
-                yield f"n={n} {name} {digest(src, args)}"
+    yield f"# python {platform.python_version()} numpy {np.__version__}", None
+    for label, args in commands(src):
+        sha, run = digest(src, args)
+        yield f"{label} {sha}", run
+
+
+def plain(src: Path) -> int:
+    """Print each line for the tree SRC, then name on stderr each command
+    that exited nonzero, with the last line of its stderr. Returns the
+    exit code: 1 if any command failed, else 0."""
+    failed = []
+    for line, run in lines(src):
+        print(line, flush=True)
+        if run is not None and run.returncode != 0:
+            last = run.stderr.decode().strip().rpartition("\n")[2]
+            failed.append(f"  {line.rpartition(' ')[0]}: exit {run.returncode} {last}".rstrip())
+    if failed:
+        print("commands that exited nonzero:", *failed, sep="\n", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def against(rev: str, src: Path) -> int:
@@ -160,8 +177,8 @@ def against(rev: str, src: Path) -> int:
         sys.exit(f"git archive {rev} failed:\n{archive.stderr.decode()}")
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        theirs = list(lines(Path(tmp).resolve() / "src"))
-    ours = list(lines(src))
+        theirs = [line for line, _ in lines(Path(tmp).resolve() / "src")]
+    ours = [line for line, _ in lines(src)]
     differ = [(a, b) for a, b in zip(theirs, ours) if a != b]
     for a, b in differ:
         print(f"{rev}: {a}\nthis tree: {b}")
@@ -178,10 +195,7 @@ def main() -> None:
     parser.add_argument("--against", metavar="REV", help="compare with the src of this revision")
     args = parser.parse_args()
     src = args.src.resolve()
-    if args.against is not None:
-        sys.exit(against(args.against, src))
-    for line in lines(src):
-        print(line, flush=True)
+    sys.exit(plain(src) if args.against is None else against(args.against, src))
 
 
 if __name__ == "__main__":

@@ -63,7 +63,7 @@ bounded.
 numpy calls per one-point map, at n = 4 / 12 on one draw, with
 the caches warm: ``chart_inverse`` 39 / 70, ``chart_forward`` 51 / 107,
 ``chart_domain_test`` 36 / 76, ``bruhat_classify`` 61 / 117,
-``FlagPoint`` 43 / 42. Counted are the calls made in the package's own
+``FlagPoint`` 41 / 40. Counted are the calls made in the package's own
 frames of numpy functions, ufuncs and methods of arrays and numpy
 scalars, and operators with an array operand; indexing, attribute reads,
 numpy scalar arithmetic and ``np.errstate`` are not. ``_make_special``'s
@@ -97,6 +97,7 @@ from .linalg_core import (
     _eigen_stack,
     _finite,
     _make_special,
+    _require_tol,
     _strict_lower_mask,
     as_matrix,
 )
@@ -170,9 +171,7 @@ def _flag_points(y, hs):
     becomes read-only. Every caller hands it finite matrices: FlagPoint
     through ``as_matrix``, and the suites their samples and the final
     states of integrator runs, which the integrator checks."""
-    n = y.shape[-1]
-    lam, q, failures = _eigen_stack(y)
-    rows = lam.reshape(-1, n).tolist()
+    rows, q, failures = _eigen_stack(y)
     declared = _items(hs)
     for i, h in enumerate(declared):
         if h is not None and any(abs(a - b) > _EIGENVALUE_TOL for a, b in zip(rows[i], h.values)):
@@ -630,5 +629,7 @@ def _bruhat_classes(lower, ws, tol: float):
 
 
 def bruhat_classify(y: FlagPoint, w: Permutation, tol: float) -> BruhatClass:
-    """Classify y against the two cells at w by its coordinate support."""
+    """Classify y against the two cells at w by its coordinate support,
+    the entries above tol (finite, >= 0)."""
+    _require_tol(tol)
     return _bruhat_classes(chart_forward(y, w).lower, w, tol)

@@ -11,6 +11,7 @@ seeded command is numpy's PCG64 (numpy.random.default_rng).
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -52,20 +53,14 @@ def _parse_spectrum(text: str) -> Spectrum:
 
 def _run_factorize(args) -> int:
     g = read_matrix(args.input)
-    out = args.out
-    if args.kind == "kan":
-        factors = kan_factorize(g)
-        write_matrix(out / "k.json", factors.k)
-        write_matrix(out / "a.json", factors.a)
-        write_matrix(out / "n.json", factors.n)
-        residual = float(np.linalg.norm(factors.k @ factors.a @ factors.n - g))
-    else:
-        factors = unbar_factorize(g)
-        write_matrix(out / "u.json", factors.u)
-        write_matrix(out / "nbar.json", factors.nbar)
-        write_matrix(out / "m.json", factors.m)
-        residual = float(np.linalg.norm(factors.u @ factors.nbar @ factors.m - g))
-    write_json(out / "factorize_report.json", {"kind": args.kind, "residual": residual})
+    factors = (kan_factorize if args.kind == "kan" else unbar_factorize)(g)
+    # k, a, n or u, nbar, m: one file each, in field order
+    named = {field.name: getattr(factors, field.name) for field in fields(factors)}
+    for name, matrix in named.items():
+        write_matrix(args.out / f"{name}.json", matrix)
+    first, second, third = named.values()
+    residual = float(np.linalg.norm(first @ second @ third - g))
+    write_json(args.out / "factorize_report.json", {"kind": args.kind, "residual": residual})
     print(f"factorize {args.kind}: residual {residual:.3e}")
     return 0
 

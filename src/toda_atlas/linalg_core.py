@@ -17,7 +17,7 @@ kernels and give the same bits. ``_pi_k``, ``_power_traces`` and
 ``_eigen_stack`` act on the last two axes, so they take a stack as well as
 one plain (n, n) matrix, and each matrix of a stack gets the bits it
 would get alone: ``symmetric_eigen`` and ``FlagPoint`` diagonalize their
-matrix plain (``symmetric_eigen`` at n = 4 / 12 makes 39 / 38 numpy calls,
+matrix plain (``symmetric_eigen`` at n = 4 / 12 makes 38 / 37 numpy calls,
 counted as in ``atlas``). ``_dot`` is the matrix product of the plain and
 stack kernels.
 
@@ -85,8 +85,17 @@ def _finite(message: str, kernel, *args) -> np.ndarray:
     return result
 
 
+def _require_tol(tol) -> None:
+    """Raise ValueError unless tol is finite and >= 0: no entry is
+    ``> tol`` for a NaN or infinite tol, so a check against it passes
+    every matrix."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def require_unit_lower(g, tol: float = 1e-12) -> np.ndarray:
-    """Validate that g is unit lower triangular within tol."""
+    """Validate that g is unit lower triangular within tol (finite, >= 0)."""
+    _require_tol(tol)
     g = as_matrix(g)
     if np.max(np.abs(np.diag(g) - 1.0)) > tol:
         raise ValueError("matrix is not unit lower triangular: diagonal differs from 1")
@@ -278,15 +287,16 @@ def _eigen_stack(y: np.ndarray):
     """Unchecked :func:`symmetric_eigen` of one finite (n, n) matrix, or of
     each matrix of a finite (B, n, n) stack.
 
-    Returns ``(lam, q, failures)``: lam, (n,) or (B, n), holds each spectrum
-    in strictly decreasing order, q, of y's shape, the frames, and failures
+    Returns ``(rows, q, failures)``: rows, a list of one row of Python
+    floats per matrix (one row for one matrix), holds each spectrum in
+    strictly decreasing order, q, of y's shape, the frames, and failures
     maps the index of each matrix (0 for one matrix) that
     ``symmetric_eigen`` refuses to the exception it raises, checked in its
     order: symmetry, overflow of the symmetric part ``0.5 * (y + y^T)``
     (solved as zero instead, with no warning), gap, trace, residual, and
     last the rest of :class:`Spectrum`'s checks (an eigenvalue spread past
     the double range, whose residual is taken with no warning), so the
-    spectrum of an accepted matrix needs no check of its own. The lam and
+    spectrum of an accepted matrix needs no check of its own. The row and
     q of a refused matrix mean nothing. A matrix gets the same bits alone,
     plain, and in any stack.
     """
@@ -307,7 +317,8 @@ def _eigen_stack(y: np.ndarray):
     lam = eigs[..., ::-1]
     q = q[..., ::-1]
     _make_special(q)
-    # Spectrum's trace and spread checks, summed and subtracted as it does
+    # the returned rows, and on them Spectrum's trace and spread checks,
+    # summed and subtracted as it does
     rows = lam.reshape(-1, n).tolist()
     totals = [sum(row) for row in rows]
     finite_spreads = all(math.isfinite(row[0] - row[-1]) for row in rows)
@@ -358,7 +369,7 @@ def _eigen_stack(y: np.ndarray):
                     Spectrum(tuple(rows[i]))
                 except ValueError as err:
                     failures[i] = err
-    return lam, q, failures
+    return rows, q, failures
 
 
 def _make_special(q) -> None:
@@ -396,7 +407,7 @@ def symmetric_eigen(y):
     :class:`Spectrum`'s, so the spectrum is built without running them
     again.
     """
-    lam, q, failures = _eigen_stack(as_matrix(y))
+    rows, q, failures = _eigen_stack(as_matrix(y))
     if failures:
         raise failures[0]
-    return Spectrum._of(tuple(lam.tolist())), q
+    return Spectrum._of(tuple(rows[0])), q

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProfileError
-from .linalg_core import _strict_lower_mask, as_matrices, require_unit_lower
+from .linalg_core import _require_tol, _strict_lower_mask, as_matrices, require_unit_lower
 
 __all__ = [
     "Permutation",
@@ -130,7 +130,7 @@ def l_sigma_membership(g, sigma: Permutation, tol: float) -> bool:
     conjugation by sigma.
 
     Membership holds iff every strictly-lower entry (i, j) of g with
-    sigma(i) < sigma(j) vanishes within tol.
+    sigma(i) < sigma(j) vanishes within tol, which must be finite and >= 0.
     """
     g = require_unit_lower(g, tol)
     if g.shape[0] != sigma.n:
@@ -214,7 +214,8 @@ def _outside_mask(p: Profile) -> np.ndarray:
 def v_p_membership(x, p: Profile, tol: float):
     """Whether every strictly-lower entry outside the profile is <= tol in
     absolute value: a bool for one matrix, a bool array over the leading
-    axes for an (..., n, n) stack."""
+    axes for an (..., n, n) stack. tol must be finite and >= 0."""
+    _require_tol(tol)
     x = as_matrices(x)
     if x.shape[-1] != p.n:
         raise ValueError(f"dimension mismatch: matrix is {x.shape[-1]}, profile is for n={p.n}")

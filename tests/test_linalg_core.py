@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from toda_atlas.atlas import ChartCoords, FlagPoint, nbar_from_affine
+from toda_atlas.atlas import ChartCoords, FlagPoint, bruhat_classify, chart_inverse, nbar_from_affine
 from toda_atlas.factorizations import f_inverse, unit_lower_inverse
 from toda_atlas.flows import sym_field, toda_field
 from toda_atlas.linalg_core import (
@@ -20,9 +20,16 @@ from toda_atlas.linalg_core import (
     isospectral_witness,
     pi_k,
     pi_u,
+    require_unit_lower,
     symmetric_eigen,
 )
-from toda_atlas.weyl_profiles import Permutation
+from toda_atlas.sampling import default_spectrum, random_chart_coords, rng_from_seed
+from toda_atlas.weyl_profiles import (
+    Permutation,
+    hessenberg_profile,
+    l_sigma_membership,
+    v_p_membership,
+)
 
 RNG = np.random.default_rng(12345)
 
@@ -282,8 +289,8 @@ class TestSymmetricEigen:
                 y = 0.5 * (a + a.T)
                 y -= np.trace(y) / n * np.eye(n)
                 spectrum, _ = symmetric_eigen(y)
-                lam = _eigen_stack(y[None])[0][0]
-                checked = Spectrum(tuple(lam))
+                row = _eigen_stack(y[None])[0][0]
+                checked = Spectrum(tuple(row))
                 assert spectrum == checked
                 assert all(type(v) is float for v in spectrum.values)
 
@@ -295,7 +302,7 @@ class TestSymmetricEigen:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError) as refused:
                     symmetric_eigen(np.array([[a, a], [a, -a]]))
-            values = tuple(_eigen_stack(np.array([[[a, a], [a, -a]]]))[0][0].tolist())
+            values = tuple(_eigen_stack(np.array([[[a, a], [a, -a]]]))[0][0])
             with pytest.raises(ValueError) as expected:
                 Spectrum(values)
             assert "finite spread" in str(refused.value)
@@ -459,3 +466,27 @@ def test_a_public_map_refuses_what_overflows_with_its_typed_error_and_no_warning
             call()
     assert type(raised.value) is ValueError
     assert str(raised.value) == message
+
+
+def classify_a_chart_point(tol):
+    w = Permutation((2, 1, 3))
+    y = chart_inverse(random_chart_coords(w, default_spectrum(3), rng_from_seed(1)))
+    return bruhat_classify(y, w, tol)
+
+
+TOL_CHECKS = {
+    "require_unit_lower": lambda tol: require_unit_lower(np.ones((3, 3)), tol),
+    "l_sigma_membership": lambda tol: l_sigma_membership(np.ones((3, 3)), Permutation((2, 1, 3)), tol),
+    "v_p_membership": lambda tol: v_p_membership(np.ones((4, 4)), hessenberg_profile(4), tol),
+    "bruhat_classify": classify_a_chart_point,
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+@pytest.mark.parametrize("check", list(TOL_CHECKS))
+def test_a_tolerance_check_refuses_a_tol_that_is_not_finite_and_nonnegative(check, tol):
+    # no entry is "> tol" for a NaN or infinite tol, so each check passed
+    # every matrix against one
+    with pytest.raises(ValueError) as refused:
+        TOL_CHECKS[check](tol)
+    assert str(refused.value) == f"tol must be finite and >= 0, got {tol!r}"

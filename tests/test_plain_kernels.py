@@ -59,14 +59,15 @@ SIZES = range(2, 13)
 def view(out, i):
     """What a kernel's output holds for point i of a stack, or for its one
     point when i is None: array bits with their shape, points, verdicts,
-    and the (type, message) of the point's failure, if any."""
+    and the (type, message) of the point's failure, if any. A list holds
+    one point as its item 0, as failures do."""
     if isinstance(out, tuple):
         return tuple(view(part, i) for part in out)
     if isinstance(out, dict):
         err = out.get(0 if i is None else i)
         return None if err is None else (type(err), str(err))
     if isinstance(out, list):
-        return view(out[i], None)
+        return view(out[0 if i is None else i], None)
     if isinstance(out, FlagPoint):
         return view(out.y, None), view(out.frame, None), out.h
     if isinstance(out, np.ndarray):
@@ -171,8 +172,8 @@ def test_eigen_kernels_give_a_plain_matrix_its_stack_bits(n):
     rank_free(_flag_points, [(y, None) for y in outside], copy=True)
     for y in outside:
         spectrum, frame = symmetric_eigen(y)
-        lam, q, _ = _eigen_stack(y)
-        assert spectrum.values == tuple(lam.tolist()) and frame.tobytes() == q.tobytes()
+        rows, q, _ = _eigen_stack(y)
+        assert spectrum.values == tuple(rows[0]) and frame.tobytes() == q.tobytes()
         point = FlagPoint(y, h)
         assert view(point, None) == view(_flag_points(y.copy(), h)[0], None)
 

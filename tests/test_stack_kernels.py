@@ -130,7 +130,7 @@ def mixed_symmetric_stack():
 class TestEigenStack:
     def test_equals_symmetric_eigen_per_matrix(self):
         y = mixed_symmetric_stack()
-        lam, q, failures = _eigen_stack(y.copy())
+        rows, q, failures = _eigen_stack(y.copy())
         outcomes = one_point_outcomes(symmetric_eigen, y)
         assert_failures_match(failures, outcomes)
         # the residual check, last in line, refuses none of these
@@ -140,7 +140,7 @@ class TestEigenStack:
                 assert outcome == reference
             else:
                 spectrum, frame = outcome[1]
-                assert same_bits(lam[i], spectrum.values) and spectrum == reference[1][0]
+                assert same_bits(rows[i], spectrum.values) and spectrum == reference[1][0]
                 assert same_bits(q[i], frame) and same_bits(frame, reference[1][1])
 
     def test_flag_points_equal_flag_point_per_matrix(self):
@@ -165,7 +165,7 @@ class TestEigenStack:
         h = default_spectrum(4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam, q, failures = _eigen_stack(y.copy())
+            rows, q, failures = _eigen_stack(y.copy())
             points, flag_failures = _flag_points(y.copy(), [h] * len(y))
             outcomes = one_point_outcomes(symmetric_eigen, y)
             flag_outcomes = one_point_outcomes(lambda m: FlagPoint(m, h), y)
@@ -176,7 +176,7 @@ class TestEigenStack:
         for i, (outcome, flag_outcome) in enumerate(zip(outcomes, flag_outcomes)):
             if flag_outcome[0] == "ok":
                 spectrum, frame = outcome[1]
-                assert same_bits(lam[i], spectrum.values) and same_bits(q[i], frame)
+                assert same_bits(rows[i], spectrum.values) and same_bits(q[i], frame)
                 assert same_bits(points[i].frame, flag_outcome[1].frame)
 
 
