@@ -60,14 +60,16 @@ def view(out, i):
     """What a kernel's output holds for point i of a stack, or for its one
     point when i is None: array bits with their shape, points, verdicts,
     and the (type, message) of the point's failure, if any. A list holds
-    one point as its item 0, as failures do."""
+    one point as its item 0, as failures do, and a row of floats in a list
+    is compared as array bits, every entry and the sign of a zero."""
     if isinstance(out, tuple):
         return tuple(view(part, i) for part in out)
     if isinstance(out, dict):
         err = out.get(0 if i is None else i)
         return None if err is None else (type(err), str(err))
     if isinstance(out, list):
-        return view(out[0 if i is None else i], None)
+        part = out[0 if i is None else i]
+        return view(np.array(part) if isinstance(part, list) else part, None)
     if isinstance(out, FlagPoint):
         return view(out.y, None), view(out.frame, None), out.h
     if isinstance(out, np.ndarray):
