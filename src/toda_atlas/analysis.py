@@ -335,6 +335,8 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     stack of chart points, and their Bruhat classes one stack of chart
     coordinates.
     """
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if not charts:
         return []
     dist_tol = 1e-7
@@ -552,6 +554,8 @@ def fiber_experiment(
     in its details. The runs are lean: each keeps one row of figures per
     state, not the state.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     cfg = _fiber_config(h)
     base, starts = _fiber_starts(w, h, samples, rng)
     trajs = integrate_many(sym_field, starts, cfg, per_state=_norm_and_leak)

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TodaAtlasError",
+    "FactorizationError",
+    "ChartDomainError",
+    "ProfileError",
+    "StiffnessError",
+]
+
 
 class TodaAtlasError(Exception):
     """Base class for errors raised by this package."""

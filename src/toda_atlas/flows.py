@@ -197,6 +197,11 @@ class IntegratorConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.max_step < _MIN_STEP:
+            raise ValueError(
+                f"max_step must be at least the smallest step {_MIN_STEP:.0e}, "
+                f"got {self.max_step!r}"
+            )
 
 
 # The config of a run to an exact time, which is given as its horizon: the
@@ -512,7 +517,7 @@ class _Lane:
         # rounding of the final clamped step can leave t one ulp short of
         # t_max; a leftover below this is the endpoint, not a stalled step
         self.t_end = t_max * (1.0 - 1e-12)
-        self.h = min(_INITIAL_STEP, max_step, t_max)
+        self.h = min(_INITIAL_STEP, max_step)
         self.err_prev = 1e-4
         self.fnorm = fnorm
         self.times = [0.0]
@@ -644,12 +649,14 @@ def integrate_many(
                     work = _Work(x, own, tols)
                 stopped = False
             for lane in active:
-                lane.h = min(lane.h, max_step, lane.t_max - lane.t)
+                # the controller's step underflows, not one the horizon
+                # cuts short (max_step is at least _MIN_STEP)
                 if lane.h < _MIN_STEP:
                     raise StiffnessError(
                         f"step size underflowed ({lane.h:.2e}) at t={lane.t:.6g}",
                         trajectory=lane.trajectory(),
                     )
+                lane.h = min(lane.h, max_step, lane.t_max - lane.t)
             if stack:
                 np.copyto(work.h, np.array([lane.h for lane in active])[:, None, None])
             else:

@@ -4,6 +4,8 @@ Everything takes an explicit numpy Generator so runs are reproducible;
 the package-wide generator is PCG64 via numpy.random.default_rng.
 """
 
+import math
+
 import numpy as np
 
 from .atlas import ChartCoords, FlagPoint
@@ -70,5 +72,8 @@ def random_profile(n: int, rng: np.random.Generator) -> Profile:
 def random_chart_coords(
     w: Permutation, h: Spectrum, rng: np.random.Generator, scale: float = 1.0
 ) -> ChartCoords:
+    # the width 2 * scale of the draw's range must be finite as well
+    if not math.isfinite(2.0 * scale):
+        raise ValueError(f"scale must be finite, and so must 2 * scale, got {scale!r}")
     lower = np.tril(rng.uniform(-scale, scale, (h.n, h.n)), -1)
     return ChartCoords(w=w, lower=lower, h=h)

@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import CheckReport
-from .flows import Trajectory
 from .linalg_core import as_matrix
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "trajectory_diagnostics",
     "report_to_dict",
     "write_json",
-    "read_json",
 ]
 
 
@@ -35,10 +32,6 @@ def write_json(path, payload) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_json(path):
-    return json.loads(Path(path).read_text())
 
 
 def matrix_to_dict(mat) -> dict:
@@ -68,11 +61,12 @@ def write_matrix(path, mat) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    return matrix_from_dict(read_json(path))
+    return matrix_from_dict(json.loads(Path(path).read_text()))
 
 
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    """One row per accepted step: t, then the state in row-major order."""
+def write_trajectory_csv(path, traj) -> None:
+    """One row per accepted step of a flows.Trajectory: t, then the state
+    in row-major order."""
     n = traj.states[0].shape[0]
     header = "t," + ",".join(f"e{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1))
     lines = [header]
@@ -98,7 +92,8 @@ def read_trajectory_csv(path):
     return np.array(times), states
 
 
-def trajectory_diagnostics(traj: Trajectory) -> dict:
+def trajectory_diagnostics(traj) -> dict:
+    """The controller figures of a flows.Trajectory."""
     return {
         "t_final": float(traj.final_time),
         "accepted_steps": traj.accepted_steps,
@@ -111,5 +106,6 @@ def trajectory_diagnostics(traj: Trajectory) -> dict:
     }
 
 
-def report_to_dict(report: CheckReport) -> dict:
+def report_to_dict(report) -> dict:
+    """The fields of an analysis.CheckReport."""
     return dataclasses.asdict(report)

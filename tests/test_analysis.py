@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -807,3 +808,27 @@ class TestStackedSuitesMatchPerPointLoops:
         assert type(failures[1]) is ChartDomainError
         assert str(failures[1]) == str(one_point.value)
         assert residuals[0] == residuals[2] == _pushforward_residual(inside, w, 1e-5)
+
+
+class TestParameterChecks:
+    # each public parameter is refused at its own boundary, with a
+    # message that names it, before another function's check can fire
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        message = f"eps must be positive and finite, got {eps!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            unstable_manifold_experiments([Permutation((2, 1, 3))], default_spectrum(3), eps=eps)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_must_be_at_least_one(self, samples):
+        w, h = Permutation((2, 1, 3)), default_spectrum(3)
+        with pytest.raises(ValueError, match=rf"^samples must be at least 1, got {samples}$"):
+            fiber_experiment(w, h, samples=samples, rng=rng_from_seed(1))
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 1e308])
+    def test_scale_must_be_finite(self, scale):
+        w, h = Permutation((2, 1, 3)), default_spectrum(3)
+        message = f"scale must be finite, and so must 2 * scale, got {scale!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_chart_coords(w, h, rng_from_seed(1), scale=scale)

@@ -224,6 +224,22 @@ class TestFlow:
         assert diag == trajectory_diagnostics(partial)
         assert diag["rejected_steps"] > 0
 
+    def test_a_horizon_below_the_smallest_step_takes_one_step(self, tmp_path, flag_matrix):
+        out = tmp_path / "flow"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["flow", "--x0", str(flag_matrix), "--tmax", "1e-15", "--out", str(out)])
+        assert code == 0
+        times, _ = read_trajectory_csv(out / "trajectory.csv")
+        assert times.tolist() == [0.0, 1e-15]
+
+    def test_a_max_step_below_the_smallest_step_is_input_error(self, tmp_path, flag_matrix, capsys):
+        out = tmp_path / "flow"
+        code = run_cli(["flow", "--x0", str(flag_matrix), "--max-step", "1e-15", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: max_step must be at least")
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path, flag_matrix):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):

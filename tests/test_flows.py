@@ -583,6 +583,20 @@ class TestIntegrate:
                 assert 0.02 < caught.value.trajectory.final_time < 0.025
             assert np.isfinite(propagate(sym_field, x0, 0.05)).all()
 
+    @pytest.mark.parametrize("t", [1e-15, -1e-15, 1e-300])
+    def test_propagate_takes_one_step_to_a_time_below_the_smallest_step(self, t):
+        # the horizon cuts the controller's first step short; that is not
+        # an underflow of the step size
+        x0 = np.diag([2.0, 0.0, -2.0])
+        x0[2, 1] = 0.1
+        ahead = toda_field if t > 0.0 else (lambda x: -toda_field(x))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = propagate(toda_field, x0, t)
+            run = integrate(ahead, x0, IntegratorConfig(t_max=abs(t), stop_field_norm=math.ulp(0.0)))
+        assert run.times.tolist() == [0.0, abs(t)]
+        assert_same_bits(got, generator_sum_step(ahead, x0, abs(t), ahead(x0))[0])
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_propagate_refuses_a_time_that_is_not_finite(self, t):
         x0 = random_symmetric_with_spectrum(default_spectrum(3), np.random.default_rng(3))
@@ -971,6 +985,13 @@ class TestHorizons:
         assert lanes[4].final_time > lanes[0].final_time
         assert math.isclose(lanes[5].final_time, 4e-4, rel_tol=1e-12)
 
+    def test_a_horizon_below_the_smallest_step_leaves_the_other_lanes_alone(self):
+        x0 = np.diag([2.0, 0.0, -2.0])
+        x0[2, 1] = 0.1
+        short, long = integrate_many(toda_field, [x0, x0], horizons=[1e-15, 1.0])
+        assert short.times.tolist() == [0.0, 1e-15]
+        assert_same_run(long, integrate(toda_field, x0, IntegratorConfig(t_max=1.0)))
+
     @pytest.mark.parametrize(
         "horizons, message",
         [
@@ -1258,6 +1279,11 @@ class TestConfigValidation:
             IntegratorConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(t_max=-1.0)
+
+    def test_rejects_a_max_step_below_the_smallest_step(self):
+        with pytest.raises(ValueError, match=r"max_step must be at least the smallest step 1e-14, got 1e-15"):
+            IntegratorConfig(max_step=1e-15)
+        assert IntegratorConfig(max_step=1e-14).max_step == 1e-14
 
     def test_trajectory_rejects_non_finite_states(self):
         with pytest.raises(ValueError, match="trajectory states must be finite"):
