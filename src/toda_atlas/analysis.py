@@ -22,6 +22,7 @@ from .atlas import (
     _flag_points,
     _linear_fields,
     _permuted_diagonals,
+    _require_size,
     chart_inverse,
     h_conjugate,
 )
@@ -40,6 +41,7 @@ from .factorizations import (
 )
 from .flows import (
     _EXACT_TIME,
+    _MIN_STEP,
     IntegratorConfig,
     _frobenius_norms,
     _stacks,
@@ -49,7 +51,7 @@ from .flows import (
     sym_field,
     toda_field,
 )
-from .linalg_core import Spectrum
+from .linalg_core import Spectrum, _unchecked
 from .sampling import (
     default_spectrum,
     random_chart_coords,
@@ -247,8 +249,10 @@ def pushforward_check(y: FlagPoint, w: Permutation, tol: float = 1e-6) -> CheckR
     """Check that the chart takes the sorting field to its linear model.
 
     Central differences along the integrated flow with step 1e-5, so the
-    residual decays quadratically in the step until roundoff.
+    residual decays quadratically in the step until roundoff. Raises
+    ValueError when y and w differ in size, as the chart maps do.
     """
+    _require_size("point", y.h.n, w)
     fd_step = 1e-5
     residual = _pushforward_residual(y, w, fd_step)
     return CheckReport(
@@ -266,8 +270,10 @@ def pushforward_richardson(y: FlagPoint, w: Permutation) -> CheckReport:
     The residual at step 2e-3 over the residual at step 1e-3 must sit in
     [3.5, 4.5]; reported as distance of the ratio from 4. The steps are
     large enough that the quadratic truncation error, not roundoff,
-    dominates both residuals.
+    dominates both residuals. Raises ValueError when y and w differ in
+    size, as the chart maps do.
     """
+    _require_size("point", y.h.n, w)
     residuals, failures = _pushforward_residuals([y, y], [w, w], [2e-3, 1e-3])
     _raise_first(failures)
     return _richardson_report(*residuals, w)
@@ -324,6 +330,11 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     ``escape.max_radius`` is the largest distance from the permuted
     diagonal up to that horizon.
 
+    Raises ValueError, before any run, when eps is not positive and
+    finite, when it is at or below the legs' target distance 2e-8
+    (``dist_tol / 5``), from which no leg has a positive horizon, and when
+    a chart's size differs from h's, as the chart maps do.
+
     The sorting field is even, F(-X) = F(X), so a backward leg from y is
     minus the forward run from -y, step for step. The legs of all charts
     run forward, in loop order and each to its own horizon, as one lean
@@ -337,11 +348,17 @@ def unstable_manifold_experiments(charts, h: Spectrum, eps: float = 1e-4) -> lis
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if not charts:
-        return []
     dist_tol = 1e-7
     field_tol = 1e-6
     coord_target = dist_tol / 5.0
+    if eps <= coord_target:
+        raise ValueError(
+            f"eps must be above the legs' target distance {coord_target!r}, got {eps!r}"
+        )
+    for w in charts:
+        _require_size("spectrum", h.n, w)
+    if not charts:
+        return []
     cfg = IntegratorConfig(
         rel_tol=1e-12,
         abs_tol=1e-13,
@@ -494,8 +511,17 @@ def sym_linearization_spectrum(h: Spectrum) -> CheckReport:
 
 
 def _fiber_config(h: Spectrum) -> IntegratorConfig:
-    """Symmetrization runs held at the field's stability cap for t <= 40."""
-    return IntegratorConfig(t_max=40.0, max_step=stable_step_for_symmetrization(h))
+    """Symmetrization runs held at the field's stability cap for t <= 40.
+    Raises ValueError naming h's spread when that cap is below the
+    integrator's smallest step, as it is for a spread above about 1.118e7."""
+    cap = stable_step_for_symmetrization(h)
+    if cap < _MIN_STEP:
+        raise ValueError(
+            f"spectrum spread {h.values[0] - h.values[-1]!r} gives a symmetrization step cap "
+            f"{cap!r} below the smallest step {_MIN_STEP:.0e}; the spread must be at most "
+            "about 1.118e7"
+        )
+    return IntegratorConfig(t_max=40.0, max_step=cap)
 
 
 def _norm_and_leak(x) -> np.ndarray:
@@ -776,7 +802,7 @@ def atlas_suite(n: int = 3, seed: int = 0) -> list:
     # negating two columns of the chart frame Q P_w^-1 negates the
     # matching columns of the point's frame Q
     twins = [
-        FlagPoint._of(y.y, h, y.frame * signs[np.array(c.w.images) - 1])
+        _unchecked(FlagPoint, y=y.y, h=h, frame=y.frame * signs[np.array(c.w.images) - 1])
         for y, (c, signs) in zip(points, picks)
     ]
     lower, forward_failures = _chart_forwards(points + twins, ws * 2)

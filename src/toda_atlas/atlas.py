@@ -18,9 +18,10 @@ diagonal d (``chart_linear_field``, ``chart_flow_exact``, and
 Public functions validate their arguments, and a ``FlagPoint`` or
 ``ChartCoords`` is valid by construction; the private ``_`` kernels do
 not validate. What a kernel builds is valid by construction too, so a
-chart map wraps it unchecked (``FlagPoint._of``, ``ChartCoords._of``)
-rather than validating it a second time. Every strictly lower triangle
-is kept with the boolean mask cached once per size
+chart map wraps it in a ``FlagPoint``, ``ChartCoords`` or ``Spectrum``
+with ``linalg_core._unchecked``, the package's one unchecked
+constructor, rather than validating it a second time. Every strictly
+lower triangle is kept with the boolean mask cached once per size
 (``_strict_lower_mask``), with the bits of ``np.tril(x, -1)``.
 
 Every stage of the pipeline is a kernel of either rank, with one code
@@ -99,6 +100,7 @@ from .linalg_core import (
     _make_special,
     _require_tol,
     _strict_lower_mask,
+    _unchecked,
     as_matrix,
 )
 from .weyl_profiles import Permutation, _inverted_mask, perm_matrix
@@ -135,7 +137,8 @@ class FlagPoint:
     The constructor checks y once and is the one-point call of
     :func:`_flag_points`; without h, the spectrum is the one its eigensolve
     finds. A chart point (``chart_inverse``) keeps the frame its graded QR
-    builds y from, with no eigensolve."""
+    builds y from, with no eigensolve. The kernels build their points
+    with ``_unchecked``, after running these checks themselves."""
 
     y: np.ndarray
     h: Spectrum | None = None
@@ -150,14 +153,6 @@ class FlagPoint:
             raise failures[0]
         for name in ("y", "h", "frame"):
             object.__setattr__(self, name, getattr(point, name))
-
-    @classmethod
-    def _of(cls, y, h, frame) -> "FlagPoint":
-        """A point from read-only arrays a stack kernel has checked."""
-        point = object.__new__(cls)
-        for name, value in (("y", y), ("h", h), ("frame", frame)):
-            object.__setattr__(point, name, value)
-        return point
 
 
 def _flag_points(y, hs):
@@ -179,19 +174,23 @@ def _flag_points(y, hs):
                 f"matrix eigenvalues {tuple(rows[i])} do not match "
                 f"the declared spectrum {h.values}"
             ))
-    spectra = [Spectrum._of(tuple(row)) if h is None else h for h, row in zip(declared, rows)]
+    spectra = [
+        _unchecked(Spectrum, values=tuple(row)) if h is None else h
+        for h, row in zip(declared, rows)
+    ]
     y.setflags(write=False)
     q.setflags(write=False)
     if y.ndim == 2:
-        return FlagPoint._of(y, spectra[0], q), failures
-    return [FlagPoint._of(y[i], spectra[i], q[i]) for i in range(len(y))], failures
+        return _unchecked(FlagPoint, y=y, h=spectra[0], frame=q), failures
+    return [_unchecked(FlagPoint, y=y[i], h=h, frame=q[i]) for i, h in enumerate(spectra)], failures
 
 
 @dataclass(frozen=True)
 class ChartCoords:
     """Chart value: strictly lower coordinates around the origin at w. The
     constructor validates a copy of ``lower``; coordinates a kernel builds
-    (``chart_forward``) are valid by construction and skip it (``_of``)."""
+    (``chart_forward``, ``chart_flow_exact``) are valid by construction and
+    skip it (``_unchecked``)."""
 
     w: Permutation
     lower: np.ndarray
@@ -207,15 +206,6 @@ class ChartCoords:
             raise ValueError("coordinates must be strictly lower triangular (exact zeros above)")
         lower.setflags(write=False)
         object.__setattr__(self, "lower", lower)
-
-    @classmethod
-    def _of(cls, w, lower, h) -> "ChartCoords":
-        """Coordinates from a read-only, finite, strictly lower array of
-        h's size that a stack kernel has built."""
-        coords = object.__new__(cls)
-        for name, value in (("w", w), ("lower", lower), ("h", h)):
-            object.__setattr__(coords, name, value)
-        return coords
 
 
 class BruhatClass(Enum):
@@ -395,7 +385,7 @@ def chart_flow_exact(c: ChartCoords, t: float) -> ChartCoords:
         lambda: np.where(_strict_lower_mask(c.h.n), np.exp(gaps * t) * c.lower, 0.0),
     )
     flowed.setflags(write=False)
-    return ChartCoords._of(c.w, flowed, c.h)
+    return _unchecked(ChartCoords, w=c.w, lower=flowed, h=c.h)
 
 
 def _chart_matrices(coords, t):
@@ -467,8 +457,10 @@ def _chart_points(coords, t):
     y.setflags(write=False)
     frame.setflags(write=False)
     if _one(coords):
-        return FlagPoint._of(y, coords.h, frame), failures
-    return [FlagPoint._of(y[i], c.h, frame[i]) for i, c in enumerate(coords)], failures
+        return _unchecked(FlagPoint, y=y, h=coords.h, frame=frame), failures
+    return [
+        _unchecked(FlagPoint, y=y[i], h=c.h, frame=frame[i]) for i, c in enumerate(coords)
+    ], failures
 
 
 def chart_inverse(c: ChartCoords) -> FlagPoint:
@@ -604,7 +596,7 @@ def chart_forward(y: FlagPoint, w: Permutation) -> ChartCoords:
     if failures:
         raise failures[0]
     lower.setflags(write=False)
-    return ChartCoords._of(w, lower, y.h)
+    return _unchecked(ChartCoords, w=w, lower=lower, h=y.h)
 
 
 _CLASSES = {

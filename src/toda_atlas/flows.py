@@ -129,6 +129,7 @@ from .linalg_core import (
     _finite,
     _power_traces,
     _relative_drift,
+    _unchecked,
     as_matrices,
     as_matrix,
     isospectral_witness,
@@ -219,7 +220,14 @@ class Trajectory:
     A lean run of :func:`integrate_many` keeps only its start and final
     state (``times`` is then ``(0, t_final)``, or ``(0,)`` with no step)
     and holds in ``per_state`` the caller's values on every accepted
-    state, start included; ``per_state`` is None for a full run."""
+    state, start included; ``per_state`` is None for a full run.
+
+    The constructor checks a caller's trajectory: equal lengths, at least
+    one state, strictly increasing times and finite states. A lane of
+    :func:`integrate_many` builds its own with ``_unchecked``, as its
+    stepping loop makes each of those hold: it appends a time with each
+    state, refuses a step that would not advance t, and checks every
+    state it keeps in ``_Lane.fold``."""
 
     times: np.ndarray
     states: tuple
@@ -234,19 +242,17 @@ class Trajectory:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
-        states = self.states
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(states))
+        object.__setattr__(self, "states", tuple(self.states))
         if len(times) != len(self.states):
             raise ValueError("times and states have different lengths")
         if len(times) == 0:
             raise ValueError("a trajectory holds at least its initial state")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("times must be strictly increasing")
-        if not isinstance(states, _Folded):
-            for stack in _stacks(self.states):
-                if not np.isfinite(stack).all():
-                    raise ValueError("trajectory states must be finite")
+        for stack in _stacks(self.states):
+            if not np.isfinite(stack).all():
+                raise ValueError("trajectory states must be finite")
 
     @property
     def final_state(self) -> np.ndarray:
@@ -494,11 +500,6 @@ def _stacks(states):
         yield np.stack(states[i:i + _DRIFT_CHUNK])
 
 
-class _Folded(tuple):
-    """States a lane has checked in ``_Lane.fold``; a Trajectory built on
-    them keeps them as a plain tuple and does not check them again."""
-
-
 class _Lane:
     """One run of a lockstep batch: controller state and accepted states.
 
@@ -509,7 +510,11 @@ class _Lane:
     states, keeps the caller's rows of them and drops them, so it keeps no
     times and at most one stack of states. A full lane keeps its states
     and folds them once, when the run ends: folding them during the run
-    measured about 7 % slower per step in B = 1 sorting runs at n = 12."""
+    measured about 7 % slower per step in B = 1 sorting runs at n = 12.
+
+    ``trajectory`` folds what is left and builds the run's Trajectory
+    unchecked, as the loop and the fold make every check of Trajectory's
+    constructor hold."""
 
     def __init__(self, x0, fnorm, t_max, max_step, per_state, reference):
         self.t = 0.0
@@ -550,10 +555,11 @@ class _Lane:
             if self.steps:
                 times.append(self.t)
                 states.append(self.last)
-        return Trajectory(
-            times, _Folded(states), len(self.steps), self.rejected, self.fnorm, self.drift,
-            min_step=min(self.steps, default=0.0),
-            max_step=max(self.steps, default=0.0),
+        return _unchecked(
+            Trajectory, times=np.array(times), states=tuple(states),
+            accepted_steps=len(self.steps), rejected_steps=self.rejected,
+            final_field_norm=self.fnorm, power_trace_drift=self.drift,
+            min_step=min(self.steps, default=0.0), max_step=max(self.steps, default=0.0),
             per_state=values,
         )
 
@@ -599,7 +605,11 @@ def integrate_many(
     :func:`isospectral_witness`), or horizons of the wrong count or not
     positive and finite; and
     StiffnessError, with that run's partial trajectory attached (lean if
-    the run is), when a run's step size underflows.
+    the run is), when a run's step size underflows: when the controller's
+    step, capped by ``cfg.max_step``, falls below 1e-14 or no longer
+    advances the run's time (t + step == t, as a step below half an ulp
+    of t does). Only then is the step cut to the time left, which never
+    stalls t, so every trajectory's times strictly increase.
     """
     starts = [as_matrix(x0) for x0 in starts]
     if not starts:
@@ -650,13 +660,18 @@ def integrate_many(
                 stopped = False
             for lane in active:
                 # the controller's step underflows, not one the horizon
-                # cuts short (max_step is at least _MIN_STEP)
-                if lane.h < _MIN_STEP:
+                # cuts short (max_step is at least _MIN_STEP); the
+                # horizon's cut never stalls t, as the lane stops once
+                # less than t_max * 1e-12 is left
+                step = min(lane.h, max_step)
+                stalled = lane.t + step == lane.t
+                if step < _MIN_STEP or stalled:
                     raise StiffnessError(
-                        f"step size underflowed ({lane.h:.2e}) at t={lane.t:.6g}",
+                        f"step size underflowed ({step:.2e}) at t={lane.t:.6g}"
+                        + (": the step no longer advances t" if stalled else ""),
                         trajectory=lane.trajectory(),
                     )
-                lane.h = min(lane.h, max_step, lane.t_max - lane.t)
+                lane.h = min(step, lane.t_max - lane.t)
             if stack:
                 np.copyto(work.h, np.array([lane.h for lane in active])[:, None, None])
             else:

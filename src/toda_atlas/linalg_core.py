@@ -104,6 +104,16 @@ def require_unit_lower(g, tol: float = 1e-12) -> np.ndarray:
     return g
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls holding these fields, made
+    with no check: for a value a kernel has built valid by construction,
+    which is not validated again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Strictly decreasing real eigenvalues summing to zero.
@@ -128,13 +138,6 @@ class Spectrum:
         total = sum(vals)
         if abs(total) > TRACE_TOL:
             raise ValueError(f"eigenvalues must sum to zero, got {total!r}")
-
-    @classmethod
-    def _of(cls, values: tuple) -> "Spectrum":
-        """A spectrum from a tuple of floats a kernel has checked."""
-        spectrum = object.__new__(cls)
-        object.__setattr__(spectrum, "values", values)
-        return spectrum
 
     @property
     def n(self) -> int:
@@ -410,4 +413,4 @@ def symmetric_eigen(y):
     rows, q, failures = _eigen_stack(as_matrix(y))
     if failures:
         raise failures[0]
-    return Spectrum._of(tuple(rows[0])), q
+    return _unchecked(Spectrum, values=tuple(rows[0])), q

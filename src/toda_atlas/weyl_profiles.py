@@ -13,6 +13,7 @@ Each pair rule is one boolean (n, n) mask (``_inverted_mask``,
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,16 @@ __all__ = [
 ]
 
 
+def _index(value) -> int:
+    """value as a Python int, for an integer of any kind (a numpy integer
+    included); a float such as 2.7 is refused with a ValueError naming it,
+    not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"an index must be an integer, got {value!r}") from None
+
+
 def lower_pairs(n: int):
     """All strictly-lower index pairs (i, j), i > j, 1-based."""
     return [(i, j) for i in range(2, n + 1) for j in range(1, i)]
@@ -43,12 +54,14 @@ def lower_pairs(n: int):
 
 @dataclass(frozen=True)
 class Permutation:
-    """A permutation in one-line notation: images[k-1] = sigma(k)."""
+    """A permutation in one-line notation: images[k-1] = sigma(k). Each
+    image is an integer, a numpy integer included; a float is refused with
+    a ValueError, not truncated."""
 
     images: tuple
 
     def __post_init__(self):
-        imgs = tuple(int(v) for v in self.images)
+        imgs = tuple(_index(v) for v in self.images)
         object.__setattr__(self, "images", imgs)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
@@ -162,11 +175,13 @@ def profile_validate(n: int, pairs) -> Profile:
     i >= i' > j' >= j belongs to the set too.
 
     Raises ProfileError naming the violated axiom and a witness pair:
-    for axiom (b), the smallest dominated pair missing from the set.
+    for axiom (b), the smallest dominated pair missing from the set; and
+    ValueError for an index that is not an integer (a float is not
+    truncated) or a pair out of range.
     """
     if n < 2:
         raise ValueError("profiles need n >= 2")
-    cleaned = frozenset((int(i), int(j)) for i, j in pairs)
+    cleaned = frozenset((_index(i), _index(j)) for i, j in pairs)
     for i, j in sorted(cleaned):
         if not (1 <= j and i <= n):
             raise ValueError(f"pair {(i, j)} out of range for n={n}")
@@ -188,10 +203,12 @@ def profile_validate(n: int, pairs) -> Profile:
 
 
 def profile_closure(n: int, pairs) -> Profile:
-    """Smallest valid profile containing the given lower pairs."""
+    """Smallest valid profile containing the given lower pairs. Raises
+    ValueError for an index that is not an integer (a float is not
+    truncated) or a pair that is not strictly lower for n."""
     if n < 2:
         raise ValueError("profiles need n >= 2")
-    seeds = [(int(i), int(j)) for i, j in pairs]
+    seeds = [(_index(i), _index(j)) for i, j in pairs]
     for i, j in seeds:
         if i <= j or j < 1 or i > n:
             raise ValueError(f"pair {(i, j)} is not a strictly-lower pair for n={n}")

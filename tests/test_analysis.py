@@ -820,6 +820,46 @@ class TestParameterChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             unstable_manifold_experiments([Permutation((2, 1, 3))], default_spectrum(3), eps=eps)
 
+    @pytest.mark.parametrize("eps", [1e-300, 1e-8, 2e-8])
+    def test_eps_must_be_above_the_legs_target_distance(self, eps):
+        # at or below 2e-8 no leg has a positive horizon
+        message = f"eps must be above the legs' target distance 2e-08, got {eps!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            unstable_manifold_experiments([Permutation((2, 1, 3))], default_spectrum(3), eps=eps)
+
+    def test_eps_just_above_the_legs_target_distance_runs(self):
+        reports = unstable_manifold_experiments(
+            [Permutation((2, 1, 3))], default_spectrum(3), eps=2.0000001e-8
+        )
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("charts, n, message", [
+        ([(2, 1, 3)], 4, "dimension mismatch: spectrum is 4, permutation is 3"),
+        ([(2, 1, 3), (1, 2, 3, 4)], 3, "dimension mismatch: spectrum is 3, permutation is 4"),
+    ])
+    def test_unstable_manifold_charts_must_have_the_spectrum_size(self, charts, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            unstable_manifold_experiments([Permutation(w) for w in charts], default_spectrum(n))
+
+    @pytest.mark.parametrize("check", [pushforward_check, pushforward_richardson])
+    def test_pushforward_point_and_chart_must_have_one_size(self, check):
+        y = random_flag_point(default_spectrum(3), rng_from_seed(1))
+        message = "dimension mismatch: point is 3, permutation is 4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(y, Permutation((2, 1, 3, 4)))
+
+    def test_a_spread_whose_step_cap_is_below_the_smallest_step_is_refused(self):
+        # the cap 2.5 / (2 spread^2) falls below 1e-14 past a spread of
+        # about 1.118e7; the refusal names the spread, not max_step
+        h = Spectrum((1.1e7, 0.0, -1.1e7))
+        message = (
+            "spectrum spread 22000000.0 gives a symmetrization step cap "
+            "2.5826446280991734e-15 below the smallest step 1e-14; "
+            "the spread must be at most about 1.118e7"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fiber_experiment(Permutation((1, 2, 3)), h, 2, rng=rng_from_seed(1))
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_samples_must_be_at_least_one(self, samples):
         w, h = Permutation((2, 1, 3)), default_spectrum(3)

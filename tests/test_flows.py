@@ -813,6 +813,30 @@ class TestIntegrateMany:
         assert_same_run(batched.value.trajectory, alone.value.trajectory)
         assert batched.value.trajectory.rejected_steps > 0
 
+    def test_a_step_that_no_longer_advances_t_raises_with_its_partial_run(self):
+        # x00 is a clock; at t = 130 a stiff decay switches on, and the
+        # controller's steps shrink to about 1e-14, less than half an ulp
+        # of 130, before they fall below the smallest step: the lane
+        # raises there, in bounded work, and its times strictly increase
+        calls = []
+
+        def clocked(x):
+            calls.append(None)
+            assert len(calls) < 20_000, "the run stalled"
+            out = np.zeros_like(x)
+            out[0, 0] = 1.0
+            if x[0, 0] > 130.0:
+                out[1, 1] = -3e14 * x[1, 1]
+            return out
+
+        cfg = IntegratorConfig(t_max=180.0, stop_field_norm=1e-300)
+        message = r"^step size underflowed \(1\.\d+e-14\) at t=130: the step no longer advances t$"
+        with pytest.raises(StiffnessError, match=message) as caught:
+            integrate(clocked, np.diag([0.0, 1.0]), cfg)
+        times = caught.value.trajectory.times
+        assert np.all(np.diff(times) > 0.0)
+        assert 130.0 <= times[-1] < 130.0 + 1e-12
+
 
 class TestOneStart:
     @pytest.mark.parametrize("lean", [False, True], ids=["full", "lean"])

@@ -43,7 +43,7 @@ from toda_atlas.factorizations import (
     _unit_lower_inverse,
     unbar_factorize,
 )
-from toda_atlas.linalg_core import Spectrum, _eigen_stack, symmetric_eigen
+from toda_atlas.linalg_core import Spectrum, _eigen_stack, _unchecked, symmetric_eigen
 from toda_atlas.sampling import (
     default_spectrum,
     random_chart_coords,
@@ -255,7 +255,7 @@ class TestRefusals:
         y.setflags(write=False)
         flip.setflags(write=False)
         # a frame of determinant -1, which only an unchecked point can hold
-        point = FlagPoint._of(y, h, flip)
+        point = _unchecked(FlagPoint, y=y, h=h, frame=flip)
         w = Permutation.identity(n)
         ordinary = [(points[0], coords[0].w), (points[2], coords[2].w)]
         failure = refused_in_a_stack(_chart_forwards, (point, w), ordinary)
@@ -333,7 +333,7 @@ class TestKernelsHandOnTheirRefusals:
             (points[0], coords[0].w),
             (weyl, reversal),  # a vanishing pivot
             (FlagPoint(k @ h.diag() @ k.T, h), identity),  # a minor at the threshold
-            (FlagPoint._of(y, h, flip), identity),  # a sign factor of determinant -1
+            (_unchecked(FlagPoint, y=y, h=h, frame=flip), identity),  # a sign factor of determinant -1
             (points[2], coords[2].w),
         ]
         with warnings.catch_warnings():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ class TestPermutation:
             )
             count = sigma.inversion_count()
             assert type(count) is int and count == brute
+
+    @pytest.mark.parametrize("images, bad", [
+        ((1.5, 2.7), 1.5),
+        ((1, 2.0), 2.0),
+        ((np.float64(1.0), 2), np.float64(1.0)),
+    ])
+    def test_refuses_a_non_integer_image(self, images, bad):
+        # a float is refused, not truncated
+        message = f"an index must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Permutation(images)
+
+    def test_takes_numpy_integers_as_ints(self):
+        sigma = Permutation((np.int64(2), np.int32(3), np.uint8(1)))
+        assert sigma.images == (2, 3, 1)
+        assert all(type(v) is int for v in sigma.images)
 
     def test_identity_and_longest(self):
         assert Permutation.identity(4).images == (1, 2, 3, 4)
@@ -225,6 +242,20 @@ class TestProfiles:
     def test_closure_is_valid_and_minimal(self):
         p = profile_closure(4, {(4, 2)})
         assert p.pairs == frozenset({(4, 2), (4, 3), (3, 2)})
+
+    @pytest.mark.parametrize("build", [profile_closure, profile_validate])
+    @pytest.mark.parametrize("pair, bad", [((2.9, 1.2), 2.9), ((2, 1.0), 1.0)])
+    def test_a_non_integer_index_is_refused(self, build, pair, bad):
+        # the pair (2.9, 1.2) is refused, not held as (2, 1)
+        message = f"an index must be an integer, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(3, [pair])
+
+    def test_numpy_integer_indices_are_ints(self):
+        for build in (profile_closure, profile_validate):
+            p = build(3, [(np.int64(2), np.int32(1))])
+            assert p.pairs == frozenset({(2, 1)})
+            assert all(type(v) is int for pair in p.pairs for v in pair)
 
 
 class TestVpMembership:
